@@ -138,13 +138,13 @@ def setup_time():
     return float(done.stdout.strip())
 
 
-def call_cli(main, argv, tracer=None, request=-1):
+def call_cli(main, argv, tracer=None):
     """One CLI call with stdout and stderr captured: (seconds, exit code or exception, stdout, stderr)."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         start = time.perf_counter()
         try:
-            rc = main(argv) if tracer is None else tracer.request(request, main, argv)
+            rc = main(argv) if tracer is None else tracer.root(main, argv)
         except Exception:  # a crash is a failed call; the run goes on and reports it
             rc = traceback.format_exc(limit=3)
         elapsed = time.perf_counter() - start
@@ -237,7 +237,7 @@ class Ledger:
         return statistics.fmean(statistics.median(per_label[label]) for label in labels)
 
 
-def run_round(main, ops, ledger, tracer=None, first_request=0):
+def run_round(main, ops, ledger, tracer=None):
     """Run one shuffled round; returns the summed latency of its calls.
 
     The reference kernel runs before the first call and after every call, so
@@ -245,8 +245,8 @@ def run_round(main, ops, ledger, tracer=None, first_request=0):
     record latencies, traced ones feed the tracer."""
     total = 0.0
     ref_before = reference_seconds()
-    for i, op in enumerate(ops):
-        elapsed, rc, out, err = call_cli(main, op.argv, tracer, first_request + i)
+    for op in ops:
+        elapsed, rc, out, err = call_cli(main, op.argv, tracer)
         ledger.record(op, rc, out, err)
         total += elapsed
         ref_after = reference_seconds()
@@ -269,15 +269,6 @@ def loglog_slope(points):
 def verify_slope(ledger):
     """Log-log slope of the verify latency in seconds against D."""
     return loglog_slope([(d, ledger.kind_value(f"verify_D{d}", ledger.seconds)) for d in (32, 128, 256)])
-
-
-def tail_percentile(values):
-    """Highest whole percentile with at least ten samples beyond it, or None."""
-    n = len(values)
-    if n < 20:
-        return None
-    p = math.floor(100 * (1 - 10 / n))
-    return p, statistics.quantiles(values, n=100, method="inclusive")[p - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -303,15 +294,15 @@ def run_workload(name, seed, seconds, trace):
     traced_rounds, plain_rounds = [], []
     if trace:
         modules = {"cli": cli, "fockrep": fockrep, "gup": gup, "spectral": spectral, "symorder": symorder}
-        tracer = Tracer(modules, capture=("symorder.normal_order",))
-        nf_to_matrix = tracer.wrapped("symorder.nf_to_matrix")
+        tracer = Tracer(modules)
 
     t0 = time.perf_counter()
     rounds = 0
     # whole rounds only, so every run attempts the same mix; a traced run needs
     # an untraced round as well, for the overhead and the latencies
     while rounds < (2 if trace else 1) or time.perf_counter() - t0 < seconds:
-        while not trace and time.perf_counter() - t0 >= len(setup) * seconds / SETUP_SAMPLES:
+        while (not trace and len(setup) < SETUP_SAMPLES
+               and time.perf_counter() - t0 >= len(setup) * seconds / SETUP_SAMPLES):
             setup.append(setup_time())
         order = ops[:]
         rng.shuffle(order)
@@ -320,15 +311,13 @@ def run_workload(name, seed, seconds, trace):
         if traced:
             tracer.install()
             try:
-                traced_rounds.append(run_round(cli.main, order, ledger, tracer, rounds * len(ops)))
+                traced_rounds.append(run_round(cli.main, order, ledger, tracer))
+                # nf_to_matrix has no CLI caller: realise the round's normal forms at the CLI's D.
+                for nf in tracer.normal_forms:
+                    symorder.nf_to_matrix(nf, fockrep.DEFAULT_DIM)
+                tracer.normal_forms.clear()
             finally:
                 tracer.uninstall()
-            # nf_to_matrix has no CLI caller: realise the round's normal forms at the CLI's D.
-            tracer.request_id = -1
-            forms = tracer.captured["symorder.normal_order"]
-            for nf in forms:
-                nf_to_matrix(nf, fockrep.DEFAULT_DIM)
-            forms.clear()
         else:
             plain_rounds.append(run_round(cli.main, order, ledger))
         rounds += 1
@@ -341,13 +330,9 @@ def run_workload(name, seed, seconds, trace):
     kinds = {}
     for kind in dict.fromkeys(op.kind for op in ops):
         if kind in ledger.kind_of.values():
-            calls = [t for label, k in ledger.kind_of.items() if k == kind for t in ledger.seconds[label]]
             kinds[kind] = {
                 "seconds": ledger.kind_value(kind, ledger.seconds),
                 "relative": ledger.kind_value(kind, ledger.relative),
-                "calls": len(calls),
-                "call_median_s": statistics.median(calls),
-                "call_tail": tail_percentile(calls),
             }
     report = {
         "workload": name,
@@ -384,13 +369,7 @@ def run_workload(name, seed, seconds, trace):
     report["peak_rss_mb"] = peak_rss_mb
     report["metrics"] = metrics
     OUT_DIR.mkdir(parents=True, exist_ok=True)
-    dump = dict(
-        report,
-        label_seconds=ledger.seconds,
-        label_relative=ledger.relative,
-        label_kind=ledger.kind_of,
-        spans=tracer.dump(t0) if tracer else None,
-    )
+    dump = dict(report, spans=tracer.dump(t0) if tracer else None)
     (OUT_DIR / f"{name}.trace{int(trace)}.json").write_text(json.dumps(dump) + "\n")
     print_report(report)
     return {"correct": correct, "attempted": ledger.attempted, "failed": ledger.failed, "metrics": metrics}
@@ -430,10 +409,7 @@ def print_report(report):
           f" nproc {env['nproc']}")
     print(f"# loadavg start {report['loadavg_start']} end {report['loadavg_end']}")
     for kind, k in report["kinds"].items():
-        tail = k["call_tail"]
-        tail_text = f" p{tail[0]} {tail[1]:.6f} s" if tail else ""
-        print(f"# {kind}_s {k['seconds']:.6f} s, {k['relative']:.4f} ref (mean over cases of the per-case"
-              f" median; all calls: median {k['call_median_s']:.6f} s,{tail_text} n={k['calls']})")
+        print(f"# {kind}_s {k['seconds']:.6f} s, {k['relative']:.4f} ref (mean over cases of the per-case median)")
     if report["verify_slope_D"] is not None:
         print(f"# verify.slope_D {report['verify_slope_D']:.4f} (log-log, D in 32,128,256)")
     print(f"# failed_ratio {report['failed_ratio']:.6f} ({report['failed']}/{report['attempted']})")

@@ -7,10 +7,12 @@ import `commutator`, `expectation`, `uncertainty_product`, `build_rep`,
 `quadratures` and `eval_K` by name.  Self time is the span's duration minus
 the time of the traced spans it directly contains, kept on a span stack.
 
-Spans stay in memory as (name, parent span, request, start, end) rows and are
-written out by the caller at the end of the run.  `spectral.eval_K` runs about
-a hundred thousand times per round, so it gets counts and self time but no
-stored span rows.
+Spans stay in memory as (name, parent span, start, end) rows and are written
+out by the caller at the end of the run.  `spectral.eval_K` runs about a
+hundred thousand times per round, so it gets counts and self time but no
+stored span rows.  The results of `symorder.normal_order` are kept in
+`normal_forms`, for the benchmark to realise with the traced `nf_to_matrix`,
+which no CLI command calls.
 """
 
 from __future__ import annotations
@@ -60,20 +62,18 @@ DENSE_PRODUCTS = {
 class Tracer:
     """Records spans while installed; aggregates self time, calls and kernel counts."""
 
-    def __init__(self, modules: dict, capture=()):
+    def __init__(self, modules: dict):
         self.modules = modules
-        self.captured = {name: [] for name in capture}
+        self.normal_forms = []
         self.names = [ROOT]
         self.index = {ROOT: 0}
-        self.rows = []  # [name index, parent row or -1, request, start, end]
+        self.rows = []  # [name index, parent row or -1, start, end]
         self.self_s = defaultdict(float)
         self.calls = defaultdict(int)
         self.cmadd = defaultdict(int)
         self._stack = []  # [row or -1, child seconds]
-        self.request_id = -1
         self._patches = []
         self._wrappers = {}
-        self._by_name = {}
         for mod_name, fn_names in TRACED.items():
             for fn_name in fn_names:
                 full = f"{mod_name}.{fn_name}"
@@ -82,14 +82,13 @@ class Tracer:
                 original = getattr(modules[mod_name], fn_name)
                 wrapper = self._wrap(full, original)
                 self._wrappers[id(original)] = (original, wrapper)
-                self._by_name[full] = wrapper
 
     def _enter(self, name_idx, stored):
         row = -1
         if stored:
             parent = self._stack[-1][0] if self._stack else -1
             row = len(self.rows)
-            self.rows.append([name_idx, parent, self.request_id, time.perf_counter(), 0.0])
+            self.rows.append([name_idx, parent, time.perf_counter(), 0.0])
         self._stack.append([row, 0.0])
         return row
 
@@ -98,7 +97,7 @@ class Tracer:
         frame = self._stack.pop()
         duration = end - start
         if row >= 0:
-            self.rows[row][4] = end
+            self.rows[row][3] = end
         if self._stack:
             self._stack[-1][1] += duration
         self.self_s[name] += duration - frame[1]
@@ -108,11 +107,11 @@ class Tracer:
         name_idx = self.index[name]
         stored = name not in UNSTORED
         products = DENSE_PRODUCTS.get(name)
-        sink = self.captured.get(name)
+        sink = self.normal_forms if name == "symorder.normal_order" else None
 
         def traced(*args, **kwargs):
             row = self._enter(name_idx, stored)
-            start = time.perf_counter() if row < 0 else self.rows[row][3]
+            start = time.perf_counter() if row < 0 else self.rows[row][2]
             try:
                 result = fn(*args, **kwargs)
                 if sink is not None:
@@ -125,15 +124,13 @@ class Tracer:
 
         return traced
 
-    def request(self, request_id, call, *args):
-        """Run one top-level call as the root span of request `request_id`;
-        spans opened outside any request carry the current `request_id`."""
-        self.request_id = request_id
+    def root(self, call, *args):
+        """Run one top-level CLI call as a root span."""
         row = self._enter(0, True)
         try:
             return call(*args)
         finally:
-            self._exit(ROOT, row, self.rows[row][3])
+            self._exit(ROOT, row, self.rows[row][2])
 
     def install(self):
         """Bind every wrapper under each module-global name of its original."""
@@ -149,29 +146,25 @@ class Tracer:
             setattr(module, attr, value)
         self._patches.clear()
 
-    def wrapped(self, full_name):
-        """The traced version of one function, for calls made by the benchmark itself."""
-        return self._by_name[full_name]
-
     def inclusive_under(self, names, parent):
         """Total duration of stored spans named in `names` whose parent is a `parent` span."""
         want = {self.index[n] for n in names}
         parent_idx = self.index[parent]
         rows = self.rows
         return sum(
-            r[4] - r[3]
+            r[3] - r[2]
             for r in rows
             if r[0] in want and r[1] >= 0 and rows[r[1]][0] == parent_idx
         )
 
     def inclusive(self, name):
         idx = self.index[name]
-        return sum(r[4] - r[3] for r in self.rows if r[0] == idx)
+        return sum(r[3] - r[2] for r in self.rows if r[0] == idx)
 
     def dump(self, t0):
         """Span rows as plain data, times in seconds from t0."""
         return {
             "names": self.names,
-            "columns": ["name", "parent", "request", "start_s", "end_s"],
-            "rows": [[n, p, q, s - t0, e - t0] for n, p, q, s, e in self.rows],
+            "columns": ["name", "parent", "start_s", "end_s"],
+            "rows": [[n, p, s - t0, e - t0] for n, p, s, e in self.rows],
         }

@@ -1,8 +1,9 @@
 """The three workloads: fixed lists of deformalg CLI calls and their output checks.
 
 Every identity and scan below is a theorem of the algebra it runs on, so the
-expected exit code of every call is 0.  Case parameters are fixed because they
-set the numerical regime; the seed only feeds `verify --seed` and the call order.
+expected exit code of every call is 0 and every scanned row keeps the
+Robertson bound.  Case parameters are fixed because they set the numerical
+regime; the seed only feeds `verify --seed` and the call order.
 """
 
 from __future__ import annotations
@@ -101,19 +102,29 @@ def check_symbolic(text: str, rc: int) -> Outcome:
     return Outcome(rc == 0, _verdict(payload, rc), failed)
 
 
+ROBERTSON_TOL = 1e-12  # margin_robertson >= -1e-12 is the Robertson theorem (gup.UncertaintyReport)
+
+
 def _scan_checker(rows_expected: int) -> Callable[[str, int], Outcome]:
+    """A scan passes when it exits 0 and every row keeps the Robertson bound;
+    each row that breaks it is a failed check named by its q and n."""
+
     def check(text: str, rc: int) -> Outcome:
         rows = list(csv.reader(io.StringIO(text)))
-        if not rows or rows[0][:2] != ["case", "q"]:
+        if not rows or rows[0][:2] != ["case", "q"] or "margin_robertson" not in rows[0]:
             return Outcome(False, "missing CSV header", {})
-        body = rows[1:]
+        header, body = rows[0], rows[1:]
         if len(body) != rows_expected:
             return Outcome(False, f"{len(body)} rows, expected {rows_expected}", {})
+        q, n, margin = (header.index(c) for c in ("q", "n", "margin_robertson"))
+        failed = {} if rc == 0 else {"exit": rc}
         for row in body:
             for cell in row[1:]:
                 if cell and not math.isfinite(float(cell)):
                     return Outcome(False, f"non-finite value in row {row}", {})
-        return Outcome(rc == 0, None, {} if rc == 0 else {"exit": rc})
+            if float(row[margin]) < -ROBERTSON_TOL:
+                failed[f"margin_robertson q={row[q]} n={row[n]}"] = float(row[margin])
+        return Outcome(not failed, None, failed)
 
     return check
 
