@@ -20,6 +20,17 @@ COMMANDS = {
     "symbolic_lh_x.json": [
         "symbolic", "--case", "nonlinear", "--alpha", "1", "--beta", "2", "--check", "lh_x",
     ],
+    "verify_arik_coon.json": ["verify", "--case", "arik-coon", "--q", "0.7"],
+    "verify_macfarlane_biedenharn.json": [
+        "verify", "--case", "macfarlane-biedenharn", "--q", "1.5",
+    ],
+    "verify_chung.json": [
+        "verify", "--case", "chung", "--q", "0.7", "--alpha", "2", "--beta", "0.5",
+    ],
+    "verify_borzov.json": [
+        "verify", "--case", "borzov", "--q", "1.5", "--alpha", "0.5", "--beta", "1", "--gamma", "2",
+    ],
+    "verify_nonlinear.json": ["verify", "--case", "nonlinear", "--alpha", "1", "--beta", "2"],
 }
 
 

@@ -7,6 +7,7 @@ import subprocess
 import sys
 
 import pytest
+from regen_goldens import COMMANDS as GOLDEN_COMMANDS
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -135,24 +136,7 @@ class TestScan:
 
 
 class TestDeterminism:
-    @pytest.mark.parametrize(
-        "golden_name,args",
-        [
-            ("verify_classical.json", ["verify", "--case", "classical"]),
-            (
-                "table_nonlinear.csv",
-                ["table", "--case", "nonlinear", "--alpha", "1", "--beta", "2", "--levels", "5"],
-            ),
-            (
-                "gup_scan_arik_coon.csv",
-                ["gup-scan", "--case", "arik-coon", "--q", "0.5", "--n-from", "0", "--n-to", "4"],
-            ),
-            (
-                "symbolic_lh_x.json",
-                ["symbolic", "--case", "nonlinear", "--alpha", "1", "--beta", "2", "--check", "lh_x"],
-            ),
-        ],
-    )
+    @pytest.mark.parametrize("golden_name,args", list(GOLDEN_COMMANDS.items()))
     def test_golden_byte_equality(self, tmp_path, golden_name, args):
         out = tmp_path / golden_name
         cp = run_cli(*args, "--out", str(out))
