@@ -39,8 +39,8 @@ def main():
         ("a'a = diag K(n)            ", rep.mat_ad @ rep.mat_a, np.diag(levels[:D]).astype(complex)),
         ("[a, a'] = K(N+1) - K(N)    ", commutator(rep.mat_a, rep.mat_ad), delta),
         ("H = (K(N) + K(N+1))/2      ", quads.mat_H, hdiag),
-        ("[x, p] = (i/2) dK          ", commutator(quads.mat_x, quads.mat_p), 0.5j * delta),
-        ("[x, p] = (i/2) q^N         ", commutator(quads.mat_x, quads.mat_p),
+        ("[x, p] = (i/2) dK          ", quads.mat_xp, 0.5j * delta),
+        ("[x, p] = (i/2) q^N         ", quads.mat_xp,
          0.5j * np.diag(q**nn).astype(complex)),
         ("[x, H] = equation of motion", commutator(quads.mat_x, quads.mat_H),
          lie_hamilton_rhs(rep, quads, "x")),

@@ -20,6 +20,7 @@ from .fockrep import (
     number_state,
     quadratures,
     random_state,
+    run_verify_checks,
     truncation_safe,
     uncertainty_product,
     verify_window,

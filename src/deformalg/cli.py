@@ -1,5 +1,8 @@
 """Command-line front end: identity suites, tables, bound scans, symbolic checks.
 
+The commands parse and validate arguments, call the library and format its
+results; the verify suite itself is fockrep.run_verify_checks.
+
 Output is deterministic byte-for-byte: floats are rendered in scientific
 notation with 17 significant digits, JSON objects keep fixed key order,
 and lines end with LF.  Exit codes: 0 all checks passed, 1 at least one
@@ -17,15 +20,18 @@ import os
 import sys
 from typing import Optional
 
-import numpy as np
-
 from . import fockrep, gup, symorder
-from .spectral import CaseId, SpectralFunction, eval_K, make_case
+from .fockrep import run_verify_checks
+from .spectral import (
+    CaseId,
+    SpectralFunction,
+    eval_K,
+    forward_delta,
+    hamiltonian_eigenvalue,
+    make_case,
+)
 
 __all__ = ["main"]
-
-EXACT_TOL = 1e-14
-ROBERTSON_STATES = 200
 
 _CLI_CASES = (
     CaseId.CLASSICAL,
@@ -103,177 +109,6 @@ def _param_columns(K: SpectralFunction) -> list:
 
 
 # ---------------------------------------------------------------------------
-# verification suite
-
-
-def _diag(values) -> np.ndarray:
-    return np.diag(np.asarray(values, dtype=complex))
-
-
-def _check(name, A, B, margin, tol) -> fockrep.IdentityReport:
-    return fockrep.verify_window(A, B, margin=margin, tol=tol, name=name)
-
-
-def _exact_check(name, A, B) -> fockrep.IdentityReport:
-    residual = fockrep.scaled_max_residual(A, B, margin=0)
-    return fockrep.IdentityReport(
-        name=name,
-        window=A.shape[0],
-        max_abs_residual=residual,
-        tol=EXACT_TOL,
-        passed=residual <= EXACT_TOL,
-    )
-
-
-def run_verify_checks(K: SpectralFunction, D: int, margin: int, tol: float, seed: int) -> list:
-    """All identity checks for one case; exact structure first, then the
-    windowed identities and the case closed forms."""
-    rep = fockrep.build_rep(K, D)
-    quads = fockrep.quadratures(rep)
-    a, ad, N = rep.mat_a, rep.mat_ad, rep.mat_N
-    x, p, H = quads.mat_x, quads.mat_p, quads.mat_H
-    eye = np.eye(D, dtype=complex)
-    levels = np.array([eval_K(K, n) for n in range(D + 2)])
-    checks = [
-        _exact_check("ladder_product_diagonal", ad @ a, _diag(levels[:D])),
-        _exact_check("number_raises_creation", fockrep.commutator(N, ad), ad),
-        _exact_check("number_lowers_annihilation", fockrep.commutator(N, a), -a),
-        _exact_check("vacuum_annihilated", a[:, :1], np.zeros((D, 1), dtype=complex)),
-        _exact_check("position_hermitian", x, x.conj().T),
-        _exact_check("momentum_hermitian", p, p.conj().T),
-    ]
-    delta = levels[1 : D + 1] - levels[:D]
-    hdiag = 0.5 * (levels[:D] + levels[1 : D + 1])
-    checks += [
-        _check("ladder_commutator_step", fockrep.commutator(a, ad), _diag(delta), margin, tol),
-        _check("hamiltonian_diagonal_form", H, _diag(hdiag), margin, tol),
-        _check("xp_commutator_step", fockrep.commutator(x, p), 0.5j * _diag(delta), margin, tol),
-        _check(
-            "lie_hamilton_x",
-            fockrep.commutator(x, H),
-            fockrep.lie_hamilton_rhs(rep, quads, "x"),
-            margin,
-            tol,
-        ),
-        _check(
-            "lie_hamilton_p",
-            fockrep.commutator(p, H),
-            fockrep.lie_hamilton_rhs(rep, quads, "p"),
-            margin,
-            tol,
-        ),
-    ]
-
-    worst_violation = 0.0
-    for k in range(ROBERTSON_STATES):
-        state = fockrep.truncation_safe(fockrep.random_state(D, seed + k), margin)
-        moments = fockrep.uncertainty_product(state, quads)
-        bound = 0.5 * abs(moments.xp_commutator_mean)
-        worst_violation = max(worst_violation, bound - moments.product)
-    checks.append(
-        fockrep.IdentityReport(
-            name="robertson_inequality_random_states",
-            window=ROBERTSON_STATES,
-            max_abs_residual=max(worst_violation, 0.0),
-            tol=1e-12,
-            passed=worst_violation <= 1e-12,
-        )
-    )
-
-    nn = np.arange(D, dtype=float)
-    case = K.case_id
-    if case is CaseId.CLASSICAL:
-        checks += [
-            _check("xp_commutator_constant", fockrep.commutator(x, p), 0.5j * eye, margin, tol),
-            _check("lie_hamilton_x_classical", fockrep.commutator(x, H), 1j * p, margin, tol),
-            _check("lie_hamilton_p_classical", fockrep.commutator(p, H), -1j * x, margin, tol),
-            _check("hamiltonian_number_shift", H, N + 0.5 * eye, margin, tol),
-        ]
-    elif case is CaseId.ARIK_COON:
-        q = K.q
-        c1 = _diag(-0.25 * (1.0 - q * q) * q ** (nn - 1.0))
-        c2 = _diag(0.25 * (1.0 + q) ** 2 * q ** (nn - 1.0))
-        checks += [
-            _check("lie_hamilton_x_closed", fockrep.commutator(x, H), c1 @ x + 1j * c2 @ p, margin, tol),
-            _check("lie_hamilton_p_closed", fockrep.commutator(p, H), c1 @ p - 1j * c2 @ x, margin, tol),
-            _check("xp_commutator_qpower", fockrep.commutator(x, p), 0.5j * _diag(q**nn), margin, tol),
-            _check(
-                "xp_commutator_hamiltonian_form",
-                fockrep.commutator(x, p),
-                (1j / (1.0 + q)) * (eye - (1.0 - q) * H),
-                margin,
-                tol,
-            ),
-        ]
-        rescaled = gup.kempf_rescale(quads, q)
-        checks.append(
-            _check(
-                "kempf_rescaled_commutator",
-                fockrep.commutator(rescaled.mat_x, rescaled.mat_p),
-                1j * (eye - ((1.0 - q) / (1.0 + q)) * rescaled.mat_H),
-                margin,
-                tol,
-            )
-        )
-    elif case is CaseId.MACFARLANE_BIEDENHARN:
-        q = K.q
-        h = np.real(np.diag(H))
-        root = np.sqrt((q - 1.0 / q) ** 2 * h**2 + (q + 1.0) ** 2 / q)
-        cx = (q - 1.0) * (q - 1.0 / q) / (2.0 * (1.0 + q))
-        checks += [
-            _check(
-                "lie_hamilton_x_closed",
-                fockrep.commutator(x, H),
-                cx * _diag(h) @ x + 0.5j * _diag(root) @ p,
-                margin,
-                tol,
-            ),
-            _check(
-                "lie_hamilton_p_closed",
-                fockrep.commutator(p, H),
-                cx * _diag(h) @ p - 0.5j * _diag(root) @ x,
-                margin,
-                tol,
-            ),
-            _check(
-                "xp_commutator_sqrt_form",
-                fockrep.commutator(x, p),
-                (1j * q / (1.0 + q) ** 2) * _diag(root),
-                margin,
-                tol,
-            ),
-        ]
-    elif case is CaseId.NONLINEAR:
-        al, be = K.alpha, K.beta
-        h = np.real(np.diag(H))
-        root = np.sqrt(be * be - al * al + 4.0 * al * h)
-        checks += [
-            _check(
-                "lie_hamilton_x_closed",
-                fockrep.commutator(x, H),
-                al * x + 1j * _diag(root) @ p,
-                margin,
-                tol,
-            ),
-            _check(
-                "lie_hamilton_p_closed",
-                fockrep.commutator(p, H),
-                al * p - 1j * _diag(root) @ x,
-                margin,
-                tol,
-            ),
-            _check(
-                "xp_commutator_sqrt_form",
-                fockrep.commutator(x, p),
-                0.5j * _diag(root),
-                margin,
-                tol,
-            ),
-        ]
-    return checks
-
-
-# ---------------------------------------------------------------------------
 # subcommands
 
 
@@ -344,11 +179,8 @@ def cmd_table(args, seed: int) -> int:
     header = ["n", "K_n", "K_np1", "H_n", "delta_n"]
     rows = []
     for n in range(args.levels):
-        kn = eval_K(K, n)
-        knp1 = eval_K(K, n + 1)
-        rows.append(
-            [str(n), fmt_float(kn), fmt_float(knp1), fmt_float(0.5 * (kn + knp1)), fmt_float(knp1 - kn)]
-        )
+        values = (eval_K(K, n), eval_K(K, n + 1), hamiltonian_eigenvalue(K, n), forward_delta(K, n))
+        rows.append([str(n)] + [fmt_float(v) for v in values])
     _emit(render_csv(header, rows), args.out)
     return 0
 
@@ -373,27 +205,30 @@ _SCAN_HEADER = [
 _CASE_BOUNDS = (CaseId.ARIK_COON, CaseId.MACFARLANE_BIEDENHARN, CaseId.NONLINEAR)
 
 
-def _scan_row(K: SpectralFunction, n: int, D: int) -> list:
+def _scan_rows(K: SpectralFunction, levels, D: int) -> list:
+    """One row per number-state level, all from one representation of K."""
     rep = fockrep.build_rep(K, D)
     quads = fockrep.quadratures(rep)
-    state = fockrep.number_state(D, n)
     spec = gup.BoundSpec(K.case_id) if K.case_id in _CASE_BOUNDS else None
-    report = gup.uncertainty_report(state, rep, quads, spec)
-    return (
-        [K.case_id.value]
-        + _param_columns(K)
-        + [
-            str(n),
-            fmt_float(report.delta_x),
-            fmt_float(report.delta_p),
-            fmt_float(report.product),
-            fmt_float(report.robertson_bound),
-            fmt_float(report.case_bound) if report.case_bound is not None else "",
-            fmt_float(report.square_sum_bound),
-            fmt_float(report.margin_robertson),
-            fmt_float(report.margin_case) if report.margin_case is not None else "",
-        ]
-    )
+    rows = []
+    for n in levels:
+        report = gup.uncertainty_report(fockrep.number_state(D, n), rep, quads, spec)
+        rows.append(
+            [K.case_id.value]
+            + _param_columns(K)
+            + [
+                str(n),
+                fmt_float(report.delta_x),
+                fmt_float(report.delta_p),
+                fmt_float(report.product),
+                fmt_float(report.robertson_bound),
+                fmt_float(report.case_bound) if report.case_bound is not None else "",
+                fmt_float(report.square_sum_bound),
+                fmt_float(report.margin_robertson),
+                fmt_float(report.margin_case) if report.margin_case is not None else "",
+            ]
+        )
+    return rows
 
 
 def cmd_gup_scan(args, seed: int) -> int:
@@ -423,7 +258,7 @@ def cmd_gup_scan(args, seed: int) -> int:
             Ki = make_case(
                 K.case_id, q=qi, alpha=K.alpha, beta=K.beta, gamma=K.gamma
             )
-            rows.append(_scan_row(Ki, n_fixed, args.dim))
+            rows += _scan_rows(Ki, [n_fixed], args.dim)
     else:
         n_from = args.n_from if args.n_from is not None else 0
         n_to = args.n_to if args.n_to is not None else n_from
@@ -431,8 +266,7 @@ def cmd_gup_scan(args, seed: int) -> int:
             raise UsageError(f"need 0 <= --n-from <= --n-to, got {n_from}..{n_to}")
         if n_to > n_cap:
             raise UsageError(f"--n-to {n_to} exceeds dim - 1 - margin = {n_cap}")
-        for n in range(n_from, n_to + 1):
-            rows.append(_scan_row(K, n, args.dim))
+        rows = _scan_rows(K, range(n_from, n_to + 1), args.dim)
     _emit(render_csv(_SCAN_HEADER, rows), args.out)
     return 0
 

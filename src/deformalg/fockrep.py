@@ -4,7 +4,13 @@ Builds dense complex matrices for the ladder operators of a deformed
 oscillator algebra, the quadratures x = (a' + a)/2, p = i(a' - a)/2 and
 the Hamiltonian H = x^2 + p^2, and verifies operator identities on the
 sub-block where the truncation is faithful to the infinite-dimensional
-algebra.
+algebra.  A QuadratureSet forms the products x^2, p^2 and [x, p] once, on
+first use, for every moment and check that reads them.
+
+run_verify_checks is the identity suite of one case: one table of
+(name, lhs, rhs, margin) rows, the exact ladder structure at margin 0,
+the generic windowed identities, the Robertson inequality on random
+states and the closed forms of the case.
 
 Truncation policy: identities involving K(N+2) shift levels by up to two,
 so they are asserted only on rows and columns 0..D-1-margin (margin 3 by
@@ -22,11 +28,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
-from .spectral import SpectralFunction, eval_K
+from .spectral import CaseId, SpectralFunction, eval_K
 
 __all__ = [
     "FockRep",
@@ -36,6 +43,7 @@ __all__ = [
     "QuadratureMoments",
     "build_rep",
     "quadratures",
+    "kempf_rescale",
     "commutator",
     "lie_hamilton_rhs",
     "verify_window",
@@ -45,11 +53,15 @@ __all__ = [
     "expectation",
     "uncertainty_product",
     "scaled_max_residual",
+    "run_verify_checks",
 ]
 
 DEFAULT_DIM = 32
 DEFAULT_MARGIN = 3
 DEFAULT_TOL = 1e-10
+EXACT_TOL = 1e-14
+ROBERTSON_STATES = 200
+ROBERTSON_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -69,11 +81,27 @@ class FockRep:
 
 @dataclass(frozen=True)
 class QuadratureSet:
-    """Position, momentum and Hamiltonian matrices of a representation."""
+    """Position, momentum and Hamiltonian matrices of a representation.
+
+    The derived products mat_xx = x^2, mat_pp = p^2 and mat_xp = [x, p]
+    are formed on first use and shared by every later reader.
+    """
 
     mat_x: np.ndarray = field(repr=False)
     mat_p: np.ndarray = field(repr=False)
     mat_H: np.ndarray = field(repr=False)
+
+    @cached_property
+    def mat_xx(self) -> np.ndarray:
+        return self.mat_x @ self.mat_x
+
+    @cached_property
+    def mat_pp(self) -> np.ndarray:
+        return self.mat_p @ self.mat_p
+
+    @cached_property
+    def mat_xp(self) -> np.ndarray:
+        return commutator(self.mat_x, self.mat_p)
 
 
 @dataclass(frozen=True)
@@ -147,16 +175,27 @@ def quadratures(rep: FockRep) -> QuadratureSet:
     return QuadratureSet(mat_x=x, mat_p=p, mat_H=H)
 
 
+def kempf_rescale(quads: QuadratureSet, q: float) -> QuadratureSet:
+    """Planck-scale rescaling x' = sqrt(1+q) x, p' = sqrt(1+q) p.
+
+    The rescaled geometric-case commutator satisfies
+    [x', p'] = i (1 - ((1-q)/(1+q)) H') with H' = x'^2 + p'^2, which is
+    the deformed-quantization normal form; direction fixed so that
+    substituting x'/sqrt(1+q) for x recovers the unscaled relation.
+    """
+    if not q > 0:
+        raise ValueError(f"q must be positive, got {q}")
+    s = math.sqrt(1.0 + q)
+    x = s * quads.mat_x
+    p = s * quads.mat_p
+    return QuadratureSet(mat_x=x, mat_p=p, mat_H=x @ x + p @ p)
+
+
 def commutator(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """AB - BA for equal square matrices."""
     if A.shape != B.shape or A.shape[0] != A.shape[1]:
         raise ValueError(f"commutator needs equal square matrices, got {A.shape} and {B.shape}")
     return A @ B - B @ A
-
-
-def _diag_apply(values: np.ndarray, M: np.ndarray) -> np.ndarray:
-    # diag(values) @ M without forming the diagonal matrix
-    return values[:, None] * M
 
 
 def lie_hamilton_rhs(
@@ -185,15 +224,16 @@ def lie_hamilton_rhs(
     kvals = {m: eval_K(K, m) for m in range(-1, D + 2)}
     if k_minus_one is not None:
         kvals[-1] = float(k_minus_one)
+    # diagonal coefficients applied as row scalings, c[:, None] * M = diag(c) @ M
     c1 = np.array(
         [0.25 * (kvals[n + 2] - kvals[n] - kvals[n + 1] + kvals[n - 1]) for n in range(D)]
-    )
+    )[:, None]
     c2 = np.array(
         [0.25 * (kvals[n + 2] - kvals[n] + kvals[n + 1] - kvals[n - 1]) for n in range(D)]
-    )
+    )[:, None]
     if side == "x":
-        return _diag_apply(c1, quads.mat_x) + 1j * _diag_apply(c2, quads.mat_p)
-    return _diag_apply(c1, quads.mat_p) - 1j * _diag_apply(c2, quads.mat_x)
+        return c1 * quads.mat_x + 1j * (c2 * quads.mat_p)
+    return c1 * quads.mat_p - 1j * (c2 * quads.mat_x)
 
 
 def scaled_max_residual(A: np.ndarray, B: np.ndarray, margin: int = 0) -> float:
@@ -218,13 +258,14 @@ def verify_window(
     """Compare two matrices on the truncation-safe window.
 
     Retains rows and columns 0..D-1-margin and reports the normalized
-    residual there; passes iff it does not exceed tol.
+    residual there; passes iff it does not exceed tol.  margin 0 compares
+    the whole matrices, as the exact structure checks do.
     """
     if A.shape != B.shape or A.shape[0] != A.shape[1]:
         raise ValueError(f"verify_window needs equal square matrices, got {A.shape}, {B.shape}")
     D = A.shape[0]
-    if not 0 < margin < D:
-        raise ValueError(f"margin must satisfy 0 < margin < {D}, got {margin}")
+    if not 0 <= margin < D:
+        raise ValueError(f"margin must satisfy 0 <= margin < {D}, got {margin}")
     residual = scaled_max_residual(A, B, margin)
     return IdentityReport(
         name=name,
@@ -318,14 +359,13 @@ def uncertainty_product(state: StateVector, quads: QuadratureSet) -> QuadratureM
     Truncation-exact when the state's top amplitudes vanish (see
     truncation_safe); this is documented rather than enforced.
     """
-    x, p = quads.mat_x, quads.mat_p
-    mean_x = expectation(state, x).real
-    mean_p = expectation(state, p).real
-    var_x = max(expectation(state, x @ x).real - mean_x**2, 0.0)
-    var_p = max(expectation(state, p @ p).real - mean_p**2, 0.0)
+    mean_x = expectation(state, quads.mat_x).real
+    mean_p = expectation(state, quads.mat_p).real
+    var_x = max(expectation(state, quads.mat_xx).real - mean_x**2, 0.0)
+    var_p = max(expectation(state, quads.mat_pp).real - mean_p**2, 0.0)
     dx = math.sqrt(var_x)
     dp = math.sqrt(var_p)
-    comm_mean = expectation(state, commutator(x, p))
+    comm_mean = expectation(state, quads.mat_xp)
     return QuadratureMoments(
         delta_x=dx,
         delta_p=dp,
@@ -334,3 +374,124 @@ def uncertainty_product(state: StateVector, quads: QuadratureSet) -> QuadratureM
         mean_p=mean_p,
         xp_commutator_mean=comm_mean,
     )
+
+
+def run_verify_checks(K: SpectralFunction, D: int, margin: int, tol: float, seed: int) -> list:
+    """The identity suite of one case, as IdentityReports in table order.
+
+    Each row (name, lhs, rhs, margin) is built only when it is evaluated;
+    margin-0 rows are exact structure checks held to EXACT_TOL, the others
+    are held to tol on the window.  [x, H] and [p, H] are formed once and
+    shared by the generic and the closed-form Lie-Hamilton rows.
+    """
+    if not 0 < margin < D:
+        raise ValueError(f"margin must satisfy 0 < margin < {D}, got {margin}")
+    rep = build_rep(K, D)
+    quads = quadratures(rep)
+    xH = commutator(quads.mat_x, quads.mat_H)
+    pH = commutator(quads.mat_p, quads.mat_H)
+
+    def evaluate(rows):
+        return [
+            verify_window(A, B, margin=m, tol=EXACT_TOL if m == 0 else tol, name=name)
+            for name, A, B, m in rows
+        ]
+
+    return (
+        evaluate(_structure_rows(rep, quads, xH, pH, margin))
+        + [_robertson_check(quads, margin, seed)]
+        + evaluate(_closed_form_rows(rep, quads, xH, pH, margin))
+    )
+
+
+def _structure_rows(rep: FockRep, quads: QuadratureSet, xH, pH, margin: int):
+    """Exact ladder structure and Hermiticity, then the windowed identities of every case."""
+    a, ad, N, D = rep.mat_a, rep.mat_ad, rep.mat_N, rep.D
+    x, p, H = quads.mat_x, quads.mat_p, quads.mat_H
+    levels = np.array([eval_K(rep.K, n) for n in range(D + 1)])
+    delta = levels[1:] - levels[:D]
+    yield "ladder_product_diagonal", ad @ a, np.diag(levels[:D]), 0
+    yield "number_raises_creation", commutator(N, ad), ad, 0
+    yield "number_lowers_annihilation", commutator(N, a), -a, 0
+    # a|0>, the first column of a, repeated to a square operand
+    yield "vacuum_annihilated", np.broadcast_to(a[:, :1], (D, D)), np.zeros((D, D)), 0
+    yield "position_hermitian", x, x.conj().T, 0
+    yield "momentum_hermitian", p, p.conj().T, 0
+    yield "ladder_commutator_step", commutator(a, ad), np.diag(delta), margin
+    yield "hamiltonian_diagonal_form", H, np.diag(0.5 * (levels[:D] + levels[1:])), margin
+    yield "xp_commutator_step", quads.mat_xp, np.diag(0.5j * delta), margin
+    yield "lie_hamilton_x", xH, lie_hamilton_rhs(rep, quads, "x"), margin
+    yield "lie_hamilton_p", pH, lie_hamilton_rhs(rep, quads, "p"), margin
+
+
+def _robertson_check(quads: QuadratureSet, margin: int, seed: int) -> IdentityReport:
+    """Worst violation of dx dp >= |<[x, p]>|/2 over seeded random states."""
+    D = quads.mat_x.shape[0]
+    violations = []
+    for k in range(ROBERTSON_STATES):
+        state = truncation_safe(random_state(D, seed + k), margin)
+        moments = uncertainty_product(state, quads)
+        violations.append(0.5 * abs(moments.xp_commutator_mean) - moments.product)
+    # np.max propagates NaN, where max() would drop it and pass the check
+    worst = float(np.max(violations, initial=0.0))
+    return IdentityReport(
+        name="robertson_inequality_random_states",
+        window=ROBERTSON_STATES,
+        max_abs_residual=worst,
+        tol=ROBERTSON_TOL,
+        passed=math.isfinite(worst) and worst <= ROBERTSON_TOL,
+    )
+
+
+def _closed_form_rows(rep: FockRep, quads: QuadratureSet, xH, pH, margin: int):
+    """Closed forms of [x, H], [p, H] and [x, p] particular to the case."""
+    K, D = rep.K, rep.D
+    x, p, H, xp = quads.mat_x, quads.mat_p, quads.mat_H, quads.mat_xp
+    nn = np.arange(D, dtype=float)
+    h = np.real(np.diag(H))
+    case = K.case_id
+    if case is CaseId.CLASSICAL:
+        yield "xp_commutator_constant", xp, 0.5j * np.eye(D), margin
+        yield "lie_hamilton_x_classical", xH, 1j * p, margin
+        yield "lie_hamilton_p_classical", pH, -1j * x, margin
+        yield "hamiltonian_number_shift", H, rep.mat_N + 0.5 * np.eye(D), margin
+    elif case is CaseId.ARIK_COON:
+        q = K.q
+        c1 = (-0.25 * (1.0 - q * q) * q ** (nn - 1.0))[:, None]
+        ic2 = (1j * (0.25 * (1.0 + q) ** 2 * q ** (nn - 1.0)))[:, None]
+        yield "lie_hamilton_x_closed", xH, c1 * x + ic2 * p, margin
+        yield "lie_hamilton_p_closed", pH, c1 * p - ic2 * x, margin
+        yield "xp_commutator_qpower", xp, np.diag(0.5j * q**nn), margin
+        yield (
+            "xp_commutator_hamiltonian_form",
+            xp,
+            (1j / (1.0 + q)) * (np.eye(D) - (1.0 - q) * H),
+            margin,
+        )
+        rescaled = kempf_rescale(quads, q)
+        xp_rescaled, H_rescaled = rescaled.mat_xp, rescaled.mat_H
+        # free x' and p' before the right side is formed; this row sets the
+        # peak memory of the suite
+        del rescaled
+        yield (
+            "kempf_rescaled_commutator",
+            xp_rescaled,
+            1j * (np.eye(D) - ((1.0 - q) / (1.0 + q)) * H_rescaled),
+            margin,
+        )
+    elif case is CaseId.MACFARLANE_BIEDENHARN:
+        q = K.q
+        root = np.sqrt((q - 1.0 / q) ** 2 * h**2 + (q + 1.0) ** 2 / q)
+        cx = (q - 1.0) * (q - 1.0 / q) / (2.0 * (1.0 + q))
+        ch = (cx * h)[:, None]
+        iroot = (0.5j * root)[:, None]
+        yield "lie_hamilton_x_closed", xH, ch * x + iroot * p, margin
+        yield "lie_hamilton_p_closed", pH, ch * p - iroot * x, margin
+        yield "xp_commutator_sqrt_form", xp, np.diag((1j * q / (1.0 + q) ** 2) * root), margin
+    elif case is CaseId.NONLINEAR:
+        al, be = K.alpha, K.beta
+        root = np.sqrt(be * be - al * al + 4.0 * al * h)
+        iroot = (1j * root)[:, None]
+        yield "lie_hamilton_x_closed", xH, al * x + iroot * p, margin
+        yield "lie_hamilton_p_closed", pH, al * p - iroot * x, margin
+        yield "xp_commutator_sqrt_form", xp, np.diag(0.5j * root), margin

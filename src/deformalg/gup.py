@@ -40,8 +40,8 @@ from .fockrep import (
     FockRep,
     QuadratureSet,
     StateVector,
-    commutator,
     expectation,
+    kempf_rescale,
     uncertainty_product,
 )
 from .spectral import DEGENERATE_TOL, CaseId, SpectralFunction, eval_K
@@ -105,7 +105,7 @@ class BoundSpec:
 
 def robertson_bound(state: StateVector, quads: QuadratureSet) -> float:
     """|<[x, p]>| / 2 on the given state."""
-    value = expectation(state, commutator(quads.mat_x, quads.mat_p))
+    value = expectation(state, quads.mat_xp)
     return 0.5 * abs(value)
 
 
@@ -203,26 +203,9 @@ def invert_number_quadratic(alpha: float, beta: float, h: float) -> float:
     return (-(alpha + beta) + math.sqrt(radicand)) / (2.0 * alpha)
 
 
-def kempf_rescale(quads: QuadratureSet, q: float) -> QuadratureSet:
-    """Planck-scale rescaling x' = sqrt(1+q) x, p' = sqrt(1+q) p.
-
-    The rescaled geometric-case commutator satisfies
-    [x', p'] = i (1 - ((1-q)/(1+q)) H') with H' = x'^2 + p'^2, which is
-    the deformed-quantization normal form; direction fixed so that
-    substituting x'/sqrt(1+q) for x recovers the unscaled relation.
-    """
-    if not q > 0:
-        raise ValueError(f"q must be positive, got {q}")
-    s = math.sqrt(1.0 + q)
-    x = s * quads.mat_x
-    p = s * quads.mat_p
-    return QuadratureSet(mat_x=x, mat_p=p, mat_H=x @ x + p @ p)
-
-
 def fourth_moment_sum(state: StateVector, quads: QuadratureSet) -> float:
     """<x^4> + <x^2 p^2> + <p^2 x^2> + <p^4>, raw (non-central) moments."""
-    x2 = quads.mat_x @ quads.mat_x
-    p2 = quads.mat_p @ quads.mat_p
+    x2, p2 = quads.mat_xx, quads.mat_pp
     total = (
         expectation(state, x2 @ x2)
         + expectation(state, x2 @ p2)

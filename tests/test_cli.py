@@ -1,29 +1,54 @@
-"""Command-line interface: exit codes, schemas, golden-file determinism."""
+"""Command-line interface: exit codes, schemas, golden-file determinism.
 
+Commands run in-process through cli.main; the tests marked as entry-point
+smoke tests start `python -m deformalg` in a subprocess instead.
+"""
+
+import contextlib
+import io
 import json
 import os
 import pathlib
 import subprocess
 import sys
+from typing import NamedTuple
 
 import pytest
 from regen_goldens import COMMANDS as GOLDEN_COMMANDS
 
+from deformalg import cli
+
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
-def run_cli(*args, env_extra=None):
-    env = dict(os.environ)
-    env.pop("DEFORMALG_SEED", None)
-    if env_extra:
-        env.update(env_extra)
+class Completed(NamedTuple):
+    returncode: int
+    stdout: str
+    stderr: str
+
+
+@pytest.fixture(autouse=True)
+def _no_env_seed(monkeypatch):
+    monkeypatch.delenv("DEFORMALG_SEED", raising=False)
+
+
+def run_cli(*args):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.main(list(args))
+    return Completed(rc, out.getvalue(), err.getvalue())
+
+
+def run_module(*args, env_extra=None):
+    env = dict(os.environ, **(env_extra or {}))
     cmd = [sys.executable, "-m", "deformalg", *args]
     return subprocess.run(cmd, capture_output=True, text=True, env=env)
 
 
 class TestExitCodes:
     def test_help(self):
-        cp = run_cli("--help")
+        # entry-point smoke test
+        cp = run_module("--help")
         assert cp.returncode == 0
         assert "verify" in cp.stdout and "gup-scan" in cp.stdout
 
@@ -48,8 +73,14 @@ class TestExitCodes:
         assert cp.returncode == 2
         assert "error" in cp.stderr
 
+    def test_zero_margin_rejected(self):
+        cp = run_cli("verify", "--case", "classical", "--margin", "0")
+        assert cp.returncode == 2
+        assert "margin" in cp.stderr
+
     def test_missing_subcommand_exits_two(self):
-        cp = run_cli()
+        # entry-point smoke test
+        cp = run_module()
         assert cp.returncode == 2
 
     def test_symbolic_failure_exits_one(self):
@@ -128,6 +159,25 @@ class TestScan:
         qs = [float(line.split(",")[1]) for line in cp.stdout.strip().split("\n")[1:]]
         assert qs == pytest.approx([0.25, 0.5, 0.75])
 
+    @pytest.mark.parametrize(
+        "case_args",
+        [
+            ["classical"],
+            ["arik-coon", "--q", "0.5"],
+            ["macfarlane-biedenharn", "--q", "1.5"],
+            ["nonlinear", "--alpha", "1", "--beta", "2"],
+        ],
+        ids=lambda args: args[0],
+    )
+    def test_level_scan_matches_single_level_scans(self, case_args):
+        scan = run_cli("gup-scan", "--case", *case_args, "--n-from", "0", "--n-to", "6")
+        rows = scan.stdout.split("\n")[1:-1]
+        singles = [
+            run_cli("gup-scan", "--case", *case_args, "--n-from", str(n), "--n-to", str(n))
+            for n in range(7)
+        ]
+        assert rows == [cp.stdout.split("\n")[1] for cp in singles]
+
     def test_q_scan_on_caseless_q_rejected(self):
         cp = run_cli(
             "gup-scan", "--case", "classical", "--q-from", "0.25", "--q-to", "0.75"
@@ -157,14 +207,14 @@ class TestDeterminism:
 
 
 class TestSeedHandling:
-    def test_env_overrides_flag(self):
+    def test_env_overrides_flag(self, monkeypatch):
         with_flag = run_cli("verify", "--case", "classical", "--seed", "3")
-        with_env = run_cli(
-            "verify", "--case", "classical", "--seed", "3", env_extra={"DEFORMALG_SEED": "7"}
-        )
+        monkeypatch.setenv("DEFORMALG_SEED", "7")
+        with_env = run_cli("verify", "--case", "classical", "--seed", "3")
         assert json.loads(with_flag.stdout)["seed"] == 3
         assert json.loads(with_env.stdout)["seed"] == 7
 
     def test_bad_env_seed(self):
-        cp = run_cli("verify", "--case", "classical", env_extra={"DEFORMALG_SEED": "x"})
+        # entry-point smoke test
+        cp = run_module("verify", "--case", "classical", env_extra={"DEFORMALG_SEED": "x"})
         assert cp.returncode == 2

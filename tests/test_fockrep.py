@@ -21,7 +21,7 @@ from deformalg import (
     uncertainty_product,
     verify_window,
 )
-from deformalg.fockrep import scaled_max_residual
+from deformalg.fockrep import run_verify_checks, scaled_max_residual
 
 
 def classical():
@@ -90,6 +90,16 @@ class TestQuadratures:
             quads = quadratures(build_rep(K, 16))
             assert scaled_max_residual(quads.mat_x, quads.mat_x.conj().T) <= 1e-14
             assert scaled_max_residual(quads.mat_p, quads.mat_p.conj().T) <= 1e-14
+
+
+    @pytest.mark.parametrize("K", representative_cases(), ids=str)
+    def test_derived_products_exact_and_formed_once(self, K):
+        quads = quadratures(build_rep(K, 16))
+        x, p = quads.mat_x, quads.mat_p
+        for name, fresh in (("mat_xx", x @ x), ("mat_pp", p @ p), ("mat_xp", commutator(x, p))):
+            product = getattr(quads, name)
+            assert product.tobytes() == fresh.tobytes(), name
+            assert getattr(quads, name) is product, name
 
 
 class TestCommutator:
@@ -172,6 +182,16 @@ class TestWindowedIdentities:
         assert report.passed and report.max_abs_residual == 0.0
         assert report.window == 5
 
+    def test_verify_window_margin_zero_spans_whole_matrix(self):
+        D, q = 12, 0.7
+        quads = quadratures(build_rep(make_case(CaseId.ARIK_COON, q=q), D))
+        # [x, p] departs from its closed form only in the truncated top level
+        closed = np.diag(0.5j * q ** np.arange(D))
+        report = verify_window(quads.mat_xp, closed, margin=0, tol=1e-14)
+        assert report.window == D
+        assert report.max_abs_residual == scaled_max_residual(quads.mat_xp, closed, 0)
+        assert report.max_abs_residual > scaled_max_residual(quads.mat_xp, closed, 1)
+
 
 class TestStates:
     def test_number_state_basis(self):
@@ -220,3 +240,12 @@ class TestUncertaintyProduct:
         quads = quadratures(build_rep(make_case(CaseId.ARIK_COON, q=0.5), 10))
         report = uncertainty_product(number_state(10, 2), quads)
         assert report.product == pytest.approx(0.25 * (1.5 + 1.75), abs=1e-12)
+
+
+class TestVerifySuite:
+    def test_robertson_check_fails_on_nan_spectrum(self):
+        K = make_case(CaseId.CUSTOM, custom_eval=lambda n: n if n < 5 else math.nan)
+        checks = {c.name: c for c in run_verify_checks(K, 16, 3, 1e-10, seed=0)}
+        robertson = checks["robertson_inequality_random_states"]
+        assert math.isnan(robertson.max_abs_residual)
+        assert not robertson.passed
