@@ -33,7 +33,6 @@ from .gup import (
     invert_number_quadratic,
     invert_number_symmetric,
     kempf_rescale,
-    robertson_bound,
     square_sum_bound,
     uncertainty_report,
 )

@@ -1,11 +1,12 @@
 """Truncated Fock-space matrix representations and identity checks.
 
-Builds dense complex matrices for the ladder operators of a deformed
-oscillator algebra, the quadratures x = (a' + a)/2, p = i(a' - a)/2 and
-the Hamiltonian H = x^2 + p^2, and verifies operator identities on the
-sub-block where the truncation is faithful to the infinite-dimensional
-algebra.  A QuadratureSet forms the products x^2, p^2 and [x, p] once, on
-first use, for every moment and check that reads them.
+A representation is its level table: FockRep holds K(0..D+1), evaluated
+once, and derives from it the dense complex ladder matrices a, a' and N.
+A QuadratureSet holds the quadratures x = (a' + a)/2, p = i(a' - a)/2 and
+forms every derived operator once, on first use: x^2, p^2, [x, p], the
+Hamiltonian H = x^2 + p^2 and the fourth-moment operator.  Operator
+identities are verified on the sub-block where the truncation is faithful
+to the infinite-dimensional algebra.
 
 run_verify_checks is the identity suite of one case: one table of
 (name, lhs, rhs, margin) rows, the exact ladder structure at margin 0,
@@ -68,28 +69,40 @@ ROBERTSON_TOL = 1e-12
 class FockRep:
     """Dimension-D truncated matrix representation of one algebra.
 
-    mat_a is zero except the superdiagonal entries (n-1, n) = sqrt(K(n));
-    mat_ad is its conjugate transpose; mat_N = diag(0..D-1).
+    levels = K(0..D+1) is read in slices by every level-dependent form.  On
+    first use, mat_a is built as zero except the superdiagonal entries
+    (n-1, n) = sqrt(K(n)), mat_ad as its conjugate transpose, mat_N as diag(0..D-1).
     """
 
     K: SpectralFunction
     D: int
-    mat_a: np.ndarray = field(repr=False)
-    mat_ad: np.ndarray = field(repr=False)
-    mat_N: np.ndarray = field(repr=False)
+    levels: np.ndarray = field(repr=False)
+
+    @cached_property
+    def mat_a(self) -> np.ndarray:
+        return np.diag(np.sqrt(self.levels[1 : self.D]), 1).astype(complex)
+
+    @cached_property
+    def mat_ad(self) -> np.ndarray:
+        return self.mat_a.conj().T.copy()
+
+    @cached_property
+    def mat_N(self) -> np.ndarray:
+        return np.diag(np.arange(self.D, dtype=float)).astype(complex)
 
 
 @dataclass(frozen=True)
 class QuadratureSet:
-    """Position, momentum and Hamiltonian matrices of a representation.
+    """Position and momentum matrices of a representation, with their products.
 
-    The derived products mat_xx = x^2, mat_pp = p^2 and mat_xp = [x, p]
-    are formed on first use and shared by every later reader.
+    The derived operators mat_xx = x^2, mat_pp = p^2, mat_xp = [x, p], the
+    Hamiltonian mat_H = x^2 + p^2 and the fourth-moment operator
+    mat_fourth = x^2 x^2 + x^2 p^2 + p^2 x^2 + p^2 p^2 are formed on first
+    use and shared by every later reader.
     """
 
     mat_x: np.ndarray = field(repr=False)
     mat_p: np.ndarray = field(repr=False)
-    mat_H: np.ndarray = field(repr=False)
 
     @cached_property
     def mat_xx(self) -> np.ndarray:
@@ -103,6 +116,15 @@ class QuadratureSet:
     def mat_xp(self) -> np.ndarray:
         return commutator(self.mat_x, self.mat_p)
 
+    @cached_property
+    def mat_H(self) -> np.ndarray:
+        return self.mat_xx + self.mat_pp
+
+    @cached_property
+    def mat_fourth(self) -> np.ndarray:
+        x2, p2 = self.mat_xx, self.mat_pp
+        return x2 @ x2 + x2 @ p2 + p2 @ x2 + p2 @ p2
+
 
 @dataclass(frozen=True)
 class StateVector:
@@ -112,7 +134,8 @@ class StateVector:
 
     def __post_init__(self):
         norm = float(np.linalg.norm(self.amplitudes))
-        if abs(norm - 1.0) > 1e-12:
+        # negated so that a NaN norm is rejected too
+        if not abs(norm - 1.0) <= 1e-12:
             raise ValueError(f"state vector norm {norm} is not 1 within 1e-12")
 
     @property
@@ -150,29 +173,23 @@ class QuadratureMoments:
 def build_rep(K: SpectralFunction, D: int = DEFAULT_DIM) -> FockRep:
     """Build the D-dimensional truncated representation of K's algebra.
 
-    Requires D >= 4 (smaller dimensions leave no verification window) and
-    K(n) >= 0 for n = 0..D-1 (the ladder weights are sqrt(K)).
+    Evaluates K(0..D+1) once.  Requires D >= 4 (smaller dimensions leave no
+    verification window) and K(n) >= 0 for n < D (the weights are sqrt(K)).
     """
     if D < 4:
         raise ValueError(f"representation dimension must be >= 4, got {D}")
-    levels = [eval_K(K, n) for n in range(D)]
-    for n, value in enumerate(levels):
+    levels = [eval_K(K, n) for n in range(D + 2)]
+    for n, value in enumerate(levels[:D]):
         if value < 0.0:
             raise ValueError(f"K({n}) = {value} is negative; sqrt weights undefined")
-    mat_a = np.zeros((D, D), dtype=complex)
-    for n in range(1, D):
-        mat_a[n - 1, n] = math.sqrt(levels[n])
-    mat_ad = mat_a.conj().T.copy()
-    mat_N = np.diag(np.arange(D, dtype=float)).astype(complex)
-    return FockRep(K=K, D=D, mat_a=mat_a, mat_ad=mat_ad, mat_N=mat_N)
+    return FockRep(K=K, D=D, levels=np.array(levels))
 
 
 def quadratures(rep: FockRep) -> QuadratureSet:
-    """Quadratures x, p and the Hamiltonian H = x^2 + p^2 (matrix product)."""
+    """Quadratures x = (a' + a)/2 and p = i(a' - a)/2; H is their QuadratureSet.mat_H."""
     x = 0.5 * (rep.mat_ad + rep.mat_a)
     p = 0.5j * (rep.mat_ad - rep.mat_a)
-    H = x @ x + p @ p
-    return QuadratureSet(mat_x=x, mat_p=p, mat_H=H)
+    return QuadratureSet(mat_x=x, mat_p=p)
 
 
 def kempf_rescale(quads: QuadratureSet, q: float) -> QuadratureSet:
@@ -186,9 +203,7 @@ def kempf_rescale(quads: QuadratureSet, q: float) -> QuadratureSet:
     if not q > 0:
         raise ValueError(f"q must be positive, got {q}")
     s = math.sqrt(1.0 + q)
-    x = s * quads.mat_x
-    p = s * quads.mat_p
-    return QuadratureSet(mat_x=x, mat_p=p, mat_H=x @ x + p @ p)
+    return QuadratureSet(mat_x=s * quads.mat_x, mat_p=s * quads.mat_p)
 
 
 def commutator(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -213,24 +228,20 @@ def lie_hamilton_rhs(
         C1(n) = (K(n+2) - K(n) - K(n+1) + K(n-1))/4
         C2(n) = (K(n+2) - K(n) + K(n+1) - K(n-1))/4
 
-    The K(n-1) value at n = 0 comes from the closed form at -1; its
-    contribution provably cancels between the x and p terms, so any finite
-    override (k_minus_one) leaves the window agreement with the true
-    commutator intact.
+    K(0..D+1) come from rep.levels.  The K(n-1) value at n = 0 comes from
+    the closed form at -1; its contribution provably cancels between the x
+    and p terms, so any finite override (k_minus_one) leaves the window
+    agreement with the true commutator intact.
     """
     if side not in ("x", "p"):
         raise ValueError(f"side must be 'x' or 'p', got {side!r}")
-    K, D = rep.K, rep.D
-    kvals = {m: eval_K(K, m) for m in range(-1, D + 2)}
-    if k_minus_one is not None:
-        kvals[-1] = float(k_minus_one)
+    D = rep.D
+    k_low = eval_K(rep.K, -1) if k_minus_one is None else float(k_minus_one)
+    k = np.concatenate(([k_low], rep.levels))  # K(-1..D+1)
+    k_prev, k_n, k_next, k_next2 = (k[j : j + D] for j in range(4))  # K(n-1..n+2)
     # diagonal coefficients applied as row scalings, c[:, None] * M = diag(c) @ M
-    c1 = np.array(
-        [0.25 * (kvals[n + 2] - kvals[n] - kvals[n + 1] + kvals[n - 1]) for n in range(D)]
-    )[:, None]
-    c2 = np.array(
-        [0.25 * (kvals[n + 2] - kvals[n] + kvals[n + 1] - kvals[n - 1]) for n in range(D)]
-    )[:, None]
+    c1 = (0.25 * (k_next2 - k_n - k_next + k_prev))[:, None]
+    c2 = (0.25 * (k_next2 - k_n + k_next - k_prev))[:, None]
     if side == "x":
         return c1 * quads.mat_x + 1j * (c2 * quads.mat_p)
     return c1 * quads.mat_p - 1j * (c2 * quads.mat_x)
@@ -408,7 +419,7 @@ def _structure_rows(rep: FockRep, quads: QuadratureSet, xH, pH, margin: int):
     """Exact ladder structure and Hermiticity, then the windowed identities of every case."""
     a, ad, N, D = rep.mat_a, rep.mat_ad, rep.mat_N, rep.D
     x, p, H = quads.mat_x, quads.mat_p, quads.mat_H
-    levels = np.array([eval_K(rep.K, n) for n in range(D + 1)])
+    levels = rep.levels[: D + 1]
     delta = levels[1:] - levels[:D]
     yield "ladder_product_diagonal", ad @ a, np.diag(levels[:D]), 0
     yield "number_raises_creation", commutator(N, ad), ad, 0

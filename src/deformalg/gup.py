@@ -6,17 +6,20 @@ Robertson bound
     dx dp >= |<[x, p]>| / 2,
 
 which for a deformed oscillator equals <K(N+1) - K(N)>/4 on diagonal
-states.  Alongside it, reports carry a quadratic diagnostic
+states; uncertainty_report evaluates it from the moments of the state.
+Alongside it, reports carry a quadratic diagnostic
 
     (<K(N)>^2 + <K(N+1)>^2) / 4
 
-which is NOT a valid lower bound: already the classical n = 1 number
-state has product 3/4 against a diagnostic value of 5/4.  The violation
-is surfaced in the report (square_sum_violated) instead of being hidden;
-plausible corrected forms are discussed in the README.
+read from the representation's level table, which is NOT a valid lower
+bound: already the classical n = 1 number state has product 3/4 against
+a diagnostic value of 5/4.  The violation is surfaced in the report
+(square_sum_violated) instead of being hidden; plausible corrected forms
+are discussed in the README.
 
 Case-specific bounds (geometric, symmetric-bracket and quadratic
-spectra) are closed forms evaluated literally on the supplied state;
+spectra) are closed forms evaluated literally on the supplied state,
+the symmetric one on the fourth-moment operator QuadratureSet.mat_fourth;
 their margins may be negative where the derivations involved
 small-deformation approximations, and the suite records those sign
 findings rather than presuming them.
@@ -44,12 +47,11 @@ from .fockrep import (
     kempf_rescale,
     uncertainty_product,
 )
-from .spectral import DEGENERATE_TOL, CaseId, SpectralFunction, eval_K
+from .spectral import DEGENERATE_TOL, CaseId, SpectralFunction
 
 __all__ = [
     "UncertaintyReport",
     "BoundSpec",
-    "robertson_bound",
     "square_sum_bound",
     "uncertainty_report",
     "invert_number_geometric",
@@ -57,7 +59,6 @@ __all__ = [
     "invert_number_quadratic",
     "kempf_rescale",
     "case_bound",
-    "fourth_moment_sum",
 ]
 
 VIOLATION_TOL = 1e-12
@@ -103,22 +104,18 @@ class BoundSpec:
             raise ValueError("the rescaled convention applies to the geometric case only")
 
 
-def robertson_bound(state: StateVector, quads: QuadratureSet) -> float:
-    """|<[x, p]>| / 2 on the given state."""
-    value = expectation(state, quads.mat_xp)
-    return 0.5 * abs(value)
-
-
 def square_sum_bound(state: StateVector, rep: FockRep) -> float:
     """Quadratic diagnostic (<K(N)>^2 + <K(N+1)>^2)/4.
 
-    Computed from diagonal expectations; returned for comparison only.
-    It exceeds the true product for low-lying states (see module
-    docstring) and must not be used as a bound.
+    Computed from diagonal expectations over the level table, summed in
+    level order; returned for comparison only.  It exceeds the true
+    product for low-lying states (see module docstring) and must not be
+    used as a bound.
     """
     weights = np.abs(state.amplitudes) ** 2
-    kn = float(sum(w * eval_K(rep.K, n) for n, w in enumerate(weights)))
-    knp1 = float(sum(w * eval_K(rep.K, n + 1) for n, w in enumerate(weights)))
+    dim = weights.shape[0]
+    kn = float(sum(weights * rep.levels[:dim]))
+    knp1 = float(sum(weights * rep.levels[1 : dim + 1]))
     return 0.25 * (kn * kn + knp1 * knp1)
 
 
@@ -203,18 +200,6 @@ def invert_number_quadratic(alpha: float, beta: float, h: float) -> float:
     return (-(alpha + beta) + math.sqrt(radicand)) / (2.0 * alpha)
 
 
-def fourth_moment_sum(state: StateVector, quads: QuadratureSet) -> float:
-    """<x^4> + <x^2 p^2> + <p^2 x^2> + <p^4>, raw (non-central) moments."""
-    x2, p2 = quads.mat_xx, quads.mat_pp
-    total = (
-        expectation(state, x2 @ x2)
-        + expectation(state, x2 @ p2)
-        + expectation(state, p2 @ x2)
-        + expectation(state, p2 @ p2)
-    )
-    return total.real
-
-
 def case_bound(
     state: StateVector,
     quads: QuadratureSet,
@@ -242,7 +227,7 @@ def case_bound(
 
     if spec.case_id is CaseId.MACFARLANE_BIEDENHARN:
         q = K.q
-        moments = fourth_moment_sum(state, quads)
+        moments = expectation(state, quads.mat_fourth).real
         prefactor = math.sqrt(q) / (2.0 * (1.0 + q))
         correction = q * (q - 1.0 / q) ** 2 / (2.0 * (q + 1.0) ** 2)
         return prefactor * (1.0 + correction * moments)

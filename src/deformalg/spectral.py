@@ -23,6 +23,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Optional
 
+import numpy as np
+
 __all__ = [
     "CaseId",
     "SpectralFunction",
@@ -125,9 +127,12 @@ def make_case(
       positivity up to the representation dimension is checked when a
       representation is built.
 
-    Raises ValueError on out-of-domain parameters.
+    Raises ValueError on out-of-domain or non-finite parameters.
     """
     case = CaseId(case_id)
+    for name, value in (("q", q), ("alpha", alpha), ("beta", beta), ("gamma", gamma)):
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
 
     if case is CaseId.CLASSICAL:
         return SpectralFunction(case)
@@ -259,15 +264,16 @@ def relation_residual(K: SpectralFunction, rel: DefiningRelation, n_max: int) ->
     The defect at each level is divided by max(1, |K(n+1)|, |s K(n)|,
     |g(n)|) so that the result is a relative measure: fast-growing spectra
     (q well above 1) would otherwise drown an exact identity in float64
-    rounding of its large terms.
+    rounding of its large terms.  A NaN defect at any level returns NaN.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    worst = 0.0
+    defects = []
     for n in range(n_max + 1):
         up = eval_K(K, n + 1)
         down = rel.s * eval_K(K, n)
         rhs = rel.g(n)
         scale = max(1.0, abs(up), abs(down), abs(rhs))
-        worst = max(worst, abs(up - down - rhs) / scale)
-    return worst
+        defects.append(abs(up - down - rhs) / scale)
+    # np.max propagates NaN, where max() would drop it
+    return float(np.max(defects))

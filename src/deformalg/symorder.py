@@ -605,24 +605,26 @@ def nf_equal(
 
     For d < 0 the levels n < |d| are skipped (the ladder action vanishes
     there, so the coefficients are unconstrained).  The reported deviation
-    is normalized per grid point by max(1, |lhs|, |rhs|).
+    is normalized per grid point by max(1, |lhs|, |rhs|); a NaN deviation
+    anywhere is reported and fails.
     """
     if n_max < 8:
         raise ValueError(f"n_max must be >= 8, got {n_max}")
-    worst = 0.0
+    deviations = []
     for d in set(lhs.support()) | set(rhs.support()):
         cl = lhs.coefficient(d)
         cr = rhs.coefficient(d)
         for n in range(max(0, -d), n_max + 1):
             vl, vr = cl(n), cr(n)
-            dev = abs(vl - vr) / max(1.0, abs(vl), abs(vr))
-            worst = max(worst, dev)
+            deviations.append(abs(vl - vr) / max(1.0, abs(vl), abs(vr)))
+    # np.max propagates NaN, where max() would drop it and pass the check
+    worst = float(np.max(deviations, initial=0.0))
     return IdentityReport(
         name=name,
         window=n_max + 1,
         max_abs_residual=worst,
         tol=tol,
-        passed=worst <= tol,
+        passed=math.isfinite(worst) and worst <= tol,
     )
 
 
@@ -669,14 +671,6 @@ def expr_to_matrix(
         bound.update(params)
     rep = build_rep(K, D)
     quads = quadratures(rep)
-    tables = {
-        "a": rep.mat_a,
-        "ad": rep.mat_ad,
-        "N": rep.mat_N,
-        "x": quads.mat_x,
-        "p": quads.mat_p,
-        "H": quads.mat_H,
-    }
     identity = np.eye(D, dtype=complex)
 
     def ev(node: Expr) -> np.ndarray:
@@ -687,7 +681,9 @@ def expr_to_matrix(
                 raise ValueError(f"parameter {node.name!r} is not bound for this case")
             return complex(bound[node.name]) * identity
         if isinstance(node, Sym):
-            return tables[node.name]
+            # operators are formed on first use: H only for expressions that name it
+            owner = quads if node.name in ("x", "p", "H") else rep
+            return getattr(owner, "mat_" + node.name)
         if isinstance(node, KShift):
             return np.diag([eval_K(K, n + node.offset) for n in range(D)]).astype(complex)
         if isinstance(node, Neg):

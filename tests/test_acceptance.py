@@ -52,7 +52,6 @@ from deformalg import (
     quadratures,
     random_state,
     relation_residual,
-    robertson_bound,
     square_sum_bound,
     truncation_safe,
     uncertainty_product,

@@ -73,6 +73,19 @@ class TestExitCodes:
         assert cp.returncode == 2
         assert "error" in cp.stderr
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("verify", "--case", "arik-coon", "--q", "inf"),
+            ("verify", "--case", "nonlinear", "--alpha", "nan", "--beta", "2"),
+            ("gup-scan", "--case", "chung", "--q", "0.7", "--alpha=-inf", "--beta", "0.5"),
+        ],
+    )
+    def test_non_finite_parameter_exits_two(self, args):
+        cp = run_cli(*args, "--dim", "8")
+        assert cp.returncode == 2
+        assert "must be finite" in cp.stderr and cp.stdout == ""
+
     def test_zero_margin_rejected(self):
         cp = run_cli("verify", "--case", "classical", "--margin", "0")
         assert cp.returncode == 2

@@ -17,6 +17,7 @@ from deformalg import (
     number_state,
     quadratures,
     random_state,
+    square_sum_bound,
     truncation_safe,
     uncertainty_product,
     verify_window,
@@ -54,6 +55,31 @@ class TestBuildRep:
     def test_vacuum_annihilated_exactly(self):
         rep = build_rep(make_case(CaseId.ARIK_COON, q=0.7), 8)
         assert np.all(rep.mat_a[:, 0] == 0.0)
+
+    @pytest.mark.parametrize("K", representative_cases() + custom_cases(), ids=str)
+    def test_levels_are_k_at_zero_to_d_plus_one(self, K):
+        rep = build_rep(K, 12)
+        assert rep.levels.tolist() == [eval_K(K, n) for n in range(14)]
+
+    def test_level_table_is_the_only_k_evaluation(self):
+        calls = []
+
+        def counted(n):
+            calls.append(n)
+            return 2.0 * n
+
+        K = make_case(CaseId.CUSTOM, custom_eval=counted)
+        calls.clear()
+        rep = build_rep(K, 8)
+        assert calls == list(range(10))
+        calls.clear()
+        quads = quadratures(rep)
+        square_sum_bound(random_state(8, 3), rep)
+        lie_hamilton_rhs(rep, quads, "x")
+        assert calls == [-1]
+        calls.clear()
+        lie_hamilton_rhs(rep, quads, "p", k_minus_one=0.0)
+        assert calls == []
 
     def test_dimension_and_negativity_rejected(self):
         with pytest.raises(ValueError):
@@ -96,7 +122,14 @@ class TestQuadratures:
     def test_derived_products_exact_and_formed_once(self, K):
         quads = quadratures(build_rep(K, 16))
         x, p = quads.mat_x, quads.mat_p
-        for name, fresh in (("mat_xx", x @ x), ("mat_pp", p @ p), ("mat_xp", commutator(x, p))):
+        x2, p2 = x @ x, p @ p
+        for name, fresh in (
+            ("mat_xx", x @ x),
+            ("mat_pp", p @ p),
+            ("mat_xp", commutator(x, p)),
+            ("mat_H", x @ x + p @ p),
+            ("mat_fourth", x2 @ x2 + x2 @ p2 + p2 @ x2 + p2 @ p2),
+        ):
             product = getattr(quads, name)
             assert product.tobytes() == fresh.tobytes(), name
             assert getattr(quads, name) is product, name
@@ -158,6 +191,30 @@ class TestWindowedIdentities:
         closed = c1 @ quads.mat_x + 1j * c2 @ quads.mat_p
         assert verify_window(rhs, closed, tol=1e-12).passed
 
+    @pytest.mark.parametrize("side", ["x", "p"])
+    @pytest.mark.parametrize("k_minus_one", [None, 37.5])
+    @pytest.mark.parametrize("K", representative_cases() + custom_cases(), ids=str)
+    def test_lie_hamilton_rhs_matches_per_element_formula(self, K, side, k_minus_one):
+        D = 16
+        rep = build_rep(K, D)
+        quads = quadratures(rep)
+        # the per-level formula, one K evaluation per level, as an oracle
+        kvals = {m: eval_K(K, m) for m in range(-1, D + 2)}
+        if k_minus_one is not None:
+            kvals[-1] = float(k_minus_one)
+        c1 = np.array(
+            [0.25 * (kvals[n + 2] - kvals[n] - kvals[n + 1] + kvals[n - 1]) for n in range(D)]
+        )[:, None]
+        c2 = np.array(
+            [0.25 * (kvals[n + 2] - kvals[n] + kvals[n + 1] - kvals[n - 1]) for n in range(D)]
+        )[:, None]
+        if side == "x":
+            oracle = c1 * quads.mat_x + 1j * (c2 * quads.mat_p)
+        else:
+            oracle = c1 * quads.mat_p - 1j * (c2 * quads.mat_x)
+        rhs = lie_hamilton_rhs(rep, quads, side, k_minus_one=k_minus_one)
+        assert rhs.tobytes() == oracle.tobytes()
+
     def test_k_minus_one_extension_is_irrelevant_on_window(self):
         K = make_case(CaseId.MACFARLANE_BIEDENHARN, q=1.5)
         rep = build_rep(K, 16)
@@ -205,6 +262,13 @@ class TestStates:
 
         with pytest.raises(ValueError):
             StateVector(np.array([1.0, 1.0], dtype=complex))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_state_vector_rejects_non_finite_amplitudes(self, bad):
+        from deformalg import StateVector
+
+        with pytest.raises(ValueError):
+            StateVector(np.array([1.0, bad, 0.0], dtype=complex))
 
     def test_random_state_determinism_and_norm(self):
         one = random_state(16, 42)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import representative_cases
 from deformalg import (
     BoundSpec,
     CaseId,
@@ -12,6 +13,7 @@ from deformalg import (
     case_bound,
     commutator,
     eval_K,
+    expectation,
     hamiltonian_eigenvalue,
     invert_number_geometric,
     invert_number_quadratic,
@@ -21,7 +23,6 @@ from deformalg import (
     number_state,
     quadratures,
     random_state,
-    robertson_bound,
     square_sum_bound,
     truncation_safe,
     uncertainty_product,
@@ -52,13 +53,16 @@ def classical():
 
 class TestRobertsonBound:
     def test_classical_number_states(self):
-        quads = quadratures(build_rep(classical(), 12))
+        rep = build_rep(classical(), 12)
+        quads = quadratures(rep)
         for n in range(8):
-            assert robertson_bound(number_state(12, n), quads) == pytest.approx(0.25, abs=1e-13)
+            bound = uncertainty_report(number_state(12, n), rep, quads).robertson_bound
+            assert bound == pytest.approx(0.25, abs=1e-13)
 
     def test_geometric_number_state(self):
-        quads = quadratures(build_rep(make_case(CaseId.ARIK_COON, q=0.5), 10))
-        bound = robertson_bound(number_state(10, 2), quads)
+        rep = build_rep(make_case(CaseId.ARIK_COON, q=0.5), 10)
+        quads = quadratures(rep)
+        bound = uncertainty_report(number_state(10, 2), rep, quads).robertson_bound
         assert bound == pytest.approx(0.0625, abs=1e-14)
         assert bound == pytest.approx(0.25 * 0.5**2, abs=1e-14)
 
@@ -69,10 +73,29 @@ class TestRobertsonBound:
             for k in range(100):
                 state = truncation_safe(random_state(16, 1000 + k), margin=3)
                 moments = uncertainty_product(state, quads)
-                assert moments.product - robertson_bound(state, quads) >= -1e-12
+                bound = uncertainty_report(state, rep, quads).robertson_bound
+                assert moments.product - bound >= -1e-12
+
+
+def square_sum_per_level(state, K):
+    """The diagnostic with one K evaluation per level, summed in level order."""
+    weights = np.abs(state.amplitudes) ** 2
+    kn = float(sum(w * eval_K(K, n) for n, w in enumerate(weights)))
+    knp1 = float(sum(w * eval_K(K, n + 1) for n, w in enumerate(weights)))
+    return 0.25 * (kn * kn + knp1 * knp1)
 
 
 class TestSquareSumDiagnostic:
+    @pytest.mark.parametrize("K", representative_cases(), ids=str)
+    def test_matches_per_level_formula(self, K):
+        D = 16
+        rep = build_rep(K, D)
+        states = [number_state(D, n) for n in range(D)]
+        states += [random_state(D, 50 + k) for k in range(5)]
+        states += [truncation_safe(random_state(D, 60 + k), 3) for k in range(5)]
+        for state in states:
+            assert square_sum_bound(state, rep) == square_sum_per_level(state, K)
+
     def test_classical_first_level_violates(self):
         rep = build_rep(classical(), 8)
         quads = quadratures(rep)
@@ -256,6 +279,27 @@ class TestCaseBounds:
         lhs = uncertainty_product(state, quads).product
         assert lhs == pytest.approx(0.25, abs=1e-13)
         assert rhs == pytest.approx(0.25, abs=1e-13)
+
+    @pytest.mark.parametrize("q", [0.3, 0.95, 1.05, 2.0])
+    def test_symmetric_bound_equals_sum_of_four_expectations(self, q):
+        # on number states <mat_fourth> is its diagonal entry, the in-order
+        # sum of the diagonal entries of the four products
+        D = 16
+        K = make_case(CaseId.MACFARLANE_BIEDENHARN, q=q)
+        quads = quadratures(build_rep(K, D))
+        x2, p2 = quads.mat_xx, quads.mat_pp
+        spec = BoundSpec(CaseId.MACFARLANE_BIEDENHARN)
+        for n in range(D):
+            state = number_state(D, n)
+            moments = (
+                expectation(state, x2 @ x2)
+                + expectation(state, x2 @ p2)
+                + expectation(state, p2 @ x2)
+                + expectation(state, p2 @ p2)
+            ).real
+            prefactor = math.sqrt(q) / (2.0 * (1.0 + q))
+            correction = q * (q - 1.0 / q) ** 2 / (2.0 * (q + 1.0) ** 2)
+            assert case_bound(state, quads, spec, K) == prefactor * (1.0 + correction * moments)
 
     def test_symmetric_bound_frozen_margins(self):
         spec = BoundSpec(CaseId.MACFARLANE_BIEDENHARN)

@@ -4,6 +4,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import ABG_GRID, Q_GRID, catalog_grid, custom_case
 from deformalg import (
@@ -106,6 +108,13 @@ class TestDefiningRelations:
         for K in catalog_grid():
             assert relation_residual(K, defining_relation(K), 20) <= 1e-12, K
 
+    def test_nan_defect_is_reported(self):
+        K = make_case(CaseId.CLASSICAL)
+        residual = relation_residual(K, DefiningRelation(1.0, lambda n: math.nan), 20)
+        assert math.isnan(residual)
+        late = DefiningRelation(1.0, lambda n: 1.0 if n < 5 else math.nan)
+        assert math.isnan(relation_residual(K, late, 20))
+
     def test_custom_has_no_catalog_relation(self):
         with pytest.raises(ValueError):
             defining_relation(custom_case(2024))
@@ -201,3 +210,31 @@ class TestValidation:
         K = make_case("arik-coon", q=2.0)
         assert K.case_id is CaseId.ARIK_COON
         assert K.params() == {"q": 2.0}
+
+
+# Valid parameters of every catalog case; each slot is then spoiled in turn.
+CATALOG_PARAMS = {
+    CaseId.CLASSICAL: {},
+    CaseId.ARIK_COON: {"q": 0.7},
+    CaseId.MACFARLANE_BIEDENHARN: {"q": 1.5},
+    CaseId.CHUNG: {"q": 0.7, "alpha": 2.0, "beta": 0.5},
+    CaseId.BORZOV: {"q": 1.5, "alpha": 0.5, "beta": 1.0, "gamma": 2.0},
+    CaseId.NONLINEAR: {"alpha": 1.0, "beta": 2.0},
+}
+
+
+class TestParameterValidation:
+    @settings(max_examples=200, derandomize=True, database=None)
+    @given(
+        case=st.sampled_from(sorted(CATALOG_PARAMS)),
+        slot=st.sampled_from(("q", "alpha", "beta", "gamma")),
+        bad=st.sampled_from((math.nan, math.inf, -math.inf)),
+    )
+    def test_non_finite_parameter_rejected(self, case, slot, bad):
+        params = dict(CATALOG_PARAMS[case], **{slot: bad})
+        with pytest.raises(ValueError, match="finite"):
+            make_case(case, **params)
+
+    def test_valid_parameters_accepted(self):
+        for case, params in CATALOG_PARAMS.items():
+            assert make_case(case, **params).case_id is case

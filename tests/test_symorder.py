@@ -1,5 +1,7 @@
 """Parser, normal ordering, and the symbolic-numeric oracle bridge."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,7 @@ from deformalg import (
     parse_identity,
     quadratures,
 )
-from deformalg.fockrep import scaled_max_residual
+from deformalg.fockrep import QuadratureSet, scaled_max_residual
 from deformalg.symorder import Add, Comm, KShift, Mul, Num, Sym
 
 
@@ -145,6 +147,13 @@ class TestNormalFormEquality:
             rhs = normal_order(parse_expr("(1/2)*(K(N)+K(N+1))"), K)
             assert nf_equal(lhs, rhs, tol=1e-12).passed, K
 
+    def test_nan_coefficient_fails(self):
+        # N and K(N) agree below n = 5, where the custom K turns NaN
+        K = make_case(CaseId.CUSTOM, custom_eval=lambda n: n if n < 5 else math.nan)
+        report = nf_equal(normal_order(parse_expr("N"), K), normal_order(parse_expr("K(N)"), K))
+        assert math.isnan(report.max_abs_residual)
+        assert not report.passed
+
     def test_grid_validation(self):
         K = classical()
         nf = normal_order(parse_expr("a"), K)
@@ -171,6 +180,16 @@ class TestRealization:
         rep = build_rep(K, 10)
         M = nf_to_matrix(normal_order(parse_expr("x"), K), 10)
         assert scaled_max_residual(M, 0.5 * (rep.mat_ad + rep.mat_a)) <= 1e-14
+
+    def test_matrix_oracle_forms_h_only_when_named(self, monkeypatch):
+        def refuse(quads):
+            raise AssertionError("H formed")
+
+        monkeypatch.setattr(QuadratureSet, "mat_H", property(refuse))
+        K = make_case(CaseId.ARIK_COON, q=0.7)
+        expr_to_matrix(parse_expr("comm(x,p) + a*ad + N"), K, 8)
+        with pytest.raises(AssertionError, match="H formed"):
+            expr_to_matrix(parse_expr("comm(x,H)"), K, 8)
 
     def test_commutator_realization_beats_truncation(self):
         # the normal-ordered form is exact; the truncated matrix product
