@@ -1,7 +1,7 @@
 """Symbolic engine walkthrough: parsing, normal forms, oracle cross-check.
 
 Normal-orders textbook expressions, prints their canonical coefficient
-tables, and cross-checks the rewriting engine against direct truncated
+tables, and cross-checks the composed normal forms against direct truncated
 matrix products.
 """
 

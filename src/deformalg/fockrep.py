@@ -65,7 +65,7 @@ ROBERTSON_STATES = 200
 ROBERTSON_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FockRep:
     """Dimension-D truncated matrix representation of one algebra.
 
@@ -91,7 +91,7 @@ class FockRep:
         return np.diag(np.arange(self.D, dtype=float)).astype(complex)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadratureSet:
     """Position and momentum matrices of a representation, with their products.
 
@@ -126,7 +126,7 @@ class QuadratureSet:
         return x2 @ x2 + x2 @ p2 + p2 @ x2 + p2 @ p2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StateVector:
     """Normalized complex amplitude vector in the truncated Fock basis."""
 

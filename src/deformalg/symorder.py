@@ -4,39 +4,42 @@ Expressions over the alphabet
 
     a  ad  N  x  p  H  K(N+k)  q  alpha  beta  gamma  i  numerals
 
-are parsed to an AST, the quadrature macros are expanded as
+are parsed to an AST, and each node's normal form is composed from its
+children's.  A NormalForm maps the ladder offset d to the coefficient
+c_d, indexed by the source level: applied to |n>, the d-term contributes
+c_d(n) times the pure ladder action L^d (ad^d for d > 0, a^-d for d < 0,
+vanishing for d < 0 when n < |d|).  The leaves are
 
-    x -> (ad + a)/2      p -> (i/2)(ad - a)      H -> x^2 + p^2
+    a = {-1: 1}   ad = {+1: 1}   N = {0: N}   K(N+k) = {0: K(N+k)}
+    x = (ad + a)/2      p = (i/2)(ad - a)      H = x.x + p.p
 
-and every monomial word is rewritten to the canonical normal form by the
-leftmost-innermost application of
+Sums merge offset by offset; products, powers and commutators compose.
+For A.B, where B acts first, each term pair adds
 
-    a  f(N) -> f(N+1) a        ad f(N) -> f(N-1) ad
-    a  ad   -> K(N+1)          ad a    -> K(N)
-    f(N) g(N) -> (f g)(N)
+    c1(N+d2) . c2(N) . prod K(N+k)      to offset d1 + d2,
 
-Each rule strictly decreases the measure (ladder letters, coefficient
-atoms standing right of a ladder letter, word length) in lexicographic
-order, so rewriting terminates; the contractions make any mixed ladder
-block reducible, so the result is a sum of terms  c_d(n) . L^d  with a
-single ladder direction per term.
+with k over the levels both ladders cross: d2+1 .. d2+min(-d2, d1) when
+d2 < 0 < d1, d2-min(d2, -d1)+1 .. d2 when d1 < 0 < d2, none otherwise.
+This is the contraction L^d1 L^d2 = L^(d1+d2) prod K(N+k) of the
+generalized deformed oscillator; a ad = K(N+1) and ad a = K(N) are its
+smallest cases.  Division and negative powers are defined only by scalar
+subexpressions (offset 0 with a constant coefficient).
 
-A NormalForm maps the ladder offset d to the coefficient function c_d,
-indexed by the source level: applied to |n>, the d-term contributes
-c_d(n) times the pure ladder action (which vanishes for d < 0 when
-n < |d|).  Coefficient functions are opaque evaluables closed under sum,
-product, and integer shift; equality of normal forms is decided by
-evaluation on an integer grid, which refutes soundly but certifies
-equality only up to the grid (square roots of H-functions admit no
-polynomial certificate, so a symbolic decision procedure is out of
-scope).
+Coefficients are polynomials in N and the atoms K(N+k), merged term by
+term, so coefficients that cancel exactly drop out of the support and
+identities whose two sides compose to the same polynomials compare
+bit-equal.  Equality of normal forms is still decided by evaluation on an
+integer grid, which refutes soundly but certifies equality only up to the
+grid: K is an arbitrary spectral function, so equal values on the grid
+need not mean equal polynomials in K's atoms.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
@@ -174,6 +177,8 @@ def _tokenize(text: str):
                 value = float(lexeme)
             except ValueError:
                 raise ExprSyntaxError(f"bad numeral {lexeme!r}", i) from None
+            if not math.isfinite(value):
+                raise ExprSyntaxError(f"numeral {lexeme!r} is not finite", i)
             if j < n and text[j] == "i":  # imaginary literal like 2i or 0.5i
                 tokens.append(("num", complex(0.0, value), i))
                 j += 1
@@ -211,6 +216,14 @@ class _Parser:
         if kind != "op" or value != op:
             raise ExprSyntaxError(f"expected {op!r}", position)
         return self.advance()
+
+    def parse_side(self) -> Expr:
+        """One whole expression; nesting deeper than the interpreter stack
+        allows is a syntax error at the token where it gave out."""
+        try:
+            return self.parse_expr()
+        except RecursionError:
+            raise ExprSyntaxError("expression nested too deeply", self.peek()[2]) from None
 
     def parse_expr(self) -> Expr:
         terms = [self.parse_term()]
@@ -321,7 +334,7 @@ def parse_expr(text: str) -> Expr:
     insensitive.
     """
     parser = _Parser(_tokenize(text))
-    node = parser.parse_expr()
+    node = parser.parse_side()
     kind, _, position = parser.peek()
     if kind != "end":
         raise ExprSyntaxError("trailing input", position)
@@ -331,12 +344,12 @@ def parse_expr(text: str) -> Expr:
 def parse_identity(text: str) -> tuple[Expr, Expr]:
     """Parse an identity 'LHS == RHS' into its two sides."""
     parser = _Parser(_tokenize(text))
-    lhs = parser.parse_expr()
+    lhs = parser.parse_side()
     kind, _, position = parser.peek()
     if kind != "eq":
         raise ExprSyntaxError("expected '==' between the two sides", position)
     parser.advance()
-    rhs = parser.parse_expr()
+    rhs = parser.parse_side()
     kind, _, position = parser.peek()
     if kind != "end":
         raise ExprSyntaxError("trailing input", position)
@@ -348,58 +361,74 @@ def parse_identity(text: str) -> tuple[Expr, Expr]:
 
 
 class CoefficientFunction:
-    """Evaluable coefficient of N, closed under +, *, scalar and shift."""
+    """Polynomial in N and the spectral atoms K(N+k), with complex scalars.
 
-    __slots__ = ("fn",)
+    terms maps a monomial (j, ks), standing for N^j * prod(K(N+k) for k in
+    ks) with ks sorted, to its scalar.  Like monomials merge, exact zeros
+    drop and the monomials are kept sorted, so equal polynomials hold equal
+    terms and evaluate to the same bits.
+    """
 
-    def __init__(self, fn: Callable[[float], complex]):
-        self.fn = fn
+    __slots__ = ("K", "terms")
+
+    def __init__(self, K: SpectralFunction, terms: Iterable = ()):
+        merged: dict = {}
+        for monomial, c in terms:
+            merged[monomial] = merged[monomial] + c if monomial in merged else c
+        self.K = K
+        self.terms = {m: c for m, c in sorted(merged.items()) if c != 0}
 
     def __call__(self, n: float) -> complex:
-        return complex(self.fn(n))
+        # each distinct atom K(n+k) is evaluated once per call
+        spectral = {k: eval_K(self.K, n + k) for k in {k for _, ks in self.terms for k in ks}}
+        total = 0j
+        for (j, ks), c in self.terms.items():
+            total += c * math.prod((spectral[k] for k in ks), start=n**j)
+        return total
 
-    @staticmethod
-    def constant(c: complex) -> "CoefficientFunction":
-        return CoefficientFunction(lambda n, c=complex(c): c)
+    def shift(self, s: int) -> "CoefficientFunction":
+        """c(N) -> c(N+s): K(N+k) -> K(N+k+s) and N^j -> (N+s)^j expanded."""
+        if s == 0:
+            return self
+        return CoefficientFunction(
+            self.K,
+            (
+                ((i, tuple(k + s for k in ks)), c if i == j else c * (math.comb(j, i) * s ** (j - i)))
+                for (j, ks), c in self.terms.items()
+                for i in range(j + 1)
+            ),
+        )
 
-    @staticmethod
-    def level() -> "CoefficientFunction":
-        return CoefficientFunction(lambda n: complex(n))
-
-    @staticmethod
-    def spectral(K: SpectralFunction, offset: int) -> "CoefficientFunction":
-        return CoefficientFunction(lambda n, K=K, k=offset: complex(eval_K(K, n + k)))
-
-    def shift(self, k: int) -> "CoefficientFunction":
-        f = self.fn
-        return CoefficientFunction(lambda n, f=f, k=k: f(n + k))
+    def map_scalars(self, fn: Callable[[complex], complex]) -> "CoefficientFunction":
+        """Apply fn to every scalar (negation, division by a scalar)."""
+        return CoefficientFunction(self.K, ((m, fn(c)) for m, c in self.terms.items()))
 
     def __add__(self, other: "CoefficientFunction") -> "CoefficientFunction":
-        f, g = self.fn, other.fn
-        return CoefficientFunction(lambda n, f=f, g=g: f(n) + g(n))
+        return CoefficientFunction(self.K, [*self.terms.items(), *other.terms.items()])
 
-    def __mul__(self, other) -> "CoefficientFunction":
-        f = self.fn
-        if isinstance(other, CoefficientFunction):
-            g = other.fn
-            return CoefficientFunction(lambda n, f=f, g=g: f(n) * g(n))
-        c = complex(other)
-        return CoefficientFunction(lambda n, f=f, c=c: c * f(n))
-
-    __rmul__ = __mul__
+    def __mul__(self, other: "CoefficientFunction") -> "CoefficientFunction":
+        return CoefficientFunction(
+            self.K,
+            (
+                ((j1 + j2, tuple(sorted(ks1 + ks2))), c1 * c2)
+                for (j1, ks1), c1 in self.terms.items()
+                for (j2, ks2), c2 in other.terms.items()
+            ),
+        )
 
 
 # ---------------------------------------------------------------------------
 # Normal form
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NormalForm:
     """Canonical form: ladder offset d -> coefficient function c_d.
 
     Applied to |n>, the d-term contributes c_d(n) times the pure ladder
     action on |n> (raising for d > 0, lowering for d < 0, identity for
-    d = 0).  Coefficients are indexed by the source level n.
+    d = 0).  Coefficients are indexed by the source level n; offsets whose
+    coefficient cancels exactly are absent.
     """
 
     K: SpectralFunction
@@ -409,169 +438,128 @@ class NormalForm:
         return tuple(sorted(self.coefficients))
 
     def coefficient(self, d: int) -> CoefficientFunction:
-        return self.coefficients.get(d, CoefficientFunction.constant(0.0))
+        return self.coefficients.get(d, CoefficientFunction(self.K))
 
 
-# Word atoms for the rewriting engine: ("lad", +1) for ad, ("lad", -1)
-# for a, ("fn", CoefficientFunction) for a diagonal factor.
+def _crossed_levels(d1: int, d2: int) -> range:
+    """Offsets k with L^d1 L^d2 = L^(d1+d2) prod K(N+k), L^d = ad^d or a^-d."""
+    if d2 < 0 < d1:
+        return range(d2 + 1, d2 + min(-d2, d1) + 1)
+    if d1 < 0 < d2:
+        return range(d2 - min(d2, -d1) + 1, d2 + 1)
+    return range(0)
 
 
-def _expand(expr: Expr, K: SpectralFunction, params: dict) -> list:
-    """Multilinear expansion into [(scalar, word)] with word a tuple of atoms."""
+def _add(A: dict, B: dict) -> dict:
+    out = dict(A)
+    for d, c in B.items():
+        out[d] = out[d] + c if d in out else c
+    return {d: c for d, c in out.items() if c.terms}
+
+
+def _compose(A: dict, B: dict) -> dict:
+    """Coefficients of A.B (B acts first): each term pair adds
+    c1(N+d2) c2(N) prod K(N+k) to offset d1+d2."""
+    out: dict = {}
+    for d2, c2 in B.items():
+        for d1, c1 in A.items():
+            term = c1.shift(d2) * c2
+            crossed = tuple(_crossed_levels(d1, d2))
+            if crossed:
+                term = term * CoefficientFunction(c2.K, [((0, crossed), 1.0)])
+            d = d1 + d2
+            out[d] = out[d] + term if d in out else term
+    return {d: c for d, c in out.items() if c.terms}
+
+
+def _negate(A: dict) -> dict:
+    return {d: c.map_scalars(operator.neg) for d, c in A.items()}
+
+
+def _constant(K: SpectralFunction, c: complex, d: int = 0) -> dict:
+    coefficient = CoefficientFunction(K, [((0, ()), complex(c))])
+    return {d: coefficient} if coefficient.terms else {}
+
+
+def _order(expr: Expr, K: SpectralFunction, params: dict) -> dict:
+    """Offset -> coefficient map of an expression, built bottom-up."""
     if isinstance(expr, Num):
-        return [(expr.value, ())]
+        return _constant(K, expr.value)
     if isinstance(expr, Param):
         if expr.name not in params or params[expr.name] is None:
             raise ValueError(f"parameter {expr.name!r} is not bound for this case")
-        return [(complex(params[expr.name]), ())]
+        return _constant(K, params[expr.name])
     if isinstance(expr, Sym):
         name = expr.name
         if name == "a":
-            return [(1.0 + 0.0j, (("lad", -1),))]
+            return _constant(K, 1.0, -1)
         if name == "ad":
-            return [(1.0 + 0.0j, (("lad", +1),))]
+            return _constant(K, 1.0, +1)
         if name == "N":
-            return [(1.0 + 0.0j, (("fn", CoefficientFunction.level()),))]
+            return {0: CoefficientFunction(K, [((1, ()), 1.0 + 0.0j)])}
         if name == "x":
-            return [(0.5 + 0.0j, (("lad", +1),)), (0.5 + 0.0j, (("lad", -1),))]
+            return _add(_constant(K, 0.5, +1), _constant(K, 0.5, -1))
         if name == "p":
-            return [(0.5j, (("lad", +1),)), (-0.5j, (("lad", -1),))]
-        # H = x^2 + p^2
-        return _expand(
-            Add((Pow(Sym("x"), 2), Pow(Sym("p"), 2))), K, params
-        )
+            return _add(_constant(K, 0.5j, +1), _constant(K, -0.5j, -1))
+        # H = x^2 + p^2, composed rather than taken from its diagonal closed form
+        x, p = _order(Sym("x"), K, params), _order(Sym("p"), K, params)
+        return _add(_compose(x, x), _compose(p, p))
     if isinstance(expr, KShift):
-        return [(1.0 + 0.0j, (("fn", CoefficientFunction.spectral(K, expr.offset)),))]
+        return {0: CoefficientFunction(K, [((0, (expr.offset,)), 1.0 + 0.0j)])}
     if isinstance(expr, Neg):
-        return [(-c, w) for c, w in _expand(expr.operand, K, params)]
+        return _negate(_order(expr.operand, K, params))
     if isinstance(expr, Add):
-        out = []
+        out: dict = {}
         for term in expr.terms:
-            out.extend(_expand(term, K, params))
-        return _combine_words(out)
+            out = _add(out, _order(term, K, params))
+        return out
     if isinstance(expr, Mul):
-        out = [(1.0 + 0.0j, ())]
-        for factor in expr.factors:
-            expanded = _expand(factor, K, params)
-            out = [(c1 * c2, w1 + w2) for c1, w1 in out for c2, w2 in expanded]
-        return _combine_words(out)
+        out = _order(expr.factors[0], K, params)
+        for factor in expr.factors[1:]:
+            out = _compose(out, _order(factor, K, params))
+        return out
     if isinstance(expr, Pow):
         if expr.exponent < 0:
             scalar = _scalar_value(expr.base, K, params)
             if scalar is None:
                 raise ValueError("negative powers are only defined for scalar expressions")
-            return [(scalar**expr.exponent, ())]
-        out = [(1.0 + 0.0j, ())]
-        base = _expand(expr.base, K, params)
+            return _constant(K, scalar**expr.exponent)
+        out = _constant(K, 1.0)
+        base = _order(expr.base, K, params)
         for _ in range(expr.exponent):
-            out = [(c1 * c2, w1 + w2) for c1, w1 in out for c2, w2 in base]
-        return _combine_words(out)
+            out = _compose(out, base)
+        return out
     if isinstance(expr, Div):
         scalar = _scalar_value(expr.denominator, K, params)
         if scalar is None:
             raise ValueError("division is only defined by scalar expressions")
         if scalar == 0:
             raise ZeroDivisionError("division by zero scalar")
-        return [(c / scalar, w) for c, w in _expand(expr.numerator, K, params)]
+        numerator = _order(expr.numerator, K, params)
+        return {d: c.map_scalars(lambda v: v / scalar) for d, c in numerator.items()}
     if isinstance(expr, Comm):
-        ab = _expand(Mul((expr.left, expr.right)), K, params)
-        ba = _expand(Mul((expr.right, expr.left)), K, params)
-        return _combine_words(ab + [(-c, w) for c, w in ba])
+        left, right = _order(expr.left, K, params), _order(expr.right, K, params)
+        return _add(_compose(left, right), _negate(_compose(right, left)))
     raise TypeError(f"unknown expression node {expr!r}")  # pragma: no cover
 
 
 def _scalar_value(expr: Expr, K: SpectralFunction, params: dict) -> Optional[complex]:
-    """Numeric value of a scalar subexpression, or None if operator-valued."""
-    terms = _expand(expr, K, params)
-    total = 0.0 + 0.0j
-    for c, w in terms:
-        if w:
-            return None
-        total += c
-    return total
+    """Numeric value of a scalar subexpression, or None if operator-valued.
 
-
-def _combine_words(terms: list) -> list:
-    """Merge identical words (scalar coefficients add; exact zeros drop).
-
-    Words containing coefficient-function atoms are kept apart (function
-    identity is not decidable), which only costs redundancy, not
-    correctness.
+    An expression is a scalar when its only offset is 0 and that
+    coefficient is constant.
     """
-    merged = {}
-    rest = []
-    for c, w in terms:
-        if any(kind == "fn" for kind, _ in w):
-            rest.append((c, w))
-        else:
-            merged[w] = merged.get(w, 0.0) + c
-    out = [(c, w) for w, c in merged.items() if c != 0.0]
-    out.extend(rest)
-    return out
-
-
-def rewrite_measure(word: list) -> tuple:
-    """Termination measure of the rewrite system, strictly decreasing
-    lexicographically under every rule.
-
-    Components: ladder letters (contractions remove two), coefficient
-    atoms standing right of a ladder letter counted with multiplicity
-    (shifts fix one adjacent inversion), word length (merges shorten).
-    """
-    ladders = sum(1 for kind, _ in word if kind == "lad")
-    inversions = 0
-    seen_ladders = 0
-    for kind, _ in word:
-        if kind == "lad":
-            seen_ladders += 1
-        else:
-            inversions += seen_ladders
-    return (ladders, inversions, len(word))
-
-
-def _reduce_word(word: list, K: SpectralFunction, trace: Optional[list] = None) -> tuple:
-    """Rewrite one word to (coefficient function | None, ladder offset d).
-
-    Applies the leftmost applicable rule and rescans; rewrite_measure
-    strictly decreases at each step (pass `trace` to record the
-    intermediate words).
-    """
-    w = list(word)
-    if trace is not None:
-        trace.append(list(w))
-    i = 0
-    while i < len(w) - 1:
-        (k1, v1), (k2, v2) = w[i], w[i + 1]
-        if k1 == "lad" and k2 == "fn":
-            # a f(N) -> f(N+1) a ; ad f(N) -> f(N-1) ad
-            w[i], w[i + 1] = ("fn", v2.shift(-v1)), (k1, v1)
-        elif k1 == "lad" and k2 == "lad" and v1 != v2:
-            if v1 < 0:  # a ad -> K(N+1)
-                w[i : i + 2] = [("fn", CoefficientFunction.spectral(K, 1))]
-            else:  # ad a -> K(N)
-                w[i : i + 2] = [("fn", CoefficientFunction.spectral(K, 0))]
-        elif k1 == "fn" and k2 == "fn":
-            w[i : i + 2] = [("fn", v1 * v2)]
-        else:
-            i += 1
-            continue
-        if trace is not None:
-            trace.append(list(w))
-        i = max(i - 1, 0)
-    fn = None
-    d = 0
-    for kind, value in w:
-        if kind == "fn":
-            fn = value if fn is None else fn * value  # only reachable as leftmost atom
-        else:
-            d += value
-    return fn, d
+    coefficients = _order(expr, K, params)
+    diagonal = coefficients.get(0, CoefficientFunction(K)).terms
+    if set(coefficients) - {0} or set(diagonal) - {(0, ())}:
+        return None
+    return complex(diagonal.get((0, ()), 0.0))
 
 
 def normal_order(
     expr: Expr, K: SpectralFunction, params: Optional[dict] = None
 ) -> NormalForm:
-    """Rewrite an expression to canonical normal form over K's algebra.
+    """Compose an expression's canonical normal form over K's algebra.
 
     Scalar parameters (q, alpha, beta, gamma) default to the values bound
     in K; pass `params` to override or extend.
@@ -579,19 +567,7 @@ def normal_order(
     bound = dict(K.params())
     if params:
         bound.update(params)
-    coefficients: dict = {}
-    for scalar, word in _expand(expr, K, bound):
-        fn, d = _reduce_word(list(word), K)
-        # convert the left-applied diagonal g(N) L^d to source indexing
-        if fn is None:
-            contrib = CoefficientFunction.constant(scalar)
-        else:
-            contrib = fn.shift(d) * scalar
-        if d in coefficients:
-            coefficients[d] = coefficients[d] + contrib
-        else:
-            coefficients[d] = contrib
-    return NormalForm(K=K, coefficients=coefficients)
+    return NormalForm(K=K, coefficients=_order(expr, K, bound))
 
 
 def nf_equal(
@@ -662,7 +638,7 @@ def expr_to_matrix(
 ) -> np.ndarray:
     """Evaluate an expression directly in the truncated matrix representation.
 
-    Independent of the rewriting engine: symbols map to truncated
+    Independent of the composition engine: symbols map to truncated
     matrices and the AST is evaluated with matrix arithmetic.  Used as the
     oracle against which normal-ordered realizations are cross-checked.
     """

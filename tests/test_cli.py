@@ -107,6 +107,12 @@ class TestExitCodes:
         assert cp.returncode == 2
         assert "position" in cp.stderr
 
+    @pytest.mark.parametrize("identity", ["x^1e400 == x", "K(N+1e400) == N", "1e400 == 1"])
+    def test_symbolic_non_finite_numeral_exits_two(self, identity):
+        cp = run_cli("symbolic", "--case", "classical", "--check", identity)
+        assert cp.returncode == 2 and cp.stdout == ""
+        assert "is not finite" in cp.stderr and "position" in cp.stderr
+
     def test_symbolic_unknown_builtin_exits_two(self):
         cp = run_cli("symbolic", "--case", "classical", "--check", "no_such_builtin")
         assert cp.returncode == 2

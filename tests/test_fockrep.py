@@ -89,6 +89,21 @@ class TestBuildRep:
             build_rep(bad, 8)
 
 
+class TestIdentityEquality:
+    def test_equality_is_identity_and_hashes(self):
+        K = make_case(CaseId.ARIK_COON, q=0.7)
+        rep = build_rep(K, 8)
+        pairs = [
+            (rep, build_rep(K, 8)),
+            (quadratures(rep), quadratures(rep)),
+            (number_state(8, 1), number_state(8, 1)),
+        ]
+        for one, other in pairs:
+            assert one == one
+            assert one != other  # separate builds, compared without touching the arrays
+            assert len({one, other, one}) == 2
+
+
 class TestQuadratures:
     def test_classical_hamiltonian_diagonal(self):
         quads = quadratures(build_rep(classical(), 6))

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_words, representative_cases
 from deformalg import (
@@ -23,7 +25,15 @@ from deformalg import (
     quadratures,
 )
 from deformalg.fockrep import QuadratureSet, scaled_max_residual
-from deformalg.symorder import Add, Comm, KShift, Mul, Num, Sym
+from deformalg.symorder import Add, Comm, Expr, KShift, Mul, Num, Sym
+
+# every character the grammar uses, and tokens that make parseable strings likely
+GRAMMAR_ALPHABET = sorted(set("a ad N x p H K comm q alpha beta gamma i 0123456789.eE+-*/^(),="))
+GRAMMAR_TOKENS = (
+    "a", "ad", "N", "x", "p", "H", "K(N", "K(N+1)", "K(N+1e400)", "comm(", "q", "alpha",
+    "i", "2", "0.5", "3i", "1e400", "1e-3", "^2", "^-1", "^1e400",
+    "(", ")", "+", "-", "*", "/", "^", ",", "==", " ",
+)
 
 
 def classical():
@@ -71,6 +81,38 @@ class TestParser:
         with pytest.raises(ExprSyntaxError):
             parse_expr("K(x)")
 
+    @pytest.mark.parametrize(
+        "text, position", [("x^1e400", 2), ("K(N+1e400)", 4), ("1e400", 0), ("a*2.5e999i", 2)]
+    )
+    def test_non_finite_numeral_rejected_at_its_position(self, text, position):
+        with pytest.raises(ExprSyntaxError, match="not finite") as err:
+            parse_expr(text)
+        assert err.value.position == position
+
+    def test_nesting_beyond_the_stack_is_a_syntax_error(self):
+        text = "(" * 400 + "x" + ")" * 400
+        with pytest.raises(ExprSyntaxError, match="nested too deeply") as err:
+            parse_identity(text + " == x")
+        assert 0 <= err.value.position <= len(text)
+
+    @settings(max_examples=400, derandomize=True, database=None)
+    @given(
+        st.one_of(
+            st.text(alphabet=GRAMMAR_ALPHABET, max_size=40),
+            st.lists(st.sampled_from(GRAMMAR_TOKENS), max_size=20).map("".join),
+        )
+    )
+    def test_every_string_parses_or_fails_at_a_position(self, text):
+        # parsing only: normal-ordering an arbitrary exponent is unbounded work
+        for parse in (parse_expr, parse_identity):
+            try:
+                parsed = parse(text)
+            except ExprSyntaxError as err:
+                assert 0 <= err.position <= len(text), (text, err)
+            else:
+                sides = parsed if parse is parse_identity else (parsed,)
+                assert all(isinstance(side, Expr) for side in sides)
+
     def test_identity_split(self):
         lhs, rhs = parse_identity("a*ad == K(N+1)")
         assert isinstance(lhs, Mul)
@@ -113,6 +155,59 @@ class TestNormalOrder:
         K = make_case(CaseId.ARIK_COON, q=0.5)
         nf = normal_order(parse_expr("(1+q)^-1 * a / 2"), K)
         assert nf.coefficient(-1)(3) == pytest.approx(1.0 / 1.5 / 2.0)
+
+
+class TestComposition:
+    def test_hamiltonian_composes_to_its_diagonal_closed_form(self):
+        K = make_case(CaseId.CHUNG, q=0.7, alpha=2.0, beta=0.5)
+        nf = normal_order(parse_expr("H"), K)
+        assert nf.support() == (0,)
+        assert nf.coefficient(0).terms == {(0, (0,)): 0.5, (0, (1,)): 0.5}
+
+    def test_shift_expands_powers_of_the_level(self):
+        # a N^2 ad = (N+1)^2 K(N+1)
+        nf = normal_order(parse_expr("a*N^2*ad"), make_case(CaseId.ARIK_COON, q=0.7))
+        assert nf.coefficient(0).terms == {(0, (1,)): 1.0, (1, (1,)): 2.0, (2, (1,)): 1.0}
+
+    @pytest.mark.parametrize("K", representative_cases(), ids=str)
+    def test_number_commutator_cancels_exactly(self, K):
+        assert normal_order(parse_expr("comm(N,ad) - ad"), K).support() == ()
+
+    @pytest.mark.parametrize(
+        "K",
+        [
+            make_case(CaseId.MACFARLANE_BIEDENHARN, q=1.5),
+            make_case(CaseId.CHUNG, q=0.7, alpha=2.0, beta=0.5),
+            make_case(CaseId.BORZOV, q=1.5, alpha=0.5, beta=1.0, gamma=2.0),
+        ],
+        ids=str,
+    )
+    @pytest.mark.parametrize("name", ["lh_x", "lh_p"])
+    def test_equations_of_motion_cancel_exactly(self, K, name):
+        lhs, rhs = parse_identity(BUILTIN_IDENTITIES[name])
+        report = nf_equal(normal_order(lhs, K), normal_order(rhs, K))
+        assert report.max_abs_residual == 0.0
+
+    def test_each_distinct_atom_evaluated_once_per_call(self):
+        calls = []
+
+        def counted(n):
+            calls.append(n)
+            return 0.5 * n * n + n
+
+        K = make_case(CaseId.CUSTOM, custom_eval=counted)
+        coefficient = normal_order(parse_expr("K(N)*K(N) + K(N)*K(N+1) + ad*a"), K).coefficient(0)
+        calls.clear()
+        value = coefficient(4)
+        assert sorted(calls) == [4, 5]
+        assert value == 12.0 * 12.0 + 12.0 * 17.5 + 12.0
+
+    def test_equality_is_identity_and_hashes(self):
+        K = classical()
+        one, other = (normal_order(parse_expr("a*ad"), K) for _ in range(2))
+        assert one == one
+        assert one != other
+        assert len({one, other, one}) == 2
 
 
 class TestNormalFormEquality:
@@ -205,30 +300,6 @@ class TestRealization:
 
 
 class TestTermination:
-    def test_measure_strictly_decreases_along_rewrites(self):
-        from deformalg.symorder import CoefficientFunction, _reduce_word, rewrite_measure
-
-        K = make_case(CaseId.ARIK_COON, q=0.7)
-        level = CoefficientFunction.level()
-        words = [
-            # a f a' f a a' f
-            [("lad", -1), ("fn", level), ("lad", 1), ("fn", level),
-             ("lad", -1), ("lad", 1), ("fn", level)],
-            [("lad", 1)] * 3 + [("fn", level)] + [("lad", -1)] * 3,
-            [("lad", -1), ("lad", 1)] * 4,
-            [("fn", level), ("fn", level), ("lad", -1), ("fn", level)],
-        ]
-        for word in words:
-            trace = []
-            _reduce_word(word, K, trace=trace)
-            measures = [rewrite_measure(w) for w in trace]
-            assert all(b < a for a, b in zip(measures, measures[1:])), measures
-            final = trace[-1]
-            ladder_signs = {v for kind, v in final if kind == "lad"}
-            assert len(ladder_signs) <= 1  # single ladder direction remains
-            kinds = [kind for kind, _ in final]
-            assert kinds == sorted(kinds)  # coefficient atoms all left
-
     def test_deep_alternating_words_terminate_and_match_oracle(self):
         K = make_case(CaseId.MACFARLANE_BIEDENHARN, q=1.5)
         D = 16
