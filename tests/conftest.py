@@ -1,7 +1,6 @@
 """Shared parameter grids, case factories and word generators for the tests."""
 
 from deformalg import CaseId, make_case
-from deformalg.fockrep import _splitmix64
 from deformalg.symorder import KShift, Mul, Num, Sym
 
 Q_GRID = [0.3, 0.7, 1.0, 1.5, 3.0]
@@ -44,9 +43,21 @@ def representative_cases():
     ]
 
 
+def splitmix64(seed):
+    """SplitMix64 word stream (yields ints in 0..2^64-1): the tests' oracle."""
+    state = seed & 0xFFFFFFFFFFFFFFFF
+    mask = 0xFFFFFFFFFFFFFFFF
+    while True:
+        state = (state + 0x9E3779B97F4A7C15) & mask
+        z = state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        yield z ^ (z >> 31)
+
+
 def seeded_cubic_coeffs(seed):
     """Three positive coefficients in [0.1, 1.1) from the splitmix stream."""
-    words = _splitmix64(seed)
+    words = splitmix64(seed)
     return tuple(0.1 + (next(words) >> 11) * 2.0**-53 for _ in range(3))
 
 
@@ -67,7 +78,7 @@ def custom_cases():
 
 def random_words(seed, count, max_len):
     """Seeded product words over ladder letters, spectral shifts, scalars."""
-    words = _splitmix64(seed)
+    words = splitmix64(seed)
     scalars = [0.5, -1.5, 2.0, 0.25j, 1.0 + 1.0j]
     for _ in range(count):
         length = 1 + next(words) % max_len

@@ -1,13 +1,18 @@
-"""Regenerate the golden CLI outputs (run manually after intentional changes).
+"""Regenerate the golden CLI outputs and demo transcripts (run manually after intentional changes).
 
 Usage:  python tests/regen_goldens.py
 """
 
+import contextlib
+import io
 import pathlib
+import runpy
 import subprocess
 import sys
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+DEMO_DIR = pathlib.Path(__file__).parents[1] / "demos"
+DEMO_GOLDEN = GOLDEN / "demos"
 
 COMMANDS = {
     "verify_classical.json": ["verify", "--case", "classical"],
@@ -34,6 +39,30 @@ COMMANDS = {
 }
 
 
+DEMOS = sorted(DEMO_DIR.glob("*.py"))
+
+
+def demo_stdout(path) -> str:
+    """Everything a demo prints when run in-process as __main__."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        runpy.run_path(str(path), run_name="__main__")
+    return out.getvalue()
+
+
+def demo_transcript(path) -> pathlib.Path:
+    """tests/golden/demos/<stem>.txt, the checked-in stdout of a demo."""
+    return DEMO_GOLDEN / f"{path.stem}.txt"
+
+
+def write_demo_transcripts():
+    DEMO_GOLDEN.mkdir(parents=True, exist_ok=True)
+    for path in DEMOS:
+        target = demo_transcript(path)
+        target.write_bytes(demo_stdout(path).encode("utf-8"))
+        print(f"wrote {target}")
+
+
 def main():
     GOLDEN.mkdir(exist_ok=True)
     for name, args in COMMANDS.items():
@@ -41,6 +70,7 @@ def main():
         cmd = [sys.executable, "-m", "deformalg", *args, "--out", str(target)]
         subprocess.run(cmd, check=True)
         print(f"wrote {target}")
+    write_demo_transcripts()
 
 
 if __name__ == "__main__":

@@ -1,17 +1,12 @@
-"""Every demo runs to completion in-process."""
-
-import pathlib
-import runpy
+"""Every demo runs in-process and prints exactly its checked-in transcript."""
 
 import pytest
-
-DEMOS = sorted((pathlib.Path(__file__).parents[1] / "demos").glob("*.py"))
+from regen_goldens import DEMOS, demo_stdout, demo_transcript
 
 
 @pytest.mark.parametrize("path", DEMOS, ids=lambda path: path.stem)
-def test_demo_runs(path, capsys):
-    runpy.run_path(str(path), run_name="__main__")
-    assert capsys.readouterr().out
+def test_demo_runs(path):
+    assert demo_stdout(path).encode("utf-8") == demo_transcript(path).read_bytes()
 
 
 def test_all_demos_collected():

@@ -1,11 +1,13 @@
 """Matrix representation engine: structure, windowed identities, states."""
 
+import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from conftest import catalog_grid, custom_cases, representative_cases
+from conftest import catalog_grid, custom_cases, representative_cases, splitmix64
 from deformalg import (
     CaseId,
     build_rep,
@@ -304,6 +306,68 @@ class TestStates:
             state = number_state(10, n)
             assert expectation(state, quads.mat_x) == 0.0
             assert expectation(state, quads.mat_p) == 0.0
+
+
+def oracle_state(D, seed):
+    """random_state's documented contract, one amplitude at a time from the oracle stream."""
+    words = splitmix64(seed)
+    amp = np.empty(D, dtype=complex)
+    for k in range(D):
+        u = ((next(words) >> 11) + 1) * 2.0**-53
+        v = ((next(words) >> 11) + 1) * 2.0**-53
+        r = math.sqrt(-2.0 * math.log(u))
+        t = 2.0 * math.pi * v
+        amp[k] = complex(r * math.cos(t), r * math.sin(t))
+    amp /= np.linalg.norm(amp)
+    return amp
+
+
+# sha256 of random_state(D, seed).amplitudes.tobytes()
+STATE_DIGESTS = {
+    (8, 0): "36c61fc54bd8fefd4a77ef221e99aa9f312c565acf972229de4dd90d41f51f83",
+    (32, 1): "0f8e3794582a290fb4b4df36144a4c394c5850a6c45e1b3de09e0e78dc04121e",
+    (128, 7): "2b8f669da6c5b3cd99fc90ebef21a1443ee20775f0f67e9a4b5db990c7d679f7",
+    (8, -1): "00e03442d4a123fee7c1378d71c24b2f267d9aadc9760c282bb0eb9d20367e93",
+    (8, 2**64 - 1): "00e03442d4a123fee7c1378d71c24b2f267d9aadc9760c282bb0eb9d20367e93",
+    (32, 2**64 - 100): "ab2bdb3a39cc31ac0e6d0e108440b687d4810d06411d0cd15b114ac06b099d60",
+    (256, 123456789012345678901): (
+        "3220fb4d94638c423f4ad41cf3ede777471a5dfab34833a9bb015378cb958b83"
+    ),
+}
+
+
+class TestRandomStream:
+    """The seeded stream behind random_state is pinned bit for bit."""
+
+    @pytest.fixture(autouse=True)
+    def warnings_are_errors(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            yield
+
+    def test_oracle_matches_splitmix64_reference(self):
+        words = splitmix64(0)
+        assert [next(words) for _ in range(3)] == [
+            0xE220A8397B1DCDAF,
+            0x6E789E6AA1B965F4,
+            0x06C45D188009454F,
+        ]
+
+    @pytest.mark.parametrize("D,seed", list(STATE_DIGESTS), ids=str)
+    def test_state_bytes_match_stored_digest(self, D, seed):
+        data = random_state(D, seed).amplitudes.tobytes()
+        assert hashlib.sha256(data).hexdigest() == STATE_DIGESTS[D, seed]
+
+    @pytest.mark.parametrize("D", [4, 32, 129])
+    @pytest.mark.parametrize("seed", [0, 1, 49, -1, 2**63, 2**64 - 3, 123456789012345678901])
+    def test_state_equals_oracle(self, D, seed):
+        assert random_state(D, seed).amplitudes.tobytes() == oracle_state(D, seed).tobytes()
+
+    def test_seed_wraps_modulo_two_to_the_64(self):
+        # the Robertson sweep draws seeds seed..seed+199, which wrap past 2^64
+        for k in range(3):
+            wrapped = random_state(16, 2**64 + k).amplitudes
+            assert wrapped.tobytes() == random_state(16, k).amplitudes.tobytes()
 
 
 class TestUncertaintyProduct:
