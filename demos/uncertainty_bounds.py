@@ -6,7 +6,6 @@ Planck-scale rescaling, and Hamiltonian-to-level round trips.
 """
 
 from deformalg import (
-    BoundSpec,
     CaseId,
     build_rep,
     hamiltonian_eigenvalue,
@@ -42,10 +41,9 @@ def main():
     K = make_case(CaseId.ARIK_COON, q=q)
     rep = build_rep(K, D)
     quads = quadratures(rep)
-    spec = BoundSpec(CaseId.ARIK_COON)
     print(f"  {'n':>2} {'product':>10} {'case bound':>11} {'margin':>10}")
     for n in range(5):
-        r = uncertainty_report(number_state(D, n), rep, quads, spec)
+        r = uncertainty_report(number_state(D, n), rep, quads)
         print(f"  {n:>2} {r.product:>10.6f} {r.case_bound:>11.6f} {r.margin_case:>10.6f}")
 
     print("\nRobertson inequality on truncation-safe random states:")

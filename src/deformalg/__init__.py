@@ -26,7 +26,6 @@ from .fockrep import (
     verify_window,
 )
 from .gup import (
-    BoundSpec,
     UncertaintyReport,
     case_bound,
     invert_number_geometric,

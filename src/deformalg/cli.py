@@ -202,17 +202,13 @@ _SCAN_HEADER = [
     "margin_case",
 ]
 
-_CASE_BOUNDS = (CaseId.ARIK_COON, CaseId.MACFARLANE_BIEDENHARN, CaseId.NONLINEAR)
-
-
 def _scan_rows(K: SpectralFunction, levels, D: int) -> list:
     """One row per number-state level, all from one representation of K."""
     rep = fockrep.build_rep(K, D)
     quads = fockrep.quadratures(rep)
-    spec = gup.BoundSpec(K.case_id) if K.case_id in _CASE_BOUNDS else None
     rows = []
     for n in levels:
-        report = gup.uncertainty_report(fockrep.number_state(D, n), rep, quads, spec)
+        report = gup.uncertainty_report(fockrep.number_state(D, n), rep, quads)
         rows.append(
             [K.case_id.value]
             + _param_columns(K)
@@ -392,10 +388,7 @@ def main(argv: Optional[list] = None) -> int:
         seed = args.seed
     try:
         return args.func(args, seed)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except ValueError as exc:  # UsageError and the library's parameter errors
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -296,47 +296,40 @@ def number_state(D: int, n: int) -> StateVector:
     return StateVector(amp)
 
 
-def _splitmix64(seed: int):
-    """Platform-independent 64-bit splitmix generator (yields uint64)."""
-    state = seed & 0xFFFFFFFFFFFFFFFF
-    mask = 0xFFFFFFFFFFFFFFFF
-    while True:
-        state = (state + 0x9E3779B97F4A7C15) & mask
-        z = state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
-        yield z ^ (z >> 31)
+def _gaussian_amplitudes(D: int, seed: int) -> np.ndarray:
+    """The first D Box-Muller pairs of the seed's splitmix stream, as amplitudes.
 
-
-def _gaussian_pairs(seed: int):
-    """Box-Muller pairs from the splitmix stream.
-
-    Ordering contract: successive splitmix words u, v map to uniforms in
-    (0, 1] via ((word >> 11) + 1) * 2^-53, and each uniform pair yields
-    the Gaussian pair (r cos t, r sin t) with r = sqrt(-2 ln u),
-    t = 2 pi v.  Fixed across platforms and releases.
+    Ordering contract: SplitMix64 words 1..2D of the seed, where word k is
+    the finalizer applied to seed + k * 0x9E3779B97F4A7C15 (mod 2^64), are
+    read in successive pairs u, v and mapped to uniforms in (0, 1] via
+    ((word >> 11) + 1) * 2^-53; amplitude k is (r cos t, r sin t) with
+    r = sqrt(-2 ln u), t = 2 pi v.  Fixed across platforms and releases.
     """
-    words = _splitmix64(seed)
-    while True:
-        u = ((next(words) >> 11) + 1) * 2.0**-53
-        v = ((next(words) >> 11) + 1) * 2.0**-53
-        r = math.sqrt(-2.0 * math.log(u))
-        t = 2.0 * math.pi * v
-        yield r * math.cos(t), r * math.sin(t)
+    k = np.arange(1, 2 * D + 1, dtype=np.uint64)
+    # the seed is masked first: numpy wraps uint64 array arithmetic silently
+    # but warns on scalar overflow
+    z = np.uint64(seed & 0xFFFFFFFFFFFFFFFF) + k * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    uniform = ((z >> np.uint64(11)) + np.uint64(1)) * 2.0**-53
+    # math.log/cos/sin per element: numpy's can differ from them in the last bit
+    r = np.sqrt(-2.0 * np.array([math.log(u) for u in uniform[0::2].tolist()]))
+    t = (2.0 * math.pi * uniform[1::2]).tolist()
+    amp = np.empty(D, dtype=complex)
+    amp.real = r * np.array([math.cos(x) for x in t])
+    amp.imag = r * np.array([math.sin(x) for x in t])
+    return amp
 
 
 def random_state(D: int, seed: int) -> StateVector:
     """Deterministic pseudo-random state: 2D Gaussian draws, normalized.
 
     Amplitude k is (real, imag) = the k-th Box-Muller pair of the seeded
-    stream documented in _gaussian_pairs; the same seed always produces
-    the same vector on every platform.
+    stream documented in _gaussian_amplitudes; the same seed always
+    produces the same vector on every platform.
     """
-    pairs = _gaussian_pairs(seed)
-    amp = np.empty(D, dtype=complex)
-    for k in range(D):
-        re, im = next(pairs)
-        amp[k] = complex(re, im)
+    amp = _gaussian_amplitudes(D, seed)
     amp /= np.linalg.norm(amp)
     return StateVector(amp)
 

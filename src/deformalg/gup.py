@@ -51,7 +51,6 @@ from .spectral import DEGENERATE_TOL, CaseId, SpectralFunction
 
 __all__ = [
     "UncertaintyReport",
-    "BoundSpec",
     "square_sum_bound",
     "uncertainty_report",
     "invert_number_geometric",
@@ -85,25 +84,6 @@ class UncertaintyReport:
     margin_case: Optional[float] = None
 
 
-@dataclass(frozen=True)
-class BoundSpec:
-    """Selection of a case-specific bound and its operator convention.
-
-    convention 'raw' evaluates the closed form on the quadratures as
-    given; 'rescaled' (geometric case only) first applies the
-    Planck-scale rescaling x' = sqrt(1+q) x, p' = sqrt(1+q) p.
-    """
-
-    case_id: CaseId
-    convention: str = "raw"
-
-    def __post_init__(self):
-        if self.convention not in ("raw", "rescaled"):
-            raise ValueError(f"unknown convention {self.convention!r}")
-        if self.convention == "rescaled" and self.case_id is not CaseId.ARIK_COON:
-            raise ValueError("the rescaled convention applies to the geometric case only")
-
-
 def square_sum_bound(state: StateVector, rep: FockRep) -> float:
     """Quadratic diagnostic (<K(N)>^2 + <K(N+1)>^2)/4.
 
@@ -119,21 +99,13 @@ def square_sum_bound(state: StateVector, rep: FockRep) -> float:
     return 0.25 * (kn * kn + knp1 * knp1)
 
 
-def uncertainty_report(
-    state: StateVector,
-    rep: FockRep,
-    quads: QuadratureSet,
-    bound_spec: Optional[BoundSpec] = None,
-) -> UncertaintyReport:
-    """Assemble the full bound report for one state."""
+def uncertainty_report(state: StateVector, rep: FockRep, quads: QuadratureSet) -> UncertaintyReport:
+    """Assemble the full bound report for one state, with the case bound where one applies."""
     moments = uncertainty_product(state, quads)
     robertson = 0.5 * abs(moments.xp_commutator_mean)
     diagnostic = square_sum_bound(state, rep)
-    cb = None
-    margin_case = None
-    if bound_spec is not None:
-        cb = case_bound(state, quads, bound_spec, rep.K)
-        margin_case = moments.product - cb
+    cb = case_bound(state, quads, rep.K)
+    margin_case = None if cb is None else moments.product - cb
     return UncertaintyReport(
         delta_x=moments.delta_x,
         delta_p=moments.delta_p,
@@ -200,13 +172,8 @@ def invert_number_quadratic(alpha: float, beta: float, h: float) -> float:
     return (-(alpha + beta) + math.sqrt(radicand)) / (2.0 * alpha)
 
 
-def case_bound(
-    state: StateVector,
-    quads: QuadratureSet,
-    spec: BoundSpec,
-    K: SpectralFunction,
-) -> float:
-    """Evaluate the case-specific bound on the supplied state.
+def case_bound(state: StateVector, quads: QuadratureSet, K: SpectralFunction) -> Optional[float]:
+    """Evaluate the case-specific bound of K's case on the supplied state.
 
     Geometric case:   (1 - (1-q)(dx^2 + dp^2)) / (4(1+q))
     Symmetric case:   sqrt(q)/(2(1+q)) * (1 + q(q - 1/q)^2/(2(q+1)^2) *
@@ -214,27 +181,24 @@ def case_bound(
     Quadratic case:   (beta/4)(1 - (alpha/beta^2)(dx^2 + dp^2))
 
     Delta quantities are standard deviations; the fourth moments are raw
-    operator expectations, not central ones (no mean subtraction).
+    operator expectations, not central ones (no mean subtraction).  Returns
+    None for the cases without a bound.
     """
-    if spec.case_id is not K.case_id:
-        raise ValueError(f"bound spec {spec.case_id.value!r} does not match case {K.case_id.value!r}")
-
-    if spec.case_id is CaseId.ARIK_COON:
+    if K.case_id is CaseId.ARIK_COON:
         q = K.q
-        work = kempf_rescale(quads, q) if spec.convention == "rescaled" else quads
-        m = uncertainty_product(state, work)
+        m = uncertainty_product(state, quads)
         return (1.0 - (1.0 - q) * (m.delta_x**2 + m.delta_p**2)) / (4.0 * (1.0 + q))
 
-    if spec.case_id is CaseId.MACFARLANE_BIEDENHARN:
+    if K.case_id is CaseId.MACFARLANE_BIEDENHARN:
         q = K.q
         moments = expectation(state, quads.mat_fourth).real
         prefactor = math.sqrt(q) / (2.0 * (1.0 + q))
         correction = q * (q - 1.0 / q) ** 2 / (2.0 * (q + 1.0) ** 2)
         return prefactor * (1.0 + correction * moments)
 
-    if spec.case_id is CaseId.NONLINEAR:
+    if K.case_id is CaseId.NONLINEAR:
         a, b = K.alpha, K.beta
         m = uncertainty_product(state, quads)
         return (b / 4.0) * (1.0 - (a / b**2) * (m.delta_x**2 + m.delta_p**2))
 
-    raise ValueError(f"no case-specific bound for case {spec.case_id.value!r}")
+    return None

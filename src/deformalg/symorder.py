@@ -604,32 +604,21 @@ def nf_equal(
     )
 
 
-def _ladder_weight(K: SpectralFunction, n: int, d: int) -> float:
-    """sqrt-product weight of the pure ladder L^d applied to |n>."""
-    prod = 1.0
-    if d >= 0:
-        for j in range(1, d + 1):
-            prod *= eval_K(K, n + j)
-    else:
-        for j in range(0, -d):
-            prod *= eval_K(K, n - j)
-    if prod < 0.0:
-        raise ValueError(f"negative spectral values under the ladder weight at level {n}")
-    return math.sqrt(prod)
-
-
 def nf_to_matrix(nf: NormalForm, D: int) -> np.ndarray:
-    """Realize a normal form as its D-dimensional truncated matrix."""
-    if D < 4:
-        raise ValueError(f"dimension must be >= 4, got {D}")
+    """Realize a normal form as its D-dimensional truncated matrix.
+
+    Offset d fills the d-th subdiagonal: column n holds c_d(n) times the
+    entry of ad^d (d >= 0) or a^-d (d < 0) there, the product of the ladder
+    roots sqrt(K(1..D-1)) of build_rep(nf.K, D) that the path crosses.
+    """
+    roots = np.sqrt(build_rep(nf.K, D).levels[1:D])  # roots[m] = sqrt(K(m + 1))
     M = np.zeros((D, D), dtype=complex)
     for d, cfn in nf.coefficients.items():
-        lo = max(0, -d)
-        for n in range(lo, D):
-            m = n + d
-            if not 0 <= m < D:
-                continue
-            M[m, n] += cfn(n) * _ladder_weight(nf.K, n, d)
+        cols = np.arange(max(0, -d), min(D, D - d))
+        weight = np.ones(cols.size)
+        for j in range(abs(d)):
+            weight *= roots[cols + j if d > 0 else cols - j - 1]
+        M[cols + d, cols] += np.array([cfn(n) for n in cols.tolist()], dtype=complex) * weight
     return M
 
 

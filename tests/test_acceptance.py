@@ -30,7 +30,6 @@ from conftest import (
 )
 from deformalg import (
     BUILTIN_IDENTITIES,
-    BoundSpec,
     CaseId,
     DefiningRelation,
     build_rep,
@@ -270,9 +269,7 @@ def test_criterion_07_case_bounds():
         rep = build_rep(K, 16)
         quads = quadratures(rep)
         for n in range(6):
-            report = uncertainty_report(
-                number_state(16, n), rep, quads, BoundSpec(CaseId.ARIK_COON)
-            )
+            report = uncertainty_report(number_state(16, n), rep, quads)
             if report.margin_case < 0.0:
                 failures.append(f"geometric q={q} n={n}: margin {report.margin_case:.2e}")
 
@@ -281,19 +278,16 @@ def test_criterion_07_case_bounds():
         rep = build_rep(K, 16)
         quads = quadratures(rep)
         for n in range(6):
-            report = uncertainty_report(
-                number_state(16, n), rep, quads, BoundSpec(CaseId.NONLINEAR)
-            )
+            report = uncertainty_report(number_state(16, n), rep, quads)
             if not report.margin_case > 0.0:
                 failures.append(f"quadratic a={a} b={b} n={n}: margin {report.margin_case:.2e}")
 
-    spec = BoundSpec(CaseId.MACFARLANE_BIEDENHARN)
     for (q, n), frozen in SYMMETRIC_BOUND_MARGINS.items():
         K = make_case(CaseId.MACFARLANE_BIEDENHARN, q=q)
         rep = build_rep(K, 24)
         quads = quadratures(rep)
         state = number_state(24, n)
-        margin = uncertainty_product(state, quads).product - case_bound(state, quads, spec, K)
+        margin = uncertainty_product(state, quads).product - case_bound(state, quads, K)
         if abs(margin - frozen) > 1e-10:
             failures.append(f"symmetric q={q} n={n}: margin {margin!r} vs frozen {frozen!r}")
     K = make_case(CaseId.MACFARLANE_BIEDENHARN, q=1.0)
@@ -301,7 +295,7 @@ def test_criterion_07_case_bounds():
     quads = quadratures(rep)
     vacuum = number_state(16, 0)
     lhs = uncertainty_product(vacuum, quads).product
-    rhs = case_bound(vacuum, quads, spec, K)
+    rhs = case_bound(vacuum, quads, K)
     if abs(lhs - rhs) > 1e-12 or abs(lhs - 0.25) > 1e-12:
         failures.append(f"symmetric equality at q=1 vacuum: lhs {lhs!r} rhs {rhs!r}")
 

@@ -7,7 +7,6 @@ import pytest
 
 from conftest import representative_cases
 from deformalg import (
-    BoundSpec,
     CaseId,
     build_rep,
     case_bound,
@@ -239,10 +238,9 @@ class TestCaseBounds:
         K = make_case(CaseId.ARIK_COON, q=q)
         rep = build_rep(K, 16)
         quads = quadratures(rep)
-        spec = BoundSpec(CaseId.ARIK_COON)
         for n in range(6):
             state = number_state(16, n)
-            rhs = case_bound(state, quads, spec, K)
+            rhs = case_bound(state, quads, K)
             assert rhs == pytest.approx(q**n / 8.0, rel=1e-11)
             lhs = uncertainty_product(state, quads).product
             assert lhs - rhs >= 0.0
@@ -252,30 +250,17 @@ class TestCaseBounds:
         K = make_case(CaseId.ARIK_COON, q=q)
         rep = build_rep(K, 16)
         quads = quadratures(rep)
-        spec = BoundSpec(CaseId.ARIK_COON)
         for n in range(6):
             state = number_state(16, n)
-            report = uncertainty_report(state, rep, quads, spec)
+            report = uncertainty_report(state, rep, quads)
             assert report.margin_case >= 0.0
-
-    def test_rescaled_convention_differs(self):
-        q = 0.5
-        K = make_case(CaseId.ARIK_COON, q=q)
-        rep = build_rep(K, 16)
-        quads = quadratures(rep)
-        state = number_state(16, 1)
-        raw = case_bound(state, quads, BoundSpec(CaseId.ARIK_COON), K)
-        rescaled = case_bound(state, quads, BoundSpec(CaseId.ARIK_COON, "rescaled"), K)
-        assert raw != pytest.approx(rescaled)
-        with pytest.raises(ValueError):
-            BoundSpec(CaseId.NONLINEAR, "rescaled")
 
     def test_symmetric_bound_equality_at_q_one_vacuum(self):
         K = make_case(CaseId.MACFARLANE_BIEDENHARN, q=1.0)
         rep = build_rep(K, 16)
         quads = quadratures(rep)
         state = number_state(16, 0)
-        rhs = case_bound(state, quads, BoundSpec(CaseId.MACFARLANE_BIEDENHARN), K)
+        rhs = case_bound(state, quads, K)
         lhs = uncertainty_product(state, quads).product
         assert lhs == pytest.approx(0.25, abs=1e-13)
         assert rhs == pytest.approx(0.25, abs=1e-13)
@@ -288,7 +273,6 @@ class TestCaseBounds:
         K = make_case(CaseId.MACFARLANE_BIEDENHARN, q=q)
         quads = quadratures(build_rep(K, D))
         x2, p2 = quads.mat_xx, quads.mat_pp
-        spec = BoundSpec(CaseId.MACFARLANE_BIEDENHARN)
         for n in range(D):
             state = number_state(D, n)
             moments = (
@@ -299,18 +283,15 @@ class TestCaseBounds:
             ).real
             prefactor = math.sqrt(q) / (2.0 * (1.0 + q))
             correction = q * (q - 1.0 / q) ** 2 / (2.0 * (q + 1.0) ** 2)
-            assert case_bound(state, quads, spec, K) == prefactor * (1.0 + correction * moments)
+            assert case_bound(state, quads, K) == prefactor * (1.0 + correction * moments)
 
     def test_symmetric_bound_frozen_margins(self):
-        spec = BoundSpec(CaseId.MACFARLANE_BIEDENHARN)
         for (q, n), frozen in SYMMETRIC_BOUND_MARGINS.items():
             K = make_case(CaseId.MACFARLANE_BIEDENHARN, q=q)
             rep = build_rep(K, 24)
             quads = quadratures(rep)
             state = number_state(24, n)
-            margin = uncertainty_product(state, quads).product - case_bound(
-                state, quads, spec, K
-            )
+            margin = uncertainty_product(state, quads).product - case_bound(state, quads, K)
             assert margin == pytest.approx(frozen, abs=1e-10), (q, n)
             assert (margin < 0.0) == (frozen < 0.0)
 
@@ -320,7 +301,7 @@ class TestCaseBounds:
         quads = quadratures(rep)
         state = number_state(16, 0)
         lhs = uncertainty_product(state, quads).product
-        rhs = case_bound(state, quads, BoundSpec(CaseId.NONLINEAR), K)
+        rhs = case_bound(state, quads, K)
         assert lhs == pytest.approx(0.75, abs=1e-13)
         assert rhs == pytest.approx(0.3125, abs=1e-13)
 
@@ -329,15 +310,29 @@ class TestCaseBounds:
         K = make_case(CaseId.NONLINEAR, alpha=alpha, beta=beta)
         rep = build_rep(K, 16)
         quads = quadratures(rep)
-        spec = BoundSpec(CaseId.NONLINEAR)
         for n in range(6):
             state = number_state(16, n)
-            report = uncertainty_report(state, rep, quads, spec)
+            report = uncertainty_report(state, rep, quads)
             assert report.margin_case > 0.0
 
-    def test_mismatched_case_rejected(self):
+    @pytest.mark.parametrize("K", representative_cases(), ids=str)
+    def test_report_carries_the_case_bound_where_one_applies(self, K):
+        D = 12
+        rep = build_rep(K, D)
+        quads = quadratures(rep)
+        has_bound = K.case_id in (CaseId.ARIK_COON, CaseId.MACFARLANE_BIEDENHARN, CaseId.NONLINEAR)
+        for state in (number_state(D, 2), truncation_safe(random_state(D, 5), 3)):
+            report = uncertainty_report(state, rep, quads)
+            bound = case_bound(state, quads, K)
+            assert (bound is not None) == has_bound
+            assert report.case_bound == bound
+            if has_bound:
+                assert report.margin_case == report.product - bound
+            else:
+                assert report.margin_case is None
+
+    def test_case_without_bound_gives_none(self):
         K = classical()
         rep = build_rep(K, 8)
         quads = quadratures(rep)
-        with pytest.raises(ValueError):
-            case_bound(number_state(8, 0), quads, BoundSpec(CaseId.ARIK_COON), K)
+        assert case_bound(number_state(8, 0), quads, K) is None

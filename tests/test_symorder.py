@@ -276,6 +276,31 @@ class TestRealization:
         M = nf_to_matrix(normal_order(parse_expr("x"), K), 10)
         assert scaled_max_residual(M, 0.5 * (rep.mat_ad + rep.mat_a)) <= 1e-14
 
+    def test_ladder_weights_come_from_the_level_table(self):
+        calls = []
+
+        def counted(n):
+            calls.append(n)
+            return n * (n + 1.0)
+
+        K = make_case(CaseId.CUSTOM, custom_eval=counted)
+        nf = normal_order(parse_expr("ad^3 + 2*a^2"), K)
+        calls.clear()
+        nf_to_matrix(nf, 8)
+        # build_rep(K, 8) evaluates K(0..9) once; no entry evaluates K again
+        assert calls == list(range(10))
+
+    @pytest.mark.parametrize("K", representative_cases(), ids=str)
+    def test_ladder_powers_are_products_of_ladder_roots(self, K):
+        D = 10
+        rep = build_rep(K, D)
+        for text, power in (("ad", rep.mat_ad), ("a", rep.mat_a)):
+            for k in (1, 2):
+                M = nf_to_matrix(normal_order(parse_expr(f"{text}^{k}"), K), D)
+                assert np.array_equal(M, np.linalg.matrix_power(power, k))
+            M = nf_to_matrix(normal_order(parse_expr(f"{text}^5"), K), D)
+            assert scaled_max_residual(M, np.linalg.matrix_power(power, 5)) <= 1e-14
+
     def test_matrix_oracle_forms_h_only_when_named(self, monkeypatch):
         def refuse(quads):
             raise AssertionError("H formed")
