@@ -43,6 +43,7 @@ from .spectral import (
     eval_K,
     forward_delta,
     hamiltonian_eigenvalue,
+    level_table,
     make_case,
     relation_residual,
 )

@@ -17,30 +17,17 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from typing import Optional
 
 from . import fockrep, gup, symorder
 from .fockrep import run_verify_checks
-from .spectral import (
-    CaseId,
-    SpectralFunction,
-    eval_K,
-    forward_delta,
-    hamiltonian_eigenvalue,
-    make_case,
-)
+from .spectral import CaseId, SpectralFunction, level_table, make_case
 
 __all__ = ["main"]
 
-_CLI_CASES = (
-    CaseId.CLASSICAL,
-    CaseId.ARIK_COON,
-    CaseId.MACFARLANE_BIEDENHARN,
-    CaseId.CHUNG,
-    CaseId.BORZOV,
-    CaseId.NONLINEAR,
-)
+_CLI_CASES = tuple(case for case in CaseId if case is not CaseId.CUSTOM)
 
 
 class UsageError(ValueError):
@@ -77,9 +64,7 @@ def _json_text(value, level: int = 0) -> str:
         return str(value)
     if isinstance(value, float):
         return fmt_float(value)
-    if value is None:
-        return "null"
-    return json.dumps(value)
+    return json.dumps(value)  # strings and None
 
 
 def render_json(payload: dict) -> str:
@@ -87,10 +72,7 @@ def render_json(payload: dict) -> str:
 
 
 def render_csv(header: list, rows: list) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    return "".join(",".join(row) + "\n" for row in [header, *rows])
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -177,30 +159,20 @@ def cmd_table(args, seed: int) -> int:
             f"--levels {args.levels} exceeds dim - margin = {args.dim - args.margin}"
         )
     header = ["n", "K_n", "K_np1", "H_n", "delta_n"]
-    rows = []
-    for n in range(args.levels):
-        values = (eval_K(K, n), eval_K(K, n + 1), hamiltonian_eigenvalue(K, n), forward_delta(K, n))
-        rows.append([str(n)] + [fmt_float(v) for v in values])
+    levels = level_table(K, 0, args.levels).tolist()
+    rows = [
+        [str(n)] + [fmt_float(v) for v in (k, k1, 0.5 * (k + k1), k1 - k)]
+        for n, (k, k1) in enumerate(zip(levels, levels[1:]))
+    ]
     _emit(render_csv(header, rows), args.out)
     return 0
 
 
 _SCAN_HEADER = [
-    "case",
-    "q",
-    "alpha",
-    "beta",
-    "gamma",
-    "n",
-    "delta_x",
-    "delta_p",
-    "product",
-    "robertson_bound",
-    "case_bound",
-    "square_sum_bound",
-    "margin_robertson",
-    "margin_case",
+    "case", "q", "alpha", "beta", "gamma", "n", "delta_x", "delta_p", "product",
+    "robertson_bound", "case_bound", "square_sum_bound", "margin_robertson", "margin_case",
 ]
+
 
 def _scan_rows(K: SpectralFunction, levels, D: int) -> list:
     """One row per number-state level, all from one representation of K."""
@@ -371,7 +343,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# argparse takes -1e-3, -1E2 or -inf after a flag for a flag, unless joined by '='
+_FLOAT_OPTIONS = ("--q", "--alpha", "--beta", "--gamma", "--tol", "--q-from", "--q-to")
+_NEGATIVE_FLOAT = re.compile(r"-(\d*\.?\d+(e[-+]?\d+)?|inf|nan)", re.IGNORECASE)
+
+
 def main(argv: Optional[list] = None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for i in reversed(range(1, len(argv))):
+        if argv[i - 1] in _FLOAT_OPTIONS and _NEGATIVE_FLOAT.fullmatch(argv[i]):
+            argv[i - 1 : i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

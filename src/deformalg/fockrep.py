@@ -30,11 +30,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional
 
 import numpy as np
 
-from .spectral import CaseId, SpectralFunction, eval_K
+from .spectral import CaseId, SpectralFunction, level_table
 
 __all__ = [
     "FockRep",
@@ -178,11 +177,11 @@ def build_rep(K: SpectralFunction, D: int = DEFAULT_DIM) -> FockRep:
     """
     if D < 4:
         raise ValueError(f"representation dimension must be >= 4, got {D}")
-    levels = [eval_K(K, n) for n in range(D + 2)]
-    for n, value in enumerate(levels[:D]):
+    levels = level_table(K, 0, D + 1)
+    for n, value in enumerate(levels[:D].tolist()):
         if value < 0.0:
             raise ValueError(f"K({n}) = {value} is negative; sqrt weights undefined")
-    return FockRep(K=K, D=D, levels=np.array(levels))
+    return FockRep(K=K, D=D, levels=levels)
 
 
 def quadratures(rep: FockRep) -> QuadratureSet:
@@ -213,12 +212,7 @@ def commutator(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return A @ B - B @ A
 
 
-def lie_hamilton_rhs(
-    rep: FockRep,
-    quads: QuadratureSet,
-    side: str,
-    k_minus_one: Optional[float] = None,
-) -> np.ndarray:
+def lie_hamilton_rhs(rep: FockRep, quads: QuadratureSet, side: str) -> np.ndarray:
     """Closed-form right side of the equation of motion commutator.
 
     For side='x' returns  C1(N) x + i C2(N) p  and for side='p' returns
@@ -230,14 +224,13 @@ def lie_hamilton_rhs(
 
     K(0..D+1) come from rep.levels.  The K(n-1) value at n = 0 comes from
     the closed form at -1; its contribution provably cancels between the x
-    and p terms, so any finite override (k_minus_one) leaves the window
-    agreement with the true commutator intact.
+    and p terms, so any finite value there leaves the window agreement with
+    the true commutator intact.
     """
     if side not in ("x", "p"):
         raise ValueError(f"side must be 'x' or 'p', got {side!r}")
     D = rep.D
-    k_low = eval_K(rep.K, -1) if k_minus_one is None else float(k_minus_one)
-    k = np.concatenate(([k_low], rep.levels))  # K(-1..D+1)
+    k = np.concatenate((level_table(rep.K, -1, -1), rep.levels))  # K(-1..D+1)
     k_prev, k_n, k_next, k_next2 = (k[j : j + D] for j in range(4))  # K(n-1..n+2)
     # diagonal coefficients applied as row scalings, c[:, None] * M = diag(c) @ M
     c1 = (0.25 * (k_next2 - k_n - k_next + k_prev))[:, None]
@@ -410,13 +403,15 @@ def run_verify_checks(K: SpectralFunction, D: int, margin: int, tol: float, seed
 
 def _structure_rows(rep: FockRep, quads: QuadratureSet, xH, pH, margin: int):
     """Exact ladder structure and Hermiticity, then the windowed identities of every case."""
-    a, ad, N, D = rep.mat_a, rep.mat_ad, rep.mat_N, rep.D
+    a, ad, D = rep.mat_a, rep.mat_ad, rep.D
     x, p, H = quads.mat_x, quads.mat_p, quads.mat_H
     levels = rep.levels[: D + 1]
     delta = levels[1:] - levels[:D]
+    # [N, M]_ij = (i - j) M_ij, exact in integers where the dense products round
+    steps = np.subtract.outer(np.arange(D), np.arange(D))
     yield "ladder_product_diagonal", ad @ a, np.diag(levels[:D]), 0
-    yield "number_raises_creation", commutator(N, ad), ad, 0
-    yield "number_lowers_annihilation", commutator(N, a), -a, 0
+    yield "number_raises_creation", steps * ad, ad, 0
+    yield "number_lowers_annihilation", steps * a, -a, 0
     # a|0>, the first column of a, repeated to a square operand
     yield "vacuum_annihilated", np.broadcast_to(a[:, :1], (D, D)), np.zeros((D, D)), 0
     yield "position_hermitian", x, x.conj().T, 0

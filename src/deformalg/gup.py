@@ -41,6 +41,7 @@ import numpy as np
 
 from .fockrep import (
     FockRep,
+    QuadratureMoments,
     QuadratureSet,
     StateVector,
     expectation,
@@ -104,7 +105,7 @@ def uncertainty_report(state: StateVector, rep: FockRep, quads: QuadratureSet) -
     moments = uncertainty_product(state, quads)
     robertson = 0.5 * abs(moments.xp_commutator_mean)
     diagnostic = square_sum_bound(state, rep)
-    cb = case_bound(state, quads, rep.K)
+    cb = _case_bound(state, quads, rep.K, moments)
     margin_case = None if cb is None else moments.product - cb
     return UncertaintyReport(
         delta_x=moments.delta_x,
@@ -184,9 +185,13 @@ def case_bound(state: StateVector, quads: QuadratureSet, K: SpectralFunction) ->
     operator expectations, not central ones (no mean subtraction).  Returns
     None for the cases without a bound.
     """
+    return _case_bound(state, quads, K, uncertainty_product(state, quads))
+
+
+def _case_bound(state, quads, K, m: QuadratureMoments) -> Optional[float]:
+    """case_bound, with dx and dp read from the state's moments m."""
     if K.case_id is CaseId.ARIK_COON:
         q = K.q
-        m = uncertainty_product(state, quads)
         return (1.0 - (1.0 - q) * (m.delta_x**2 + m.delta_p**2)) / (4.0 * (1.0 + q))
 
     if K.case_id is CaseId.MACFARLANE_BIEDENHARN:
@@ -198,7 +203,6 @@ def case_bound(state: StateVector, quads: QuadratureSet, K: SpectralFunction) ->
 
     if K.case_id is CaseId.NONLINEAR:
         a, b = K.alpha, K.beta
-        m = uncertainty_product(state, quads)
         return (b / 4.0) * (1.0 - (a / b**2) * (m.delta_x**2 + m.delta_p**2))
 
     return None

@@ -31,6 +31,7 @@ __all__ = [
     "DefiningRelation",
     "make_case",
     "eval_K",
+    "level_table",
     "forward_delta",
     "hamiltonian_eigenvalue",
     "defining_relation",
@@ -77,9 +78,6 @@ class SpectralFunction:
     beta: Optional[float] = None
     gamma: Optional[float] = None
     custom_eval: Optional[Callable[[float], float]] = field(default=None, repr=False)
-
-    def __call__(self, n: float) -> float:
-        return eval_K(self, n)
 
     def params(self) -> dict:
         """Present numeric parameters, in fixed (q, alpha, beta, gamma) order."""
@@ -222,6 +220,11 @@ def eval_K(K: SpectralFunction, n: float) -> float:
     return q**b * (q ** (a * n) - q ** (g * n)) / (q**a - q**g)
 
 
+def level_table(K: SpectralFunction, lo: int, hi: int) -> np.ndarray:
+    """K(lo..hi) as a float array, each level evaluated once by eval_K (empty when hi < lo)."""
+    return np.array([eval_K(K, n) for n in range(lo, hi + 1)], dtype=float)
+
+
 def forward_delta(K: SpectralFunction, n: int) -> float:
     """K(n+1) - K(n): the eigenvalue of [a, a'] on level n."""
     return eval_K(K, n + 1) - eval_K(K, n)
@@ -268,12 +271,10 @@ def relation_residual(K: SpectralFunction, rel: DefiningRelation, n_max: int) ->
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
+    levels = level_table(K, 0, n_max + 1).tolist()
     defects = []
     for n in range(n_max + 1):
-        up = eval_K(K, n + 1)
-        down = rel.s * eval_K(K, n)
-        rhs = rel.g(n)
-        scale = max(1.0, abs(up), abs(down), abs(rhs))
-        defects.append(abs(up - down - rhs) / scale)
+        up, down, rhs = levels[n + 1], rel.s * levels[n], rel.g(n)
+        defects.append(abs(up - down - rhs) / max(1.0, abs(up), abs(down), abs(rhs)))
     # np.max propagates NaN, where max() would drop it
     return float(np.max(defects))

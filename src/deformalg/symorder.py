@@ -44,7 +44,7 @@ from typing import Callable, Iterable, Optional
 import numpy as np
 
 from .fockrep import IdentityReport, build_rep, commutator, quadratures
-from .spectral import SpectralFunction, eval_K
+from .spectral import SpectralFunction, level_table
 
 __all__ = [
     "ExprSyntaxError",
@@ -63,7 +63,7 @@ __all__ = [
 _OPERATOR_NAMES = ("a", "ad", "N", "x", "p", "H")
 _PARAMETER_NAMES = ("q", "alpha", "beta", "gamma")
 
-DEFAULT_GRID_MAX = 24
+GRID_MAX = 24
 
 
 class ExprSyntaxError(ValueError):
@@ -378,12 +378,23 @@ class CoefficientFunction:
         self.K = K
         self.terms = {m: c for m, c in sorted(merged.items()) if c != 0}
 
-    def __call__(self, n: float) -> complex:
-        # each distinct atom K(n+k) is evaluated once per call
-        spectral = {k: eval_K(self.K, n + k) for k in {k for _, ks in self.terms for k in ks}}
-        total = 0j
+    def __call__(self, n):
+        """c(n) at an integer level n, or elementwise over an integer array n."""
+        ns = np.atleast_1d(n)
+        value = self._on_levels(ns, *_level_table(self.K, [(self, ns)]))
+        return complex(value[0]) if np.ndim(n) == 0 else value
+
+    def _on_levels(self, n: np.ndarray, table: np.ndarray, lo: int) -> np.ndarray:
+        """c(n) over the integer array n, reading K(m) from table[m - lo]: each monomial
+        is n**j in Python ints, rounded once, times its atoms in ks order, added in order."""
+        atoms = {k: table[n + k - lo] for _, ks in self.terms for k in ks}
+        powers = {j: (n.astype(object) ** j).astype(float) for j, _ in self.terms}
+        total = np.zeros(n.shape, dtype=complex)
         for (j, ks), c in self.terms.items():
-            total += c * math.prod((spectral[k] for k in ks), start=n**j)
+            value = powers[j]
+            for k in ks:
+                value = value * atoms[k]
+            total = total + c * value
         return total
 
     def shift(self, s: int) -> "CoefficientFunction":
@@ -415,6 +426,14 @@ class CoefficientFunction:
                 for (j2, ks2), c2 in other.terms.items()
             ),
         )
+
+
+def _level_table(K: SpectralFunction, evaluations) -> tuple:
+    """K(lo..hi) and lo, spanning every atom K(n+k) of each (coefficient, levels) pair."""
+    reads = [(ns, k) for c, ns in evaluations if ns.size for _, ks in c.terms for k in ks]
+    lo = min((int(ns.min()) + k for ns, k in reads), default=0)
+    hi = max((int(ns.max()) + k for ns, k in reads), default=-1)
+    return level_table(K, lo, hi), lo
 
 
 # ---------------------------------------------------------------------------
@@ -481,14 +500,20 @@ def _constant(K: SpectralFunction, c: complex, d: int = 0) -> dict:
     return {d: coefficient} if coefficient.terms else {}
 
 
-def _order(expr: Expr, K: SpectralFunction, params: dict) -> dict:
+def _parameter(K: SpectralFunction, name: str) -> float:
+    """The value K binds to a named scalar; an error for an unbound name."""
+    value = K.params().get(name)
+    if value is None:
+        raise ValueError(f"parameter {name!r} is not bound for this case")
+    return value
+
+
+def _order(expr: Expr, K: SpectralFunction) -> dict:
     """Offset -> coefficient map of an expression, built bottom-up."""
     if isinstance(expr, Num):
         return _constant(K, expr.value)
     if isinstance(expr, Param):
-        if expr.name not in params or params[expr.name] is None:
-            raise ValueError(f"parameter {expr.name!r} is not bound for this case")
-        return _constant(K, params[expr.name])
+        return _constant(K, _parameter(K, expr.name))
     if isinstance(expr, Sym):
         name = expr.name
         if name == "a":
@@ -502,102 +527,98 @@ def _order(expr: Expr, K: SpectralFunction, params: dict) -> dict:
         if name == "p":
             return _add(_constant(K, 0.5j, +1), _constant(K, -0.5j, -1))
         # H = x^2 + p^2, composed rather than taken from its diagonal closed form
-        x, p = _order(Sym("x"), K, params), _order(Sym("p"), K, params)
+        x, p = _order(Sym("x"), K), _order(Sym("p"), K)
         return _add(_compose(x, x), _compose(p, p))
     if isinstance(expr, KShift):
         return {0: CoefficientFunction(K, [((0, (expr.offset,)), 1.0 + 0.0j)])}
     if isinstance(expr, Neg):
-        return _negate(_order(expr.operand, K, params))
+        return _negate(_order(expr.operand, K))
     if isinstance(expr, Add):
         out: dict = {}
         for term in expr.terms:
-            out = _add(out, _order(term, K, params))
+            out = _add(out, _order(term, K))
         return out
     if isinstance(expr, Mul):
-        out = _order(expr.factors[0], K, params)
+        out = _order(expr.factors[0], K)
         for factor in expr.factors[1:]:
-            out = _compose(out, _order(factor, K, params))
+            out = _compose(out, _order(factor, K))
         return out
     if isinstance(expr, Pow):
         if expr.exponent < 0:
-            scalar = _scalar_value(expr.base, K, params)
+            scalar = _scalar_value(expr.base, K)
             if scalar is None:
                 raise ValueError("negative powers are only defined for scalar expressions")
             return _constant(K, scalar**expr.exponent)
         out = _constant(K, 1.0)
-        base = _order(expr.base, K, params)
+        base = _order(expr.base, K)
         for _ in range(expr.exponent):
             out = _compose(out, base)
         return out
     if isinstance(expr, Div):
-        scalar = _scalar_value(expr.denominator, K, params)
+        scalar = _scalar_value(expr.denominator, K)
         if scalar is None:
             raise ValueError("division is only defined by scalar expressions")
         if scalar == 0:
             raise ZeroDivisionError("division by zero scalar")
-        numerator = _order(expr.numerator, K, params)
+        numerator = _order(expr.numerator, K)
         return {d: c.map_scalars(lambda v: v / scalar) for d, c in numerator.items()}
     if isinstance(expr, Comm):
-        left, right = _order(expr.left, K, params), _order(expr.right, K, params)
+        left, right = _order(expr.left, K), _order(expr.right, K)
         return _add(_compose(left, right), _negate(_compose(right, left)))
     raise TypeError(f"unknown expression node {expr!r}")  # pragma: no cover
 
 
-def _scalar_value(expr: Expr, K: SpectralFunction, params: dict) -> Optional[complex]:
+def _scalar_value(expr: Expr, K: SpectralFunction) -> Optional[complex]:
     """Numeric value of a scalar subexpression, or None if operator-valued.
 
     An expression is a scalar when its only offset is 0 and that
     coefficient is constant.
     """
-    coefficients = _order(expr, K, params)
+    coefficients = _order(expr, K)
     diagonal = coefficients.get(0, CoefficientFunction(K)).terms
     if set(coefficients) - {0} or set(diagonal) - {(0, ())}:
         return None
     return complex(diagonal.get((0, ()), 0.0))
 
 
-def normal_order(
-    expr: Expr, K: SpectralFunction, params: Optional[dict] = None
-) -> NormalForm:
+def normal_order(expr: Expr, K: SpectralFunction) -> NormalForm:
     """Compose an expression's canonical normal form over K's algebra.
 
-    Scalar parameters (q, alpha, beta, gamma) default to the values bound
-    in K; pass `params` to override or extend.
+    Scalar parameters (q, alpha, beta, gamma) take the values bound in K.
     """
-    bound = dict(K.params())
-    if params:
-        bound.update(params)
-    return NormalForm(K=K, coefficients=_order(expr, K, bound))
+    return NormalForm(K=K, coefficients=_order(expr, K))
 
 
 def nf_equal(
     lhs: NormalForm,
     rhs: NormalForm,
-    n_max: int = DEFAULT_GRID_MAX,
     tol: float = 1e-10,
     name: str = "normal-form equality",
 ) -> IdentityReport:
-    """Decide equality of two normal forms on the integer grid 0..n_max.
+    """Decide equality of two normal forms of one K on the integer grid 0..GRID_MAX.
 
     For d < 0 the levels n < |d| are skipped (the ladder action vanishes
     there, so the coefficients are unconstrained).  The reported deviation
     is normalized per grid point by max(1, |lhs|, |rhs|); a NaN deviation
-    anywhere is reported and fails.
+    anywhere is reported and fails.  One level table serves both sides, so
+    no level is evaluated twice.
     """
-    if n_max < 8:
-        raise ValueError(f"n_max must be >= 8, got {n_max}")
-    deviations = []
-    for d in set(lhs.support()) | set(rhs.support()):
-        cl = lhs.coefficient(d)
-        cr = rhs.coefficient(d)
-        for n in range(max(0, -d), n_max + 1):
-            vl, vr = cl(n), cr(n)
-            deviations.append(abs(vl - vr) / max(1.0, abs(vl), abs(vr)))
+    if lhs.K != rhs.K:
+        raise ValueError("nf_equal compares normal forms of one spectral function")
+    pairs = [
+        (lhs.coefficient(d), rhs.coefficient(d), np.arange(max(0, -d), GRID_MAX + 1))
+        for d in sorted(set(lhs.support()) | set(rhs.support()))
+    ]
+    table, lo = _level_table(lhs.K, [(c, ns) for cl, cr, ns in pairs for c in (cl, cr)])
+    deviations = [np.zeros(0)]
+    for cl, cr, ns in pairs:
+        vl, vr = cl._on_levels(ns, table, lo), cr._on_levels(ns, table, lo)
+        deviations.append(np.abs(vl - vr) / np.maximum(np.maximum(1.0, np.abs(vl)), np.abs(vr)))
     # np.max propagates NaN, where max() would drop it and pass the check
-    worst = float(np.max(deviations, initial=0.0))
+    worst = float(np.max(np.concatenate(deviations), initial=0.0))
     return IdentityReport(
         name=name,
-        window=n_max + 1,
+        window=GRID_MAX + 1,
         max_abs_residual=worst,
         tol=tol,
         passed=math.isfinite(worst) and worst <= tol,
@@ -618,22 +639,18 @@ def nf_to_matrix(nf: NormalForm, D: int) -> np.ndarray:
         weight = np.ones(cols.size)
         for j in range(abs(d)):
             weight *= roots[cols + j if d > 0 else cols - j - 1]
-        M[cols + d, cols] += np.array([cfn(n) for n in cols.tolist()], dtype=complex) * weight
+        M[cols + d, cols] += cfn(cols) * weight
     return M
 
 
-def expr_to_matrix(
-    expr: Expr, K: SpectralFunction, D: int, params: Optional[dict] = None
-) -> np.ndarray:
+def expr_to_matrix(expr: Expr, K: SpectralFunction, D: int) -> np.ndarray:
     """Evaluate an expression directly in the truncated matrix representation.
 
     Independent of the composition engine: symbols map to truncated
-    matrices and the AST is evaluated with matrix arithmetic.  Used as the
-    oracle against which normal-ordered realizations are cross-checked.
+    matrices, K(N+k) to the diagonal of level_table(K, k, k + D - 1), and
+    the AST is evaluated with matrix arithmetic.  Used as the oracle
+    against which normal-ordered realizations are cross-checked.
     """
-    bound = dict(K.params())
-    if params:
-        bound.update(params)
     rep = build_rep(K, D)
     quads = quadratures(rep)
     identity = np.eye(D, dtype=complex)
@@ -642,15 +659,13 @@ def expr_to_matrix(
         if isinstance(node, Num):
             return node.value * identity
         if isinstance(node, Param):
-            if node.name not in bound or bound[node.name] is None:
-                raise ValueError(f"parameter {node.name!r} is not bound for this case")
-            return complex(bound[node.name]) * identity
+            return complex(_parameter(K, node.name)) * identity
         if isinstance(node, Sym):
             # operators are formed on first use: H only for expressions that name it
             owner = quads if node.name in ("x", "p", "H") else rep
             return getattr(owner, "mat_" + node.name)
         if isinstance(node, KShift):
-            return np.diag([eval_K(K, n + node.offset) for n in range(D)]).astype(complex)
+            return np.diag(level_table(K, node.offset, node.offset + D - 1)).astype(complex)
         if isinstance(node, Neg):
             return -ev(node.operand)
         if isinstance(node, Add):
@@ -665,7 +680,7 @@ def expr_to_matrix(
             return out
         if isinstance(node, Pow):
             if node.exponent < 0:
-                scalar = _scalar_value(node.base, K, bound)
+                scalar = _scalar_value(node.base, K)
                 if scalar is None:
                     raise ValueError("negative powers are only defined for scalar expressions")
                 return scalar**node.exponent * identity
@@ -675,7 +690,7 @@ def expr_to_matrix(
                 out = out @ base
             return out
         if isinstance(node, Div):
-            scalar = _scalar_value(node.denominator, K, bound)
+            scalar = _scalar_value(node.denominator, K)
             if scalar is None:
                 raise ValueError("division is only defined by scalar expressions")
             return ev(node.numerator) / scalar

@@ -1,0 +1,175 @@
+"""Byte comparison of the command line and the demos between a git ref and the working tree.
+
+Usage:  python tests/compare_cli.py <git-ref>
+
+The ref is exported with `git archive` into a temporary directory.  Each tree
+then runs one fixed call list through deformalg.cli.main, in-process in one
+subprocess per tree, followed by its four demos.  Every call whose exit code,
+stdout or stderr differs is printed with a unified diff.  Exits 1 on any
+difference and 0 when every call and demo is byte-identical.
+
+The call list is read from this tree: the golden commands of
+tests/regen_goldens.py, the three perfbench workloads at seeds 1 and 2,
+20-level tables and CSV verify runs at D = 8 and 32 on the six cases, and a
+set of usage errors.  Standard library only.
+"""
+
+from __future__ import annotations
+
+import difflib
+import io
+import json
+import os
+import pathlib
+import shlex
+import subprocess
+import sys
+import tarfile
+import tempfile
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+USAGE_ERRORS = [
+    [],
+    ["verify", "--case", "no-such-case"],
+    ["verify", "--case", "arik-coon", "--q", "-1"],
+    ["verify", "--case", "arik-coon", "--q", "inf", "--dim", "8"],
+    ["verify", "--case", "nonlinear", "--alpha", "nan", "--beta", "2", "--dim", "8"],
+    ["verify", "--case", "chung", "--q", "0.7"],
+    ["verify", "--case", "classical", "--dim", "3"],
+    ["verify", "--case", "classical", "--margin", "0"],
+    ["gup-scan", "--case", "chung", "--q", "0.7", "--alpha=-inf", "--beta", "0.5", "--dim", "8"],
+    ["gup-scan", "--case", "classical", "--n-from", "0", "--n-to", "29"],
+    ["gup-scan", "--case", "classical", "--q-from", "0.25", "--q-to", "0.75"],
+    ["gup-scan", "--case", "arik-coon", "--q", "0.5", "--q-from", "0.25"],
+    ["gup-scan", "--case", "classical", "--format", "json"],
+    ["table", "--case", "classical", "--levels", "30", "--dim", "32"],
+    ["table", "--case", "classical", "--levels", "0"],
+    ["table", "--case", "classical", "--format", "json"],
+    ["symbolic", "--case", "classical"],
+    ["symbolic", "--case", "classical", "--check", "no_such_builtin"],
+    ["symbolic", "--case", "classical", "--check", "a*ad == ad*"],
+    ["symbolic", "--case", "classical", "--check", "x^1e400 == x"],
+    ["symbolic", "--case", "classical", "--check", "x/a == x"],
+    ["symbolic", "--case", "classical", "--check", "x/0 == x"],
+    ["symbolic", "--case", "arik-coon", "--q", "0.7", "--check", "alpha == 1"],
+    ["symbolic", "--case", "classical", "--check", "a*ad == ad*a"],
+]
+
+# Runs inside the tree given as argv[1]: the labelled calls arrive on stdin as
+# JSON, and {label: [exit code, stdout, stderr]} leaves on stdout.
+CHILD = r"""
+import contextlib, io, json, pathlib, runpy, sys, traceback
+tree = pathlib.Path(sys.argv[1]).resolve()
+sys.path.insert(0, str(tree / "src"))
+from deformalg import cli
+if not pathlib.Path(cli.__file__).resolve().is_relative_to(tree):
+    sys.exit(f"deformalg imported from {cli.__file__}, not from {tree}")
+calls = json.load(sys.stdin)
+results = {}
+for label, argv in calls:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.main(argv)
+    results[label] = [rc, out.getvalue(), err.getvalue()]
+for demo in sorted((tree / "demos").glob("*.py")):
+    out, err = io.StringIO(), io.StringIO()
+    rc = 0
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            runpy.run_path(str(demo), run_name="__main__")
+        except Exception:
+            traceback.print_exc()
+            rc = 1
+    results["demo " + demo.name] = [rc, out.getvalue(), err.getvalue()]
+json.dump(results, sys.stdout)
+"""
+
+
+def call_list() -> dict:
+    """label -> argv, in a fixed order, with repeated calls listed once."""
+    sys.path[:0] = [str(ROOT / "tests"), str(ROOT / "perfbench")]
+    import regen_goldens
+    import workloads
+
+    argvs = list(regen_goldens.COMMANDS.values())
+    for seed in (1, 2):
+        for workload in workloads.WORKLOADS:
+            argvs += [op.argv for op in workloads.build(workload, seed)]
+    for case, params in workloads.CASES.items():
+        argvs.append(["table", "--case", case, *params, "--levels", "20"])
+        for dim in ("8", "32"):
+            argvs.append(
+                ["verify", "--case", case, *params, "--format", "csv", "--margin", "5",
+                 "--seed", "9", "--dim", dim]
+            )
+    argvs += USAGE_ERRORS
+    return {shlex.join(argv): argv for argv in argvs}
+
+
+def run_tree(tree: pathlib.Path, calls: dict) -> dict:
+    env = {k: v for k, v in os.environ.items() if k not in ("DEFORMALG_SEED", "PYTHONPATH")}
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
+    done = subprocess.run(
+        [sys.executable, "-c", CHILD, str(tree)],
+        input=json.dumps(list(calls.items())),
+        capture_output=True,
+        text=True,
+        cwd=tree,
+        env=env,
+    )
+    if done.returncode != 0:
+        sys.exit(f"calls in {tree} failed:\n{done.stderr}")
+    return json.loads(done.stdout)
+
+
+def export(ref: str, target: pathlib.Path) -> None:
+    archive = subprocess.run(
+        ["git", "-C", str(ROOT), "archive", "--format=tar", ref], capture_output=True, check=True
+    ).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(target)
+
+
+def diff_lines(old: str, new: str, what: str, label: str) -> list:
+    return list(
+        difflib.unified_diff(
+            old.splitlines(keepends=True),
+            new.splitlines(keepends=True),
+            f"{label} {what} (ref)",
+            f"{label} {what} (working tree)",
+        )
+    )
+
+
+def main(argv: list) -> int:
+    if len(argv) != 1:
+        print(__doc__.strip().splitlines()[2], file=sys.stderr)
+        return 2
+    calls = call_list()
+    with tempfile.TemporaryDirectory() as tmp:
+        base = pathlib.Path(tmp)
+        export(argv[0], base)
+        before = run_tree(base, calls)
+    after = run_tree(ROOT, calls)
+    differing = 0
+    for label in dict.fromkeys([*before, *after]):
+        old, new = before.get(label), after.get(label)
+        if old == new:
+            continue
+        differing += 1
+        print(f"=== {label}")
+        if old is None or new is None:
+            print("    present in only one tree")
+            continue
+        if old[0] != new[0]:
+            print(f"    exit code {old[0]} -> {new[0]}")
+        for index, what in ((1, "stdout"), (2, "stderr")):
+            sys.stdout.writelines(diff_lines(old[index], new[index], what, label))
+    print(f"{len(after)} calls and demos compared with {argv[0]}: {differing} differ")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -126,6 +126,49 @@ class TestExitCodes:
         assert cp.returncode == 2
 
 
+WORKLOAD_CASES = [
+    ["classical"],
+    ["arik-coon", "--q", "0.7"],
+    ["macfarlane-biedenharn", "--q", "1.5"],
+    ["chung", "--q", "0.7", "--alpha", "2", "--beta", "0.5"],
+    ["borzov", "--q", "1.5", "--alpha", "0.5", "--beta", "1", "--gamma", "2"],
+    ["nonlinear", "--alpha", "1", "--beta", "2"],
+]
+
+
+class TestVerifyScale:
+    @pytest.mark.parametrize("case_args", WORKLOAD_CASES, ids=lambda args: args[0])
+    def test_exact_rows_pass_at_dim_256(self, case_args):
+        # the margin-0 rows are held to 1e-14 at every size, where a dense
+        # [N, ad] would round (n+1)s - ns by about n eps s
+        cp = run_cli("verify", "--case", *case_args, "--dim", "256")
+        failed = [c["name"] for c in json.loads(cp.stdout)["checks"] if not c["pass"]]
+        assert cp.returncode == 0 and failed == []
+
+
+class TestNegativeFloatValues:
+    def test_scientific_negative_matches_equals_form(self):
+        base = ["gup-scan", "--case", "chung", "--q", "0.7", "--beta", "0.5"]
+        spaced = run_cli(*base, "--alpha", "-1e-3")
+        joined = run_cli(*base, "--alpha=-1e-3")
+        assert spaced.returncode == 0, spaced.stderr
+        assert spaced == joined
+
+    @pytest.mark.parametrize("value", ["-1E2", "-2.5e+1", "-.5"])
+    def test_other_negative_forms_reach_the_case(self, value):
+        base = ["table", "--case", "chung", "--q", "0.7", "--beta", "0.5"]
+        cp = run_cli(*base, "--alpha", value)
+        assert cp == run_cli(*base, f"--alpha={value}")
+        assert cp.returncode == 0, cp.stderr
+
+    def test_negative_infinity_is_a_finite_parameter_error(self):
+        cp = run_cli(
+            "gup-scan", "--case", "chung", "--q", "0.7", "--alpha", "-inf", "--beta", "0.5"
+        )
+        assert cp.returncode == 2 and cp.stdout == ""
+        assert "alpha must be finite" in cp.stderr
+
+
 class TestTable:
     def test_classical_hamiltonian_column(self):
         cp = run_cli("table", "--case", "classical", "--levels", "3")

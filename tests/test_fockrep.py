@@ -24,6 +24,7 @@ from deformalg import (
     uncertainty_product,
     verify_window,
 )
+from deformalg import fockrep
 from deformalg.fockrep import run_verify_checks, scaled_max_residual
 
 
@@ -79,9 +80,6 @@ class TestBuildRep:
         square_sum_bound(random_state(8, 3), rep)
         lie_hamilton_rhs(rep, quads, "x")
         assert calls == [-1]
-        calls.clear()
-        lie_hamilton_rhs(rep, quads, "p", k_minus_one=0.0)
-        assert calls == []
 
     def test_dimension_and_negativity_rejected(self):
         with pytest.raises(ValueError):
@@ -209,16 +207,13 @@ class TestWindowedIdentities:
         assert verify_window(rhs, closed, tol=1e-12).passed
 
     @pytest.mark.parametrize("side", ["x", "p"])
-    @pytest.mark.parametrize("k_minus_one", [None, 37.5])
     @pytest.mark.parametrize("K", representative_cases() + custom_cases(), ids=str)
-    def test_lie_hamilton_rhs_matches_per_element_formula(self, K, side, k_minus_one):
+    def test_lie_hamilton_rhs_matches_per_element_formula(self, K, side):
         D = 16
         rep = build_rep(K, D)
         quads = quadratures(rep)
         # the per-level formula, one K evaluation per level, as an oracle
         kvals = {m: eval_K(K, m) for m in range(-1, D + 2)}
-        if k_minus_one is not None:
-            kvals[-1] = float(k_minus_one)
         c1 = np.array(
             [0.25 * (kvals[n + 2] - kvals[n] - kvals[n + 1] + kvals[n - 1]) for n in range(D)]
         )[:, None]
@@ -229,17 +224,40 @@ class TestWindowedIdentities:
             oracle = c1 * quads.mat_x + 1j * (c2 * quads.mat_p)
         else:
             oracle = c1 * quads.mat_p - 1j * (c2 * quads.mat_x)
-        rhs = lie_hamilton_rhs(rep, quads, side, k_minus_one=k_minus_one)
+        rhs = lie_hamilton_rhs(rep, quads, side)
         assert rhs.tobytes() == oracle.tobytes()
 
     def test_k_minus_one_extension_is_irrelevant_on_window(self):
-        K = make_case(CaseId.MACFARLANE_BIEDENHARN, q=1.5)
-        rep = build_rep(K, 16)
-        quads = quadratures(rep)
-        lhs = commutator(quads.mat_x, quads.mat_H)
-        for override in (eval_K(K, -1), 37.5):
-            rhs = lie_hamilton_rhs(rep, quads, "x", k_minus_one=override)
+        mb = make_case(CaseId.MACFARLANE_BIEDENHARN, q=1.5)
+        for k_minus_one in (eval_K(mb, -1), 37.5):
+            # Macfarlane-Biedenharn at every level but -1
+            K = make_case(
+                CaseId.CUSTOM,
+                custom_eval=lambda n, low=k_minus_one: low if n == -1 else eval_K(mb, n),
+            )
+            rep = build_rep(K, 16)
+            quads = quadratures(rep)
+            lhs = commutator(quads.mat_x, quads.mat_H)
+            rhs = lie_hamilton_rhs(rep, quads, "x")
             assert verify_window(lhs, rhs).passed
+
+    def test_k_minus_one_nan_fails_and_raise_propagates(self):
+        mb = make_case(CaseId.MACFARLANE_BIEDENHARN, q=1.5)
+        nan_low = make_case(
+            CaseId.CUSTOM, custom_eval=lambda n: math.nan if n == -1 else eval_K(mb, n)
+        )
+        checks = {c.name: c for c in run_verify_checks(nan_low, 16, 3, 1e-10, 0)}
+        for side in ("x", "p"):
+            report = checks[f"lie_hamilton_{side}"]
+            assert math.isnan(report.max_abs_residual) and not report.passed
+
+        def raising(n):
+            if n == -1:
+                raise ArithmeticError("K(-1) undefined")
+            return eval_K(mb, n)
+
+        with pytest.raises(ArithmeticError, match="K\\(-1\\) undefined"):
+            run_verify_checks(make_case(CaseId.CUSTOM, custom_eval=raising), 16, 3, 1e-10, 0)
 
     def test_negative_control_detects_wrong_spectrum(self):
         D = 32
@@ -392,3 +410,18 @@ class TestVerifySuite:
         robertson = checks["robertson_inequality_random_states"]
         assert math.isnan(robertson.max_abs_residual)
         assert not robertson.passed
+
+    def test_creation_on_the_wrong_diagonal_fails_the_exact_row(self, monkeypatch):
+        def misplaced(K, D):
+            rep = build_rep(K, D)
+            # ad's weights on offset 2, entries (n + 2, n), instead of offset 1
+            rep.__dict__["mat_ad"] = np.diag(np.sqrt(rep.levels[1 : D - 1]), -2).astype(complex)
+            return rep
+
+        monkeypatch.setattr(fockrep, "build_rep", misplaced)
+        K = make_case(CaseId.ARIK_COON, q=0.7)
+        checks = {c.name: c for c in run_verify_checks(K, 16, 3, 1e-10, seed=0)}
+        # [N, ad] is then 2 ad: half the scale of the row, far above EXACT_TOL
+        assert not checks["number_raises_creation"].passed
+        assert checks["number_raises_creation"].max_abs_residual >= 0.25
+        assert checks["number_lowers_annihilation"].passed

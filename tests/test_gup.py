@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import representative_cases
+from deformalg import gup
 from deformalg import (
     CaseId,
     build_rep,
@@ -330,6 +331,20 @@ class TestCaseBounds:
                 assert report.margin_case == report.product - bound
             else:
                 assert report.margin_case is None
+
+    @pytest.mark.parametrize("K", representative_cases(), ids=str)
+    def test_report_takes_the_moments_once(self, K, monkeypatch):
+        calls = []
+
+        def counted(state, quads):
+            calls.append(state)
+            return uncertainty_product(state, quads)
+
+        monkeypatch.setattr(gup, "uncertainty_product", counted)
+        D = 12
+        rep = build_rep(K, D)
+        uncertainty_report(number_state(D, 2), rep, quadratures(rep))
+        assert len(calls) == 1
 
     def test_case_without_bound_gives_none(self):
         K = classical()

@@ -1,6 +1,7 @@
 """Spectral function catalog: closed forms, limits, defining relations."""
 
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from deformalg import (
     make_case,
     relation_residual,
 )
+from deformalg.spectral import DEGENERATE_TOL, NEAR_SINGULAR
 
 
 def geometric_sum(q, n):
@@ -238,3 +240,91 @@ class TestParameterValidation:
     def test_valid_parameters_accepted(self):
         for case, params in CATALOG_PARAMS.items():
             assert make_case(case, **params).case_id is case
+
+
+EPS = sys.float_info.epsilon
+
+# (case, switch, parameter): every branch switch of the catalog, with the
+# parameter that crosses it.  A "degenerate" switch enters a limit branch at
+# DEGENERATE_TOL; a "near" switch leaves the expm1/sinh forms for the direct
+# quotient at NEAR_SINGULAR.  Chung and Borzov cross their near switch in
+# (alpha - 1) d and (alpha - gamma) d, with d = ln q.
+BRANCH_SWITCHES = [
+    (CaseId.ARIK_COON, "degenerate", "q"),
+    (CaseId.ARIK_COON, "near", "q"),
+    (CaseId.MACFARLANE_BIEDENHARN, "degenerate", "q"),
+    (CaseId.MACFARLANE_BIEDENHARN, "near", "q"),
+    (CaseId.CHUNG, "degenerate", "q"),
+    (CaseId.CHUNG, "degenerate", "alpha"),
+    (CaseId.CHUNG, "near", "alpha"),
+    (CaseId.BORZOV, "degenerate", "q"),
+    (CaseId.BORZOV, "degenerate", "alpha"),
+    (CaseId.BORZOV, "near", "alpha"),
+]
+
+
+def straddle(inside, start, center):
+    """Adjacent floats (p_in, p_out) with inside(p_in) and not inside(p_out),
+    found by unit steps from start; center lies inside the branch."""
+    out = math.copysign(math.inf, start - center)
+    p = start
+    while not inside(p):
+        p = math.nextafter(p, center)
+    while inside(math.nextafter(p, out)):
+        p = math.nextafter(p, out)
+    return p, math.nextafter(p, out)
+
+
+class TestBranchContinuity:
+    @settings(max_examples=400, derandomize=True, database=None, deadline=None)
+    @given(
+        switch=st.sampled_from(BRANCH_SWITCHES),
+        n=st.integers(0, 40),
+        side=st.sampled_from((-1.0, 1.0)),
+        q=st.floats(0.5, 2.0).filter(lambda q: abs(q - 1.0) >= 0.05),
+        exponents=st.tuples(*[st.floats(-2.0, 2.0)] * 3),
+    )
+    def test_catalog_k_is_continuous_across_its_branch_switches(
+        self, switch, n, side, q, exponents
+    ):
+        case, kind, parameter = switch
+        params = {"q": q}
+        if case is CaseId.CHUNG:
+            params.update(alpha=exponents[0], beta=exponents[1])
+        if case is CaseId.BORZOV:
+            params.update(alpha=exponents[0], beta=exponents[1], gamma=exponents[2])
+        d = math.log1p(q - 1.0)
+        tol_at = {"degenerate": DEGENERATE_TOL, "near": NEAR_SINGULAR}[kind]
+        if parameter == "q":
+            center, start = 1.0, 1.0 + side * tol_at
+
+            def inside(v):
+                return abs(v - 1.0) <= tol_at if kind == "degenerate" else abs(v - 1.0) < tol_at
+
+        else:
+            center = 1.0 if case is CaseId.CHUNG else params["gamma"]
+            start = center + side * (tol_at if kind == "degenerate" else tol_at / abs(d))
+
+            def inside(v):
+                if kind == "degenerate":
+                    return abs(v - center) <= tol_at
+                return abs((v - center) * d) < tol_at
+
+        p_in, p_out = straddle(inside, start, center)
+        k_in = eval_K(make_case(case, **dict(params, **{parameter: p_in})), n)
+        k_out = eval_K(make_case(case, **dict(params, **{parameter: p_out})), n)
+
+        # delta: the switch variable in units of the exponent, d at a q switch
+        # and (alpha - center) d at an alpha switch; scale bounds the exponents
+        d_in = math.log1p(p_in - 1.0) if parameter == "q" else d
+        delta = d_in if parameter == "q" else (p_in - center) * d
+        scale = max([1.0] + [abs(params[k]) for k in ("alpha", "beta", "gamma") if k in params])
+        # the limit branch drops the first-order term of K's expansion, about
+        # n |delta| of K per unit exponent; the direct quotient cancels about
+        # eps/|delta|; both round their powers of q by about n eps per unit ln q
+        rounding = 8.0 * EPS * (1.0 + n * scale * max(1.0, abs(d_in)))
+        if kind == "degenerate":
+            tol = 2.0 * n * scale * abs(delta) + rounding
+        else:
+            tol = 4.0 * (1.0 + scale * abs(d_in)) * EPS / abs(delta) + rounding
+        assert abs(k_in - k_out) <= tol * max(abs(k_in), abs(k_out)), (p_in, p_out, k_in, k_out)

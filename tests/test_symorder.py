@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_words, representative_cases
+from conftest import custom_cases, random_words, representative_cases
 from deformalg import (
     BUILTIN_IDENTITIES,
     CaseId,
@@ -36,8 +36,21 @@ GRAMMAR_TOKENS = (
 )
 
 
+COMPOSITE = "comm(H^3,x^3) == H^3*x^3 - x^3*H^3"
+
+
 def classical():
     return make_case(CaseId.CLASSICAL)
+
+
+def per_level(c, n):
+    """A coefficient at one level, the loop form: each atom K(n+k) by eval_K,
+    each monomial from n**j in Python ints, the monomials summed in order."""
+    spectral = {k: eval_K(c.K, n + k) for _, ks in c.terms for k in ks}
+    total = 0j
+    for (j, ks), scalar in c.terms.items():
+        total += scalar * math.prod((spectral[k] for k in ks), start=n**j)
+    return total
 
 
 class TestParser:
@@ -249,11 +262,39 @@ class TestNormalFormEquality:
         assert math.isnan(report.max_abs_residual)
         assert not report.passed
 
-    def test_grid_validation(self):
-        K = classical()
-        nf = normal_order(parse_expr("a"), K)
-        with pytest.raises(ValueError):
-            nf_equal(nf, nf, n_max=4)
+    @pytest.mark.parametrize("identity", [BUILTIN_IDENTITIES["lh_x"], COMPOSITE])
+    def test_each_level_is_evaluated_once_per_call(self, identity):
+        calls = []
+
+        def counted(n):
+            calls.append(n)
+            return n * (n + 1.0)
+
+        K = make_case(CaseId.CUSTOM, custom_eval=counted)
+        lhs, rhs = (normal_order(side, K) for side in parse_identity(identity))
+        calls.clear()
+        assert nf_equal(lhs, rhs).passed
+        assert calls and len(calls) == len(set(calls))
+
+
+class TestCoefficientEvaluation:
+    WORDS = [
+        "N^3*K(N-1)*ad^2*a + 2.5i*N^2 - comm(N^2, x)",
+        "comm(H^2,x^2)",
+        "(1/3)*N^7*a^3 - K(N+2)*N*ad",
+        "-0.0*ad + x*K(N)*p",
+    ]
+
+    @pytest.mark.parametrize("K", representative_cases() + custom_cases(), ids=str)
+    def test_array_evaluation_is_the_per_level_loop_bit_for_bit(self, K):
+        exprs = [parse_expr(text) for text in self.WORDS]
+        exprs += list(random_words(seed=7, count=40, max_len=5))
+        for expr in exprs:
+            for d, c in normal_order(expr, K).coefficients.items():
+                ns = np.arange(max(0, -d), 30)
+                expected = np.array([per_level(c, n) for n in ns.tolist()], dtype=complex)
+                assert c(ns).tobytes() == expected.tobytes(), (expr, d)
+                assert np.array([c(int(ns[-1]))]).tobytes() == expected[-1:].tobytes()
 
 
 class TestRealization:
