@@ -1,6 +1,7 @@
-"""Matrix-engine walkthrough: build a representation, verify identities.
+"""Operator-engine walkthrough: build a representation, verify identities.
 
-Shows the truncated ladder matrices, the quadratures, and the windowed
+Shows the truncated ladder operators, stored as bands (offset d holds the
+entries M[j+d, j]), the quadratures, and the windowed
 verification of every operator identity the algebra satisfies, including
 a deliberate negative control.
 """
@@ -8,6 +9,7 @@ a deliberate negative control.
 import numpy as np
 
 from deformalg import (
+    Band,
     CaseId,
     build_rep,
     commutator,
@@ -28,20 +30,20 @@ def main():
 
     print(f"geometric deformation q = {q}, dimension D = {D}")
     print("lowering-operator weights sqrt(K(n)), n = 1..5:",
-          np.round([rep.mat_a[n - 1, n].real for n in range(1, 6)], 6))
+          np.round(rep.mat_a.diagonals[-1][:5].real, 6))
 
     levels = np.array([eval_K(K, n) for n in range(D + 1)])
-    delta = np.diag(levels[1:] - levels[:-1]).astype(complex)
-    hdiag = np.diag(0.5 * (levels[:-1] + levels[1:])).astype(complex)
+    delta = Band.diagonal(levels[1:] - levels[:-1])
+    hdiag = Band.diagonal(0.5 * (levels[:-1] + levels[1:]))
     nn = np.arange(D, dtype=float)
 
     checks = [
-        ("a'a = diag K(n)            ", rep.mat_ad @ rep.mat_a, np.diag(levels[:D]).astype(complex)),
+        ("a'a = diag K(n)            ", rep.mat_ad @ rep.mat_a, Band.diagonal(levels[:D])),
         ("[a, a'] = K(N+1) - K(N)    ", commutator(rep.mat_a, rep.mat_ad), delta),
         ("H = (K(N) + K(N+1))/2      ", quads.mat_H, hdiag),
         ("[x, p] = (i/2) dK          ", quads.mat_xp, 0.5j * delta),
         ("[x, p] = (i/2) q^N         ", quads.mat_xp,
-         0.5j * np.diag(q**nn).astype(complex)),
+         0.5j * Band.diagonal(q**nn)),
         ("[x, H] = equation of motion", commutator(quads.mat_x, quads.mat_H),
          lie_hamilton_rhs(rep, quads, "x")),
         ("[p, H] = equation of motion", commutator(quads.mat_p, quads.mat_H),
@@ -53,7 +55,7 @@ def main():
         print(f"  {name:<30} {report.max_abs_residual:>12.3e}  {report.passed}")
 
     # negative control: feed the checker a wrong spectrum
-    wrong = np.diag([0.5 * ((n + 0.1) + (n + 1.1)) for n in range(D)]).astype(complex)
+    wrong = Band.diagonal([0.5 * ((n + 0.1) + (n + 1.1)) for n in range(D)])
     bad = verify_window(quads.mat_H, wrong, name="wrong spectrum control")
     print(f"\n  negative control (spectrum shifted by 0.1): residual "
           f"{bad.max_abs_residual:.3e}, pass = {bad.passed}")

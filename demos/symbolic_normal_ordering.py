@@ -2,7 +2,7 @@
 
 Normal-orders textbook expressions, prints their canonical coefficient
 tables, and cross-checks the composed normal forms against direct truncated
-matrix products.
+operator products.
 """
 
 from deformalg import (
@@ -58,8 +58,9 @@ def main():
     D = 10
     M = nf_to_matrix(normal_order(parse_expr("x*p - p*x"), K), D)
     direct = expr_to_matrix(parse_expr("x*p - p*x"), K, D)
-    print(f"  corner entry, realization: {M[D-1, D-1]:.6f}")
-    print(f"  corner entry, truncated commutator: {direct[D-1, D-1]:.6f}")
+    # the corner entry (D-1, D-1) is the last entry of the diagonal, offset 0
+    print(f"  corner entry, realization: {M.diagonals[0][-1]:.6f}")
+    print(f"  corner entry, truncated commutator: {direct.diagonals[0][-1]:.6f}")
 
 
 if __name__ == "__main__":

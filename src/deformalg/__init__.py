@@ -2,12 +2,13 @@
 
 Five deformation families (plus user spectra) are described by a spectral
 function K with a'a = K(N).  The package builds truncated Fock-space
-matrix representations, verifies the operator identities of the algebra
+representations as banded operators, verifies the operator identities of the algebra
 both numerically and by symbolic normal ordering, and evaluates
 generalized uncertainty bounds and Hamiltonian-to-level inversions.
 """
 
 from .fockrep import (
+    Band,
     FockRep,
     IdentityReport,
     QuadratureMoments,

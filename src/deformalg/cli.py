@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
@@ -263,7 +264,7 @@ def cmd_symbolic(args, seed: int) -> int:
         nf_report = symorder.nf_equal(nf_l, nf_r, tol=args.tol)
         mat_l = symorder.expr_to_matrix(lhs, K, args.dim)
         mat_r = symorder.expr_to_matrix(rhs, K, args.dim)
-    except (symorder.ExprSyntaxError, ValueError, ZeroDivisionError) as exc:
+    except (symorder.ExprSyntaxError, ValueError, ZeroDivisionError, OverflowError) as exc:
         raise UsageError(str(exc)) from exc
     residual = fockrep.scaled_max_residual(mat_l, mat_r, args.margin)
     matrix_pass = residual <= args.tol
@@ -358,6 +359,10 @@ def main(argv: Optional[list] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else 2
+    # negated so that NaN is rejected too
+    if not (math.isfinite(args.tol) and args.tol >= 0.0):
+        print(f"error: tol must be finite and non-negative, got {args.tol}", file=sys.stderr)
+        return 2
     env_seed = os.environ.get("DEFORMALG_SEED")
     if env_seed is not None:
         try:

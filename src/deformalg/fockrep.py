@@ -1,12 +1,17 @@
-"""Truncated Fock-space matrix representations and identity checks.
+"""Truncated Fock-space representations as banded operators, and identity checks.
+
+Every operator of a truncated representation is a Band: offset d holds the
+entries M[j+d, j].  The ladder operators, x and p have bandwidth 1, x^2, p^2,
+H and [x, p] bandwidth 2, [x, H] and [p, H] bandwidth 3, so each product and
+each check costs O(D) time and memory, and no D x D array is formed.
 
 A representation is its level table: FockRep holds K(0..D+1), evaluated
-once, and derives from it the dense complex ladder matrices a, a' and N.
-A QuadratureSet holds the quadratures x = (a' + a)/2, p = i(a' - a)/2 and
-forms every derived operator once, on first use: x^2, p^2, [x, p], the
-Hamiltonian H = x^2 + p^2 and the fourth-moment operator.  Operator
-identities are verified on the sub-block where the truncation is faithful
-to the infinite-dimensional algebra.
+once, and derives from it the ladder bands a, a' and N.  A QuadratureSet
+holds the quadratures x = (a' + a)/2, p = i(a' - a)/2 and forms [x, p] and
+the Hamiltonian H = x^2 + p^2 once, on first use.  The moments of a state
+read only x psi and p psi.  Operator identities are verified on the
+sub-block where the truncation is faithful to the infinite-dimensional
+algebra.
 
 run_verify_checks is the identity suite of one case: one table of
 (name, lhs, rhs, margin) rows, the exact ladder structure at margin 0,
@@ -15,9 +20,9 @@ states and the closed forms of the case.
 
 Truncation policy: identities involving K(N+2) shift levels by up to two,
 so they are asserted only on rows and columns 0..D-1-margin (margin 3 by
-default).  H is always computed as the matrix product x^2 + p^2, never
-from its diagonal closed form, so that the closed form stays a verified
-claim rather than a definition.
+default).  H is always computed as the product x^2 + p^2, never from its
+diagonal closed form, so that the closed form stays a verified claim
+rather than a definition.
 
 Residuals are normalized: verify_window reports max|A - B| divided by
 max(1, |A|, |B|) over the window.  For rapidly growing spectra the raw
@@ -28,7 +33,7 @@ measure float64 rounding of the operands.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -36,6 +41,7 @@ import numpy as np
 from .spectral import CaseId, SpectralFunction, level_table
 
 __all__ = [
+    "Band",
     "FockRep",
     "QuadratureSet",
     "StateVector",
@@ -64,13 +70,128 @@ ROBERTSON_STATES = 200
 ROBERTSON_TOL = 1e-12
 
 
+class Band:
+    """A D x D complex operator stored by offset.
+
+    diagonals[d] holds the entries M[j+d, j] in order of the column j, which
+    runs over max(0, -d)..min(D, D-d) - 1; every other entry is zero.  The
+    offsets present depend only on how an operator was formed, never on its
+    values, so an offset whose entries cancel stays, and every entry is
+    summed in the same order at every D.
+
+    A @ B sums A[i, k] B[k, j] over k in increasing order; A @ v does the same
+    for a vector of length D or a stack of D-row columns.  A + B, A - B, -A,
+    c * A and A / c act entrywise, with c a scalar.
+    """
+
+    __slots__ = ("D", "diagonals")
+    __array_ufunc__ = None  # numpy scalars and arrays defer to the methods below
+
+    def __init__(self, D: int, diagonals: dict):
+        self.D = D
+        self.diagonals = {d: np.asarray(m, dtype=complex) for d, m in sorted(diagonals.items())}
+        for d, m in self.diagonals.items():
+            if m.shape != (D - abs(d),):
+                raise ValueError(f"offset {d} of a dimension-{D} band needs {D - abs(d)} entries, got {m.shape}")
+
+    @classmethod
+    def diagonal(cls, values) -> "Band":
+        """The diagonal operator with the given entries."""
+        values = np.asarray(values)
+        return cls(values.shape[0], {0: values})
+
+    @property
+    def shape(self) -> tuple:
+        return (self.D, self.D)
+
+    def __repr__(self) -> str:
+        return f"Band(D={self.D}, offsets={tuple(self.diagonals)})"
+
+    def entries(self, d: int) -> np.ndarray:
+        """The entries M[j+d, j] of offset d in column order; zeros where d is absent."""
+        m = self.diagonals.get(d)
+        return np.zeros(max(0, self.D - abs(d)), dtype=complex) if m is None else m
+
+    def adjoint(self) -> "Band":
+        """The conjugate transpose: offset d becomes -d, entry for entry."""
+        return Band(self.D, {-d: m.conj() for d, m in self.diagonals.items()})
+
+    def _same_dimension(self, other: "Band") -> None:
+        if other.D != self.D:
+            raise ValueError(f"operators of dimensions {self.D} and {other.D} do not combine")
+
+    def __add__(self, other):
+        if not isinstance(other, Band):
+            return NotImplemented
+        self._same_dimension(other)
+        out = dict(self.diagonals)
+        for d, m in other.diagonals.items():
+            out[d] = out[d] + m if d in out else m
+        return Band(self.D, out)
+
+    def __neg__(self) -> "Band":
+        return Band(self.D, {d: -m for d, m in self.diagonals.items()})
+
+    def __sub__(self, other):
+        if not isinstance(other, Band):
+            return NotImplemented
+        return self + -other
+
+    def __mul__(self, c):
+        if not np.isscalar(c):
+            return NotImplemented
+        return Band(self.D, {d: c * m for d, m in self.diagonals.items()})
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, c):
+        if not np.isscalar(c):
+            return NotImplemented
+        return Band(self.D, {d: m / c for d, m in self.diagonals.items()})
+
+    def __matmul__(self, other):
+        if not isinstance(other, Band):
+            return self._apply(np.asarray(other))
+        self._same_dimension(other)
+        D = self.D
+        out: dict = {}
+        # entry k of offset d sits in column k + s, s = max(0, -d)
+        left = [(d1, a, max(0, -d1)) for d1, a in self.diagonals.items()]
+        # for one output offset, ascending d2 is ascending k = j + d2
+        for d2, b in other.diagonals.items():
+            s2 = max(0, -d2)
+            for d1, a, s1 in left:
+                d = d1 + d2
+                # columns j where B[j+d2, j], A[j+d, j+d2] and C[j+d, j] all exist
+                lo, hi = max(0, -d2, -d), min(D, D - d2, D - d)
+                if lo >= hi:
+                    continue
+                s = max(0, -d)
+                c = out.get(d)
+                if c is None:
+                    c = out[d] = np.zeros(D - abs(d), dtype=complex)
+                c[lo - s : hi - s] += a[lo + d2 - s1 : hi + d2 - s1] * b[lo - s2 : hi - s2]
+        return Band(D, out)
+
+    def _apply(self, V: np.ndarray) -> np.ndarray:
+        if V.ndim not in (1, 2) or V.shape[0] != self.D:
+            raise ValueError(f"a dimension-{self.D} band applies to {self.D}-row vectors, got {V.shape}")
+        out = np.zeros(V.shape, dtype=complex)
+        # descending offsets: each entry sums its columns k in increasing order
+        for d, m in reversed(self.diagonals.items()):
+            row, col = max(0, d), max(0, -d)
+            out[row : row + m.size] += (m if V.ndim == 1 else m[:, None]) * V[col : col + m.size]
+        return out
+
+
 @dataclass(frozen=True, eq=False)
 class FockRep:
-    """Dimension-D truncated matrix representation of one algebra.
+    """Dimension-D truncated representation of one algebra.
 
     levels = K(0..D+1) is read in slices by every level-dependent form.  On
-    first use, mat_a is built as zero except the superdiagonal entries
-    (n-1, n) = sqrt(K(n)), mat_ad as its conjugate transpose, mat_N as diag(0..D-1).
+    first use, mat_a is built as the band whose only offset, -1, holds the
+    entries (n-1, n) = sqrt(K(n)); mat_ad is its adjoint and mat_N the
+    diagonal 0..D-1.
     """
 
     K: SpectralFunction
@@ -78,51 +199,36 @@ class FockRep:
     levels: np.ndarray = field(repr=False)
 
     @cached_property
-    def mat_a(self) -> np.ndarray:
-        return np.diag(np.sqrt(self.levels[1 : self.D]), 1).astype(complex)
+    def mat_a(self) -> Band:
+        return Band(self.D, {-1: np.sqrt(self.levels[1 : self.D])})
 
     @cached_property
-    def mat_ad(self) -> np.ndarray:
-        return self.mat_a.conj().T.copy()
+    def mat_ad(self) -> Band:
+        return self.mat_a.adjoint()
 
     @cached_property
-    def mat_N(self) -> np.ndarray:
-        return np.diag(np.arange(self.D, dtype=float)).astype(complex)
+    def mat_N(self) -> Band:
+        return Band.diagonal(np.arange(self.D, dtype=float))
 
 
 @dataclass(frozen=True, eq=False)
 class QuadratureSet:
-    """Position and momentum matrices of a representation, with their products.
+    """Position and momentum bands of a representation, with their products.
 
-    The derived operators mat_xx = x^2, mat_pp = p^2, mat_xp = [x, p], the
-    Hamiltonian mat_H = x^2 + p^2 and the fourth-moment operator
-    mat_fourth = x^2 x^2 + x^2 p^2 + p^2 x^2 + p^2 p^2 are formed on first
-    use and shared by every later reader.
+    mat_xp = [x, p] and the Hamiltonian mat_H = x^2 + p^2 are formed on
+    first use and shared by every later reader.
     """
 
-    mat_x: np.ndarray = field(repr=False)
-    mat_p: np.ndarray = field(repr=False)
+    mat_x: Band = field(repr=False)
+    mat_p: Band = field(repr=False)
 
     @cached_property
-    def mat_xx(self) -> np.ndarray:
-        return self.mat_x @ self.mat_x
-
-    @cached_property
-    def mat_pp(self) -> np.ndarray:
-        return self.mat_p @ self.mat_p
-
-    @cached_property
-    def mat_xp(self) -> np.ndarray:
+    def mat_xp(self) -> Band:
         return commutator(self.mat_x, self.mat_p)
 
     @cached_property
-    def mat_H(self) -> np.ndarray:
-        return self.mat_xx + self.mat_pp
-
-    @cached_property
-    def mat_fourth(self) -> np.ndarray:
-        x2, p2 = self.mat_xx, self.mat_pp
-        return x2 @ x2 + x2 @ p2 + p2 @ x2 + p2 @ p2
+    def mat_H(self) -> Band:
+        return self.mat_x @ self.mat_x + self.mat_p @ self.mat_p
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,7 +250,7 @@ class StateVector:
 
 @dataclass(frozen=True)
 class IdentityReport:
-    """Result of one windowed matrix-identity check.
+    """Result of one windowed operator-identity check.
 
     window is the number of retained rows/columns; max_abs_residual is the
     normalized residual described in the module docstring.
@@ -185,9 +291,14 @@ def build_rep(K: SpectralFunction, D: int = DEFAULT_DIM) -> FockRep:
 
 
 def quadratures(rep: FockRep) -> QuadratureSet:
-    """Quadratures x = (a' + a)/2 and p = i(a' - a)/2; H is their QuadratureSet.mat_H."""
-    x = 0.5 * (rep.mat_ad + rep.mat_a)
-    p = 0.5j * (rep.mat_ad - rep.mat_a)
+    """Quadratures x = (a' + a)/2 and p = i(a' - a)/2; H is their QuadratureSet.mat_H.
+
+    Both are read straight from the ladder roots sqrt(K(1..D-1)), which a'
+    holds at offset +1 and a at offset -1.
+    """
+    roots = np.sqrt(rep.levels[1 : rep.D])
+    x = Band(rep.D, {-1: 0.5 * roots, 1: 0.5 * roots})
+    p = Band(rep.D, {-1: -0.5j * roots, 1: 0.5j * roots})
     return QuadratureSet(mat_x=x, mat_p=p)
 
 
@@ -205,18 +316,18 @@ def kempf_rescale(quads: QuadratureSet, q: float) -> QuadratureSet:
     return QuadratureSet(mat_x=s * quads.mat_x, mat_p=s * quads.mat_p)
 
 
-def commutator(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """AB - BA for equal square matrices."""
-    if A.shape != B.shape or A.shape[0] != A.shape[1]:
-        raise ValueError(f"commutator needs equal square matrices, got {A.shape} and {B.shape}")
+def commutator(A: Band, B: Band) -> Band:
+    """AB - BA for operators of one dimension."""
+    if A.shape != B.shape:
+        raise ValueError(f"commutator needs operators of one dimension, got {A.shape} and {B.shape}")
     return A @ B - B @ A
 
 
-def lie_hamilton_rhs(rep: FockRep, quads: QuadratureSet, side: str) -> np.ndarray:
+def lie_hamilton_rhs(rep: FockRep, quads: QuadratureSet, side: str) -> Band:
     """Closed-form right side of the equation of motion commutator.
 
     For side='x' returns  C1(N) x + i C2(N) p  and for side='p' returns
-    C1(N) p - i C2(N) x, with diagonal coefficient matrices applied on the
+    C1(N) p - i C2(N) x, with diagonal coefficient operators applied on the
     left and
 
         C1(n) = (K(n+2) - K(n) - K(n+1) + K(n-1))/4
@@ -232,41 +343,43 @@ def lie_hamilton_rhs(rep: FockRep, quads: QuadratureSet, side: str) -> np.ndarra
     D = rep.D
     k = np.concatenate((level_table(rep.K, -1, -1), rep.levels))  # K(-1..D+1)
     k_prev, k_n, k_next, k_next2 = (k[j : j + D] for j in range(4))  # K(n-1..n+2)
-    # diagonal coefficients applied as row scalings, c[:, None] * M = diag(c) @ M
-    c1 = (0.25 * (k_next2 - k_n - k_next + k_prev))[:, None]
-    c2 = (0.25 * (k_next2 - k_n + k_next - k_prev))[:, None]
+    c1 = Band.diagonal(0.25 * (k_next2 - k_n - k_next + k_prev))
+    c2 = Band.diagonal(0.25 * (k_next2 - k_n + k_next - k_prev))
     if side == "x":
-        return c1 * quads.mat_x + 1j * (c2 * quads.mat_p)
-    return c1 * quads.mat_p - 1j * (c2 * quads.mat_x)
+        return c1 @ quads.mat_x + 1j * (c2 @ quads.mat_p)
+    return c1 @ quads.mat_p - 1j * (c2 @ quads.mat_x)
 
 
-def scaled_max_residual(A: np.ndarray, B: np.ndarray, margin: int = 0) -> float:
+def scaled_max_residual(A: Band, B: Band, margin: int = 0) -> float:
     """max|A - B| over the window, divided by max(1, |A|, |B|) there."""
     D = A.shape[0]
     w = D - margin
     if w <= 0:
         raise ValueError(f"margin {margin} leaves an empty window at dimension {D}")
-    dA = A[:w, :w]
-    dB = B[:w, :w]
+
+    # entry k of offset d sits in row k + max(d, 0) and column k + max(-d, 0)
+    offsets = sorted(set(A.diagonals) | set(B.diagonals))
+    dA = np.concatenate([np.zeros(1)] + [A.entries(d)[: max(0, w - abs(d))] for d in offsets])
+    dB = np.concatenate([np.zeros(1)] + [B.entries(d)[: max(0, w - abs(d))] for d in offsets])
     scale = max(1.0, float(np.abs(dA).max()), float(np.abs(dB).max()))
     return float(np.abs(dA - dB).max()) / scale
 
 
 def verify_window(
-    A: np.ndarray,
-    B: np.ndarray,
+    A: Band,
+    B: Band,
     margin: int = DEFAULT_MARGIN,
     tol: float = DEFAULT_TOL,
     name: str = "identity",
 ) -> IdentityReport:
-    """Compare two matrices on the truncation-safe window.
+    """Compare two operators on the truncation-safe window.
 
     Retains rows and columns 0..D-1-margin and reports the normalized
     residual there; passes iff it does not exceed tol.  margin 0 compares
-    the whole matrices, as the exact structure checks do.
+    the whole operators, as the exact structure checks do.
     """
-    if A.shape != B.shape or A.shape[0] != A.shape[1]:
-        raise ValueError(f"verify_window needs equal square matrices, got {A.shape}, {B.shape}")
+    if A.shape != B.shape:
+        raise ValueError(f"verify_window needs operators of one dimension, got {A.shape}, {B.shape}")
     D = A.shape[0]
     if not 0 <= margin < D:
         raise ValueError(f"margin must satisfy 0 <= margin < {D}, got {margin}")
@@ -307,11 +420,11 @@ def _gaussian_amplitudes(D: int, seed: int) -> np.ndarray:
     z ^= z >> np.uint64(31)
     uniform = ((z >> np.uint64(11)) + np.uint64(1)) * 2.0**-53
     # math.log/cos/sin per element: numpy's can differ from them in the last bit
-    r = np.sqrt(-2.0 * np.array([math.log(u) for u in uniform[0::2].tolist()]))
+    r = np.sqrt(-2.0 * np.fromiter(map(math.log, uniform[0::2].tolist()), float, D))
     t = (2.0 * math.pi * uniform[1::2]).tolist()
     amp = np.empty(D, dtype=complex)
-    amp.real = r * np.array([math.cos(x) for x in t])
-    amp.imag = r * np.array([math.sin(x) for x in t])
+    amp.real = r * np.fromiter(map(math.cos, t), float, D)
+    amp.imag = r * np.fromiter(map(math.sin, t), float, D)
     return amp
 
 
@@ -344,10 +457,37 @@ def truncation_safe(state: StateVector, margin: int = DEFAULT_MARGIN) -> StateVe
     return StateVector(amp / norm)
 
 
-def expectation(state: StateVector, M: np.ndarray) -> complex:
+def expectation(state: StateVector, M: Band) -> complex:
     """<psi| M |psi>."""
     v = state.amplitudes
     return complex(np.vdot(v, M @ v))
+
+
+def _moments(V: np.ndarray, quads: QuadratureSet) -> QuadratureMoments:
+    """Moments of each column of the state stack V, read from x V and p V alone.
+
+    <x> = Re<v|xv>, <x^2> = |xv|^2 and <[x, p]> = <xv|pv> - <pv|xv>
+    = 2i Im<xv|pv>, since x and p are Hermitian; the same for p.  Each field
+    holds one value per column.
+    """
+    xV, pV = quads.mat_x @ V, quads.mat_p @ V
+
+    def inner(U, W):
+        return (U.conj() * W).sum(axis=0)
+
+    mean_x = inner(V, xV).real
+    mean_p = inner(V, pV).real
+    # np.maximum propagates NaN, where a clipped variance would hide it
+    dx = np.sqrt(np.maximum(inner(xV, xV).real - mean_x**2, 0.0))
+    dp = np.sqrt(np.maximum(inner(pV, pV).real - mean_p**2, 0.0))
+    return QuadratureMoments(
+        delta_x=dx,
+        delta_p=dp,
+        product=dx * dp,
+        mean_x=mean_x,
+        mean_p=mean_p,
+        xp_commutator_mean=2j * inner(xV, pV).imag,
+    )
 
 
 def uncertainty_product(state: StateVector, quads: QuadratureSet) -> QuadratureMoments:
@@ -356,21 +496,8 @@ def uncertainty_product(state: StateVector, quads: QuadratureSet) -> QuadratureM
     Truncation-exact when the state's top amplitudes vanish (see
     truncation_safe); this is documented rather than enforced.
     """
-    mean_x = expectation(state, quads.mat_x).real
-    mean_p = expectation(state, quads.mat_p).real
-    var_x = max(expectation(state, quads.mat_xx).real - mean_x**2, 0.0)
-    var_p = max(expectation(state, quads.mat_pp).real - mean_p**2, 0.0)
-    dx = math.sqrt(var_x)
-    dp = math.sqrt(var_p)
-    comm_mean = expectation(state, quads.mat_xp)
-    return QuadratureMoments(
-        delta_x=dx,
-        delta_p=dp,
-        product=dx * dp,
-        mean_x=mean_x,
-        mean_p=mean_p,
-        xp_commutator_mean=comm_mean,
-    )
+    # one state gives 0-d numpy fields; the report holds them as Python numbers
+    return QuadratureMoments(*(np.asarray(v).item() for v in astuple(_moments(state.amplitudes, quads))))
 
 
 def run_verify_checks(K: SpectralFunction, D: int, margin: int, tol: float, seed: int) -> list:
@@ -407,30 +534,39 @@ def _structure_rows(rep: FockRep, quads: QuadratureSet, xH, pH, margin: int):
     x, p, H = quads.mat_x, quads.mat_p, quads.mat_H
     levels = rep.levels[: D + 1]
     delta = levels[1:] - levels[:D]
-    # [N, M]_ij = (i - j) M_ij, exact in integers where the dense products round
-    steps = np.subtract.outer(np.arange(D), np.arange(D))
-    yield "ladder_product_diagonal", ad @ a, np.diag(levels[:D]), 0
-    yield "number_raises_creation", steps * ad, ad, 0
-    yield "number_lowers_annihilation", steps * a, -a, 0
-    # a|0>, the first column of a, repeated to a square operand
-    yield "vacuum_annihilated", np.broadcast_to(a[:, :1], (D, D)), np.zeros((D, D)), 0
-    yield "position_hermitian", x, x.conj().T, 0
-    yield "momentum_hermitian", p, p.conj().T, 0
-    yield "ladder_commutator_step", commutator(a, ad), np.diag(delta), margin
-    yield "hamiltonian_diagonal_form", H, np.diag(0.5 * (levels[:D] + levels[1:])), margin
-    yield "xp_commutator_step", quads.mat_xp, np.diag(0.5j * delta), margin
+
+    def number_commutator(M: Band) -> Band:
+        # [N, M] has entries (i - j) M_ij, the offset times M: exact in
+        # integers where the products N M and M N round
+        return Band(D, {d: d * m for d, m in M.diagonals.items()})
+
+    # a|0>: the entries of a in column 0, which is entry 0 of each offset d >= 0
+    vacuum = Band(D, {d: np.where(np.arange(m.size) == 0, m, 0) for d, m in a.diagonals.items() if d >= 0})
+    yield "ladder_product_diagonal", ad @ a, Band.diagonal(levels[:D]), 0
+    yield "number_raises_creation", number_commutator(ad), ad, 0
+    yield "number_lowers_annihilation", number_commutator(a), -a, 0
+    yield "vacuum_annihilated", vacuum, Band(D, {}), 0
+    yield "position_hermitian", x, x.adjoint(), 0
+    yield "momentum_hermitian", p, p.adjoint(), 0
+    yield "ladder_commutator_step", commutator(a, ad), Band.diagonal(delta), margin
+    yield "hamiltonian_diagonal_form", H, Band.diagonal(0.5 * (levels[:D] + levels[1:])), margin
+    yield "xp_commutator_step", quads.mat_xp, Band.diagonal(0.5j * delta), margin
     yield "lie_hamilton_x", xH, lie_hamilton_rhs(rep, quads, "x"), margin
     yield "lie_hamilton_p", pH, lie_hamilton_rhs(rep, quads, "p"), margin
 
 
 def _robertson_check(quads: QuadratureSet, margin: int, seed: int) -> IdentityReport:
-    """Worst violation of dx dp >= |<[x, p]>|/2 over seeded random states."""
-    D = quads.mat_x.shape[0]
-    violations = []
+    """Worst violation of dx dp >= |<[x, p]>|/2 over seeded random states.
+
+    Each state is drawn and normalized on its own; their moments are taken
+    as one stack.
+    """
+    D = quads.mat_x.D
+    stack = np.empty((D, ROBERTSON_STATES), dtype=complex)
     for k in range(ROBERTSON_STATES):
-        state = truncation_safe(random_state(D, seed + k), margin)
-        moments = uncertainty_product(state, quads)
-        violations.append(0.5 * abs(moments.xp_commutator_mean) - moments.product)
+        stack[:, k] = truncation_safe(random_state(D, seed + k), margin).amplitudes
+    moments = _moments(stack, quads)
+    violations = 0.5 * np.abs(moments.xp_commutator_mean) - moments.product
     # np.max propagates NaN, where max() would drop it and pass the check
     worst = float(np.max(violations, initial=0.0))
     return IdentityReport(
@@ -446,51 +582,49 @@ def _closed_form_rows(rep: FockRep, quads: QuadratureSet, xH, pH, margin: int):
     """Closed forms of [x, H], [p, H] and [x, p] particular to the case."""
     K, D = rep.K, rep.D
     x, p, H, xp = quads.mat_x, quads.mat_p, quads.mat_H, quads.mat_xp
+    diagonal = Band.diagonal
+    identity = diagonal(np.ones(D))
     nn = np.arange(D, dtype=float)
-    h = np.real(np.diag(H))
+    h = H.entries(0).real
     case = K.case_id
     if case is CaseId.CLASSICAL:
-        yield "xp_commutator_constant", xp, 0.5j * np.eye(D), margin
+        yield "xp_commutator_constant", xp, 0.5j * identity, margin
         yield "lie_hamilton_x_classical", xH, 1j * p, margin
         yield "lie_hamilton_p_classical", pH, -1j * x, margin
-        yield "hamiltonian_number_shift", H, rep.mat_N + 0.5 * np.eye(D), margin
+        yield "hamiltonian_number_shift", H, rep.mat_N + 0.5 * identity, margin
     elif case is CaseId.ARIK_COON:
         q = K.q
-        c1 = (-0.25 * (1.0 - q * q) * q ** (nn - 1.0))[:, None]
-        ic2 = (1j * (0.25 * (1.0 + q) ** 2 * q ** (nn - 1.0)))[:, None]
-        yield "lie_hamilton_x_closed", xH, c1 * x + ic2 * p, margin
-        yield "lie_hamilton_p_closed", pH, c1 * p - ic2 * x, margin
-        yield "xp_commutator_qpower", xp, np.diag(0.5j * q**nn), margin
+        c1 = diagonal(-0.25 * (1.0 - q * q) * q ** (nn - 1.0))
+        ic2 = diagonal(1j * (0.25 * (1.0 + q) ** 2 * q ** (nn - 1.0)))
+        yield "lie_hamilton_x_closed", xH, c1 @ x + ic2 @ p, margin
+        yield "lie_hamilton_p_closed", pH, c1 @ p - ic2 @ x, margin
+        yield "xp_commutator_qpower", xp, diagonal(0.5j * q**nn), margin
         yield (
             "xp_commutator_hamiltonian_form",
             xp,
-            (1j / (1.0 + q)) * (np.eye(D) - (1.0 - q) * H),
+            (1j / (1.0 + q)) * (identity - (1.0 - q) * H),
             margin,
         )
         rescaled = kempf_rescale(quads, q)
-        xp_rescaled, H_rescaled = rescaled.mat_xp, rescaled.mat_H
-        # free x' and p' before the right side is formed; this row sets the
-        # peak memory of the suite
-        del rescaled
         yield (
             "kempf_rescaled_commutator",
-            xp_rescaled,
-            1j * (np.eye(D) - ((1.0 - q) / (1.0 + q)) * H_rescaled),
+            rescaled.mat_xp,
+            1j * (identity - ((1.0 - q) / (1.0 + q)) * rescaled.mat_H),
             margin,
         )
     elif case is CaseId.MACFARLANE_BIEDENHARN:
         q = K.q
         root = np.sqrt((q - 1.0 / q) ** 2 * h**2 + (q + 1.0) ** 2 / q)
         cx = (q - 1.0) * (q - 1.0 / q) / (2.0 * (1.0 + q))
-        ch = (cx * h)[:, None]
-        iroot = (0.5j * root)[:, None]
-        yield "lie_hamilton_x_closed", xH, ch * x + iroot * p, margin
-        yield "lie_hamilton_p_closed", pH, ch * p - iroot * x, margin
-        yield "xp_commutator_sqrt_form", xp, np.diag((1j * q / (1.0 + q) ** 2) * root), margin
+        ch = diagonal(cx * h)
+        iroot = diagonal(0.5j * root)
+        yield "lie_hamilton_x_closed", xH, ch @ x + iroot @ p, margin
+        yield "lie_hamilton_p_closed", pH, ch @ p - iroot @ x, margin
+        yield "xp_commutator_sqrt_form", xp, diagonal((1j * q / (1.0 + q) ** 2) * root), margin
     elif case is CaseId.NONLINEAR:
         al, be = K.alpha, K.beta
         root = np.sqrt(be * be - al * al + 4.0 * al * h)
-        iroot = (1j * root)[:, None]
-        yield "lie_hamilton_x_closed", xH, al * x + iroot * p, margin
-        yield "lie_hamilton_p_closed", pH, al * p - iroot * x, margin
-        yield "xp_commutator_sqrt_form", xp, np.diag(0.5j * root), margin
+        iroot = diagonal(1j * root)
+        yield "lie_hamilton_x_closed", xH, al * x + iroot @ p, margin
+        yield "lie_hamilton_p_closed", pH, al * p - iroot @ x, margin
+        yield "xp_commutator_sqrt_form", xp, diagonal(0.5j * root), margin

@@ -18,9 +18,10 @@ a diagnostic value of 5/4.  The violation is surfaced in the report
 are discussed in the README.
 
 Case-specific bounds (geometric, symmetric-bracket and quadratic
-spectra) are closed forms evaluated literally on the supplied state,
-the symmetric one on the fourth-moment operator QuadratureSet.mat_fourth;
-their margins may be negative where the derivations involved
+spectra) are closed forms evaluated literally on the supplied state, the
+symmetric one through its fourth moment <H^2> = |x(x psi) + p(p psi)|^2,
+so no fourth-order operator is formed; their margins may be negative
+where the derivations involved
 small-deformation approximations, and the suite records those sign
 findings rather than presuming them.
 
@@ -44,7 +45,6 @@ from .fockrep import (
     QuadratureMoments,
     QuadratureSet,
     StateVector,
-    expectation,
     kempf_rescale,
     uncertainty_product,
 )
@@ -182,8 +182,9 @@ def case_bound(state: StateVector, quads: QuadratureSet, K: SpectralFunction) ->
     Quadratic case:   (beta/4)(1 - (alpha/beta^2)(dx^2 + dp^2))
 
     Delta quantities are standard deviations; the fourth moments are raw
-    operator expectations, not central ones (no mean subtraction).  Returns
-    None for the cases without a bound.
+    operator expectations, not central ones (no mean subtraction), and
+    their sum is <(x^2 + p^2)^2> = |x(x psi) + p(p psi)|^2.  Returns None
+    for the cases without a bound.
     """
     return _case_bound(state, quads, K, uncertainty_product(state, quads))
 
@@ -196,7 +197,9 @@ def _case_bound(state, quads, K, m: QuadratureMoments) -> Optional[float]:
 
     if K.case_id is CaseId.MACFARLANE_BIEDENHARN:
         q = K.q
-        moments = expectation(state, quads.mat_fourth).real
+        x, p, v = quads.mat_x, quads.mat_p, state.amplitudes
+        h_psi = x @ (x @ v) + p @ (p @ v)
+        moments = float(np.vdot(h_psi, h_psi).real)
         prefactor = math.sqrt(q) / (2.0 * (1.0 + q))
         correction = q * (q - 1.0 / q) ** 2 / (2.0 * (q + 1.0) ** 2)
         return prefactor * (1.0 + correction * moments)

@@ -32,6 +32,12 @@ bit-equal.  Equality of normal forms is still decided by evaluation on an
 integer grid, which refutes soundly but certifies equality only up to the
 grid: K is an arbitrary spectral function, so equal values on the grid
 need not mean equal polynomials in K's atoms.
+
+nf_to_matrix realizes a normal form as a truncated fockrep.Band, offset
+for offset.  expr_to_matrix evaluates an expression directly in band
+arithmetic, whose products are numeric sums over the entries and share no
+code with the contraction rule above; it is the independent oracle the
+symbolic command checks normal forms against.
 """
 
 from __future__ import annotations
@@ -39,11 +45,12 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from .fockrep import IdentityReport, build_rep, commutator, quadratures
+from .fockrep import Band, IdentityReport, build_rep, commutator, quadratures
 from .spectral import SpectralFunction, level_table
 
 __all__ = [
@@ -64,6 +71,11 @@ _OPERATOR_NAMES = ("a", "ad", "N", "x", "p", "H")
 _PARAMETER_NAMES = ("q", "alpha", "beta", "gamma")
 
 GRID_MAX = 24
+# Bounds on symbolic work: an exponent above MAX_EXPONENT is a syntax error,
+# and a composition that would multiply more than MAX_COMPOSED_MONOMIALS
+# monomial pairs is refused before it starts.
+MAX_EXPONENT = 64
+MAX_COMPOSED_MONOMIALS = 10_000
 
 
 class ExprSyntaxError(ValueError):
@@ -275,6 +287,8 @@ class _Parser:
             kind, value, position = self.peek()
         if kind != "num" or value.imag != 0.0 or value.real != int(value.real):
             raise ExprSyntaxError("exponent must be an integer", position)
+        if abs(value.real) > MAX_EXPONENT:
+            raise ExprSyntaxError(f"exponent {int(value.real)} exceeds the cap {MAX_EXPONENT}", position)
         self.advance()
         return sign * int(value.real)
 
@@ -478,7 +492,16 @@ def _add(A: dict, B: dict) -> dict:
 
 def _compose(A: dict, B: dict) -> dict:
     """Coefficients of A.B (B acts first): each term pair adds
-    c1(N+d2) c2(N) prod K(N+k) to offset d1+d2."""
+    c1(N+d2) c2(N) prod K(N+k) to offset d1+d2.
+
+    Raises ValueError when the composition would multiply more than
+    MAX_COMPOSED_MONOMIALS monomial pairs.
+    """
+    count = sum(len(c.terms) for c in A.values()) * sum(len(c.terms) for c in B.values())
+    if count > MAX_COMPOSED_MONOMIALS:
+        raise ValueError(
+            f"composition would multiply {count} monomial pairs, above the cap {MAX_COMPOSED_MONOMIALS}"
+        )
     out: dict = {}
     for d2, c2 in B.items():
         for d1, c1 in A.items():
@@ -625,37 +648,40 @@ def nf_equal(
     )
 
 
-def nf_to_matrix(nf: NormalForm, D: int) -> np.ndarray:
-    """Realize a normal form as its D-dimensional truncated matrix.
+def nf_to_matrix(nf: NormalForm, D: int) -> Band:
+    """Realize a normal form as its D-dimensional truncated operator.
 
-    Offset d fills the d-th subdiagonal: column n holds c_d(n) times the
-    entry of ad^d (d >= 0) or a^-d (d < 0) there, the product of the ladder
-    roots sqrt(K(1..D-1)) of build_rep(nf.K, D) that the path crosses.
+    Offset d of the band holds, in column n, c_d(n) times the entry of ad^d
+    (d >= 0) or a^-d (d < 0) there, the product of the ladder roots
+    sqrt(K(1..D-1)) of build_rep(nf.K, D) that the path crosses.
     """
     roots = np.sqrt(build_rep(nf.K, D).levels[1:D])  # roots[m] = sqrt(K(m + 1))
-    M = np.zeros((D, D), dtype=complex)
+    diagonals = {}
     for d, cfn in nf.coefficients.items():
+        if abs(d) >= D:
+            continue
         cols = np.arange(max(0, -d), min(D, D - d))
         weight = np.ones(cols.size)
         for j in range(abs(d)):
             weight *= roots[cols + j if d > 0 else cols - j - 1]
-        M[cols + d, cols] += cfn(cols) * weight
-    return M
+        diagonals[d] = cfn(cols) * weight
+    return Band(D, diagonals)
 
 
-def expr_to_matrix(expr: Expr, K: SpectralFunction, D: int) -> np.ndarray:
-    """Evaluate an expression directly in the truncated matrix representation.
+def expr_to_matrix(expr: Expr, K: SpectralFunction, D: int) -> Band:
+    """Evaluate an expression directly in the truncated representation.
 
-    Independent of the composition engine: symbols map to truncated
-    matrices, K(N+k) to the diagonal of level_table(K, k, k + D - 1), and
-    the AST is evaluated with matrix arithmetic.  Used as the oracle
-    against which normal-ordered realizations are cross-checked.
+    Independent of the composition engine: symbols map to the truncated
+    bands of build_rep and quadratures, K(N+k) to the diagonal
+    level_table(K, k, k + D - 1), and the AST is evaluated with band
+    arithmetic, whose products sum the entries numerically.  Used as the
+    oracle against which normal-ordered realizations are cross-checked.
     """
     rep = build_rep(K, D)
     quads = quadratures(rep)
-    identity = np.eye(D, dtype=complex)
+    identity = Band.diagonal(np.ones(D))
 
-    def ev(node: Expr) -> np.ndarray:
+    def ev(node: Expr) -> Band:
         if isinstance(node, Num):
             return node.value * identity
         if isinstance(node, Param):
@@ -665,30 +691,21 @@ def expr_to_matrix(expr: Expr, K: SpectralFunction, D: int) -> np.ndarray:
             owner = quads if node.name in ("x", "p", "H") else rep
             return getattr(owner, "mat_" + node.name)
         if isinstance(node, KShift):
-            return np.diag(level_table(K, node.offset, node.offset + D - 1)).astype(complex)
+            return Band.diagonal(level_table(K, node.offset, node.offset + D - 1))
         if isinstance(node, Neg):
             return -ev(node.operand)
         if isinstance(node, Add):
-            total = np.zeros((D, D), dtype=complex)
-            for term in node.terms:
-                total += ev(term)
-            return total
+            return reduce(operator.add, map(ev, node.terms))
         if isinstance(node, Mul):
-            out = identity
-            for factor in node.factors:
-                out = out @ ev(factor)
-            return out
+            return reduce(operator.matmul, map(ev, node.factors))
         if isinstance(node, Pow):
             if node.exponent < 0:
                 scalar = _scalar_value(node.base, K)
                 if scalar is None:
                     raise ValueError("negative powers are only defined for scalar expressions")
                 return scalar**node.exponent * identity
-            out = identity
             base = ev(node.base)
-            for _ in range(node.exponent):
-                out = out @ base
-            return out
+            return reduce(operator.matmul, [base] * node.exponent) if node.exponent else identity
         if isinstance(node, Div):
             scalar = _scalar_value(node.denominator, K)
             if scalar is None:

@@ -1,6 +1,8 @@
-"""Shared parameter grids, case factories and word generators for the tests."""
+"""Shared parameter grids, case factories, word generators and dense oracles for the tests."""
 
-from deformalg import CaseId, make_case
+import numpy as np
+
+from deformalg import Band, CaseId, make_case
 from deformalg.symorder import KShift, Mul, Num, Sym
 
 Q_GRID = [0.3, 0.7, 1.0, 1.5, 3.0]
@@ -94,3 +96,25 @@ def random_words(seed, count, max_len):
             else:
                 atoms.append(Num(scalars[next(words) % len(scalars)]))
         yield Mul(tuple(atoms))
+
+
+def dense(M):
+    """The D x D array of a band: the tests' own dense copy, against which
+    the band form is checked.  Arrays pass through unchanged."""
+    if not isinstance(M, Band):
+        return M
+    out = np.zeros(M.shape, dtype=complex)
+    for d, m in M.diagonals.items():
+        cols = np.arange(m.size) + max(0, -d)
+        out[cols + d, cols] = m
+    return out
+
+
+def residual(A, B, margin=0):
+    """max|A - B| over rows and columns 0..D-1-margin, divided by
+    max(1, |A|, |B|) there, computed on dense copies of bands or arrays."""
+    A, B = dense(A), dense(B)
+    w = A.shape[0] - margin
+    dA, dB = A[:w, :w], B[:w, :w]
+    scale = max(1.0, float(np.abs(dA).max()), float(np.abs(dB).max()))
+    return float(np.abs(dA - dB).max()) / scale

@@ -117,6 +117,36 @@ class TestExitCodes:
         cp = run_cli("symbolic", "--case", "classical", "--check", "no_such_builtin")
         assert cp.returncode == 2
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["symbolic", "--case", "classical", "--check", "a*ad == ad*a", "--tol=inf"],
+            ["verify", "--case", "classical", "--dim", "8", "--tol=inf"],
+            ["verify", "--case", "classical", "--dim", "8", "--tol=-1"],
+        ],
+        ids=["symbolic-inf", "verify-inf", "verify-negative"],
+    )
+    def test_tolerance_must_be_finite_and_non_negative(self, args):
+        # an infinite tol passed a false identity and wrote "tol": inf, a
+        # negative one failed every check with exit 1
+        cp = run_cli(*args)
+        assert cp.returncode == 2 and cp.stdout == ""
+        assert cp.stderr.startswith("error: tol must be ")
+
+    @pytest.mark.parametrize(
+        "identity, message",
+        [
+            ("x^1000000 == x^1000000", "exceeds the cap"),
+            ("x^40 == x^40", "monomial pairs, above the cap"),
+            # (N+1)^4096 has binomial coefficients beyond float range
+            ("(N^64)^64*ad == ad", "too large to convert to float"),
+        ],
+    )
+    def test_symbolic_work_is_bounded(self, identity, message):
+        cp = run_cli("symbolic", "--case", "classical", "--check", identity)
+        assert cp.returncode == 2 and cp.stdout == ""
+        assert message in cp.stderr
+
     def test_table_range_violation(self):
         cp = run_cli("table", "--case", "classical", "--levels", "30", "--dim", "32")
         assert cp.returncode == 2

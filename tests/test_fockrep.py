@@ -7,8 +7,9 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import catalog_grid, custom_cases, representative_cases, splitmix64
+from conftest import catalog_grid, custom_cases, dense, representative_cases, residual, splitmix64
 from deformalg import (
+    Band,
     CaseId,
     build_rep,
     commutator,
@@ -35,19 +36,19 @@ def classical():
 class TestBuildRep:
     def test_classical_ladder_weights(self):
         rep = build_rep(classical(), 4)
-        sub = [rep.mat_a[n - 1, n] for n in range(1, 4)]
+        sub = [dense(rep.mat_a)[n - 1, n] for n in range(1, 4)]
         assert sub == [math.sqrt(1), math.sqrt(2), math.sqrt(3)]
 
     def test_geometric_ladder_weights(self):
         rep = build_rep(make_case(CaseId.ARIK_COON, q=2.0), 4)
-        sub = np.array([rep.mat_a[n - 1, n] for n in range(1, 4)])
+        sub = np.array([dense(rep.mat_a)[n - 1, n] for n in range(1, 4)])
         assert sub == pytest.approx(np.sqrt([1.0, 3.0, 7.0]), rel=1e-14)
 
     def test_ladder_product_diagonal_for_all_cases(self):
         for K in representative_cases() + custom_cases():
             rep = build_rep(K, 12)
             diag = np.diag([eval_K(K, n) for n in range(12)]).astype(complex)
-            assert scaled_max_residual(rep.mat_ad @ rep.mat_a, diag) <= 1e-14
+            assert residual(rep.mat_ad @ rep.mat_a, diag) <= 1e-14
 
     def test_number_commutators_exact(self):
         for K in representative_cases():
@@ -57,7 +58,7 @@ class TestBuildRep:
 
     def test_vacuum_annihilated_exactly(self):
         rep = build_rep(make_case(CaseId.ARIK_COON, q=0.7), 8)
-        assert np.all(rep.mat_a[:, 0] == 0.0)
+        assert np.all(dense(rep.mat_a)[:, 0] == 0.0)
 
     @pytest.mark.parametrize("K", representative_cases() + custom_cases(), ids=str)
     def test_levels_are_k_at_zero_to_d_plus_one(self, K):
@@ -107,13 +108,13 @@ class TestIdentityEquality:
 class TestQuadratures:
     def test_classical_hamiltonian_diagonal(self):
         quads = quadratures(build_rep(classical(), 6))
-        window = np.real(np.diag(quads.mat_H))[:4]
+        window = np.real(np.diag(dense(quads.mat_H)))[:4]
         assert window == pytest.approx([0.5, 1.5, 2.5, 3.5], abs=1e-14)
 
     def test_quadratic_spectrum_hamiltonian_level(self):
         K = make_case(CaseId.NONLINEAR, alpha=1.0, beta=2.0)
         quads = quadratures(build_rep(K, 8))
-        assert quads.mat_H[2, 2].real == pytest.approx(11.5, abs=1e-12)
+        assert dense(quads.mat_H)[2, 2].real == pytest.approx(11.5, abs=1e-12)
 
     def test_hamiltonian_diagonal_holds_up_to_two_below_truncation(self):
         # H = x^2 + p^2 is exact on rows/cols 0..D-3, not only the
@@ -121,48 +122,42 @@ class TestQuadratures:
         for K in representative_cases():
             D = 16
             quads = quadratures(build_rep(K, D))
-            hdiag = np.diag(
-                [0.5 * (eval_K(K, n) + eval_K(K, n + 1)) for n in range(D)]
-            ).astype(complex)
+            hdiag = Band.diagonal([0.5 * (eval_K(K, n) + eval_K(K, n + 1)) for n in range(D)])
             assert verify_window(quads.mat_H, hdiag, margin=2, tol=1e-12).passed, K
 
     def test_hermiticity(self):
         for K in representative_cases():
             quads = quadratures(build_rep(K, 16))
-            assert scaled_max_residual(quads.mat_x, quads.mat_x.conj().T) <= 1e-14
-            assert scaled_max_residual(quads.mat_p, quads.mat_p.conj().T) <= 1e-14
+            assert residual(quads.mat_x, dense(quads.mat_x).conj().T) <= 1e-14
+            assert residual(quads.mat_p, dense(quads.mat_p).conj().T) <= 1e-14
 
 
     @pytest.mark.parametrize("K", representative_cases(), ids=str)
     def test_derived_products_exact_and_formed_once(self, K):
         quads = quadratures(build_rep(K, 16))
         x, p = quads.mat_x, quads.mat_p
-        x2, p2 = x @ x, p @ p
         for name, fresh in (
-            ("mat_xx", x @ x),
-            ("mat_pp", p @ p),
             ("mat_xp", commutator(x, p)),
             ("mat_H", x @ x + p @ p),
-            ("mat_fourth", x2 @ x2 + x2 @ p2 + p2 @ x2 + p2 @ p2),
         ):
             product = getattr(quads, name)
-            assert product.tobytes() == fresh.tobytes(), name
+            assert dense(product).tobytes() == dense(fresh).tobytes(), name
             assert getattr(quads, name) is product, name
 
 
 class TestCommutator:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            commutator(np.eye(3), np.eye(4))
+            commutator(Band.diagonal(np.ones(3)), Band.diagonal(np.ones(4)))
 
     def test_classical_xp_is_constant(self):
         quads = quadratures(build_rep(classical(), 12))
-        target = 0.5j * np.eye(12, dtype=complex)
+        target = 0.5j * Band.diagonal(np.ones(12))
         assert verify_window(commutator(quads.mat_x, quads.mat_p), target, name="xp").passed
 
     def test_geometric_xp_level_two(self):
         quads = quadratures(build_rep(make_case(CaseId.ARIK_COON, q=0.5), 6))
-        value = commutator(quads.mat_x, quads.mat_p)[2, 2]
+        value = dense(commutator(quads.mat_x, quads.mat_p))[2, 2]
         assert value == pytest.approx(0.125j, abs=1e-14)
 
 
@@ -173,8 +168,8 @@ class TestWindowedIdentities:
         rep = build_rep(K, D)
         quads = quadratures(rep)
         levels = np.array([eval_K(K, n) for n in range(D + 1)])
-        delta = np.diag(levels[1:] - levels[:-1]).astype(complex)
-        hdiag = np.diag(0.5 * (levels[:-1] + levels[1:])).astype(complex)
+        delta = Band.diagonal(levels[1:] - levels[:-1])
+        hdiag = Band.diagonal(0.5 * (levels[:-1] + levels[1:]))
         checks = [
             ("ladder_comm", commutator(rep.mat_a, rep.mat_ad), delta),
             ("hamiltonian", quads.mat_H, hdiag),
@@ -203,8 +198,8 @@ class TestWindowedIdentities:
         nn = np.arange(D, dtype=float)
         c1 = np.diag(-0.25 * (1 - q * q) * q ** (nn - 1)).astype(complex)
         c2 = np.diag(0.25 * (1 + q) ** 2 * q ** (nn - 1)).astype(complex)
-        closed = c1 @ quads.mat_x + 1j * c2 @ quads.mat_p
-        assert verify_window(rhs, closed, tol=1e-12).passed
+        closed = c1 @ dense(quads.mat_x) + 1j * c2 @ dense(quads.mat_p)
+        assert residual(rhs, closed, 3) <= 1e-12
 
     @pytest.mark.parametrize("side", ["x", "p"])
     @pytest.mark.parametrize("K", representative_cases() + custom_cases(), ids=str)
@@ -220,12 +215,15 @@ class TestWindowedIdentities:
         c2 = np.array(
             [0.25 * (kvals[n + 2] - kvals[n] + kvals[n + 1] - kvals[n - 1]) for n in range(D)]
         )[:, None]
+        x, p = dense(quads.mat_x), dense(quads.mat_p)
         if side == "x":
-            oracle = c1 * quads.mat_x + 1j * (c2 * quads.mat_p)
+            oracle = c1 * x + 1j * (c2 * p)
         else:
-            oracle = c1 * quads.mat_p - 1j * (c2 * quads.mat_x)
+            oracle = c1 * p - 1j * (c2 * x)
         rhs = lie_hamilton_rhs(rep, quads, side)
-        assert rhs.tobytes() == oracle.tobytes()
+        # every entry equal to the formula's; a band product sums from +0.0, so
+        # where the formula gives -0.0 the band holds +0.0
+        assert np.array_equal(dense(rhs), oracle)
 
     def test_k_minus_one_extension_is_irrelevant_on_window(self):
         mb = make_case(CaseId.MACFARLANE_BIEDENHARN, q=1.5)
@@ -262,15 +260,15 @@ class TestWindowedIdentities:
     def test_negative_control_detects_wrong_spectrum(self):
         D = 32
         quads = quadratures(build_rep(classical(), D))
-        wrong = np.diag([0.5 * ((n + 0.1) + (n + 1.1)) for n in range(D)]).astype(complex)
+        wrong = Band.diagonal([0.5 * ((n + 0.1) + (n + 1.1)) for n in range(D)])
         report = verify_window(quads.mat_H, wrong, name="wrong-spectrum")
         assert not report.passed
         assert report.max_abs_residual >= 0.05 / (D + 1)  # 0.1 shift over entries ~O(D)
 
     def test_verify_window_validation(self):
         with pytest.raises(ValueError):
-            verify_window(np.eye(4), np.eye(4), margin=4)
-        report = verify_window(np.eye(8, dtype=complex), np.eye(8, dtype=complex))
+            verify_window(Band.diagonal(np.ones(4)), Band.diagonal(np.ones(4)), margin=4)
+        report = verify_window(Band.diagonal(np.ones(8)), Band.diagonal(np.ones(8)))
         assert report.passed and report.max_abs_residual == 0.0
         assert report.window == 5
 
@@ -278,7 +276,7 @@ class TestWindowedIdentities:
         D, q = 12, 0.7
         quads = quadratures(build_rep(make_case(CaseId.ARIK_COON, q=q), D))
         # [x, p] departs from its closed form only in the truncated top level
-        closed = np.diag(0.5j * q ** np.arange(D))
+        closed = Band.diagonal(0.5j * q ** np.arange(D))
         report = verify_window(quads.mat_xp, closed, margin=0, tol=1e-14)
         assert report.window == D
         assert report.max_abs_residual == scaled_max_residual(quads.mat_xp, closed, 0)
@@ -415,7 +413,7 @@ class TestVerifySuite:
         def misplaced(K, D):
             rep = build_rep(K, D)
             # ad's weights on offset 2, entries (n + 2, n), instead of offset 1
-            rep.__dict__["mat_ad"] = np.diag(np.sqrt(rep.levels[1 : D - 1]), -2).astype(complex)
+            rep.__dict__["mat_ad"] = Band(D, {2: np.sqrt(rep.levels[1 : D - 1])})
             return rep
 
         monkeypatch.setattr(fockrep, "build_rep", misplaced)

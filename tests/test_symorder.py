@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import custom_cases, random_words, representative_cases
+from conftest import custom_cases, dense, random_words, representative_cases, residual
 from deformalg import (
     BUILTIN_IDENTITIES,
+    Band,
     CaseId,
     ExprSyntaxError,
     build_rep,
@@ -25,7 +26,7 @@ from deformalg import (
     quadratures,
 )
 from deformalg.fockrep import QuadratureSet, scaled_max_residual
-from deformalg.symorder import Add, Comm, Expr, KShift, Mul, Num, Sym
+from deformalg.symorder import Add, Comm, Expr, KShift, Mul, Num, Pow, Sym
 
 # every character the grammar uses, and tokens that make parseable strings likely
 GRAMMAR_ALPHABET = sorted(set("a ad N x p H K comm q alpha beta gamma i 0123456789.eE+-*/^(),="))
@@ -101,6 +102,13 @@ class TestParser:
         with pytest.raises(ExprSyntaxError, match="not finite") as err:
             parse_expr(text)
         assert err.value.position == position
+
+    @pytest.mark.parametrize("text, position", [("x^65", 2), ("(a*ad)^-1000000", 8), ("N ^ 1e300", 4)])
+    def test_exponent_above_the_cap_fails_at_its_position(self, text, position):
+        with pytest.raises(ExprSyntaxError, match="exceeds the cap 64") as err:
+            parse_expr(text)
+        assert err.value.position == position
+        assert parse_expr("x^64") == Pow(Sym("x"), 64)
 
     def test_nesting_beyond_the_stack_is_a_syntax_error(self):
         text = "(" * 400 + "x" + ")" * 400
@@ -215,6 +223,13 @@ class TestComposition:
         assert sorted(calls) == [4, 5]
         assert value == 12.0 * 12.0 + 12.0 * 17.5 + 12.0
 
+    def test_composition_above_the_monomial_cap_is_refused(self):
+        K = make_case(CaseId.ARIK_COON, q=0.7)
+        # x^14 multiplies 4,596 monomial pairs in its last composition, x^16 12,884
+        assert normal_order(parse_expr("x^14"), K).support()
+        with pytest.raises(ValueError, match="multiply 12884 monomial pairs, above the cap 10000"):
+            normal_order(parse_expr("x^16"), K)
+
     def test_equality_is_identity_and_hashes(self):
         K = classical()
         one, other = (normal_order(parse_expr("a*ad"), K) for _ in range(2))
@@ -302,7 +317,7 @@ class TestRealization:
         K = make_case(CaseId.ARIK_COON, q=2.0)
         nf = normal_order(parse_expr("ad*a"), K)
         M = nf_to_matrix(nf, 8)
-        expected = np.diag([eval_K(K, n) for n in range(8)]).astype(complex)
+        expected = Band.diagonal([eval_K(K, n) for n in range(8)])
         assert scaled_max_residual(M, expected) <= 1e-14
 
     def test_creation_realization(self):
@@ -335,12 +350,12 @@ class TestRealization:
     def test_ladder_powers_are_products_of_ladder_roots(self, K):
         D = 10
         rep = build_rep(K, D)
-        for text, power in (("ad", rep.mat_ad), ("a", rep.mat_a)):
+        for text, power in (("ad", dense(rep.mat_ad)), ("a", dense(rep.mat_a))):
             for k in (1, 2):
                 M = nf_to_matrix(normal_order(parse_expr(f"{text}^{k}"), K), D)
-                assert np.array_equal(M, np.linalg.matrix_power(power, k))
+                assert np.array_equal(dense(M), np.linalg.matrix_power(power, k))
             M = nf_to_matrix(normal_order(parse_expr(f"{text}^5"), K), D)
-            assert scaled_max_residual(M, np.linalg.matrix_power(power, 5)) <= 1e-14
+            assert residual(M, np.linalg.matrix_power(power, 5)) <= 1e-14
 
     def test_matrix_oracle_forms_h_only_when_named(self, monkeypatch):
         def refuse(quads):
@@ -358,9 +373,9 @@ class TestRealization:
         D = 12
         K = make_case(CaseId.ARIK_COON, q=1.5)
         quads = quadratures(build_rep(K, D))
-        M = nf_to_matrix(normal_order(parse_expr("x*p - p*x"), K), D)
-        direct = commutator(quads.mat_x, quads.mat_p)
-        assert scaled_max_residual(M[: D - 2, : D - 2], direct[: D - 2, : D - 2]) <= 1e-14
+        M = dense(nf_to_matrix(normal_order(parse_expr("x*p - p*x"), K), D))
+        direct = dense(commutator(quads.mat_x, quads.mat_p))
+        assert residual(M[: D - 2, : D - 2], direct[: D - 2, : D - 2]) <= 1e-14
         # ...and differs where truncation bites
         assert abs(M[D - 1, D - 1] - direct[D - 1, D - 1]) > 0.1
 
