@@ -16,7 +16,11 @@ algebra.
 run_verify_checks is the identity suite of one case: one table of
 (name, lhs, rhs, margin) rows, the exact ladder structure at margin 0,
 the generic windowed identities, the Robertson inequality on random
-states and the closed forms of the case.
+states and the closed forms of the case.  The Robertson sweep draws its
+ROBERTSON_STATES states a chunk of seeds at a time, each chunk in one
+batched draw, so its time per state falls at small D and its memory stays
+bounded at every D; every state is bit-identical to
+truncation_safe(random_state(D, seed + k), margin).
 
 Truncation policy: identities involving K(N+2) shift levels by up to two,
 so they are asserted only on rows and columns 0..D-1-margin (margin 3 by
@@ -32,6 +36,7 @@ measure float64 rounding of the operands.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import astuple, dataclass, field
 from functools import cached_property
@@ -68,6 +73,7 @@ DEFAULT_TOL = 1e-10
 EXACT_TOL = 1e-14
 ROBERTSON_STATES = 200
 ROBERTSON_TOL = 1e-12
+ROBERTSON_CHUNK = 8192  # amplitudes per state stack of the Robertson sweep
 
 
 class Band:
@@ -231,6 +237,13 @@ class QuadratureSet:
         return self.mat_x @ self.mat_x + self.mat_p @ self.mat_p
 
 
+def _require_unit_norm(norm: float) -> None:
+    """Reject a state vector norm that is not 1 within 1e-12."""
+    # negated so that a NaN norm is rejected too
+    if not abs(norm - 1.0) <= 1e-12:
+        raise ValueError(f"state vector norm {norm} is not 1 within 1e-12")
+
+
 @dataclass(frozen=True, eq=False)
 class StateVector:
     """Normalized complex amplitude vector in the truncated Fock basis."""
@@ -238,10 +251,7 @@ class StateVector:
     amplitudes: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        norm = float(np.linalg.norm(self.amplitudes))
-        # negated so that a NaN norm is rejected too
-        if not abs(norm - 1.0) <= 1e-12:
-            raise ValueError(f"state vector norm {norm} is not 1 within 1e-12")
+        _require_unit_norm(float(np.linalg.norm(self.amplitudes)))
 
     @property
     def dim(self) -> int:
@@ -402,30 +412,53 @@ def number_state(D: int, n: int) -> StateVector:
     return StateVector(amp)
 
 
-def _gaussian_amplitudes(D: int, seed: int) -> np.ndarray:
-    """The first D Box-Muller pairs of the seed's splitmix stream, as amplitudes.
+def _norm(v: np.ndarray) -> float:
+    """The 2-norm of a 1-D vector: the two 1-D dots of numpy's 1-D np.linalg.norm."""
+    re, im = v.real, v.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
 
-    Ordering contract: SplitMix64 words 1..2D of the seed, where word k is
+
+def _gaussian_amplitudes(D: int, seeds) -> np.ndarray:
+    """The first D Box-Muller pairs of each seed's splitmix stream, one row per seed.
+
+    Ordering contract: SplitMix64 words 1..2D of a seed, where word k is
     the finalizer applied to seed + k * 0x9E3779B97F4A7C15 (mod 2^64), are
     read in successive pairs u, v and mapped to uniforms in (0, 1] via
     ((word >> 11) + 1) * 2^-53; amplitude k is (r cos t, r sin t) with
     r = sqrt(-2 ln u), t = 2 pi v.  Fixed across platforms and releases.
     """
-    k = np.arange(1, 2 * D + 1, dtype=np.uint64)
-    # the seed is masked first: numpy wraps uint64 array arithmetic silently
-    # but warns on scalar overflow
-    z = np.uint64(seed & 0xFFFFFFFFFFFFFFFF) + k * np.uint64(0x9E3779B97F4A7C15)
+    # seeds are masked as Python ints: numpy wraps uint64 array arithmetic
+    # silently but warns on scalar overflow
+    z = np.array([int(s) & 0xFFFFFFFFFFFFFFFF for s in seeds], dtype=np.uint64)[:, None]
+    z = z + np.arange(1, 2 * D + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
     z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
     z ^= z >> np.uint64(31)
     uniform = ((z >> np.uint64(11)) + np.uint64(1)) * 2.0**-53
-    # math.log/cos/sin per element: numpy's can differ from them in the last bit
-    r = np.sqrt(-2.0 * np.fromiter(map(math.log, uniform[0::2].tolist()), float, D))
-    t = (2.0 * math.pi * uniform[1::2]).tolist()
-    amp = np.empty(D, dtype=complex)
-    amp.real = r * np.fromiter(map(math.cos, t), float, D)
-    amp.imag = r * np.fromiter(map(math.sin, t), float, D)
-    return amp
+    n = uniform.size // 2
+    # math.log per element: numpy's can differ from it in the last bit.
+    # cmath.rect(r, t) forms r * cos(t) and r * sin(t) with libm's cos and
+    # sin, the bits of math.cos and math.sin; t > 0 skips its t == 0 branch
+    r = np.sqrt(-2.0 * np.fromiter(map(math.log, uniform[:, 0::2].ravel().tolist()), float, n))
+    t = (2.0 * math.pi * uniform[:, 1::2]).ravel()
+    return np.fromiter(map(cmath.rect, r.tolist(), t.tolist()), complex, n).reshape(-1, D)
+
+
+def _random_rows(D: int, seeds) -> np.ndarray:
+    """The amplitudes of random_state(D, seed) for each seed, one row per seed."""
+    rows = _gaussian_amplitudes(D, seeds)
+    rows /= np.array([_norm(row) for row in rows])[:, None]
+    return rows
+
+
+def _truncate_rows(A: np.ndarray, margin: int) -> np.ndarray:
+    """A with the top `margin` amplitudes of each row zeroed and each row renormalized."""
+    A = A.copy()
+    A[:, A.shape[1] - margin :] = 0.0
+    norms = np.array([_norm(row) for row in A])
+    if not norms.all():
+        raise ValueError("state has no support below the truncation margin")
+    return A / norms[:, None]
 
 
 def random_state(D: int, seed: int) -> StateVector:
@@ -435,9 +468,7 @@ def random_state(D: int, seed: int) -> StateVector:
     stream documented in _gaussian_amplitudes; the same seed always
     produces the same vector on every platform.
     """
-    amp = _gaussian_amplitudes(D, seed)
-    amp /= np.linalg.norm(amp)
-    return StateVector(amp)
+    return StateVector(_random_rows(D, [seed])[0])
 
 
 def truncation_safe(state: StateVector, margin: int = DEFAULT_MARGIN) -> StateVector:
@@ -449,12 +480,7 @@ def truncation_safe(state: StateVector, margin: int = DEFAULT_MARGIN) -> StateVe
     """
     if not 0 < margin < state.dim:
         raise ValueError(f"margin must satisfy 0 < margin < {state.dim}, got {margin}")
-    amp = state.amplitudes.copy()
-    amp[state.dim - margin :] = 0.0
-    norm = np.linalg.norm(amp)
-    if norm == 0.0:
-        raise ValueError("state has no support below the truncation margin")
-    return StateVector(amp / norm)
+    return StateVector(_truncate_rows(state.amplitudes[None, :], margin)[0])
 
 
 def expectation(state: StateVector, M: Band) -> complex:
@@ -555,20 +581,51 @@ def _structure_rows(rep: FockRep, quads: QuadratureSet, xH, pH, margin: int):
     yield "lie_hamilton_p", pH, lie_hamilton_rhs(rep, quads, "p"), margin
 
 
+def _robertson_chunk_count(D: int) -> int:
+    """Into how many chunks the sweep splits its states at dimension D.
+
+    A chunk holds at most about ROBERTSON_CHUNK amplitudes, or two states
+    once D exceeds ROBERTSON_CHUNK / 2, so the sweep's memory is set by one
+    chunk and not by all its states.  A chunk never holds one state alone:
+    the moments of a one-column stack are summed pairwise, those of a wider
+    stack row by row, as the whole stack's are.
+    """
+    return min(ROBERTSON_STATES // 2, -(-ROBERTSON_STATES * D // ROBERTSON_CHUNK))
+
+
+def _robertson_stacks(D: int, margin: int, seed: int):
+    """The sweep's states as C-contiguous (D, c) stacks, chunk by chunk.
+
+    State k is truncation_safe(random_state(D, seed + k), margin), bit for
+    bit: each row is drawn, normalized and truncated on its own, and the
+    StateVector contract is checked for the whole chunk.
+    """
+    for chunk in np.array_split(np.arange(ROBERTSON_STATES), _robertson_chunk_count(D)):
+        rows = _truncate_rows(_random_rows(D, [seed + k for k in chunk.tolist()]), margin)
+        norms = np.linalg.norm(rows, axis=1)
+        # the norm farthest from 1; np.argmax stops at the first NaN
+        _require_unit_norm(float(norms[np.argmax(np.abs(norms - 1.0))]))
+        yield np.ascontiguousarray(rows.T)
+
+
+def _violations(V: np.ndarray, quads: QuadratureSet) -> np.ndarray:
+    """|<[x, p]>|/2 - dx dp for each column of the state stack V."""
+    moments = _moments(V, quads)
+    return 0.5 * np.abs(moments.xp_commutator_mean) - moments.product
+
+
 def _robertson_check(quads: QuadratureSet, margin: int, seed: int) -> IdentityReport:
     """Worst violation of dx dp >= |<[x, p]>|/2 over seeded random states.
 
-    Each state is drawn and normalized on its own; their moments are taken
-    as one stack.
+    The ROBERTSON_STATES states are drawn in batches by _robertson_stacks
+    and their moments are taken one chunk at a time, so at most one chunk
+    and its x and p images are held at once.
     """
-    D = quads.mat_x.D
-    stack = np.empty((D, ROBERTSON_STATES), dtype=complex)
-    for k in range(ROBERTSON_STATES):
-        stack[:, k] = truncation_safe(random_state(D, seed + k), margin).amplitudes
-    moments = _moments(stack, quads)
-    violations = 0.5 * np.abs(moments.xp_commutator_mean) - moments.product
-    # np.max propagates NaN, where max() would drop it and pass the check
-    worst = float(np.max(violations, initial=0.0))
+    worst = 0.0
+    for V in _robertson_stacks(quads.mat_x.D, margin, seed):
+        # np.max propagates NaN, where max() would drop it and pass the check
+        worst = np.max(_violations(V, quads), initial=worst)
+    worst = float(worst)
     return IdentityReport(
         name="robertson_inequality_random_states",
         window=ROBERTSON_STATES,

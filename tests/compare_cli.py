@@ -10,8 +10,9 @@ difference and 0 when every call and demo is byte-identical.
 
 The call list is read from this tree: the golden commands of
 tests/regen_goldens.py, the three perfbench workloads at seeds 1 and 2,
-20-level tables and CSV verify runs at D = 8 and 32 on the six cases, and a
-set of usage errors.  Standard library only.
+20-level tables and CSV verify runs at D = 8 and 32 on the six cases, verify
+runs at dimensions that place the Robertson sweep's chunk boundaries
+differently, and a set of usage errors.  Standard library only.
 """
 
 from __future__ import annotations
@@ -103,6 +104,10 @@ def call_list() -> dict:
                 ["verify", "--case", case, *params, "--format", "csv", "--margin", "5",
                  "--seed", "9", "--dim", dim]
             )
+    # the Robertson sweep's chunk boundaries: one chunk at D = 4, then 2, 7 and 100
+    sweep = ["verify", "--case", "arik-coon", "--q", "0.7"]
+    argvs += [sweep + ["--dim", "4", "--margin", margin] for margin in ("1", "3")]
+    argvs += [sweep + ["--dim", dim] for dim in ("41", "257", "4096")]
     argvs += USAGE_ERRORS
     return {shlex.join(argv): argv for argv in argvs}
 

@@ -379,6 +379,14 @@ class TestRandomStream:
     def test_state_equals_oracle(self, D, seed):
         assert random_state(D, seed).amplitudes.tobytes() == oracle_state(D, seed).tobytes()
 
+    @pytest.mark.parametrize("D", [4, 33])
+    def test_batched_draw_rows_equal_one_seed_draws(self, D):
+        seeds = [0, 1, 49, -1, 2**63, 2**64 - 100, 2**64 + 5, 123456789012345678901]
+        rows = fockrep._gaussian_amplitudes(D, seeds)
+        assert rows.shape == (len(seeds), D)
+        for row, seed in zip(rows, seeds):
+            assert row.tobytes() == fockrep._gaussian_amplitudes(D, [seed])[0].tobytes()
+
     def test_seed_wraps_modulo_two_to_the_64(self):
         # the Robertson sweep draws seeds seed..seed+199, which wrap past 2^64
         for k in range(3):
@@ -399,6 +407,63 @@ class TestUncertaintyProduct:
         quads = quadratures(build_rep(make_case(CaseId.ARIK_COON, q=0.5), 10))
         report = uncertainty_product(number_state(10, 2), quads)
         assert report.product == pytest.approx(0.25 * (1.5 + 1.75), abs=1e-12)
+
+
+class TestRobertsonSweep:
+    """The chunked sweep against the per-state construction, bit for bit."""
+
+    @pytest.mark.parametrize("seed", [0, -1, 2**64 - 100])
+    @pytest.mark.parametrize("D", [8, 41, 128, 256, 512, 4096])
+    def test_chunks_equal_the_per_state_stack(self, D, seed):
+        quads = quadratures(build_rep(make_case(CaseId.ARIK_COON, q=0.7), D))
+        reference = np.stack(
+            [truncation_safe(random_state(D, seed + k), 3).amplitudes for k in range(fockrep.ROBERTSON_STATES)],
+            axis=1,
+        )
+        moments = fockrep._moments(reference, quads)
+        expected = 0.5 * np.abs(moments.xp_commutator_mean) - moments.product
+        stacks = list(fockrep._robertson_stacks(D, 3, seed))
+        assert all(V.flags.c_contiguous and V.shape[1] >= 2 for V in stacks)
+        assert np.concatenate(stacks, axis=1).tobytes() == reference.tobytes()
+        violations = np.concatenate([fockrep._violations(V, quads) for V in stacks])
+        assert violations.tobytes() == expected.tobytes()
+        report = fockrep._robertson_check(quads, 3, seed)
+        assert report.max_abs_residual == max(0.0, float(expected.max()))
+
+    def test_chunks_raise_the_state_errors(self, monkeypatch):
+        def top_level_only(D, seeds):
+            rows = np.zeros((len(seeds), D), dtype=complex)
+            rows[:, -1] = 1.0
+            return rows
+
+        monkeypatch.setattr(fockrep, "_random_rows", top_level_only)
+        with pytest.raises(ValueError, match="no support below the truncation margin"):
+            next(fockrep._robertson_stacks(8, 3, 0))
+        monkeypatch.undo()
+
+        def scaled(A, margin):
+            A = 2.0 * A
+            A[1, 0] = math.nan
+            return A
+
+        monkeypatch.setattr(fockrep, "_truncate_rows", scaled)
+        with pytest.raises(ValueError, match="state vector norm nan is not 1"):
+            next(fockrep._robertson_stacks(8, 3, 0))
+
+    def test_nan_in_an_early_chunk_fails_the_check(self, monkeypatch):
+        chunks = iter([np.array([math.nan, 0.0]), np.zeros(2)])
+        monkeypatch.setattr(fockrep, "_violations", lambda V, quads: next(chunks))
+        quads = quadratures(build_rep(classical(), 41))
+        report = fockrep._robertson_check(quads, 3, 0)
+        assert math.isnan(report.max_abs_residual) and not report.passed
+
+    def test_chunks_hold_two_states_or_more_at_every_dimension(self):
+        for D in range(4, 20001):
+            count = fockrep._robertson_chunk_count(D)
+            # np.array_split makes the first STATES % count chunks one state longer
+            small, extra = divmod(fockrep.ROBERTSON_STATES, count)
+            sizes = [small + 1] * extra + [small] * (count - extra)
+            assert min(sizes) >= 2 and sum(sizes) == fockrep.ROBERTSON_STATES, D
 
 
 class TestVerifySuite:
