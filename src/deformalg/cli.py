@@ -18,7 +18,6 @@ import argparse
 import json
 import math
 import os
-import re
 import sys
 from typing import Optional
 
@@ -344,15 +343,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# argparse takes -1e-3, -1E2 or -inf after a flag for a flag, unless joined by '='
+# argparse takes -1e-3, -1. or -inf after a flag for a flag, unless joined by '='
 _FLOAT_OPTIONS = ("--q", "--alpha", "--beta", "--gamma", "--tol", "--q-from", "--q-to")
-_NEGATIVE_FLOAT = re.compile(r"-(\d*\.?\d+(e[-+]?\d+)?|inf|nan)", re.IGNORECASE)
 
 
 def main(argv: Optional[list] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     for i in reversed(range(1, len(argv))):
-        if argv[i - 1] in _FLOAT_OPTIONS and _NEGATIVE_FLOAT.fullmatch(argv[i]):
+        if argv[i - 1] in _FLOAT_OPTIONS and argv[i].startswith("-"):
+            try:
+                float(argv[i])  # what type=float will parse
+            except ValueError:
+                continue
             argv[i - 1 : i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     parser = build_parser()
     try:

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import astuple, dataclass, field
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -523,7 +523,7 @@ def uncertainty_product(state: StateVector, quads: QuadratureSet) -> QuadratureM
     truncation_safe); this is documented rather than enforced.
     """
     # one state gives 0-d numpy fields; the report holds them as Python numbers
-    return QuadratureMoments(*(np.asarray(v).item() for v in astuple(_moments(state.amplitudes, quads))))
+    return QuadratureMoments(*(np.asarray(v).item() for v in vars(_moments(state.amplitudes, quads)).values()))
 
 
 def run_verify_checks(K: SpectralFunction, D: int, margin: int, tol: float, seed: int) -> list:

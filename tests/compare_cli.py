@@ -12,7 +12,9 @@ The call list is read from this tree: the golden commands of
 tests/regen_goldens.py, the three perfbench workloads at seeds 1 and 2,
 20-level tables and CSV verify runs at D = 8 and 32 on the six cases, verify
 runs at dimensions that place the Robertson sweep's chunk boundaries
-differently, and a set of usage errors.  Standard library only.
+differently, a set of usage errors, and symbolic calls through every node
+kind and error path of the expression evaluator together with negative
+parameter values written as '-1.' and '-1.e0'.  Standard library only.
 """
 
 from __future__ import annotations
@@ -55,6 +57,19 @@ USAGE_ERRORS = [
     ["symbolic", "--case", "classical", "--check", "x/0 == x"],
     ["symbolic", "--case", "arik-coon", "--q", "0.7", "--check", "alpha == 1"],
     ["symbolic", "--case", "classical", "--check", "a*ad == ad*a"],
+]
+
+SYMBOLIC = ["symbolic", "--case", "classical", "--check"]
+EDGE_CALLS = [
+    ["symbolic", "--case", "arik-coon", "--q", "0.7", "--check", "(1+q)^-1*a/2 == a/(2+2*q)"],
+    SYMBOLIC + ["x^0 == 1"],
+    SYMBOLIC + ["-comm(a,ad) == K(N)-K(N+1)"],
+    ["symbolic", "--case", "nonlinear", "--alpha", "1", "--beta", "2", "--check", "alpha*x == x*alpha"],
+    SYMBOLIC + ["a^-1 == a"],
+    SYMBOLIC + ["x^16 == x"],
+    SYMBOLIC + ["(N^64)^64*ad == ad"],
+    ["table", "--case", "chung", "--q", "0.7", "--alpha", "-1.", "--beta", "0.5", "--levels", "1"],
+    ["table", "--case", "chung", "--q", "0.7", "--alpha", "-1.e0", "--beta", "0.5", "--levels", "1"],
 ]
 
 # Runs inside the tree given as argv[1]: the labelled calls arrive on stdin as
@@ -108,7 +123,7 @@ def call_list() -> dict:
     sweep = ["verify", "--case", "arik-coon", "--q", "0.7"]
     argvs += [sweep + ["--dim", "4", "--margin", margin] for margin in ("1", "3")]
     argvs += [sweep + ["--dim", dim] for dim in ("41", "257", "4096")]
-    argvs += USAGE_ERRORS
+    argvs += USAGE_ERRORS + EDGE_CALLS
     return {shlex.join(argv): argv for argv in argvs}
 
 

@@ -1,9 +1,11 @@
 """Shared parameter grids, case factories, word generators and dense oracles for the tests."""
 
+from functools import reduce
+
 import numpy as np
 
-from deformalg import Band, CaseId, make_case
-from deformalg.symorder import KShift, Mul, Num, Sym
+from deformalg import Band, CaseId, level_table, make_case
+from deformalg.symorder import Add, Comm, Div, KShift, Mul, Neg, Num, Param, Pow, Sym
 
 Q_GRID = [0.3, 0.7, 1.0, 1.5, 3.0]
 ABG_GRID = [-1.0, 0.5, 1.0, 2.0]
@@ -118,3 +120,47 @@ def residual(A, B, margin=0):
     dA, dB = A[:w, :w], B[:w, :w]
     scale = max(1.0, float(np.abs(dA).max()), float(np.abs(dB).max()))
     return float(np.abs(dA - dB).max()) / scale
+
+
+def dense_expr(expr, K, D):
+    """The D x D array of an expression, walked here with numpy products on
+    ladder matrices built from level_table: the tests' own evaluator, which
+    shares no code with symorder's."""
+    a = np.diag(np.sqrt(level_table(K, 1, D - 1)).astype(complex), 1)  # a[n-1, n] = sqrt(K(n))
+    ad = a.conj().T
+    x, p = (ad + a) / 2, 0.5j * (ad - a)
+    symbols = {"a": a, "ad": ad, "N": np.diag(np.arange(D, dtype=complex)), "x": x, "p": p, "H": x @ x + p @ p}
+    eye = np.eye(D, dtype=complex)
+
+    def scalar(M):
+        assert np.array_equal(M, M[0, 0] * eye), "not a multiple of the identity"
+        return M[0, 0]
+
+    def ev(node):
+        if isinstance(node, Num):
+            return node.value * eye
+        if isinstance(node, Param):
+            return K.params()[node.name] * eye
+        if isinstance(node, Sym):
+            return symbols[node.name]
+        if isinstance(node, KShift):
+            return np.diag(level_table(K, node.offset, node.offset + D - 1).astype(complex))
+        if isinstance(node, Neg):
+            return -ev(node.operand)
+        if isinstance(node, Add):
+            return reduce(np.add, map(ev, node.terms))
+        if isinstance(node, Mul):
+            return reduce(np.matmul, map(ev, node.factors))
+        if isinstance(node, Pow):
+            base = ev(node.base)
+            if node.exponent < 0:
+                return scalar(base) ** node.exponent * eye
+            return np.linalg.matrix_power(base, node.exponent)
+        if isinstance(node, Div):
+            return ev(node.numerator) / scalar(ev(node.denominator))
+        if isinstance(node, Comm):
+            left, right = ev(node.left), ev(node.right)
+            return left @ right - right @ left
+        raise TypeError(f"unknown expression node {node!r}")
+
+    return ev(expr)

@@ -102,6 +102,20 @@ class TestExitCodes:
         payload = json.loads(cp.stdout)
         assert payload["pass"] is False
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the normal form matches with deviation 0.0, but the matrix oracle reports "
+        "1.89e-10 > 1e-10: scaled_max_residual divides by max(1, |A|, |B|), both sides are "
+        "about 0, and the rounding of the cancelled products N@ad - ad@N - ad is not scaled "
+        "by the size of those products",
+    )
+    def test_symbolic_number_ladder_commutator_on_borzov(self):
+        cp = run_cli(
+            "symbolic", "--case", "borzov", "--q", "1.5", "--alpha", "0.5", "--beta", "1",
+            "--gamma", "2", "--check", "comm(N,ad) - ad == 0",
+        )
+        assert cp.returncode == 0, cp.stdout
+
     def test_symbolic_parse_error_exits_two(self):
         cp = run_cli("symbolic", "--case", "classical", "--check", "a*ad == ad*")
         assert cp.returncode == 2
@@ -189,6 +203,14 @@ class TestNegativeFloatValues:
         base = ["table", "--case", "chung", "--q", "0.7", "--beta", "0.5"]
         cp = run_cli(*base, "--alpha", value)
         assert cp == run_cli(*base, f"--alpha={value}")
+        assert cp.returncode == 0, cp.stderr
+
+    @pytest.mark.parametrize("value", ["-1.", "-1.e0"])
+    def test_trailing_point_negatives_match_equals_form(self, value):
+        # values that float(), and so type=float, reads with a trailing point
+        base = ["table", "--case", "chung", "--q", "0.7", "--beta", "0.5", "--levels", "1"]
+        cp = run_cli(*base, "--alpha", value)
+        assert cp == run_cli(*base, "--alpha=-1.")
         assert cp.returncode == 0, cp.stderr
 
     def test_negative_infinity_is_a_finite_parameter_error(self):

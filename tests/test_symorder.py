@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import custom_cases, dense, random_words, representative_cases, residual
+from conftest import custom_cases, dense, dense_expr, random_words, representative_cases, residual
 from deformalg import (
     BUILTIN_IDENTITIES,
     Band,
@@ -238,6 +238,47 @@ class TestComposition:
         assert len({one, other, one}) == 2
 
 
+class TestNormalFormOperators:
+    @staticmethod
+    def nf(text, K):
+        return normal_order(parse_expr(text), K)
+
+    def test_composition_contracts_as_the_band_product_does(self):
+        K = make_case(CaseId.ARIK_COON, q=0.7)
+        a_ad = self.nf("a", K) @ self.nf("ad", K)
+        assert a_ad.coefficient(0).terms == {(0, (1,)): 1.0}
+        rep = build_rep(K, 10)
+        assert residual(nf_to_matrix(a_ad, 10), rep.mat_a @ rep.mat_ad, margin=1) <= 1e-15
+
+    def test_operators_match_the_parsed_expressions_term_for_term(self):
+        K = make_case(CaseId.CHUNG, q=0.7, alpha=2.0, beta=0.5)
+        x, p, h = self.nf("x", K), self.nf("p", K), self.nf("H", K)
+        for built, text in [
+            (x @ p - p @ x, "comm(x,p)"),
+            (-(x + h), "-(x + H)"),
+            (2.5 * h / 4, "2.5*H/4"),
+            (h * 2j, "H*2i"),
+        ]:
+            expected = self.nf(text, K)
+            assert built.support() == expected.support(), text
+            for d in built.support():
+                assert built.coefficient(d).terms == expected.coefficient(d).terms, (text, d)
+
+    def test_exact_cancellation_drops_offsets(self):
+        K = classical()
+        x = self.nf("x", K)
+        assert (x - x).support() == () and (0 * x).support() == ()
+
+    def test_operands_of_another_algebra_or_type_are_refused(self):
+        x = self.nf("x", classical())
+        with pytest.raises(ValueError, match="do not combine"):
+            x @ self.nf("x", make_case(CaseId.ARIK_COON, q=0.7))
+        with pytest.raises(TypeError):
+            x + 1
+        with pytest.raises(TypeError):
+            x * "2"
+
+
 class TestNormalFormEquality:
     def test_xp_commutator_identity(self):
         K = make_case(CaseId.ARIK_COON, q=0.7)
@@ -389,6 +430,41 @@ class TestTermination:
         realized = nf_to_matrix(normal_order(expr, K), D)
         direct = expr_to_matrix(expr, K, D)
         assert scaled_max_residual(realized, direct, margin=10) <= 1e-12
+
+
+class TestEvaluatorAgainstDenseWalk:
+    """expr_to_matrix shares symorder's evaluator with normal_order, so it is
+    checked here against conftest.dense_expr, a separate numpy walk."""
+
+    D, MARGIN = 16, 6
+    # the composite identities of the benchmark's symbolic-mix workload
+    COMPOSITES = (
+        "comm(H^3,x^3) == H^3*x^3 - x^3*H^3",
+        "comm(x,comm(p,H)) + comm(p,comm(H,x)) + comm(H,comm(x,p)) == 0",
+        "comm(H^2,x^2) == H*comm(H,x^2) + comm(H,x^2)*H",
+        "ad^3*a^3 == K(N)*K(N-1)*K(N-2)",
+    )
+
+    def assert_matches(self, expr, K):
+        got = expr_to_matrix(expr, K, self.D)
+        assert residual(got, dense_expr(expr, K, self.D), margin=self.MARGIN) <= 1e-13, (K, expr)
+
+    @pytest.mark.parametrize("K", representative_cases(), ids=str)
+    def test_identities_and_edge_nodes(self, K):
+        for identity in (*BUILTIN_IDENTITIES.values(), *self.COMPOSITES):
+            for side in parse_identity(identity):
+                self.assert_matches(side, K)
+        for text in ("x^0", "-comm(a,ad)"):
+            self.assert_matches(parse_expr(text), K)
+
+    def test_scalar_division_and_bound_parameters(self):
+        self.assert_matches(parse_expr("(1+q)^-1*a/2"), make_case(CaseId.ARIK_COON, q=0.7))
+        self.assert_matches(parse_expr("alpha*x - K(N-1)"), make_case(CaseId.NONLINEAR, alpha=1.0, beta=2.0))
+
+    @pytest.mark.parametrize("K", representative_cases(), ids=str)
+    def test_random_words(self, K):
+        for word in random_words(seed=5, count=200, max_len=6):
+            self.assert_matches(word, K)
 
 
 class TestMatrixOracle:
