@@ -33,6 +33,7 @@ from .gup import (
     invert_number_quadratic,
     invert_number_symmetric,
     kempf_rescale,
+    number_state_reports,
     square_sum_bound,
     uncertainty_report,
 )

@@ -15,6 +15,7 @@ DEFORMALG_SEED environment variable when set.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -177,26 +178,23 @@ _SCAN_HEADER = [
 def _scan_rows(K: SpectralFunction, levels, D: int) -> list:
     """One row per number-state level, all from one representation of K."""
     rep = fockrep.build_rep(K, D)
-    quads = fockrep.quadratures(rep)
-    rows = []
-    for n in levels:
-        report = gup.uncertainty_report(fockrep.number_state(D, n), rep, quads)
-        rows.append(
-            [K.case_id.value]
-            + _param_columns(K)
-            + [
-                str(n),
-                fmt_float(report.delta_x),
-                fmt_float(report.delta_p),
-                fmt_float(report.product),
-                fmt_float(report.robertson_bound),
-                fmt_float(report.case_bound) if report.case_bound is not None else "",
-                fmt_float(report.square_sum_bound),
-                fmt_float(report.margin_robertson),
-                fmt_float(report.margin_case) if report.margin_case is not None else "",
-            ]
-        )
-    return rows
+    reports = gup.number_state_reports(rep, fockrep.quadratures(rep), levels)
+    base = [K.case_id.value] + _param_columns(K)
+    return [
+        base
+        + [
+            str(n),
+            fmt_float(report.delta_x),
+            fmt_float(report.delta_p),
+            fmt_float(report.product),
+            fmt_float(report.robertson_bound),
+            fmt_float(report.case_bound) if report.case_bound is not None else "",
+            fmt_float(report.square_sum_bound),
+            fmt_float(report.margin_robertson),
+            fmt_float(report.margin_case) if report.margin_case is not None else "",
+        ]
+        for n, report in zip(levels, reports)
+    ]
 
 
 def cmd_gup_scan(args, seed: int) -> int:
@@ -306,7 +304,9 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", default=None)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="deformalg",
         description="Verification and analysis toolkit for deformed oscillator algebras.",
@@ -343,18 +343,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# argparse takes -1e-3, -1. or -inf after a flag for a flag, unless joined by '='
+# argparse takes -1e-3, -1. or -inf after a flag for a flag, unless joined by '=';
+# the same holds for an identity such as -comm(a,ad)==K(N)-K(N+1) after --check
 _FLOAT_OPTIONS = ("--q", "--alpha", "--beta", "--gamma", "--tol", "--q-from", "--q-to")
+
+
+def _is_value_of(flag: str, arg: str) -> bool:
+    """Whether arg, which starts with '-', is the value of the flag before it."""
+    if flag == "--check":
+        return not arg.startswith("--")
+    if flag not in _FLOAT_OPTIONS:
+        return False
+    try:
+        float(arg)  # what type=float will parse
+    except ValueError:
+        return False
+    return True
 
 
 def main(argv: Optional[list] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     for i in reversed(range(1, len(argv))):
-        if argv[i - 1] in _FLOAT_OPTIONS and argv[i].startswith("-"):
-            try:
-                float(argv[i])  # what type=float will parse
-            except ValueError:
-                continue
+        if argv[i].startswith("-") and _is_value_of(argv[i - 1], argv[i]):
             argv[i - 1 : i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     parser = build_parser()
     try:

@@ -73,7 +73,7 @@ DEFAULT_TOL = 1e-10
 EXACT_TOL = 1e-14
 ROBERTSON_STATES = 200
 ROBERTSON_TOL = 1e-12
-ROBERTSON_CHUNK = 8192  # amplitudes per state stack of the Robertson sweep
+ROBERTSON_CHUNK = 8192  # amplitudes per state stack: the Robertson sweep's and gup's number states
 
 
 class Band:
@@ -489,14 +489,13 @@ def expectation(state: StateVector, M: Band) -> complex:
     return complex(np.vdot(v, M @ v))
 
 
-def _moments(V: np.ndarray, quads: QuadratureSet) -> QuadratureMoments:
-    """Moments of each column of the state stack V, read from x V and p V alone.
+def _moments(V: np.ndarray, xV: np.ndarray, pV: np.ndarray) -> QuadratureMoments:
+    """Moments of each column of the state stack V, read from its images xV and pV alone.
 
     <x> = Re<v|xv>, <x^2> = |xv|^2 and <[x, p]> = <xv|pv> - <pv|xv>
     = 2i Im<xv|pv>, since x and p are Hermitian; the same for p.  Each field
     holds one value per column.
     """
-    xV, pV = quads.mat_x @ V, quads.mat_p @ V
 
     def inner(U, W):
         return (U.conj() * W).sum(axis=0)
@@ -522,8 +521,10 @@ def uncertainty_product(state: StateVector, quads: QuadratureSet) -> QuadratureM
     Truncation-exact when the state's top amplitudes vanish (see
     truncation_safe); this is documented rather than enforced.
     """
+    v = state.amplitudes
+    moments = _moments(v, quads.mat_x @ v, quads.mat_p @ v)
     # one state gives 0-d numpy fields; the report holds them as Python numbers
-    return QuadratureMoments(*(np.asarray(v).item() for v in vars(_moments(state.amplitudes, quads)).values()))
+    return QuadratureMoments(*(np.asarray(f).item() for f in vars(moments).values()))
 
 
 def run_verify_checks(K: SpectralFunction, D: int, margin: int, tol: float, seed: int) -> list:
@@ -581,16 +582,16 @@ def _structure_rows(rep: FockRep, quads: QuadratureSet, xH, pH, margin: int):
     yield "lie_hamilton_p", pH, lie_hamilton_rhs(rep, quads, "p"), margin
 
 
-def _robertson_chunk_count(D: int) -> int:
-    """Into how many chunks the sweep splits its states at dimension D.
+def _chunk_count(D: int, states: int) -> int:
+    """Into how many chunks a stack of `states` states of dimension D is split.
 
     A chunk holds at most about ROBERTSON_CHUNK amplitudes, or two states
-    once D exceeds ROBERTSON_CHUNK / 2, so the sweep's memory is set by one
-    chunk and not by all its states.  A chunk never holds one state alone:
-    the moments of a one-column stack are summed pairwise, those of a wider
-    stack row by row, as the whole stack's are.
+    once D exceeds ROBERTSON_CHUNK / 2, so memory is set by one chunk and
+    not by all the states.  A chunk holds one state alone only when there
+    is one state: the moments of a one-column stack are summed pairwise,
+    those of a wider stack row by row, as the whole stack's are.
     """
-    return min(ROBERTSON_STATES // 2, -(-ROBERTSON_STATES * D // ROBERTSON_CHUNK))
+    return max(1, min(states // 2, -(-states * D // ROBERTSON_CHUNK)))
 
 
 def _robertson_stacks(D: int, margin: int, seed: int):
@@ -600,7 +601,7 @@ def _robertson_stacks(D: int, margin: int, seed: int):
     bit: each row is drawn, normalized and truncated on its own, and the
     StateVector contract is checked for the whole chunk.
     """
-    for chunk in np.array_split(np.arange(ROBERTSON_STATES), _robertson_chunk_count(D)):
+    for chunk in np.array_split(np.arange(ROBERTSON_STATES), _chunk_count(D, ROBERTSON_STATES)):
         rows = _truncate_rows(_random_rows(D, [seed + k for k in chunk.tolist()]), margin)
         norms = np.linalg.norm(rows, axis=1)
         # the norm farthest from 1; np.argmax stops at the first NaN
@@ -610,7 +611,7 @@ def _robertson_stacks(D: int, margin: int, seed: int):
 
 def _violations(V: np.ndarray, quads: QuadratureSet) -> np.ndarray:
     """|<[x, p]>|/2 - dx dp for each column of the state stack V."""
-    moments = _moments(V, quads)
+    moments = _moments(V, quads.mat_x @ V, quads.mat_p @ V)
     return 0.5 * np.abs(moments.xp_commutator_mean) - moments.product
 
 

@@ -6,7 +6,9 @@ Robertson bound
     dx dp >= |<[x, p]>| / 2,
 
 which for a deformed oscillator equals <K(N+1) - K(N)>/4 on diagonal
-states; uncertainty_report evaluates it from the moments of the state.
+states; uncertainty_report evaluates it from the moments of the state, and
+number_state_reports from the moments of a batch of number states |n>,
+taken as one-hot state stacks a chunk at a time.
 Alongside it, reports carry a quadratic diagnostic
 
     (<K(N)>^2 + <K(N+1)>^2) / 4
@@ -45,8 +47,9 @@ from .fockrep import (
     QuadratureMoments,
     QuadratureSet,
     StateVector,
+    _chunk_count,
+    _moments,
     kempf_rescale,
-    uncertainty_product,
 )
 from .spectral import DEGENERATE_TOL, CaseId, SpectralFunction
 
@@ -54,6 +57,7 @@ __all__ = [
     "UncertaintyReport",
     "square_sum_bound",
     "uncertainty_report",
+    "number_state_reports",
     "invert_number_geometric",
     "invert_number_symmetric",
     "invert_number_quadratic",
@@ -93,31 +97,97 @@ def square_sum_bound(state: StateVector, rep: FockRep) -> float:
     product for low-lying states (see module docstring) and must not be
     used as a bound.
     """
-    weights = np.abs(state.amplitudes) ** 2
-    dim = weights.shape[0]
-    kn = float(sum(weights * rep.levels[:dim]))
-    knp1 = float(sum(weights * rep.levels[1 : dim + 1]))
-    return 0.25 * (kn * kn + knp1 * knp1)
+    return _square_sums(state.amplitudes[:, None], rep.levels)[0]
 
 
 def uncertainty_report(state: StateVector, rep: FockRep, quads: QuadratureSet) -> UncertaintyReport:
     """Assemble the full bound report for one state, with the case bound where one applies."""
-    moments = uncertainty_product(state, quads)
-    robertson = 0.5 * abs(moments.xp_commutator_mean)
-    diagnostic = square_sum_bound(state, rep)
-    cb = _case_bound(state, quads, rep.K, moments)
-    margin_case = None if cb is None else moments.product - cb
-    return UncertaintyReport(
-        delta_x=moments.delta_x,
-        delta_p=moments.delta_p,
-        product=moments.product,
-        robertson_bound=robertson,
-        square_sum_bound=diagnostic,
-        square_sum_violated=moments.product < diagnostic - VIOLATION_TOL,
-        margin_robertson=moments.product - robertson,
-        case_bound=cb,
-        margin_case=margin_case,
+    return _reports(state.amplitudes[:, None], rep, quads)[0]
+
+
+def number_state_reports(rep: FockRep, quads: QuadratureSet, levels) -> list:
+    """The report of each number state |n>, n in levels, in the order given.
+
+    Report k equals uncertainty_report(number_state(rep.D, n_k), rep, quads).
+    The states are taken as one-hot (D, c) stacks of at most about
+    ROBERTSON_CHUNK amplitudes each, so memory is set by one chunk; the
+    diagnostic still sums over every level, so an inf or NaN in the level
+    table reaches every report.
+    """
+    D = rep.D
+    levels = list(levels)
+    for n in levels:
+        if not 0 <= n < D:
+            raise ValueError(f"level {n} outside 0..{D - 1}")
+    S = len(levels)
+    count = _chunk_count(D, S)
+    reports = []
+    for k in range(count):
+        chunk = levels[k * S // count : (k + 1) * S // count]
+        V = np.zeros((D, len(chunk)), dtype=complex)
+        V[chunk, np.arange(len(chunk))] = 1.0
+        reports += _reports(V, rep, quads)
+    return reports
+
+
+def _reports(V: np.ndarray, rep: FockRep, quads: QuadratureSet) -> list:
+    """The UncertaintyReport of each column of the state stack V, its moments taken once.
+
+    The stack-wide work is done by numpy; the closed forms then run on each
+    column's Python floats, the arithmetic single states always had.
+    """
+    xV, pV = quads.mat_x @ V, quads.mat_p @ V
+    m = _moments(V, xV, pV)
+    columns = zip(
+        m.delta_x.tolist(),
+        m.delta_p.tolist(),
+        m.product.tolist(),
+        m.xp_commutator_mean.tolist(),
+        _square_sums(V, rep.levels),
+        _case_bounds(rep.K, quads, m, xV, pV),
     )
+    reports = []
+    for dx, dp, product, xp, diagnostic, bound in columns:
+        robertson = 0.5 * abs(xp)
+        reports.append(
+            UncertaintyReport(
+                delta_x=dx,
+                delta_p=dp,
+                product=product,
+                robertson_bound=robertson,
+                square_sum_bound=diagnostic,
+                square_sum_violated=product < diagnostic - VIOLATION_TOL,
+                margin_robertson=product - robertson,
+                case_bound=bound,
+                margin_case=None if bound is None else product - bound,
+            )
+        )
+    return reports
+
+
+def _square_sums(V: np.ndarray, levels: np.ndarray) -> list:
+    """The quadratic diagnostic of each column of V, each mean summed in level order."""
+    W = np.abs(V) ** 2
+    D = W.shape[0]
+    # accumulate adds row after row for any number of columns, where sum
+    # would add a single column pairwise
+    kn = np.add.accumulate(W * levels[:D, None], axis=0)[-1].tolist()
+    knp1 = np.add.accumulate(W * levels[1 : D + 1, None], axis=0)[-1].tolist()
+    return [0.25 * (a * a + b * b) for a, b in zip(kn, knp1)]
+
+
+def _squared_norms(h: np.ndarray) -> list:
+    """|h|^2 for each column of h.
+
+    One column is summed by np.vdot, as single states always were; a wider
+    stack is summed column by column, without the overflow warnings np.vdot
+    never gives.  The two agree on the vectors x(x psi) + p(p psi) of number
+    states, which have one nonzero entry.
+    """
+    if h.shape[1] == 1:
+        return [float(np.vdot(h, h).real)]
+    with np.errstate(over="ignore"):
+        return (h.real * h.real + h.imag * h.imag).sum(axis=0).tolist()
 
 
 def invert_number_geometric(q: float, h: float) -> float:
@@ -186,26 +256,32 @@ def case_bound(state: StateVector, quads: QuadratureSet, K: SpectralFunction) ->
     their sum is <(x^2 + p^2)^2> = |x(x psi) + p(p psi)|^2.  Returns None
     for the cases without a bound.
     """
-    return _case_bound(state, quads, K, uncertainty_product(state, quads))
+    V = state.amplitudes[:, None]
+    xV, pV = quads.mat_x @ V, quads.mat_p @ V
+    return _case_bounds(K, quads, _moments(V, xV, pV), xV, pV)[0]
 
 
-def _case_bound(state, quads, K, m: QuadratureMoments) -> Optional[float]:
-    """case_bound, with dx and dp read from the state's moments m."""
+def _case_bounds(K, quads, m: QuadratureMoments, xV, pV) -> list:
+    """case_bound for each column of a state stack, from its moments m and its images xV and pV."""
     if K.case_id is CaseId.ARIK_COON:
         q = K.q
-        return (1.0 - (1.0 - q) * (m.delta_x**2 + m.delta_p**2)) / (4.0 * (1.0 + q))
+        return [
+            (1.0 - (1.0 - q) * (dx**2 + dp**2)) / (4.0 * (1.0 + q))
+            for dx, dp in zip(m.delta_x.tolist(), m.delta_p.tolist())
+        ]
 
     if K.case_id is CaseId.MACFARLANE_BIEDENHARN:
         q = K.q
-        x, p, v = quads.mat_x, quads.mat_p, state.amplitudes
-        h_psi = x @ (x @ v) + p @ (p @ v)
-        moments = float(np.vdot(h_psi, h_psi).real)
         prefactor = math.sqrt(q) / (2.0 * (1.0 + q))
         correction = q * (q - 1.0 / q) ** 2 / (2.0 * (q + 1.0) ** 2)
-        return prefactor * (1.0 + correction * moments)
+        fourth = _squared_norms(quads.mat_x @ xV + quads.mat_p @ pV)
+        return [prefactor * (1.0 + correction * h4) for h4 in fourth]
 
     if K.case_id is CaseId.NONLINEAR:
         a, b = K.alpha, K.beta
-        return (b / 4.0) * (1.0 - (a / b**2) * (m.delta_x**2 + m.delta_p**2))
+        return [
+            (b / 4.0) * (1.0 - (a / b**2) * (dx**2 + dp**2))
+            for dx, dp in zip(m.delta_x.tolist(), m.delta_p.tolist())
+        ]
 
-    return None
+    return [None] * xV.shape[1]

@@ -12,9 +12,12 @@ The call list is read from this tree: the golden commands of
 tests/regen_goldens.py, the three perfbench workloads at seeds 1 and 2,
 20-level tables and CSV verify runs at D = 8 and 32 on the six cases, verify
 runs at dimensions that place the Robertson sweep's chunk boundaries
-differently, a set of usage errors, and symbolic calls through every node
-kind and error path of the expression evaluator together with negative
-parameter values written as '-1.' and '-1.e0'.  Standard library only.
+differently, full-range gup-scans on the six cases at D = 8, 65, 129 and
+300, q-scans on the four cases with a q, macfarlane-biedenharn scans at
+q = 3.5 whose fourth moments overflow, a set of usage errors, and symbolic
+calls through every node kind and error path of the expression evaluator
+together with negative parameter values written as '-1.' and '-1.e0'.
+Standard library only.
 """
 
 from __future__ import annotations
@@ -64,6 +67,7 @@ EDGE_CALLS = [
     ["symbolic", "--case", "arik-coon", "--q", "0.7", "--check", "(1+q)^-1*a/2 == a/(2+2*q)"],
     SYMBOLIC + ["x^0 == 1"],
     SYMBOLIC + ["-comm(a,ad) == K(N)-K(N+1)"],
+    SYMBOLIC + ["-comm(a,ad)==K(N)-K(N+1)"],
     ["symbolic", "--case", "nonlinear", "--alpha", "1", "--beta", "2", "--check", "alpha*x == x*alpha"],
     SYMBOLIC + ["a^-1 == a"],
     SYMBOLIC + ["x^16 == x"],
@@ -119,6 +123,28 @@ def call_list() -> dict:
                 ["verify", "--case", case, *params, "--format", "csv", "--margin", "5",
                  "--seed", "9", "--dim", dim]
             )
+    # full-range level scans, one or more number-state chunks: D = 8 and 65 fit in
+    # one, 129 and 300 take several
+    for case, params in workloads.CASES.items():
+        for dim in (8, 65, 129, 300):
+            argvs.append(
+                ["gup-scan", "--case", case, *params, "--dim", str(dim),
+                 "--n-from", "0", "--n-to", str(dim - 4)]
+            )
+    # q-scans, one level per representation, on the cases that have a q
+    for case, params in workloads.CASES.items():
+        if "--q" in params:
+            argvs.append(
+                ["gup-scan", "--case", case, *params, "--q-from", "0.25", "--q-to", "1.75",
+                 "--q-steps", "7", "--n-from", "3"]
+            )
+    # fourth moments up to 1e212, then overflowing to inf at the top of D = 300,
+    # where the parent's np.vdot and Python float arithmetic print no warning
+    for dim in (200, 300):
+        argvs.append(
+            ["gup-scan", "--case", "macfarlane-biedenharn", "--q", "3.5", "--dim", str(dim),
+             "--n-from", "0", "--n-to", str(dim - 4)]
+        )
     # the Robertson sweep's chunk boundaries: one chunk at D = 4, then 2, 7 and 100
     sweep = ["verify", "--case", "arik-coon", "--q", "0.7"]
     argvs += [sweep + ["--dim", "4", "--margin", margin] for margin in ("1", "3")]

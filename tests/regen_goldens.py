@@ -22,6 +22,10 @@ COMMANDS = {
     "gup_scan_arik_coon.csv": [
         "gup-scan", "--case", "arik-coon", "--q", "0.5", "--n-from", "0", "--n-to", "4",
     ],
+    "gup_scan_macfarlane_biedenharn.csv": [
+        "gup-scan", "--case", "macfarlane-biedenharn", "--q", "0.95", "--dim", "128",
+        "--n-from", "0", "--n-to", "124",
+    ],
     "symbolic_lh_x.json": [
         "symbolic", "--case", "nonlinear", "--alpha", "1", "--beta", "2", "--check", "lh_x",
     ],

@@ -138,21 +138,22 @@ def peak_bytes(fn):
         tracemalloc.stop()
 
 
-def scan():
+def scan(n_to):
     argv = ["gup-scan", "--case", "macfarlane-biedenharn", "--q", "0.95", "--dim", str(DIM)]
     with contextlib.redirect_stdout(io.StringIO()):
-        assert cli.main(argv + ["--n-from", "0", "--n-to", "124"]) == 0
+        assert cli.main(argv + ["--n-from", "0", "--n-to", str(n_to)]) == 0
 
 
 @pytest.mark.parametrize(
     "work",
     [
-        scan,
+        lambda: scan(124),
+        lambda: scan(DIM - 4),
         lambda: expr_to_matrix(
             parse_identity(BUILTIN_IDENTITIES["lh_x"])[1], make_case(CaseId.NONLINEAR, alpha=1.0, beta=2.0), DIM
         ),
     ],
-    ids=["gup-scan", "expr_to_matrix"],
+    ids=["gup-scan", "gup-scan-full-range", "expr_to_matrix"],
 )
 def test_peak_memory_stays_below_one_dense_matrix(work):
     assert peak_bytes(work) < DENSE_BYTES

@@ -86,6 +86,24 @@ class TestExitCodes:
         assert cp.returncode == 2
         assert "must be finite" in cp.stderr and cp.stdout == ""
 
+    def test_one_parser_serves_every_call(self):
+        # a usage error inside a subcommand, then valid calls of other subcommands
+        calls = [
+            ("gup-scan", "--case", "classical", "--dim", "x"),
+            ("table", "--case", "classical", "--levels", "3"),
+            ("verify", "--case", "no-such-case"),
+            ("symbolic", "--case", "classical", "--check", "comm_xp"),
+        ]
+        alone = []
+        for args in calls:
+            cli.build_parser.cache_clear()
+            alone.append(run_cli(*args))
+        cli.build_parser.cache_clear()
+        together = [run_cli(*args) for args in calls]
+        assert together == alone
+        assert [cp.returncode for cp in together] == [2, 0, 2, 0]
+        assert cli.build_parser() is cli.build_parser()
+
     def test_zero_margin_rejected(self):
         cp = run_cli("verify", "--case", "classical", "--margin", "0")
         assert cp.returncode == 2
@@ -212,6 +230,16 @@ class TestNegativeFloatValues:
         cp = run_cli(*base, "--alpha", value)
         assert cp == run_cli(*base, "--alpha=-1.")
         assert cp.returncode == 0, cp.stderr
+
+    def test_identity_starting_with_minus_is_the_check(self):
+        joined = run_cli("symbolic", "--case", "classical", "--check", "-comm(a,ad)==K(N)-K(N+1)")
+        spaced = run_cli("symbolic", "--case", "classical", "--check", "-comm(a,ad) == K(N)-K(N+1)")
+        assert joined.returncode == spaced.returncode == 0, joined.stderr
+        verdicts = [
+            {k: v for k, v in json.loads(cp.stdout).items() if k not in ("check", "identity")}
+            for cp in (joined, spaced)
+        ]
+        assert verdicts[0] == verdicts[1]
 
     def test_negative_infinity_is_a_finite_parameter_error(self):
         cp = run_cli(

@@ -420,7 +420,7 @@ class TestRobertsonSweep:
             [truncation_safe(random_state(D, seed + k), 3).amplitudes for k in range(fockrep.ROBERTSON_STATES)],
             axis=1,
         )
-        moments = fockrep._moments(reference, quads)
+        moments = fockrep._moments(reference, quads.mat_x @ reference, quads.mat_p @ reference)
         expected = 0.5 * np.abs(moments.xp_commutator_mean) - moments.product
         stacks = list(fockrep._robertson_stacks(D, 3, seed))
         assert all(V.flags.c_contiguous and V.shape[1] >= 2 for V in stacks)
@@ -459,7 +459,7 @@ class TestRobertsonSweep:
 
     def test_chunks_hold_two_states_or_more_at_every_dimension(self):
         for D in range(4, 20001):
-            count = fockrep._robertson_chunk_count(D)
+            count = fockrep._chunk_count(D, fockrep.ROBERTSON_STATES)
             # np.array_split makes the first STATES % count chunks one state longer
             small, extra = divmod(fockrep.ROBERTSON_STATES, count)
             sizes = [small + 1] * extra + [small] * (count - extra)

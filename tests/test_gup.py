@@ -1,15 +1,17 @@
 """Uncertainty bounds, the quadratic diagnostic, and spectrum inversions."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from conftest import dense, representative_cases
-from deformalg import gup
+from deformalg import fockrep, gup
 from deformalg import (
     Band,
     CaseId,
+    UncertaintyReport,
     build_rep,
     case_bound,
     commutator,
@@ -21,6 +23,7 @@ from deformalg import (
     kempf_rescale,
     make_case,
     number_state,
+    number_state_reports,
     quadratures,
     random_state,
     square_sum_bound,
@@ -335,18 +338,161 @@ class TestCaseBounds:
     def test_report_takes_the_moments_once(self, K, monkeypatch):
         calls = []
 
-        def counted(state, quads):
-            calls.append(state)
-            return uncertainty_product(state, quads)
+        def counted(V, xV, pV):
+            calls.append(V.shape)
+            return fockrep._moments(V, xV, pV)
 
-        monkeypatch.setattr(gup, "uncertainty_product", counted)
+        monkeypatch.setattr(gup, "_moments", counted)
         D = 12
         rep = build_rep(K, D)
         uncertainty_report(number_state(D, 2), rep, quadratures(rep))
-        assert len(calls) == 1
+        assert calls == [(D, 1)]
 
     def test_case_without_bound_gives_none(self):
         K = classical()
         rep = build_rep(K, 8)
         quads = quadratures(rep)
         assert case_bound(number_state(8, 0), quads, K) is None
+
+
+def oracle_report(state, rep, quads):
+    """The report of one state from the per-state formulas: uncertainty_product,
+    the builtin sum in level order, and the fourth moment through np.vdot."""
+    K = rep.K
+    m = uncertainty_product(state, quads)
+    v = state.amplitudes
+    weights = np.abs(v) ** 2
+    D = weights.shape[0]
+    kn = float(sum(weights * rep.levels[:D]))
+    knp1 = float(sum(weights * rep.levels[1 : D + 1]))
+    diagnostic = 0.25 * (kn * kn + knp1 * knp1)
+    spread = m.delta_x**2 + m.delta_p**2
+    if K.case_id is CaseId.ARIK_COON:
+        bound = (1.0 - (1.0 - K.q) * spread) / (4.0 * (1.0 + K.q))
+    elif K.case_id is CaseId.MACFARLANE_BIEDENHARN:
+        q, x, p = K.q, quads.mat_x, quads.mat_p
+        h = x @ (x @ v) + p @ (p @ v)
+        prefactor = math.sqrt(q) / (2.0 * (1.0 + q))
+        correction = q * (q - 1.0 / q) ** 2 / (2.0 * (q + 1.0) ** 2)
+        bound = prefactor * (1.0 + correction * float(np.vdot(h, h).real))
+    elif K.case_id is CaseId.NONLINEAR:
+        a, b = K.alpha, K.beta
+        bound = (b / 4.0) * (1.0 - (a / b**2) * spread)
+    else:
+        bound = None
+    robertson = 0.5 * abs(m.xp_commutator_mean)
+    return UncertaintyReport(
+        delta_x=m.delta_x,
+        delta_p=m.delta_p,
+        product=m.product,
+        robertson_bound=robertson,
+        square_sum_bound=diagnostic,
+        square_sum_violated=m.product < diagnostic - gup.VIOLATION_TOL,
+        margin_robertson=m.product - robertson,
+        case_bound=bound,
+        margin_case=None if bound is None else m.product - bound,
+    )
+
+
+def fields(report, exact_bits=False):
+    """The report's fields, floats as their bytes when exact_bits, NaN as one marker otherwise."""
+    out = []
+    for value in vars(report).values():
+        if isinstance(value, float):
+            value = np.float64(value).tobytes() if exact_bits else ("nan" if math.isnan(value) else value)
+        out.append(value)
+    return out
+
+
+# Parameters whose level tables stay finite up to D = 4096
+DEEP_CASES = [
+    make_case(CaseId.CLASSICAL),
+    make_case(CaseId.ARIK_COON, q=0.7),
+    make_case(CaseId.MACFARLANE_BIEDENHARN, q=0.95),
+    make_case(CaseId.CHUNG, q=0.7, alpha=2.0, beta=0.5),
+    make_case(CaseId.BORZOV, q=0.7, alpha=2.0, beta=0.0, gamma=2.0),
+    make_case(CaseId.NONLINEAR, alpha=1.0, beta=2.0),
+]
+
+
+class TestNumberStateReports:
+    """The batched number-state reports against the per-state formulas."""
+
+    @staticmethod
+    def assert_match(K, D, levels):
+        rep = build_rep(K, D)
+        quads = quadratures(rep)
+        reports = number_state_reports(rep, quads, levels)
+        assert len(reports) == len(levels)
+        for n, report in zip(levels, reports):
+            assert fields(report) == fields(oracle_report(number_state(D, n), rep, quads)), n
+
+    @pytest.mark.parametrize("K", DEEP_CASES, ids=str)
+    def test_levels_across_many_chunks(self, K):
+        D = 4096
+        levels = [D - 1, 5, 5] + list(range(0, D, 31))
+        assert fockrep._chunk_count(D, len(levels)) > 30
+        self.assert_match(K, D, levels)
+
+    @pytest.mark.parametrize("K", representative_cases(), ids=str)
+    @pytest.mark.parametrize("D", [8, 128])
+    def test_every_level_in_wide_stacks(self, K, D):
+        self.assert_match(K, D, list(range(D)))
+
+    def test_overflowing_fourth_moments(self):
+        # <(x^2 + p^2)^2> and the diagnostic overflow to inf at the top levels
+        K = make_case(CaseId.MACFARLANE_BIEDENHARN, q=3.5)
+        levels = list(range(297))
+        self.assert_match(K, 300, levels)
+        rep = build_rep(K, 300)
+        with warnings.catch_warnings():
+            # np.vdot and Python floats overflow silently, so the stacks do too
+            warnings.simplefilter("error")
+            top = number_state_reports(rep, quadratures(rep), [295, 296])[1]
+        assert top.case_bound == math.inf and top.square_sum_bound == math.inf
+
+    def test_a_non_finite_level_reaches_every_diagnostic(self):
+        # K(D) enters only <K(N+1)>, where every number state below D - 1
+        # weighs it by 0
+        D = 16
+        K = make_case(CaseId.CUSTOM, custom_eval=lambda n: math.inf if n == D else float(n))
+        with np.errstate(invalid="ignore"):
+            self.assert_match(K, D, list(range(D)))
+            rep = build_rep(K, D)
+            reports = number_state_reports(rep, quadratures(rep), range(D))
+        assert all(math.isnan(r.square_sum_bound) for r in reports[:-1])
+        assert reports[-1].square_sum_bound == math.inf
+
+    def test_moments_are_taken_once_per_chunk(self, monkeypatch):
+        calls = []
+
+        def counted(V, xV, pV):
+            calls.append(V.shape)
+            return fockrep._moments(V, xV, pV)
+
+        monkeypatch.setattr(gup, "_moments", counted)
+        rep = build_rep(make_case(CaseId.ARIK_COON, q=0.5), 128)
+        number_state_reports(rep, quadratures(rep), range(125))
+        assert calls == [(128, 62), (128, 63)]
+
+    def test_levels_outside_the_representation_are_rejected(self):
+        rep = build_rep(classical(), 8)
+        with pytest.raises(ValueError, match="level 8 outside 0..7"):
+            number_state_reports(rep, quadratures(rep), [0, 8])
+        assert number_state_reports(rep, quadratures(rep), []) == []
+
+    @pytest.mark.parametrize("K", representative_cases(), ids=str)
+    def test_single_states_keep_their_bits(self, K):
+        D = 24
+        rep = build_rep(K, D)
+        quads = quadratures(rep)
+        for seed in range(20):
+            state = truncation_safe(random_state(D, 700 + seed), 3)
+            expected = oracle_report(state, rep, quads)
+            assert fields(uncertainty_report(state, rep, quads), True) == fields(expected, True)
+            assert np.float64(square_sum_bound(state, rep)).tobytes() == np.float64(expected.square_sum_bound).tobytes()
+            bound = case_bound(state, quads, K)
+            if expected.case_bound is None:
+                assert bound is None
+            else:
+                assert np.float64(bound).tobytes() == np.float64(expected.case_bound).tobytes()

@@ -3,8 +3,9 @@
 perfbench/tracing.py wraps the library functions it names in TRACED and reads
 the dimension of each dense-kernel call from its arguments.  It is loaded
 here as it is, installed over the five modules, and driven through one call of
-each CLI command, so that a rename or a changed argument in the library shows
-up here and not only in a benchmark run.
+each CLI command and one direct call of fockrep.uncertainty_product, which no
+command makes, so that a rename or a changed argument in the library shows up
+here and not only in a benchmark run.
 """
 
 import contextlib
@@ -45,6 +46,9 @@ def test_tracer_resolves_every_name_and_counts_the_kernels():
             codes = [tracer.root(cli.main, argv) for argv in CALLS]
         for nf in tracer.normal_forms:
             symorder.nf_to_matrix(nf, fockrep.DEFAULT_DIM)
+        # no command takes the moments of a single state any more
+        quads = fockrep.quadratures(fockrep.build_rep(spectral.make_case("arik-coon", q=0.7), 8))
+        fockrep.uncertainty_product(fockrep.number_state(8, 2), quads)
     finally:
         tracer.uninstall()
     assert codes == [0, 0, 0, 0]
