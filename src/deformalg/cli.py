@@ -175,11 +175,15 @@ _SCAN_HEADER = [
 ]
 
 
-def _scan_rows(K: SpectralFunction, levels, D: int) -> list:
-    """One row per number-state level, all from one representation of K."""
+def _scan_rows(K, levels, D: int) -> list:
+    """One row per number-state level: under one representation of K, or under
+    representation k of the stack of cases K for level k."""
     rep = fockrep.build_rep(K, D)
     reports = gup.number_state_reports(rep, fockrep.quadratures(rep), levels)
-    base = [K.case_id.value] + _param_columns(K)
+    if isinstance(K, tuple):
+        bases = [[case.case_id.value] + _param_columns(case) for case in K]
+    else:
+        bases = [[K.case_id.value] + _param_columns(K)] * len(levels)
     return [
         base
         + [
@@ -193,7 +197,7 @@ def _scan_rows(K: SpectralFunction, levels, D: int) -> list:
             fmt_float(report.margin_robertson),
             fmt_float(report.margin_case) if report.margin_case is not None else "",
         ]
-        for n, report in zip(levels, reports)
+        for base, n, report in zip(bases, levels, reports)
     ]
 
 
@@ -214,6 +218,7 @@ def cmd_gup_scan(args, seed: int) -> int:
         n_fixed = args.n_from if args.n_from is not None else 0
         if not 0 <= n_fixed <= n_cap:
             raise UsageError(f"scan level must lie in 0..{n_cap}, got {n_fixed}")
+        grid = []
         for i in range(args.q_steps):
             if args.q_steps == 1:
                 qi = args.q_from
@@ -221,10 +226,10 @@ def cmd_gup_scan(args, seed: int) -> int:
                 qi = args.q_from + (args.q_to - args.q_from) * i / (args.q_steps - 1)
             if not qi > 0:
                 raise UsageError(f"q grid point {qi} is not positive")
-            Ki = make_case(
-                K.case_id, q=qi, alpha=K.alpha, beta=K.beta, gamma=K.gamma
-            )
-            rows += _scan_rows(Ki, [n_fixed], args.dim)
+            grid.append(make_case(K.case_id, q=qi, alpha=K.alpha, beta=K.beta, gamma=K.gamma))
+        # one stack of representations per chunk, so memory is set by one chunk
+        for chunk in fockrep._chunks(args.dim, grid):
+            rows += _scan_rows(tuple(chunk), [n_fixed] * len(chunk), args.dim)
     else:
         n_from = args.n_from if args.n_from is not None else 0
         n_to = args.n_to if args.n_to is not None else n_from

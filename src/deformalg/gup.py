@@ -8,7 +8,8 @@ Robertson bound
 which for a deformed oscillator equals <K(N+1) - K(N)>/4 on diagonal
 states; uncertainty_report evaluates it from the moments of the state, and
 number_state_reports from the moments of a batch of number states |n>,
-taken as one-hot state stacks a chunk at a time.
+taken as one-hot state stacks a chunk at a time, under one representation
+or under a stack of them, one per state.
 Alongside it, reports carry a quadratic diagnostic
 
     (<K(N)>^2 + <K(N+1)>^2) / 4
@@ -47,7 +48,7 @@ from .fockrep import (
     QuadratureMoments,
     QuadratureSet,
     StateVector,
-    _chunk_count,
+    _chunks,
     _moments,
     kempf_rescale,
 )
@@ -108,22 +109,26 @@ def uncertainty_report(state: StateVector, rep: FockRep, quads: QuadratureSet) -
 def number_state_reports(rep: FockRep, quads: QuadratureSet, levels) -> list:
     """The report of each number state |n>, n in levels, in the order given.
 
-    Report k equals uncertainty_report(number_state(rep.D, n_k), rep, quads).
-    The states are taken as one-hot (D, c) stacks of at most about
-    ROBERTSON_CHUNK amplitudes each, so memory is set by one chunk; the
-    diagnostic still sums over every level, so an inf or NaN in the level
-    table reaches every report.
+    Column k of the one-hot state stack is |levels[k]>.  Under one
+    representation report k equals uncertainty_report(number_state(rep.D,
+    n_k), rep, quads); the states are taken in (D, c) stacks of at most
+    about ROBERTSON_CHUNK amplitudes each, so memory is set by one chunk,
+    and the diagnostic still sums over every level, so an inf or NaN in the
+    level table reaches every report.  Under a stack of R representations
+    levels holds R levels, state k is taken under representation k and all
+    R states form one stack, whose width the caller bounds; each column's
+    report reads its own level table and case parameters alone.
     """
     D = rep.D
     levels = list(levels)
     for n in levels:
         if not 0 <= n < D:
             raise ValueError(f"level {n} outside 0..{D - 1}")
-    S = len(levels)
-    count = _chunk_count(D, S)
+    stacked = isinstance(rep.K, tuple)
+    if stacked and len(levels) != len(rep.K):
+        raise ValueError(f"a stack of {len(rep.K)} representations takes {len(rep.K)} levels, got {len(levels)}")
     reports = []
-    for k in range(count):
-        chunk = levels[k * S // count : (k + 1) * S // count]
+    for chunk in [levels] if stacked else _chunks(D, levels):
         V = np.zeros((D, len(chunk)), dtype=complex)
         V[chunk, np.arange(len(chunk))] = 1.0
         reports += _reports(V, rep, quads)
@@ -134,8 +139,11 @@ def _reports(V: np.ndarray, rep: FockRep, quads: QuadratureSet) -> list:
     """The UncertaintyReport of each column of the state stack V, its moments taken once.
 
     The stack-wide work is done by numpy; the closed forms then run on each
-    column's Python floats, the arithmetic single states always had.
+    column's Python floats, the arithmetic single states always had.  The
+    diagnostics are summed before the images xV and pV are formed, so their
+    temporaries and the images are never held at once.
     """
+    diagnostics = _square_sums(V, rep.levels)
     xV, pV = quads.mat_x @ V, quads.mat_p @ V
     m = _moments(V, xV, pV)
     columns = zip(
@@ -143,7 +151,7 @@ def _reports(V: np.ndarray, rep: FockRep, quads: QuadratureSet) -> list:
         m.delta_p.tolist(),
         m.product.tolist(),
         m.xp_commutator_mean.tolist(),
-        _square_sums(V, rep.levels),
+        diagnostics,
         _case_bounds(rep.K, quads, m, xV, pV),
     )
     reports = []
@@ -166,13 +174,18 @@ def _reports(V: np.ndarray, rep: FockRep, quads: QuadratureSet) -> list:
 
 
 def _square_sums(V: np.ndarray, levels: np.ndarray) -> list:
-    """The quadratic diagnostic of each column of V, each mean summed in level order."""
+    """The quadratic diagnostic of each column of V, each mean summed in level order.
+
+    levels is one level table for every column, or a (D+2, c) stack of one per column.
+    """
     W = np.abs(V) ** 2
     D = W.shape[0]
+    if levels.ndim == 1:
+        levels = levels[:, None]
     # accumulate adds row after row for any number of columns, where sum
     # would add a single column pairwise
-    kn = np.add.accumulate(W * levels[:D, None], axis=0)[-1].tolist()
-    knp1 = np.add.accumulate(W * levels[1 : D + 1, None], axis=0)[-1].tolist()
+    kn = np.add.accumulate(W * levels[:D], axis=0)[-1].tolist()
+    knp1 = np.add.accumulate(W * levels[1 : D + 1], axis=0)[-1].tolist()
     return [0.25 * (a * a + b * b) for a, b in zip(kn, knp1)]
 
 
@@ -262,26 +275,35 @@ def case_bound(state: StateVector, quads: QuadratureSet, K: SpectralFunction) ->
 
 
 def _case_bounds(K, quads, m: QuadratureMoments, xV, pV) -> list:
-    """case_bound for each column of a state stack, from its moments m and its images xV and pV."""
+    """case_bound for each column of a state stack, from its moments m and its images xV and pV.
+
+    K is the case of every column, or a tuple of one case per column.
+    """
+    cases = K if isinstance(K, tuple) else (K,)
+    forms = [_bound_form(case) for case in cases]
+    if len(forms) == 1:
+        forms *= xV.shape[1]
+    fourth = [None] * xV.shape[1]
+    if any(case.case_id is CaseId.MACFARLANE_BIEDENHARN for case in cases):
+        fourth = _squared_norms(quads.mat_x @ xV + quads.mat_p @ pV)
+    columns = zip(forms, m.delta_x.tolist(), m.delta_p.tolist(), fourth)
+    return [None if form is None else form(dx, dp, h4) for form, dx, dp, h4 in columns]
+
+
+def _bound_form(K: SpectralFunction):
+    """K's case bound as a function of (dx, dp, <(x^2 + p^2)^2>), or None where no bound applies."""
     if K.case_id is CaseId.ARIK_COON:
         q = K.q
-        return [
-            (1.0 - (1.0 - q) * (dx**2 + dp**2)) / (4.0 * (1.0 + q))
-            for dx, dp in zip(m.delta_x.tolist(), m.delta_p.tolist())
-        ]
+        return lambda dx, dp, h4: (1.0 - (1.0 - q) * (dx**2 + dp**2)) / (4.0 * (1.0 + q))
 
     if K.case_id is CaseId.MACFARLANE_BIEDENHARN:
         q = K.q
         prefactor = math.sqrt(q) / (2.0 * (1.0 + q))
         correction = q * (q - 1.0 / q) ** 2 / (2.0 * (q + 1.0) ** 2)
-        fourth = _squared_norms(quads.mat_x @ xV + quads.mat_p @ pV)
-        return [prefactor * (1.0 + correction * h4) for h4 in fourth]
+        return lambda dx, dp, h4: prefactor * (1.0 + correction * h4)
 
     if K.case_id is CaseId.NONLINEAR:
         a, b = K.alpha, K.beta
-        return [
-            (b / 4.0) * (1.0 - (a / b**2) * (dx**2 + dp**2))
-            for dx, dp in zip(m.delta_x.tolist(), m.delta_p.tolist())
-        ]
+        return lambda dx, dp, h4: (b / 4.0) * (1.0 - (a / b**2) * (dx**2 + dp**2))
 
-    return [None] * xV.shape[1]
+    return None

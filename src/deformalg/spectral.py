@@ -178,51 +178,82 @@ def eval_K(K: SpectralFunction, n: float) -> float:
     below zero, which the Lie-Hamilton coefficients rely on at the bottom
     of the spectrum.
     """
+    return _closed_form(K)(n)
+
+
+def _closed_form(K: SpectralFunction) -> Callable[[float], float]:
+    """K's closed form as a function of the level, its branch and constants resolved once.
+
+    Each constant is the value the expression would compute in place, so
+    every level keeps its bits.
+    """
     case = K.case_id
     if case is CaseId.CLASSICAL:
-        return float(n)
+        return float
 
     if case is CaseId.CUSTOM:
-        return float(K.custom_eval(n))
+        custom = K.custom_eval
+        return lambda n: float(custom(n))
 
     if case is CaseId.NONLINEAR:
-        return K.alpha * n * n + K.beta * n
+        al, be = K.alpha, K.beta
+        return lambda n: al * n * n + be * n
 
     q = K.q
     if abs(q - 1.0) <= DEGENERATE_TOL:
-        return float(n)
+        return float
     d = math.log1p(q - 1.0)
 
     if case is CaseId.ARIK_COON:
         if abs(q - 1.0) < NEAR_SINGULAR:
-            return math.expm1(n * d) / math.expm1(d)
-        return (q**n - 1.0) / (q - 1.0)
+            em1 = math.expm1(d)
+            return lambda n: math.expm1(n * d) / em1
+        qm1 = q - 1.0
+        return lambda n: (q**n - 1.0) / qm1
 
     if case is CaseId.MACFARLANE_BIEDENHARN:
         if abs(q - 1.0) < NEAR_SINGULAR:
-            return math.sinh(n * d) / math.sinh(d)
-        return (q**n - q**-n) / (q - 1.0 / q)
+            sh = math.sinh(d)
+            return lambda n: math.sinh(n * d) / sh
+        bracket = q - 1.0 / q
+        return lambda n: (q**n - q**-n) / bracket
 
     if case is CaseId.CHUNG:
         a, b = K.alpha, K.beta
         if abs(a - 1.0) <= DEGENERATE_TOL:
-            return n * q ** (n - 1.0 + b)
+            return lambda n: n * q ** (n - 1.0 + b)
         if abs((a - 1.0) * d) < NEAR_SINGULAR:
-            return q ** (b + n - 1.0) * math.expm1((a - 1.0) * n * d) / math.expm1((a - 1.0) * d)
-        return q**b * (q ** (a * n) - q**n) / (q**a - q)
+            em1 = math.expm1((a - 1.0) * d)
+            return lambda n: q ** (b + n - 1.0) * math.expm1((a - 1.0) * n * d) / em1
+        qb, den = q**b, q**a - q
+        return lambda n: qb * (q ** (a * n) - q**n) / den
 
     # Borzov family
     a, b, g = K.alpha, K.beta, K.gamma
     if abs(a - g) <= DEGENERATE_TOL:
-        return n * q ** (g * (n - 1.0) + b)
+        return lambda n: n * q ** (g * (n - 1.0) + b)
     if abs((a - g) * d) < NEAR_SINGULAR:
-        return q ** (b + g * (n - 1.0)) * math.expm1((a - g) * n * d) / math.expm1((a - g) * d)
-    return q**b * (q ** (a * n) - q ** (g * n)) / (q**a - q**g)
+        em1 = math.expm1((a - g) * d)
+        return lambda n: q ** (b + g * (n - 1.0)) * math.expm1((a - g) * n * d) / em1
+    qb, den = q**b, q**a - q**g
+    return lambda n: qb * (q ** (a * n) - q ** (g * n)) / den
 
 
 def level_table(K: SpectralFunction, lo: int, hi: int) -> np.ndarray:
-    """K(lo..hi) as a float array, each level evaluated once by eval_K (empty when hi < lo)."""
-    return np.array([eval_K(K, n) for n in range(lo, hi + 1)], dtype=float)
+    """K(lo..hi) as a float array, each level evaluated once (empty when hi < lo).
+
+    Raises ValueError naming the level and the case where K overflows float64.
+    """
+    form = _closed_form(K)
+    values = []
+    for n in range(lo, hi + 1):
+        try:
+            values.append(form(n))
+        except OverflowError:
+            params = ", ".join(f"{name}={value!r}" for name, value in K.params().items())
+            where = f" ({params})" if params else ""
+            raise ValueError(f"K({n}) of case {K.case_id.value!r}{where} overflows float64") from None
+    return np.array(values, dtype=float)
 
 
 def forward_delta(K: SpectralFunction, n: int) -> float:

@@ -4,7 +4,9 @@ Usage:  python tests/compare_cli.py <git-ref>
 
 The ref is exported with `git archive` into a temporary directory.  Each tree
 then runs one fixed call list through deformalg.cli.main, in-process in one
-subprocess per tree, followed by its four demos.  Every call whose exit code,
+subprocess per tree, followed by its four demos.  A call that raises is
+recorded as exit code 1 with the exception's last traceback line on stderr,
+as `python -m deformalg` would end.  Every call whose exit code,
 stdout or stderr differs is printed with a unified diff.  Exits 1 on any
 difference and 0 when every call and demo is byte-identical.
 
@@ -13,8 +15,10 @@ tests/regen_goldens.py, the three perfbench workloads at seeds 1 and 2,
 20-level tables and CSV verify runs at D = 8 and 32 on the six cases, verify
 runs at dimensions that place the Robertson sweep's chunk boundaries
 differently, full-range gup-scans on the six cases at D = 8, 65, 129 and
-300, q-scans on the four cases with a q, macfarlane-biedenharn scans at
-q = 3.5 whose fourth moments overflow, a set of usage errors, and symbolic
+300, q-scans on the four cases with a q at D = 32 and, over 61 steps and
+several representation chunks, at D = 300, a one-step q-scan,
+macfarlane-biedenharn scans at q = 3.5 whose fourth moments overflow, calls
+whose level tables overflow float64, a set of usage errors, and symbolic
 calls through every node kind and error path of the expression evaluator
 together with negative parameter values written as '-1.' and '-1.e0'.
 Standard library only.
@@ -76,6 +80,17 @@ EDGE_CALLS = [
     ["table", "--case", "chung", "--q", "0.7", "--alpha", "-1.e0", "--beta", "0.5", "--levels", "1"],
 ]
 
+# K(n) overflows float64 below the top of these level tables: 3.5^n does at n = 567
+MB_OVERFLOW = ["--case", "macfarlane-biedenharn", "--q", "3.5", "--dim", "600"]
+OVERFLOW_CALLS = [
+    ["gup-scan", *MB_OVERFLOW, "--n-to", "5"],
+    ["verify", *MB_OVERFLOW],
+    ["table", *MB_OVERFLOW, "--levels", "590"],
+    ["symbolic", *MB_OVERFLOW, "--check", "comm_xp"],
+    ["gup-scan", "--case", "macfarlane-biedenharn", "--q", "1", "--dim", "600",
+     "--q-from", "1", "--q-to", "3.5", "--q-steps", "61", "--n-from", "3"],
+]
+
 # Runs inside the tree given as argv[1]: the labelled calls arrive on stdin as
 # JSON, and {label: [exit code, stdout, stderr]} leaves on stdout.
 CHILD = r"""
@@ -90,7 +105,11 @@ results = {}
 for label, argv in calls:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        rc = cli.main(argv)
+        try:
+            rc = cli.main(argv)
+        except Exception as exc:
+            sys.stderr.write("".join(traceback.format_exception_only(exc)))
+            rc = 1
     results[label] = [rc, out.getvalue(), err.getvalue()]
 for demo in sorted((tree / "demos").glob("*.py")):
     out, err = io.StringIO(), io.StringIO()
@@ -138,6 +157,14 @@ def call_list() -> dict:
                 ["gup-scan", "--case", case, *params, "--q-from", "0.25", "--q-to", "1.75",
                  "--q-steps", "7", "--n-from", "3"]
             )
+            argvs.append(
+                ["gup-scan", "--case", case, *params, "--dim", "300", "--q-from", "0.25",
+                 "--q-to", "1.75", "--q-steps", "61", "--n-from", "3"]
+            )
+    argvs.append(
+        ["gup-scan", "--case", "arik-coon", "--q", "0.5", "--q-from", "0.6", "--q-to", "0.9",
+         "--q-steps", "1", "--n-from", "2"]
+    )
     # fourth moments up to 1e212, then overflowing to inf at the top of D = 300,
     # where the parent's np.vdot and Python float arithmetic print no warning
     for dim in (200, 300):
@@ -149,7 +176,7 @@ def call_list() -> dict:
     sweep = ["verify", "--case", "arik-coon", "--q", "0.7"]
     argvs += [sweep + ["--dim", "4", "--margin", margin] for margin in ("1", "3")]
     argvs += [sweep + ["--dim", dim] for dim in ("41", "257", "4096")]
-    argvs += USAGE_ERRORS + EDGE_CALLS
+    argvs += USAGE_ERRORS + EDGE_CALLS + OVERFLOW_CALLS
     return {shlex.join(argv): argv for argv in argvs}
 
 

@@ -179,6 +179,24 @@ class TestExitCodes:
         assert cp.returncode == 2 and cp.stdout == ""
         assert message in cp.stderr
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["gup-scan", "--n-to", "5"],
+            ["verify"],
+            ["table", "--levels", "590"],
+            ["symbolic", "--check", "comm_xp"],
+            ["gup-scan", "--q-from", "1", "--q-to", "3.5", "--q-steps", "61", "--n-from", "3"],
+        ],
+        ids=["gup-scan", "verify", "table", "symbolic", "q-scan"],
+    )
+    def test_an_overflowing_level_table_exits_two(self, args):
+        # 3.5^n overflows float64 at n = 567, below the top level of D = 600
+        cp = run_cli(*args, "--case", "macfarlane-biedenharn", "--q", "3.5", "--dim", "600")
+        assert (cp.returncode, cp.stdout) == (2, "")
+        assert cp.stderr.startswith("error: K(") and cp.stderr.endswith(") overflows float64\n")
+        assert cp.stderr.count("\n") == 1
+
     def test_table_range_violation(self):
         cp = run_cli("table", "--case", "classical", "--levels", "30", "--dim", "32")
         assert cp.returncode == 2

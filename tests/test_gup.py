@@ -496,3 +496,57 @@ class TestNumberStateReports:
                 assert bound is None
             else:
                 assert np.float64(bound).tobytes() == np.float64(expected.case_bound).tobytes()
+
+
+# The four cases with a q, at the parameters the command-line workloads use
+Q_CASES = {
+    CaseId.ARIK_COON: {},
+    CaseId.MACFARLANE_BIEDENHARN: {},
+    CaseId.CHUNG: {"alpha": 2.0, "beta": 0.5},
+    CaseId.BORZOV: {"alpha": 0.5, "beta": 1.0, "gamma": 2.0},
+}
+
+
+def q_grid(case, steps=13):
+    """The cases at q = 0.25 .. 1.75, through the degenerate q = 1."""
+    return tuple(make_case(case, q=0.25 + 1.5 * i / (steps - 1), **Q_CASES[case]) for i in range(steps))
+
+
+def single_rep_report(K, D, n, levels=None):
+    """The oracle report of |n> under K's own representation, built alone."""
+    rep = build_rep(K, D) if levels is None else fockrep.FockRep(K=K, D=D, levels=levels)
+    return oracle_report(number_state(D, n), rep, quadratures(rep))
+
+
+class TestStackedReports:
+    """Reports under a stack of representations against one representation at a time."""
+
+    @pytest.mark.parametrize("case", list(Q_CASES), ids=lambda case: case.value)
+    @pytest.mark.parametrize("D", [8, 32, 300])
+    def test_each_column_matches_its_own_representation(self, case, D):
+        grid = q_grid(case)
+        levels = [(D - 1 - 5 * k) % D for k in range(len(grid))]
+        rep = build_rep(grid, D)
+        reports = number_state_reports(rep, quadratures(rep), levels)
+        assert len(reports) == len(grid)
+        for K, n, report in zip(grid, levels, reports):
+            assert fields(report) == fields(single_rep_report(K, D, n)), (K, n)
+
+    def test_a_non_finite_level_reaches_only_its_column(self):
+        D, poisoned = 16, 2
+        grid = q_grid(CaseId.ARIK_COON, 5)
+        levels = build_rep(grid, D).levels.copy()
+        levels[D, poisoned] = math.inf  # K(D), read by <K(N+1)> with weight 0 below D - 1
+        rep = fockrep.FockRep(K=grid, D=D, levels=levels)
+        with np.errstate(invalid="ignore"):
+            reports = number_state_reports(rep, quadratures(rep), [4] * len(grid))
+            for k, (K, report) in enumerate(zip(grid, reports)):
+                values = [v for v in vars(report).values() if isinstance(v, float)]
+                assert all(map(math.isfinite, values)) == (k != poisoned), k
+                assert fields(report) == fields(single_rep_report(K, D, 4, levels[:, k].copy())), k
+        assert math.isnan(reports[poisoned].square_sum_bound)
+
+    def test_a_stack_takes_one_level_per_representation(self):
+        rep = build_rep(q_grid(CaseId.ARIK_COON, 3), 8)
+        with pytest.raises(ValueError, match="stack of 3 representations takes 3 levels, got 2"):
+            number_state_reports(rep, quadratures(rep), [1, 2])

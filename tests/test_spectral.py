@@ -4,6 +4,7 @@ import math
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +17,7 @@ from deformalg import (
     eval_K,
     forward_delta,
     hamiltonian_eigenvalue,
+    level_table,
     make_case,
     relation_residual,
 )
@@ -328,3 +330,111 @@ class TestBranchContinuity:
         else:
             tol = 4.0 * (1.0 + scale * abs(d_in)) * EPS / abs(delta) + rounding
         assert abs(k_in - k_out) <= tol * max(abs(k_in), abs(k_out)), (p_in, p_out, k_in, k_out)
+
+
+def branch_walk_K(K, n):
+    """K(n) with the branch and every constant worked out at each call: the
+    tests' copy of the closed forms as one function of (K, n)."""
+    case = K.case_id
+    if case is CaseId.CLASSICAL:
+        return float(n)
+    if case is CaseId.CUSTOM:
+        return float(K.custom_eval(n))
+    if case is CaseId.NONLINEAR:
+        return K.alpha * n * n + K.beta * n
+    q = K.q
+    if abs(q - 1.0) <= DEGENERATE_TOL:
+        return float(n)
+    d = math.log1p(q - 1.0)
+    if case is CaseId.ARIK_COON:
+        if abs(q - 1.0) < NEAR_SINGULAR:
+            return math.expm1(n * d) / math.expm1(d)
+        return (q**n - 1.0) / (q - 1.0)
+    if case is CaseId.MACFARLANE_BIEDENHARN:
+        if abs(q - 1.0) < NEAR_SINGULAR:
+            return math.sinh(n * d) / math.sinh(d)
+        return (q**n - q**-n) / (q - 1.0 / q)
+    if case is CaseId.CHUNG:
+        a, b = K.alpha, K.beta
+        if abs(a - 1.0) <= DEGENERATE_TOL:
+            return n * q ** (n - 1.0 + b)
+        if abs((a - 1.0) * d) < NEAR_SINGULAR:
+            return q ** (b + n - 1.0) * math.expm1((a - 1.0) * n * d) / math.expm1((a - 1.0) * d)
+        return q**b * (q ** (a * n) - q**n) / (q**a - q)
+    a, b, g = K.alpha, K.beta, K.gamma
+    if abs(a - g) <= DEGENERATE_TOL:
+        return n * q ** (g * (n - 1.0) + b)
+    if abs((a - g) * d) < NEAR_SINGULAR:
+        return q ** (b + g * (n - 1.0)) * math.expm1((a - g) * n * d) / math.expm1((a - g) * d)
+    return q**b * (q ** (a * n) - q ** (g * n)) / (q**a - q**g)
+
+
+Q_CASES = (CaseId.ARIK_COON, CaseId.MACFARLANE_BIEDENHARN, CaseId.CHUNG, CaseId.BORZOV)
+# every branch of the closed forms: (case, which parameter sits where)
+BRANCHES = (
+    [(CaseId.CLASSICAL, None), (CaseId.CUSTOM, None), (CaseId.NONLINEAR, None)]
+    + [(case, kind) for case in Q_CASES for kind in ("q = 1", "q near 1", "direct q")]
+    + [(CaseId.CHUNG, "alpha = 1"), (CaseId.CHUNG, "(alpha - 1) d near 0")]
+    + [(CaseId.BORZOV, "alpha = gamma"), (CaseId.BORZOV, "(alpha - gamma) d near 0")]
+)
+
+
+@st.composite
+def branch_cases(draw):
+    """A case whose parameters put K on the drawn branch."""
+    case, kind = draw(st.sampled_from(BRANCHES))
+    if case is CaseId.CLASSICAL:
+        return make_case(case)
+    if case is CaseId.CUSTOM:
+        c1, c2 = draw(st.floats(0.0, 2.0)), draw(st.floats(0.0, 2.0))
+        return make_case(case, custom_eval=lambda n: c1 * n + c2 * n * n)
+    if case is CaseId.NONLINEAR:
+        return make_case(case, alpha=draw(st.floats(0.0, 3.0)), beta=draw(st.floats(0.1, 3.0)))
+
+    def near():
+        # a signed distance inside a near-singular branch and outside the degenerate one
+        return draw(st.sampled_from((-1.0, 1.0))) * draw(st.floats(2 * DEGENERATE_TOL, 0.99 * NEAR_SINGULAR))
+
+    if kind == "q = 1":
+        q = 1.0 + draw(st.floats(-DEGENERATE_TOL, DEGENERATE_TOL))
+    elif kind == "q near 1":
+        q = 1.0 + near()
+    else:
+        q = draw(st.floats(0.2, 3.0).filter(lambda q: abs(q - 1.0) >= NEAR_SINGULAR))
+    d = abs(math.log1p(q - 1.0))
+    params = {"q": q}
+    if case in (CaseId.CHUNG, CaseId.BORZOV):
+        params["beta"] = draw(st.floats(-2.0, 2.0))
+        center = 1.0
+        if case is CaseId.BORZOV:
+            center = params["gamma"] = draw(st.floats(-2.0, 2.0))
+        if kind in ("alpha = 1", "alpha = gamma"):
+            params["alpha"] = center + draw(st.floats(-DEGENERATE_TOL, DEGENERATE_TOL))
+        elif kind.startswith("(alpha"):
+            params["alpha"] = center + near() / d
+        else:
+            params["alpha"] = draw(st.floats(-2.0, 3.0))
+    return make_case(case, **params)
+
+
+class TestLevelTable:
+    @settings(max_examples=600, derandomize=True, database=None, deadline=None)
+    @given(K=branch_cases(), lo=st.integers(-1, 3), count=st.integers(0, 40))
+    def test_every_level_keeps_the_bits_of_the_branch_walk(self, K, lo, count):
+        hi = lo + count - 1
+        expected = np.array([branch_walk_K(K, n) for n in range(lo, hi + 1)], dtype=float)
+        assert level_table(K, lo, hi).tobytes() == expected.tobytes()
+        assert [eval_K(K, n) for n in range(lo, hi + 1)] == expected.tolist()
+
+    @pytest.mark.parametrize(
+        "K, message",
+        [
+            (make_case(CaseId.MACFARLANE_BIEDENHARN, q=3.5), "K(567) of case 'macfarlane-biedenharn' (q=3.5) overflows"),
+            (make_case(CaseId.ARIK_COON, q=10.0), "K(309) of case 'arik-coon' (q=10.0) overflows"),
+            (make_case(CaseId.CUSTOM, custom_eval=math.expm1), "K(710) of case 'custom' overflows"),
+        ],
+        ids=["macfarlane-biedenharn", "arik-coon", "custom"],
+    )
+    def test_an_overflowing_level_is_named(self, K, message):
+        with pytest.raises(ValueError, match=message.replace("(", r"\(").replace(")", r"\)")):
+            level_table(K, -400, 800)
