@@ -84,20 +84,22 @@ def _emit(text: str, out: Optional[str]) -> None:
             fh.write(text.encode("utf-8"))
 
 
-def _param_columns(K: SpectralFunction) -> list:
-    return [
-        fmt_float(getattr(K, name)) if getattr(K, name) is not None else ""
-        for name in ("q", "alpha", "beta", "gamma")
-    ]
+def _case_columns(K: SpectralFunction) -> list:
+    """The columns case, q, alpha, beta and gamma of K's rows."""
+    params = (K.q, K.alpha, K.beta, K.gamma)
+    return [K.case_id.value] + ["" if value is None else fmt_float(value) for value in params]
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def _case_from_args(args) -> SpectralFunction:
+def _case_from_args(args, q: Optional[float] = None) -> SpectralFunction:
+    """The case of --case and its parameters, with q in place of --q when given."""
     try:
-        return make_case(args.case, q=args.q, alpha=args.alpha, beta=args.beta, gamma=args.gamma)
+        return make_case(
+            args.case, q=args.q if q is None else q, alpha=args.alpha, beta=args.beta, gamma=args.gamma
+        )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -138,7 +140,7 @@ def cmd_verify(args, seed: int) -> int:
         _emit(render_json(payload), args.out)
     else:
         header = ["case", "q", "alpha", "beta", "gamma", "name", "window", "max_abs_residual", "tol", "pass"]
-        base = [K.case_id.value] + _param_columns(K)
+        base = _case_columns(K)
         rows = [
             base
             + [c.name, str(c.window), fmt_float(c.max_abs_residual), fmt_float(c.tol), "true" if c.passed else "false"]
@@ -175,15 +177,8 @@ _SCAN_HEADER = [
 ]
 
 
-def _scan_rows(K, levels, D: int) -> list:
-    """One row per number-state level: under one representation of K, or under
-    representation k of the stack of cases K for level k."""
-    rep = fockrep.build_rep(K, D)
-    reports = gup.number_state_reports(rep, fockrep.quadratures(rep), levels)
-    if isinstance(K, tuple):
-        bases = [[case.case_id.value] + _param_columns(case) for case in K]
-    else:
-        bases = [[K.case_id.value] + _param_columns(K)] * len(levels)
+def _scan_rows(bases: list, levels, reports: list) -> list:
+    """One row per report: the case columns of its representation, its level and its values."""
     return [
         base
         + [
@@ -205,16 +200,18 @@ def cmd_gup_scan(args, seed: int) -> int:
     _validate_geometry(args)
     if args.format == "json":
         raise UsageError("gup-scan output is CSV only")
-    K = _case_from_args(args)
     n_cap = args.dim - 1 - args.margin
-    rows = []
     if args.q_from is not None or args.q_to is not None:
+        # the grid replaces q, so a q-scan needs no --q; one that is given is still checked
+        K = _case_from_args(args, args.q_from if args.q is None else args.q)
         if args.q_from is None or args.q_to is None:
             raise UsageError("--q-from and --q-to must be given together")
         if K.q is None:
             raise UsageError(f"case {K.case_id.value!r} has no q parameter to scan")
         if args.q_steps < 1:
             raise UsageError(f"--q-steps must be >= 1, got {args.q_steps}")
+        if args.n_to is not None:
+            raise UsageError("--n-to applies to level scans; a q-scan takes its one level from --n-from")
         n_fixed = args.n_from if args.n_from is not None else 0
         if not 0 <= n_fixed <= n_cap:
             raise UsageError(f"scan level must lie in 0..{n_cap}, got {n_fixed}")
@@ -227,17 +224,19 @@ def cmd_gup_scan(args, seed: int) -> int:
             if not qi > 0:
                 raise UsageError(f"q grid point {qi} is not positive")
             grid.append(make_case(K.case_id, q=qi, alpha=K.alpha, beta=K.beta, gamma=K.gamma))
-        # one stack of representations per chunk, so memory is set by one chunk
-        for chunk in fockrep._chunks(args.dim, grid):
-            rows += _scan_rows(tuple(chunk), [n_fixed] * len(chunk), args.dim)
+        reports = [gup.number_state_reports(fockrep.build_rep(Ki, args.dim), [n_fixed])[0] for Ki in grid]
+        rows = _scan_rows([_case_columns(Ki) for Ki in grid], [n_fixed] * len(grid), reports)
     else:
+        K = _case_from_args(args)
         n_from = args.n_from if args.n_from is not None else 0
         n_to = args.n_to if args.n_to is not None else n_from
         if not 0 <= n_from <= n_to:
             raise UsageError(f"need 0 <= --n-from <= --n-to, got {n_from}..{n_to}")
         if n_to > n_cap:
             raise UsageError(f"--n-to {n_to} exceeds dim - 1 - margin = {n_cap}")
-        rows = _scan_rows(K, range(n_from, n_to + 1), args.dim)
+        levels = range(n_from, n_to + 1)
+        reports = gup.number_state_reports(fockrep.build_rep(K, args.dim), levels)
+        rows = _scan_rows([_case_columns(K)] * len(levels), levels, reports)
     _emit(render_csv(_SCAN_HEADER, rows), args.out)
     return 0
 

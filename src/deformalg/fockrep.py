@@ -13,12 +13,6 @@ read only x psi and p psi.  Operator identities are verified on the
 sub-block where the truncation is faithful to the infinite-dimensional
 algebra.
 
-R representations of one dimension can be held as one stack: the level
-table is then (D+2, R), column r being representation r, and every band
-derived from it holds (D-|d|, R) diagonals, which apply to a (D, R) state
-stack column by column.  Each column's moments are reduced on their own,
-so an inf or NaN level of one representation reaches only its column.
-
 run_verify_checks is the identity suite of one case: one table of
 (name, lhs, rhs, margin) rows, the exact ladder structure at margin 0,
 the generic windowed identities, the Robertson inequality on random
@@ -79,39 +73,32 @@ DEFAULT_TOL = 1e-10
 EXACT_TOL = 1e-14
 ROBERTSON_STATES = 200
 ROBERTSON_TOL = 1e-12
-ROBERTSON_CHUNK = 8192  # amplitudes per state stack: the Robertson sweep's, gup's number states and a q-scan's
+ROBERTSON_CHUNK = 8192  # amplitudes per state stack of the Robertson sweep
 
 
 class Band:
-    """A D x D complex operator stored by offset, or a stack of R such operators.
+    """A D x D complex operator stored by offset.
 
     diagonals[d] holds the entries M[j+d, j] in order of the column j, which
     runs over max(0, -d)..min(D, D-d) - 1; every other entry is zero.  The
     offsets present depend only on how an operator was formed, never on its
     values, so an offset whose entries cancel stays, and every entry is
-    summed in the same order at every D.  In a stack every offset holds a
-    (D-|d|, R) array whose column r belongs to operator r; stack is (R,)
-    then, and () for one operator.
+    summed in the same order at every D.
 
     A @ B sums A[i, k] B[k, j] over k in increasing order; A @ v does the same
-    for a vector of length D or a stack of D-row columns.  A stack of R
-    operators applies to a (D, R) stack, operator r to column r.  A + B,
-    A - B, -A, c * A and A / c act entrywise, with c a scalar; sums and
-    products combine bands of one stack shape.
+    for a vector of length D or a stack of D-row columns.  A + B, A - B, -A,
+    c * A and A / c act entrywise, with c a scalar.
     """
 
-    __slots__ = ("D", "diagonals", "stack")
+    __slots__ = ("D", "diagonals")
     __array_ufunc__ = None  # numpy scalars and arrays defer to the methods below
 
     def __init__(self, D: int, diagonals: dict):
         self.D = D
         self.diagonals = {d: np.asarray(m, dtype=complex) for d, m in sorted(diagonals.items())}
-        self.stack = next(iter(self.diagonals.values())).shape[1:2] if self.diagonals else ()
         for d, m in self.diagonals.items():
-            if m.shape != (D - abs(d),) + self.stack:
-                raise ValueError(
-                    f"offset {d} of a dimension-{D} band needs shape {(D - abs(d),) + self.stack}, got {m.shape}"
-                )
+            if m.shape != (D - abs(d),):
+                raise ValueError(f"offset {d} of a dimension-{D} band needs {D - abs(d)} entries, got {m.shape}")
 
     @classmethod
     def diagonal(cls, values) -> "Band":
@@ -129,7 +116,7 @@ class Band:
     def entries(self, d: int) -> np.ndarray:
         """The entries M[j+d, j] of offset d in column order; zeros where d is absent."""
         m = self.diagonals.get(d)
-        return np.zeros((max(0, self.D - abs(d)),) + self.stack, dtype=complex) if m is None else m
+        return np.zeros(max(0, self.D - abs(d)), dtype=complex) if m is None else m
 
     def adjoint(self) -> "Band":
         """The conjugate transpose: offset d becomes -d, entry for entry."""
@@ -138,8 +125,6 @@ class Band:
     def _same_dimension(self, other: "Band") -> None:
         if other.D != self.D:
             raise ValueError(f"operators of dimensions {self.D} and {other.D} do not combine")
-        if other.stack != self.stack:
-            raise ValueError(f"stacks of shapes {self.stack} and {other.stack} do not combine")
 
     def __add__(self, other):
         if not isinstance(other, Band):
@@ -190,35 +175,32 @@ class Band:
                 s = max(0, -d)
                 c = out.get(d)
                 if c is None:
-                    c = out[d] = np.zeros((D - abs(d),) + self.stack, dtype=complex)
+                    c = out[d] = np.zeros(D - abs(d), dtype=complex)
                 c[lo - s : hi - s] += a[lo + d2 - s1 : hi + d2 - s1] * b[lo - s2 : hi - s2]
         return Band(D, out)
 
     def _apply(self, V: np.ndarray) -> np.ndarray:
         if V.ndim not in (1, 2) or V.shape[0] != self.D:
             raise ValueError(f"a dimension-{self.D} band applies to {self.D}-row vectors, got {V.shape}")
-        if self.stack and V.shape[1:] != self.stack:
-            raise ValueError(f"a stack of {self.stack[0]} bands applies to stacks of as many columns, got {V.shape}")
         out = np.zeros(V.shape, dtype=complex)
         # descending offsets: each entry sums its columns k in increasing order
         for d, m in reversed(self.diagonals.items()):
-            row, col, size = max(0, d), max(0, -d), m.shape[0]
-            out[row : row + size] += (m if m.ndim == V.ndim else m[:, None]) * V[col : col + size]
+            row, col = max(0, d), max(0, -d)
+            out[row : row + m.size] += (m if V.ndim == 1 else m[:, None]) * V[col : col + m.size]
         return out
 
 
 @dataclass(frozen=True, eq=False)
 class FockRep:
-    """Dimension-D truncated representation of one algebra, or a stack of R of them.
+    """Dimension-D truncated representation of one algebra.
 
     levels = K(0..D+1) is read in slices by every level-dependent form.  On
     first use, mat_a is built as the band whose only offset, -1, holds the
     entries (n-1, n) = sqrt(K(n)); mat_ad is its adjoint and mat_N the
-    diagonal 0..D-1.  A stack holds a tuple of R cases as K and their
-    (D+2, R) level table, and its bands are stacks of R operators.
+    diagonal 0..D-1.
     """
 
-    K: SpectralFunction | tuple
+    K: SpectralFunction
     D: int
     levels: np.ndarray = field(repr=False)
 
@@ -232,10 +214,7 @@ class FockRep:
 
     @cached_property
     def mat_N(self) -> Band:
-        n = np.arange(self.D, dtype=float)
-        if self.levels.ndim == 2:
-            n = np.broadcast_to(n[:, None], (self.D, self.levels.shape[1]))
-        return Band.diagonal(n)
+        return Band.diagonal(np.arange(self.D, dtype=float))
 
 
 @dataclass(frozen=True, eq=False)
@@ -306,31 +285,19 @@ class QuadratureMoments:
     xp_commutator_mean: complex
 
 
-def build_rep(K, D: int = DEFAULT_DIM) -> FockRep:
+def build_rep(K: SpectralFunction, D: int = DEFAULT_DIM) -> FockRep:
     """Build the D-dimensional truncated representation of K's algebra.
 
-    K is one SpectralFunction, or a sequence of them for a stack whose
-    column r represents K[r].  Evaluates K(0..D+1) once per case.  Requires
-    D >= 4 (smaller dimensions leave no verification window) and K(n) >= 0
-    for n < D (the weights are sqrt(K)).
+    Evaluates K(0..D+1) once.  Requires D >= 4 (smaller dimensions leave no
+    verification window) and K(n) >= 0 for n < D (the weights are sqrt(K)).
     """
     if D < 4:
         raise ValueError(f"representation dimension must be >= 4, got {D}")
-    if isinstance(K, SpectralFunction):
-        return FockRep(K=K, D=D, levels=_levels(K, D))
-    cases = tuple(K)
-    if not cases:
-        raise ValueError("a stack of representations needs at least one case")
-    return FockRep(K=cases, D=D, levels=np.column_stack([_levels(case, D) for case in cases]))
-
-
-def _levels(K: SpectralFunction, D: int) -> np.ndarray:
-    """K(0..D+1), checked non-negative below D."""
     levels = level_table(K, 0, D + 1)
     for n, value in enumerate(levels[:D].tolist()):
         if value < 0.0:
             raise ValueError(f"K({n}) = {value} is negative; sqrt weights undefined")
-    return levels
+    return FockRep(K=K, D=D, levels=levels)
 
 
 def quadratures(rep: FockRep) -> QuadratureSet:
@@ -616,23 +583,16 @@ def _structure_rows(rep: FockRep, quads: QuadratureSet, xH, pH, margin: int):
     yield "lie_hamilton_p", pH, lie_hamilton_rhs(rep, quads, "p"), margin
 
 
-def _chunk_count(D: int, states: int) -> int:
-    """Into how many chunks a stack of `states` states of dimension D is split.
+def _chunk_count(D: int) -> int:
+    """Into how many chunks the Robertson sweep's states of dimension D are split.
 
     A chunk holds at most about ROBERTSON_CHUNK amplitudes, or two states
     once D exceeds ROBERTSON_CHUNK / 2, so memory is set by one chunk and
-    not by all the states.  A chunk holds one state alone only when there
-    is one state: the moments of a one-column stack are summed pairwise,
-    those of a wider stack row by row, as the whole stack's are.
+    not by all the states.  No chunk holds one state alone: the moments of
+    a one-column stack are summed pairwise, those of a wider stack row by
+    row, as the whole stack's are.
     """
-    return max(1, min(states // 2, -(-states * D // ROBERTSON_CHUNK)))
-
-
-def _chunks(D: int, items: list) -> list:
-    """items in _chunk_count(D, len(items)) consecutive chunks, the later ones the larger."""
-    S = len(items)
-    count = _chunk_count(D, S)
-    return [items[k * S // count : (k + 1) * S // count] for k in range(count)]
+    return max(1, min(ROBERTSON_STATES // 2, -(-ROBERTSON_STATES * D // ROBERTSON_CHUNK)))
 
 
 def _robertson_stacks(D: int, margin: int, seed: int):
@@ -642,7 +602,7 @@ def _robertson_stacks(D: int, margin: int, seed: int):
     bit: each row is drawn, normalized and truncated on its own, and the
     StateVector contract is checked for the whole chunk.
     """
-    for chunk in np.array_split(np.arange(ROBERTSON_STATES), _chunk_count(D, ROBERTSON_STATES)):
+    for chunk in np.array_split(np.arange(ROBERTSON_STATES), _chunk_count(D)):
         rows = _truncate_rows(_random_rows(D, [seed + k for k in chunk.tolist()]), margin)
         norms = np.linalg.norm(rows, axis=1)
         # the norm farthest from 1; np.argmax stops at the first NaN

@@ -7,9 +7,8 @@ Robertson bound
 
 which for a deformed oscillator equals <K(N+1) - K(N)>/4 on diagonal
 states; uncertainty_report evaluates it from the moments of the state, and
-number_state_reports from the moments of a batch of number states |n>,
-taken as one-hot state stacks a chunk at a time, under one representation
-or under a stack of them, one per state.
+number_state_reports reads it for number states |n> from the level table
+alone, with the float operations the moments of |n> would perform.
 Alongside it, reports carry a quadratic diagnostic
 
     (<K(N)>^2 + <K(N+1)>^2) / 4
@@ -43,15 +42,7 @@ from typing import Optional
 
 import numpy as np
 
-from .fockrep import (
-    FockRep,
-    QuadratureMoments,
-    QuadratureSet,
-    StateVector,
-    _chunks,
-    _moments,
-    kempf_rescale,
-)
+from .fockrep import FockRep, QuadratureSet, StateVector, _moments, kempf_rescale
 from .spectral import DEGENERATE_TOL, CaseId, SpectralFunction
 
 __all__ = [
@@ -98,109 +89,75 @@ def square_sum_bound(state: StateVector, rep: FockRep) -> float:
     product for low-lying states (see module docstring) and must not be
     used as a bound.
     """
-    return _square_sums(state.amplitudes[:, None], rep.levels)[0]
+    W = np.abs(state.amplitudes) ** 2
+    D = rep.D
+    # accumulate adds level after level, where sum would add pairwise
+    kn = float(np.add.accumulate(W * rep.levels[:D])[-1])
+    knp1 = float(np.add.accumulate(W * rep.levels[1 : D + 1])[-1])
+    return 0.25 * (kn * kn + knp1 * knp1)
 
 
 def uncertainty_report(state: StateVector, rep: FockRep, quads: QuadratureSet) -> UncertaintyReport:
     """Assemble the full bound report for one state, with the case bound where one applies."""
-    return _reports(state.amplitudes[:, None], rep, quads)[0]
+    dx, dp, product, robertson, bound = _state_terms(state, quads, rep.K)
+    return _report(dx, dp, product, robertson, square_sum_bound(state, rep), bound)
 
 
-def number_state_reports(rep: FockRep, quads: QuadratureSet, levels) -> list:
+def number_state_reports(rep: FockRep, levels) -> list:
     """The report of each number state |n>, n in levels, in the order given.
 
-    Column k of the one-hot state stack is |levels[k]>.  Under one
-    representation report k equals uncertainty_report(number_state(rep.D,
-    n_k), rep, quads); the states are taken in (D, c) stacks of at most
-    about ROBERTSON_CHUNK amplitudes each, so memory is set by one chunk,
-    and the diagnostic still sums over every level, so an inf or NaN in the
-    level table reaches every report.  Under a stack of R representations
-    levels holds R levels, state k is taken under representation k and all
-    R states form one stack, whose width the caller bounds; each column's
-    report reads its own level table and case parameters alone.
+    Report k equals uncertainty_report(number_state(rep.D, n_k), rep,
+    quadratures(rep)) bit for bit, read from the level table alone, whose
+    levels below D are non-negative, as build_rep checks.  x|n> and p|n>
+    hold a = sqrt(K(n))/2 at level n-1 and b = sqrt(K(n+1))/2 at level n+1,
+    so dx^2 = dp^2 = a^2 + b^2, |<[x, p]>|/2 = |b^2 - a^2| and
+    <(x^2 + p^2)^2> = (2(a^2 + b^2))^2: the float operations of the moments
+    of |n>, whose other terms are exact zeros.  The NaN that 0 * inf gives
+    them is kept too: an inf or NaN weight sqrt(K(j))/2, j in 1..D-1, makes
+    every moment NaN, an inf or NaN K(j), j < D, other than K(n) makes
+    <K(N)> NaN, and one at j in 1..D other than K(n+1) makes <K(N+1)> NaN.
     """
     D = rep.D
     levels = list(levels)
     for n in levels:
         if not 0 <= n < D:
             raise ValueError(f"level {n} outside 0..{D - 1}")
-    stacked = isinstance(rep.K, tuple)
-    if stacked and len(levels) != len(rep.K):
-        raise ValueError(f"a stack of {len(rep.K)} representations takes {len(rep.K)} levels, got {len(levels)}")
+    K = rep.levels.tolist()
+    form = _bound_form(rep.K)
+    # a finite sum means a finite table; one that overflows only costs the search below
+    finite = math.isfinite(sum(K))
+    bad = set() if finite else {j for j, k in enumerate(K[: D + 1]) if not math.isfinite(k)}
+    weighted = finite or not bad - {0, D}
     reports = []
-    for chunk in [levels] if stacked else _chunks(D, levels):
-        V = np.zeros((D, len(chunk)), dtype=complex)
-        V[chunk, np.arange(len(chunk))] = 1.0
-        reports += _reports(V, rep, quads)
+    for n in levels:
+        kn = K[n] if finite or bad <= {n, D} else math.nan
+        knp1 = K[n + 1] if finite or bad <= {0, n + 1} else math.nan
+        if weighted:
+            a = 0.5 * math.sqrt(K[n]) if n > 0 else 0.0
+            b = 0.5 * math.sqrt(K[n + 1]) if n < D - 1 else 0.0
+            s = a * a + b * b
+            dx, robertson, fourth = math.sqrt(s), abs(b * b - a * a), (s + s) * (s + s)
+        else:
+            dx = robertson = fourth = math.nan
+        bound = None if form is None else form(dx, dx, fourth)
+        reports.append(_report(dx, dx, dx * dx, robertson, 0.25 * (kn * kn + knp1 * knp1), bound))
     return reports
 
 
-def _reports(V: np.ndarray, rep: FockRep, quads: QuadratureSet) -> list:
-    """The UncertaintyReport of each column of the state stack V, its moments taken once.
-
-    The stack-wide work is done by numpy; the closed forms then run on each
-    column's Python floats, the arithmetic single states always had.  The
-    diagnostics are summed before the images xV and pV are formed, so their
-    temporaries and the images are never held at once.
-    """
-    diagnostics = _square_sums(V, rep.levels)
-    xV, pV = quads.mat_x @ V, quads.mat_p @ V
-    m = _moments(V, xV, pV)
-    columns = zip(
-        m.delta_x.tolist(),
-        m.delta_p.tolist(),
-        m.product.tolist(),
-        m.xp_commutator_mean.tolist(),
-        diagnostics,
-        _case_bounds(rep.K, quads, m, xV, pV),
+def _report(dx, dp, product, robertson, diagnostic, bound) -> UncertaintyReport:
+    """The UncertaintyReport of one state from its deviations, bounds and diagnostic."""
+    # positional, in field order: keywords cost a quarter of the report's time
+    return UncertaintyReport(
+        dx,
+        dp,
+        product,
+        robertson,
+        diagnostic,
+        product < diagnostic - VIOLATION_TOL,
+        product - robertson,
+        bound,
+        None if bound is None else product - bound,
     )
-    reports = []
-    for dx, dp, product, xp, diagnostic, bound in columns:
-        robertson = 0.5 * abs(xp)
-        reports.append(
-            UncertaintyReport(
-                delta_x=dx,
-                delta_p=dp,
-                product=product,
-                robertson_bound=robertson,
-                square_sum_bound=diagnostic,
-                square_sum_violated=product < diagnostic - VIOLATION_TOL,
-                margin_robertson=product - robertson,
-                case_bound=bound,
-                margin_case=None if bound is None else product - bound,
-            )
-        )
-    return reports
-
-
-def _square_sums(V: np.ndarray, levels: np.ndarray) -> list:
-    """The quadratic diagnostic of each column of V, each mean summed in level order.
-
-    levels is one level table for every column, or a (D+2, c) stack of one per column.
-    """
-    W = np.abs(V) ** 2
-    D = W.shape[0]
-    if levels.ndim == 1:
-        levels = levels[:, None]
-    # accumulate adds row after row for any number of columns, where sum
-    # would add a single column pairwise
-    kn = np.add.accumulate(W * levels[:D], axis=0)[-1].tolist()
-    knp1 = np.add.accumulate(W * levels[1 : D + 1], axis=0)[-1].tolist()
-    return [0.25 * (a * a + b * b) for a, b in zip(kn, knp1)]
-
-
-def _squared_norms(h: np.ndarray) -> list:
-    """|h|^2 for each column of h.
-
-    One column is summed by np.vdot, as single states always were; a wider
-    stack is summed column by column, without the overflow warnings np.vdot
-    never gives.  The two agree on the vectors x(x psi) + p(p psi) of number
-    states, which have one nonzero entry.
-    """
-    if h.shape[1] == 1:
-        return [float(np.vdot(h, h).real)]
-    with np.errstate(over="ignore"):
-        return (h.real * h.real + h.imag * h.imag).sum(axis=0).tolist()
 
 
 def invert_number_geometric(q: float, h: float) -> float:
@@ -269,25 +226,26 @@ def case_bound(state: StateVector, quads: QuadratureSet, K: SpectralFunction) ->
     their sum is <(x^2 + p^2)^2> = |x(x psi) + p(p psi)|^2.  Returns None
     for the cases without a bound.
     """
-    V = state.amplitudes[:, None]
-    xV, pV = quads.mat_x @ V, quads.mat_p @ V
-    return _case_bounds(K, quads, _moments(V, xV, pV), xV, pV)[0]
+    return _state_terms(state, quads, K)[-1]
 
 
-def _case_bounds(K, quads, m: QuadratureMoments, xV, pV) -> list:
-    """case_bound for each column of a state stack, from its moments m and its images xV and pV.
+def _state_terms(state: StateVector, quads: QuadratureSet, K: SpectralFunction) -> tuple:
+    """dx, dp, their product, the Robertson bound and K's case bound, as Python numbers.
 
-    K is the case of every column, or a tuple of one case per column.
+    The moments are taken once, from the images x psi and p psi, which also
+    form the fourth moment of the symmetric case.
     """
-    cases = K if isinstance(K, tuple) else (K,)
-    forms = [_bound_form(case) for case in cases]
-    if len(forms) == 1:
-        forms *= xV.shape[1]
-    fourth = [None] * xV.shape[1]
-    if any(case.case_id is CaseId.MACFARLANE_BIEDENHARN for case in cases):
-        fourth = _squared_norms(quads.mat_x @ xV + quads.mat_p @ pV)
-    columns = zip(forms, m.delta_x.tolist(), m.delta_p.tolist(), fourth)
-    return [None if form is None else form(dx, dp, h4) for form, dx, dp, h4 in columns]
+    v = state.amplitudes
+    xv, pv = quads.mat_x @ v, quads.mat_p @ v
+    m = _moments(v, xv, pv)
+    dx, dp = float(m.delta_x), float(m.delta_p)
+    form = _bound_form(K)
+    fourth = None
+    if K.case_id is CaseId.MACFARLANE_BIEDENHARN:
+        h = quads.mat_x @ xv + quads.mat_p @ pv
+        fourth = float(np.vdot(h, h).real)
+    bound = None if form is None else form(dx, dp, fourth)
+    return dx, dp, float(m.product), 0.5 * abs(complex(m.xp_commutator_mean)), bound
 
 
 def _bound_form(K: SpectralFunction):

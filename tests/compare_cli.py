@@ -15,10 +15,11 @@ tests/regen_goldens.py, the three perfbench workloads at seeds 1 and 2,
 20-level tables and CSV verify runs at D = 8 and 32 on the six cases, verify
 runs at dimensions that place the Robertson sweep's chunk boundaries
 differently, full-range gup-scans on the six cases at D = 8, 65, 129 and
-300, q-scans on the four cases with a q at D = 32 and, over 61 steps and
-several representation chunks, at D = 300, a one-step q-scan,
+300, q-scans on the four cases with a q at D = 32 and, over 61 steps, at
+D = 300, a one-step q-scan,
 macfarlane-biedenharn scans at q = 3.5 whose fourth moments overflow, calls
-whose level tables overflow float64, a set of usage errors, and symbolic
+whose level tables overflow float64 or round to inf, q-scans with and
+without --q and with an --n-to, a set of usage errors, and symbolic
 calls through every node kind and error path of the expression evaluator
 together with negative parameter values written as '-1.' and '-1.e0'.
 Standard library only.
@@ -80,6 +81,15 @@ EDGE_CALLS = [
     ["table", "--case", "chung", "--q", "0.7", "--alpha", "-1.e0", "--beta", "0.5", "--levels", "1"],
 ]
 
+# q-scans without --q, with an invalid --q, and with an --n-to the q-scan cannot use
+Q_SCAN = ["gup-scan", "--case", "arik-coon", "--q-from", "0.25", "--q-to", "0.75", "--q-steps", "2"]
+Q_SCAN_CALLS = [
+    Q_SCAN,
+    Q_SCAN + ["--q", "0.25"],
+    Q_SCAN + ["--q", "-1"],
+    Q_SCAN + ["--q", "0.5", "--n-from", "3", "--n-to", "10"],
+]
+
 # K(n) overflows float64 below the top of these level tables: 3.5^n does at n = 567
 MB_OVERFLOW = ["--case", "macfarlane-biedenharn", "--q", "3.5", "--dim", "600"]
 OVERFLOW_CALLS = [
@@ -89,6 +99,9 @@ OVERFLOW_CALLS = [
     ["symbolic", *MB_OVERFLOW, "--check", "comm_xp"],
     ["gup-scan", "--case", "macfarlane-biedenharn", "--q", "1", "--dim", "600",
      "--q-from", "1", "--q-to", "3.5", "--q-steps", "61", "--n-from", "3"],
+    # K(2) = 4e308 rounds to inf without an OverflowError, so every row is NaN
+    ["gup-scan", "--case", "nonlinear", "--alpha", "1e308", "--beta", "1", "--dim", "8",
+     "--n-from", "0", "--n-to", "4"],
 ]
 
 # Runs inside the tree given as argv[1]: the labelled calls arrive on stdin as
@@ -142,8 +155,7 @@ def call_list() -> dict:
                 ["verify", "--case", case, *params, "--format", "csv", "--margin", "5",
                  "--seed", "9", "--dim", dim]
             )
-    # full-range level scans, one or more number-state chunks: D = 8 and 65 fit in
-    # one, 129 and 300 take several
+    # full-range level scans
     for case, params in workloads.CASES.items():
         for dim in (8, 65, 129, 300):
             argvs.append(
@@ -176,7 +188,7 @@ def call_list() -> dict:
     sweep = ["verify", "--case", "arik-coon", "--q", "0.7"]
     argvs += [sweep + ["--dim", "4", "--margin", margin] for margin in ("1", "3")]
     argvs += [sweep + ["--dim", dim] for dim in ("41", "257", "4096")]
-    argvs += USAGE_ERRORS + EDGE_CALLS + OVERFLOW_CALLS
+    argvs += USAGE_ERRORS + EDGE_CALLS + Q_SCAN_CALLS + OVERFLOW_CALLS
     return {shlex.join(argv): argv for argv in argvs}
 
 

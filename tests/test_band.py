@@ -116,54 +116,6 @@ def test_vectors_and_state_stacks_apply_column_by_column():
         quads.mat_x @ np.ones(11)
 
 
-def column(band, r):
-    """Operator r of a stack of bands."""
-    return Band(band.D, {d: m[:, r] for d, m in band.diagonals.items()})
-
-
-def test_a_stack_of_bands_is_each_representation_column_by_column():
-    grid = [make_case(CaseId.ARIK_COON, q=q) for q in (0.3, 1.0, 1.5)] + [make_case(CaseId.NONLINEAR, alpha=1.0, beta=2.0)]
-    D = 12
-    rep = build_rep(grid, D)
-    quads = quadratures(rep)
-    V = np.random.default_rng(7).normal(size=(D, len(grid))) + 0j
-    images = quads.mat_x @ V, quads.mat_p @ V
-    # sums and products of one stack shape act column by column too
-    formed = [rep.mat_ad @ rep.mat_a, commutator(rep.mat_N, rep.mat_ad), quads.mat_xp, quads.mat_H]
-    for r, K in enumerate(grid):
-        single_rep = build_rep(K, D)
-        single = quadratures(single_rep)
-        assert rep.levels[:, r].tobytes() == single_rep.levels.tobytes()
-        for image, M in zip(images, (single.mat_x, single.mat_p)):
-            assert image[:, r].tobytes() == (M @ V[:, r]).tobytes()
-        expected = [
-            single_rep.mat_ad @ single_rep.mat_a,
-            commutator(single_rep.mat_N, single_rep.mat_ad),
-            single.mat_xp,
-            single.mat_H,
-        ]
-        for stacked, M in zip(formed, expected):
-            assert np.array_equal(dense(column(stacked, r)), dense(M)), (K, M)
-
-
-def test_stacks_of_other_shapes_are_rejected():
-    D = 8
-    stacked = quadratures(build_rep([make_case(CaseId.ARIK_COON, q=q) for q in (0.5, 0.7)], D)).mat_x
-    single = quadratures(build_rep(make_case(CaseId.ARIK_COON, q=0.5), D)).mat_x
-    for V in (np.ones(D), np.ones((D, 3)), np.ones((D, 1))):
-        with pytest.raises(ValueError, match="stack of 2 bands"):
-            stacked @ V
-    for other in (single, Band(D, {0: np.ones((D, 3))})):
-        with pytest.raises(ValueError, match="do not combine"):
-            stacked + other
-        with pytest.raises(ValueError, match="do not combine"):
-            stacked @ other
-    with pytest.raises(ValueError, match="needs shape"):
-        Band(D, {0: np.ones((D, 2)), 1: np.ones(D - 1)})
-    with pytest.raises(ValueError, match="at least one case"):
-        build_rep([], D)
-
-
 def test_one_operator_form():
     rep = build_rep(make_case(CaseId.MACFARLANE_BIEDENHARN, q=1.5), 8)
     quads = quadratures(rep)
@@ -216,25 +168,30 @@ def test_verify_peak_memory_stays_below_the_robertson_state_stack():
 Q_SCAN = ["gup-scan", "--case", "arik-coon", "--q", "0.5", "--q-steps", "61", "--n-from", "3"]
 
 
-def test_a_q_scan_forms_one_stack_of_quadratures(monkeypatch):
-    calls = []
-    original = fockrep.quadratures
+@pytest.mark.parametrize(
+    "argv",
+    [
+        Q_SCAN + ["--dim", "32", "--q-from", "0.25", "--q-to", "1.75"],
+        ["gup-scan", "--case", "macfarlane-biedenharn", "--q", "1.5", "--dim", "128", "--n-from", "0", "--n-to", "124"],
+    ],
+    ids=["q-scan", "level-scan"],
+)
+def test_a_gup_scan_forms_no_band(monkeypatch, argv):
+    def refused(*args):
+        raise AssertionError("a gup-scan reads its reports from the level table")
 
-    def counted(rep):
-        calls.append(rep.levels.shape)
-        return original(rep)
-
-    monkeypatch.setattr(fockrep, "quadratures", counted)
+    for owner, name in ((fockrep, "quadratures"), (Band, "__init__"), (Band, "_apply")):
+        monkeypatch.setattr(owner, name, refused)
     with contextlib.redirect_stdout(io.StringIO()):
-        assert cli.main(Q_SCAN + ["--dim", "32", "--q-from", "0.25", "--q-to", "1.75"]) == 0
-    assert calls == [(34, 61)]
+        assert cli.main(argv) == 0
 
 
-def test_q_scan_peak_memory_is_set_by_one_chunk_of_representations():
-    # a stack of all 61 representations would hold about 177 MB here; q stays
-    # at or below 1, where K(20001) is finite
+def test_q_scan_peak_memory_is_set_by_one_representation():
+    # one representation at a time: its 20002 levels, as Python floats while
+    # they are evaluated and read, peak near 1.2 MB; q stays at or below 1,
+    # where K(20001) is finite
     argv = Q_SCAN + ["--dim", "20000", "--q-from", "0.25", "--q-to", "1.0"]
     codes = []
     with contextlib.redirect_stdout(io.StringIO()):
         peak = peak_bytes(lambda: codes.append(cli.main(argv)))
-    assert codes == [0] and peak < 8_000_000
+    assert codes == [0] and peak < 2_000_000

@@ -344,6 +344,23 @@ class TestScan:
         )
         assert cp.returncode == 2
 
+    Q_SCAN = ("gup-scan", "--case", "arik-coon", "--q-from", "0.25", "--q-to", "0.75", "--q-steps", "2")
+
+    def test_q_scan_needs_no_q(self):
+        without = run_cli(*self.Q_SCAN)
+        assert (without.returncode, without.stderr) == (0, "")
+        assert without.stdout == run_cli(*self.Q_SCAN, "--q", "0.25").stdout
+        assert without.stdout.count("\n") == 3
+
+    def test_a_given_q_is_still_checked(self):
+        cp = run_cli(*self.Q_SCAN, "--q", "-1")
+        assert (cp.returncode, cp.stdout, cp.stderr) == (2, "", "error: q must be positive, got -1.0\n")
+
+    def test_q_scan_rejects_n_to(self):
+        cp = run_cli(*self.Q_SCAN, "--q", "0.5", "--n-from", "3", "--n-to", "10")
+        assert (cp.returncode, cp.stdout) == (2, "")
+        assert cp.stderr.startswith("error: --n-to") and cp.stderr.count("\n") == 1
+
 
 class TestDeterminism:
     @pytest.mark.parametrize("golden_name,args", list(GOLDEN_COMMANDS.items()))

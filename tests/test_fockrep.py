@@ -459,7 +459,7 @@ class TestRobertsonSweep:
 
     def test_chunks_hold_two_states_or_more_at_every_dimension(self):
         for D in range(4, 20001):
-            count = fockrep._chunk_count(D, fockrep.ROBERTSON_STATES)
+            count = fockrep._chunk_count(D)
             # np.array_split makes the first STATES % count chunks one state longer
             small, extra = divmod(fockrep.ROBERTSON_STATES, count)
             sizes = [small + 1] * extra + [small] * (count - extra)

@@ -1,5 +1,7 @@
 """Uncertainty bounds, the quadratic diagnostic, and spectrum inversions."""
 
+import contextlib
+import io
 import math
 import warnings
 
@@ -7,10 +9,11 @@ import numpy as np
 import pytest
 
 from conftest import dense, representative_cases
-from deformalg import fockrep, gup
+from deformalg import cli, fockrep, gup
 from deformalg import (
     Band,
     CaseId,
+    FockRep,
     UncertaintyReport,
     build_rep,
     case_bound,
@@ -346,7 +349,7 @@ class TestCaseBounds:
         D = 12
         rep = build_rep(K, D)
         uncertainty_report(number_state(D, 2), rep, quadratures(rep))
-        assert calls == [(D, 1)]
+        assert calls == [(D,)]
 
     def test_case_without_bound_gives_none(self):
         K = classical()
@@ -404,6 +407,14 @@ def fields(report, exact_bits=False):
     return out
 
 
+# One case of each case bound, and one without
+NON_FINITE_CASES = [
+    make_case(CaseId.CLASSICAL),
+    make_case(CaseId.ARIK_COON, q=0.7),
+    make_case(CaseId.MACFARLANE_BIEDENHARN, q=1.5),
+    make_case(CaseId.NONLINEAR, alpha=1.0, beta=2.0),
+]
+
 # Parameters whose level tables stay finite up to D = 4096
 DEEP_CASES = [
     make_case(CaseId.CLASSICAL),
@@ -416,39 +427,35 @@ DEEP_CASES = [
 
 
 class TestNumberStateReports:
-    """The batched number-state reports against the per-state formulas."""
+    """The number-state reports read from the level table against the per-state formulas."""
 
     @staticmethod
-    def assert_match(K, D, levels):
-        rep = build_rep(K, D)
-        quads = quadratures(rep)
-        reports = number_state_reports(rep, quads, levels)
+    def assert_match(rep, levels):
+        reports = number_state_reports(rep, levels)
         assert len(reports) == len(levels)
+        quads = quadratures(rep)
         for n, report in zip(levels, reports):
-            assert fields(report) == fields(oracle_report(number_state(D, n), rep, quads)), n
+            assert fields(report) == fields(oracle_report(number_state(rep.D, n), rep, quads)), n
 
     @pytest.mark.parametrize("K", DEEP_CASES, ids=str)
-    def test_levels_across_many_chunks(self, K):
+    def test_levels_in_any_order_at_D_4096(self, K):
         D = 4096
-        levels = [D - 1, 5, 5] + list(range(0, D, 31))
-        assert fockrep._chunk_count(D, len(levels)) > 30
-        self.assert_match(K, D, levels)
+        self.assert_match(build_rep(K, D), [D - 1, 5, 5] + list(range(0, D, 31)))
 
     @pytest.mark.parametrize("K", representative_cases(), ids=str)
     @pytest.mark.parametrize("D", [8, 128])
-    def test_every_level_in_wide_stacks(self, K, D):
-        self.assert_match(K, D, list(range(D)))
+    def test_every_level(self, K, D):
+        self.assert_match(build_rep(K, D), list(range(D)))
 
     def test_overflowing_fourth_moments(self):
         # <(x^2 + p^2)^2> and the diagnostic overflow to inf at the top levels
         K = make_case(CaseId.MACFARLANE_BIEDENHARN, q=3.5)
-        levels = list(range(297))
-        self.assert_match(K, 300, levels)
         rep = build_rep(K, 300)
+        self.assert_match(rep, list(range(297)))
         with warnings.catch_warnings():
-            # np.vdot and Python floats overflow silently, so the stacks do too
+            # np.vdot and Python floats overflow silently, so the level-table path does too
             warnings.simplefilter("error")
-            top = number_state_reports(rep, quadratures(rep), [295, 296])[1]
+            top = number_state_reports(rep, [295, 296])[1]
         assert top.case_bound == math.inf and top.square_sum_bound == math.inf
 
     def test_a_non_finite_level_reaches_every_diagnostic(self):
@@ -456,30 +463,45 @@ class TestNumberStateReports:
         # weighs it by 0
         D = 16
         K = make_case(CaseId.CUSTOM, custom_eval=lambda n: math.inf if n == D else float(n))
+        rep = build_rep(K, D)
         with np.errstate(invalid="ignore"):
-            self.assert_match(K, D, list(range(D)))
-            rep = build_rep(K, D)
-            reports = number_state_reports(rep, quadratures(rep), range(D))
+            self.assert_match(rep, list(range(D)))
+        reports = number_state_reports(rep, range(D))
         assert all(math.isnan(r.square_sum_bound) for r in reports[:-1])
         assert reports[-1].square_sum_bound == math.inf
 
-    def test_moments_are_taken_once_per_chunk(self, monkeypatch):
-        calls = []
+    @pytest.mark.parametrize("K", NON_FINITE_CASES, ids=str)
+    @pytest.mark.parametrize("D", [8, 16])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=str)
+    def test_a_non_finite_value_at_each_level(self, K, D, value):
+        for j in range(D + 2):
+            levels = build_rep(K, D).levels.copy()
+            levels[j] = value
+            with np.errstate(invalid="ignore"):
+                self.assert_match(FockRep(K, D, levels), list(range(D)))
 
-        def counted(V, xV, pV):
-            calls.append(V.shape)
-            return fockrep._moments(V, xV, pV)
+    @pytest.mark.parametrize("K", NON_FINITE_CASES, ids=str)
+    def test_two_infinite_levels(self, K):
+        D = 8
+        for i in range(D + 2):
+            for j in range(i + 1, D + 2):
+                levels = build_rep(K, D).levels.copy()
+                levels[[i, j]] = math.inf
+                with np.errstate(invalid="ignore"):
+                    self.assert_match(FockRep(K, D, levels), list(range(D)))
 
-        monkeypatch.setattr(gup, "_moments", counted)
-        rep = build_rep(make_case(CaseId.ARIK_COON, q=0.5), 128)
-        number_state_reports(rep, quadratures(rep), range(125))
-        assert calls == [(128, 62), (128, 63)]
+    def test_finite_levels_whose_sum_overflows(self):
+        K = make_case(CaseId.CUSTOM, custom_eval=lambda n: 1e308 if n else 0.0)
+        rep = build_rep(K, 8)
+        assert sum(rep.levels.tolist()) == math.inf
+        with np.errstate(over="ignore"):
+            self.assert_match(rep, list(range(8)))
 
     def test_levels_outside_the_representation_are_rejected(self):
         rep = build_rep(classical(), 8)
         with pytest.raises(ValueError, match="level 8 outside 0..7"):
-            number_state_reports(rep, quadratures(rep), [0, 8])
-        assert number_state_reports(rep, quadratures(rep), []) == []
+            number_state_reports(rep, [0, 8])
+        assert number_state_reports(rep, []) == []
 
     @pytest.mark.parametrize("K", representative_cases(), ids=str)
     def test_single_states_keep_their_bits(self, K):
@@ -500,53 +522,37 @@ class TestNumberStateReports:
 
 # The four cases with a q, at the parameters the command-line workloads use
 Q_CASES = {
-    CaseId.ARIK_COON: {},
-    CaseId.MACFARLANE_BIEDENHARN: {},
-    CaseId.CHUNG: {"alpha": 2.0, "beta": 0.5},
-    CaseId.BORZOV: {"alpha": 0.5, "beta": 1.0, "gamma": 2.0},
+    "arik-coon": {},
+    "macfarlane-biedenharn": {},
+    "chung": {"alpha": 2.0, "beta": 0.5},
+    "borzov": {"alpha": 0.5, "beta": 1.0, "gamma": 2.0},
 }
 
 
-def q_grid(case, steps=13):
-    """The cases at q = 0.25 .. 1.75, through the degenerate q = 1."""
-    return tuple(make_case(case, q=0.25 + 1.5 * i / (steps - 1), **Q_CASES[case]) for i in range(steps))
-
-
-def single_rep_report(K, D, n, levels=None):
+def single_rep_report(K, D, n):
     """The oracle report of |n> under K's own representation, built alone."""
-    rep = build_rep(K, D) if levels is None else fockrep.FockRep(K=K, D=D, levels=levels)
+    rep = build_rep(K, D)
     return oracle_report(number_state(D, n), rep, quadratures(rep))
 
 
-class TestStackedReports:
-    """Reports under a stack of representations against one representation at a time."""
-
-    @pytest.mark.parametrize("case", list(Q_CASES), ids=lambda case: case.value)
-    @pytest.mark.parametrize("D", [8, 32, 300])
-    def test_each_column_matches_its_own_representation(self, case, D):
-        grid = q_grid(case)
-        levels = [(D - 1 - 5 * k) % D for k in range(len(grid))]
-        rep = build_rep(grid, D)
-        reports = number_state_reports(rep, quadratures(rep), levels)
-        assert len(reports) == len(grid)
-        for K, n, report in zip(grid, levels, reports):
-            assert fields(report) == fields(single_rep_report(K, D, n)), (K, n)
-
-    def test_a_non_finite_level_reaches_only_its_column(self):
-        D, poisoned = 16, 2
-        grid = q_grid(CaseId.ARIK_COON, 5)
-        levels = build_rep(grid, D).levels.copy()
-        levels[D, poisoned] = math.inf  # K(D), read by <K(N+1)> with weight 0 below D - 1
-        rep = fockrep.FockRep(K=grid, D=D, levels=levels)
-        with np.errstate(invalid="ignore"):
-            reports = number_state_reports(rep, quadratures(rep), [4] * len(grid))
-            for k, (K, report) in enumerate(zip(grid, reports)):
-                values = [v for v in vars(report).values() if isinstance(v, float)]
-                assert all(map(math.isfinite, values)) == (k != poisoned), k
-                assert fields(report) == fields(single_rep_report(K, D, 4, levels[:, k].copy())), k
-        assert math.isnan(reports[poisoned].square_sum_bound)
-
-    def test_a_stack_takes_one_level_per_representation(self):
-        rep = build_rep(q_grid(CaseId.ARIK_COON, 3), 8)
-        with pytest.raises(ValueError, match="stack of 3 representations takes 3 levels, got 2"):
-            number_state_reports(rep, quadratures(rep), [1, 2])
+@pytest.mark.parametrize("case", list(Q_CASES))
+@pytest.mark.parametrize("D", [8, 32, 300])
+def test_each_q_scan_row_is_the_report_at_its_grid_point(case, D):
+    params = Q_CASES[case]
+    options = [f"--{name}={value}" for name, value in params.items()]
+    for n in (0, 3, D - 4):
+        argv = ["gup-scan", "--case", case, *options, "--dim", str(D), "--q-from", "0.25", "--q-to", "1.75",
+                "--q-steps", "13", "--n-from", str(n)]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(argv) == 0
+        rows = [line.split(",") for line in out.getvalue().splitlines()[1:]]
+        assert len(rows) == 13
+        for row in rows:
+            report = single_rep_report(make_case(case, q=float(row[1]), **params), D, n)
+            expected = [
+                report.delta_x, report.delta_p, report.product, report.robertson_bound, report.case_bound,
+                report.square_sum_bound, report.margin_robertson, report.margin_case,
+            ]
+            assert row[5] == str(n)
+            assert [None if cell == "" else float(cell) for cell in row[6:]] == expected, row
