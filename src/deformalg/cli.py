@@ -260,11 +260,13 @@ def cmd_symbolic(args, seed: int) -> int:
         identity = source
     try:
         lhs, rhs = symorder.parse_identity(identity)
-        nf_l = symorder.normal_order(lhs, K)
-        nf_r = symorder.normal_order(rhs, K)
+        # one memo per evaluator, shared by the two sides: a product they share is formed once
+        forms, bands = {}, {}
+        nf_l = symorder.normal_order(lhs, K, memo=forms)
+        nf_r = symorder.normal_order(rhs, K, memo=forms)
         nf_report = symorder.nf_equal(nf_l, nf_r, tol=args.tol)
-        mat_l = symorder.expr_to_matrix(lhs, K, args.dim)
-        mat_r = symorder.expr_to_matrix(rhs, K, args.dim)
+        mat_l = symorder.expr_to_matrix(lhs, K, args.dim, memo=bands)
+        mat_r = symorder.expr_to_matrix(rhs, K, args.dim, memo=bands)
     except (symorder.ExprSyntaxError, ValueError, ZeroDivisionError, OverflowError) as exc:
         raise UsageError(str(exc)) from exc
     residual = fockrep.scaled_max_residual(mat_l, mat_r, args.margin)

@@ -10,6 +10,14 @@ leaf operator, sums and products fold + and @, powers repeat @, and
 comm(A, B) is A@B - B@A.  Division and negative powers are defined only by
 scalar subexpressions (offset 0 with a constant coefficient).
 
+A check evaluates equal subexpressions once.  normal_order and
+expr_to_matrix take a keyword memo, one per evaluator, that the two sides of
+an identity share: each leaf and each product is formed once per memo, a
+product found again by the identities of its factors, so comm(H^3, x^3) and
+H^3*x^3 - x^3*H^3 compose H^3, x^3 and each of their two products once.
+Each value is still the same left-to-right fold, so sharing changes no bit,
+and a memo lives for one check: nothing is cached across calls.
+
 normal_order evaluates with NormalForm leaves.  A NormalForm maps the
 ladder offset d to the coefficient c_d, indexed by the source level:
 applied to |n>, the d-term contributes c_d(n) times the pure ladder action
@@ -35,7 +43,8 @@ identities whose two sides compose to the same polynomials compare
 bit-equal.  Equality of normal forms is still decided by evaluation on an
 integer grid, which refutes soundly but certifies equality only up to the
 grid: K is an arbitrary spectral function, so equal values on the grid
-need not mean equal polynomials in K's atoms.
+need not mean equal polynomials in K's atoms.  nf_equal reads each atom
+K(N+k) from one level table once per shift, and forms each power of N once.
 
 nf_to_matrix realizes a normal form as a truncated fockrep.Band, offset
 for offset.  expr_to_matrix runs the same evaluator with the bands of
@@ -405,9 +414,11 @@ class CoefficientFunction:
 
     def _on_levels(self, n: np.ndarray, table: np.ndarray, lo: int) -> np.ndarray:
         """c(n) over the integer array n, reading K(m) from table[m - lo]: each monomial
-        is n**j in Python ints, rounded once, times its atoms in ks order, added in order."""
-        atoms = {k: table[n + k - lo] for _, ks in self.terms for k in ks}
-        powers = {j: (n.astype(object) ** j).astype(float) for j, _ in self.terms}
+        is n**j in Python ints, rounded once, times its atoms in ks order, added in order.
+        Each distinct atom is read from the table once, and each distinct power formed once."""
+        atoms = {k: table[n + k - lo] for k in self._shifts()}
+        exact = n.astype(object)
+        powers = {j: (exact**j).astype(float) for j in {j for j, _ in self.terms}}
         total = np.zeros(n.shape, dtype=complex)
         for (j, ks), c in self.terms.items():
             value = powers[j]
@@ -415,6 +426,10 @@ class CoefficientFunction:
                 value = value * atoms[k]
             total = total + c * value
         return total
+
+    def _shifts(self) -> set:
+        """The offsets k of the atoms K(N+k) it reads."""
+        return {k for _, ks in self.terms for k in ks}
 
     def shift(self, s: int) -> "CoefficientFunction":
         """c(N) -> c(N+s): K(N+k) -> K(N+k+s) and N^j -> (N+s)^j expanded."""
@@ -448,10 +463,15 @@ class CoefficientFunction:
 
 
 def _level_table(K: SpectralFunction, evaluations) -> tuple:
-    """K(lo..hi) and lo, spanning every atom K(n+k) of each (coefficient, levels) pair."""
-    reads = [(ns, k) for c, ns in evaluations if ns.size for _, ks in c.terms for k in ks]
-    lo = min((int(ns.min()) + k for ns, k in reads), default=0)
-    hi = max((int(ns.max()) + k for ns, k in reads), default=-1)
+    """K(lo..hi) and lo, spanning every atom K(n+k) of each (coefficient, levels) pair:
+    a pair reads from min(levels) + min(shifts) to max(levels) + max(shifts)."""
+    spans = []
+    for c, ns in evaluations:
+        shifts = c._shifts()
+        if shifts and ns.size:
+            spans.append((int(ns.min()) + min(shifts), int(ns.max()) + max(shifts)))
+    lo = min((first for first, _ in spans), default=0)
+    hi = max((last for _, last in spans), default=-1)
     return level_table(K, lo, hi), lo
 
 
@@ -546,92 +566,130 @@ def _crossed_levels(d1: int, d2: int) -> range:
     return range(0)
 
 
-def _evaluate(expr: Expr, K: SpectralFunction, scalar: Callable, leaf: Callable):
+def _evaluate(expr: Expr, K: SpectralFunction, scalar: Callable, leaf: Callable, memo: dict):
     """The operator an expression denotes: scalar(c) is c times the identity,
-    leaf(node) the operator of a Sym or KShift node, and every other node
-    combines its children's with +, -, @ and / by a normal-form scalar."""
+    leaf(node) the operator of a Sym or KShift node (H is evaluated as x*x +
+    p*p), and every other node combines its children's with +, -, @ and / by
+    a normal-form scalar.
+
+    memo holds the leaves and products formed so far: a symbol's operator
+    under its name, K(N+k) under k, and each product under the identities of
+    its two factors, which the entry keeps alive.  Equal subexpressions
+    evaluated with one memo thus form each product once, and comm(A, B) forms
+    A*B and B*A through the same entries as those products written out.  Sums,
+    negations and scalars are formed where they appear; they seldom repeat,
+    and a lookup for each would cost more than it saves.  Every value is
+    still the same left-to-right fold.
+    """
+    def matmul(left, right):
+        key = (id(left), id(right))
+        entry = memo.get(key)
+        if entry is None:
+            entry = memo[key] = (left @ right, left, right)
+        return entry[0]
+
     def evaluate(node):
-        return _evaluate(node, K, scalar, leaf)
+        # Neg, Mul and Div nest on their first operand as deep as the text is
+        # long (a*b*c... parses in a loop), so that spine is walked in a loop;
+        # it keeps each Neg and Mul node and each Div's divisor, which is
+        # checked before the numerator is evaluated
+        spine = []
+        while isinstance(node, (Neg, Mul, Div)):
+            if isinstance(node, Div):
+                divisor = _scalar_value(node.denominator, K, "division is only defined by scalar expressions")
+                if divisor == 0:
+                    raise ZeroDivisionError("division by zero scalar")
+                spine.append(divisor)
+                node = node.numerator
+            else:
+                spine.append(node)
+                node = node.operand if isinstance(node, Neg) else node.factors[0]
+        if isinstance(node, Num):
+            value = scalar(node.value)
+        elif isinstance(node, Param):
+            bound = K.params().get(node.name)
+            if bound is None:
+                raise ValueError(f"parameter {node.name!r} is not bound for this case")
+            value = scalar(bound)
+        elif isinstance(node, Sym):
+            value = memo.get(node.name)
+            if value is None:
+                value = memo[node.name] = evaluate(_H_TERMS) if node.name == "H" else leaf(node)
+        elif isinstance(node, KShift):
+            value = memo.get(node.offset)
+            if value is None:
+                value = memo[node.offset] = leaf(node)
+        elif isinstance(node, Add):
+            value = reduce(operator.add, map(evaluate, node.terms))
+        elif isinstance(node, Pow):
+            if node.exponent < 0:
+                base = _scalar_value(node.base, K, "negative powers are only defined for scalar expressions")
+                value = scalar(base**node.exponent)
+            elif node.exponent == 0:
+                value = scalar(1)
+            else:
+                value = reduce(matmul, [evaluate(node.base)] * node.exponent)
+        elif isinstance(node, Comm):
+            left, right = evaluate(node.left), evaluate(node.right)
+            value = matmul(left, right) - matmul(right, left)
+        else:
+            raise TypeError(f"unknown expression node {node!r}")  # pragma: no cover
+        for outer in reversed(spine):
+            if isinstance(outer, Neg):
+                value = -value
+            elif isinstance(outer, Mul):
+                value = reduce(matmul, map(evaluate, outer.factors[1:]), value)
+            else:
+                value = value / outer
+        return value
 
-    if isinstance(expr, Num):
-        return scalar(expr.value)
-    if isinstance(expr, Param):
-        value = K.params().get(expr.name)
-        if value is None:
-            raise ValueError(f"parameter {expr.name!r} is not bound for this case")
-        return scalar(value)
-    if isinstance(expr, (Sym, KShift)):
-        return leaf(expr)
-    if isinstance(expr, Neg):
-        return -evaluate(expr.operand)
-    if isinstance(expr, Add):
-        return reduce(operator.add, map(evaluate, expr.terms))
-    if isinstance(expr, Mul):
-        return reduce(operator.matmul, map(evaluate, expr.factors))
-    if isinstance(expr, Pow):
-        if expr.exponent < 0:
-            value = _scalar_value(expr.base, K, "negative powers are only defined for scalar expressions")
-            return scalar(value**expr.exponent)
-        if expr.exponent == 0:
-            return scalar(1)
-        return reduce(operator.matmul, [evaluate(expr.base)] * expr.exponent)
-    if isinstance(expr, Div):
-        value = _scalar_value(expr.denominator, K, "division is only defined by scalar expressions")
-        if value == 0:
-            raise ZeroDivisionError("division by zero scalar")
-        return evaluate(expr.numerator) / value
-    if isinstance(expr, Comm):
-        left, right = evaluate(expr.left), evaluate(expr.right)
-        return left @ right - right @ left
-    raise TypeError(f"unknown expression node {expr!r}")  # pragma: no cover
+    return evaluate(expr)
 
 
-_H = Sym("H")
-_QUADRATURES = frozenset({Sym("x"), Sym("p"), _H})
-# The terms of each symbol but H, as offset -> (monomial, scalar)
+# H = x^2 + p^2, composed rather than taken from its diagonal closed form
+_H_TERMS = Add((Mul((Sym("x"), Sym("x"))), Mul((Sym("p"), Sym("p")))))
+# The terms of each symbol but H by name, as offset -> (monomial, scalar)
 _SYMBOL_TERMS = {
-    Sym("a"): {-1: ((0, ()), 1.0)},
-    Sym("ad"): {1: ((0, ()), 1.0)},
-    Sym("N"): {0: ((1, ()), 1.0)},
-    Sym("x"): {1: ((0, ()), 0.5), -1: ((0, ()), 0.5)},
-    Sym("p"): {1: ((0, ()), 0.5j), -1: ((0, ()), -0.5j)},
+    "a": {-1: ((0, ()), 1.0)},
+    "ad": {1: ((0, ()), 1.0)},
+    "N": {0: ((1, ()), 1.0)},
+    "x": {1: ((0, ()), 0.5), -1: ((0, ()), 0.5)},
+    "p": {1: ((0, ()), 0.5j), -1: ((0, ()), -0.5j)},
 }
 
 
-def _normal_form(expr: Expr, K: SpectralFunction) -> NormalForm:
+def _normal_form(expr: Expr, K: SpectralFunction, memo: dict) -> NormalForm:
     """Evaluate with NormalForm leaves; _scalar_value calls this, not normal_order, so
     wrappers of normal_order (perfbench's tracer) see whole expressions only."""
     def scalar(c) -> NormalForm:
         return NormalForm(K, {0: CoefficientFunction(K, [((0, ()), complex(c))])})
 
     def leaf(node) -> NormalForm:
-        if node == _H:
-            # H = x^2 + p^2, composed rather than taken from its diagonal closed form
-            x, p = leaf(Sym("x")), leaf(Sym("p"))
-            return x @ x + p @ p
         # a symbol's terms, or the one atom K(N+k) of a level shift
-        terms = _SYMBOL_TERMS.get(node) or {0: ((0, (node.offset,)), 1.0)}
+        terms = _SYMBOL_TERMS[node.name] if isinstance(node, Sym) else {0: ((0, (node.offset,)), 1.0)}
         return NormalForm(K, {d: CoefficientFunction(K, [(m, complex(c))]) for d, (m, c) in terms.items()})
 
-    return _evaluate(expr, K, scalar, leaf)
+    return _evaluate(expr, K, scalar, leaf, memo)
 
 
 def _scalar_value(expr: Expr, K: SpectralFunction, message: str) -> complex:
     """Numeric value of a scalar subexpression, one whose only offset is 0 with
     a constant coefficient; ValueError(message) for any other expression."""
-    nf = _normal_form(expr, K)
+    nf = _normal_form(expr, K, {})
     diagonal = nf.coefficient(0).terms
     if set(nf.coefficients) - {0} or set(diagonal) - {(0, ())}:
         raise ValueError(message)
     return complex(diagonal.get((0, ()), 0.0))
 
 
-def normal_order(expr: Expr, K: SpectralFunction) -> NormalForm:
+def normal_order(expr: Expr, K: SpectralFunction, *, memo: dict | None = None) -> NormalForm:
     """Compose an expression's canonical normal form over K's algebra.
 
     Scalar parameters (q, alpha, beta, gamma) take the values bound in K.
+    Calls that pass one memo dict, all for expressions of this K, compose
+    each product they share once.
     """
-    return _normal_form(expr, K)
+    return _normal_form(expr, K, {} if memo is None else memo)
 
 
 def nf_equal(
@@ -690,27 +748,29 @@ def nf_to_matrix(nf: NormalForm, D: int) -> Band:
     return Band(D, diagonals)
 
 
-def expr_to_matrix(expr: Expr, K: SpectralFunction, D: int) -> Band:
+def expr_to_matrix(expr: Expr, K: SpectralFunction, D: int, *, memo: dict | None = None) -> Band:
     """Evaluate an expression directly in the truncated representation.
 
     The leaves are the bands of build_rep and quadratures and the diagonal
     level_table(K, k, k + D - 1) of K(N+k); band products sum the entries
     numerically, so the result is independent of the contraction rule and
-    serves as the oracle for normal-ordered realizations.
+    serves as the oracle for normal-ordered realizations.  Calls that pass
+    one memo dict, all for this K and D, build one representation and form
+    each product they share once.
     """
-    rep = build_rep(K, D)
-    quads = quadratures(rep)
+    memo = {} if memo is None else memo
+    if "rep" not in memo:  # before any band, so a representation error comes first
+        rep = build_rep(K, D)
+        memo["rep"] = (rep, quadratures(rep))
+    rep, quads = memo["rep"]
     identity = Band.diagonal(np.ones(D))
 
     def leaf(node) -> Band:
-        # operators are formed on first use: H only for expressions that name it
-        if node in _QUADRATURES:
-            return getattr(quads, "mat_" + node.name)
-        if node in _SYMBOL_TERMS:  # a, ad and N
-            return getattr(rep, "mat_" + node.name)
+        if isinstance(node, Sym):  # a, ad, N, x or p
+            return getattr(quads if node.name in ("x", "p") else rep, "mat_" + node.name)
         return Band.diagonal(level_table(K, node.offset, node.offset + D - 1))
 
-    return _evaluate(expr, K, lambda c: complex(c) * identity, leaf)
+    return _evaluate(expr, K, lambda c: complex(c) * identity, leaf, memo)
 
 
 # Built-in identities for the command-line checker.  The general

@@ -20,8 +20,10 @@ D = 300, a one-step q-scan,
 macfarlane-biedenharn scans at q = 3.5 whose fourth moments overflow, calls
 whose level tables overflow float64 or round to inf, q-scans with and
 without --q and with an --n-to, a set of usage errors, and symbolic
-calls through every node kind and error path of the expression evaluator
-together with negative parameter values written as '-1.' and '-1.e0'.
+calls through every node kind and error path of the expression evaluator,
+identities that reuse a subterm, and negation, product and quotient chains
+500 to 600 links long, together with negative parameter values written as
+'-1.' and '-1.e0'.
 Standard library only.
 """
 
@@ -77,6 +79,14 @@ EDGE_CALLS = [
     SYMBOLIC + ["a^-1 == a"],
     SYMBOLIC + ["x^16 == x"],
     SYMBOLIC + ["(N^64)^64*ad == ad"],
+    # identities that reuse a subterm; the first fails inside the reused one
+    SYMBOLIC + ["x^16 == x^16"],
+    SYMBOLIC + ["comm(a,ad) == a*ad - ad*a"],
+    SYMBOLIC + ["comm(H,x^2) + comm(H,x^2) == 2*comm(H,x^2)"],
+    # chains that nest on their first operand as deep as they are long
+    SYMBOLIC + ["-" * 500 + "x == x"],
+    SYMBOLIC + ["1*" * 600 + "x == x"],
+    SYMBOLIC + ["x" + "/1" * 600 + " == x"],
     ["table", "--case", "chung", "--q", "0.7", "--alpha", "-1.", "--beta", "0.5", "--levels", "1"],
     ["table", "--case", "chung", "--q", "0.7", "--alpha", "-1.e0", "--beta", "0.5", "--levels", "1"],
 ]

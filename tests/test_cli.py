@@ -150,6 +150,18 @@ class TestExitCodes:
         assert cp.returncode == 2
 
     @pytest.mark.parametrize(
+        "identity",
+        ["-" * 500 + "x == x", "1*" * 5000 + "x == x", "x" + "/1" * 5000 + " == x"],
+        ids=["negations", "products", "quotients"],
+    )
+    def test_long_operator_chains_evaluate(self, identity):
+        # each chain nests on its first operand as deep as it is long; it raised
+        # RecursionError in evaluation from about 500 links on
+        cp = run_cli("symbolic", "--case", "classical", "--check", identity)
+        assert (cp.returncode, cp.stderr) == (0, "")
+        assert json.loads(cp.stdout)["pass"] is True
+
+    @pytest.mark.parametrize(
         "args",
         [
             ["symbolic", "--case", "classical", "--check", "a*ad == ad*a", "--tol=inf"],

@@ -1,6 +1,9 @@
 """Parser, normal ordering, and the symbolic-numeric oracle bridge."""
 
+import contextlib
+import io
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -13,7 +16,9 @@ from deformalg import (
     Band,
     CaseId,
     ExprSyntaxError,
+    NormalForm,
     build_rep,
+    cli,
     commutator,
     eval_K,
     expr_to_matrix,
@@ -25,7 +30,7 @@ from deformalg import (
     parse_identity,
     quadratures,
 )
-from deformalg.fockrep import QuadratureSet, scaled_max_residual
+from deformalg.fockrep import scaled_max_residual
 from deformalg.symorder import Add, Comm, Expr, KShift, Mul, Num, Pow, Sym
 
 # every character the grammar uses, and tokens that make parseable strings likely
@@ -399,14 +404,21 @@ class TestRealization:
             assert residual(M, np.linalg.matrix_power(power, 5)) <= 1e-14
 
     def test_matrix_oracle_forms_h_only_when_named(self, monkeypatch):
-        def refuse(quads):
-            raise AssertionError("H formed")
+        # H is x*x + p*p, the only squares these expressions can form
+        squares = []
+        matmul = Band.__matmul__
 
-        monkeypatch.setattr(QuadratureSet, "mat_H", property(refuse))
+        def spy(left, right):
+            if left is right:
+                squares.append(left)
+            return matmul(left, right)
+
+        monkeypatch.setattr(Band, "__matmul__", spy)
         K = make_case(CaseId.ARIK_COON, q=0.7)
         expr_to_matrix(parse_expr("comm(x,p) + a*ad + N"), K, 8)
-        with pytest.raises(AssertionError, match="H formed"):
-            expr_to_matrix(parse_expr("comm(x,H)"), K, 8)
+        assert squares == []
+        expr_to_matrix(parse_expr("comm(x,H)"), K, 8)
+        assert len(squares) == 2
 
     def test_commutator_realization_beats_truncation(self):
         # the normal-ordered form is exact; the truncated matrix product
@@ -515,3 +527,80 @@ class TestMatrixOracle:
                     normal_order(lhs, K), normal_order(rhs, K), tol=1e-10, name=name
                 )
                 assert report.passed, (K, name, report)
+
+
+def bits(value):
+    """Every bit of a band or a normal form, in a comparable form."""
+    if isinstance(value, Band):
+        return tuple((d, m.tobytes()) for d, m in value.diagonals.items())
+    return tuple(
+        (d, tuple(c.terms), np.array(list(c.terms.values()), dtype=complex).tobytes())
+        for d, c in value.coefficients.items()
+    )
+
+
+class TestSharedEvaluation:
+    """A memo shared by the sides of one check forms each product once."""
+
+    SHARING = (
+        "x^16 == x^16",
+        "comm(a,ad) == a*ad - ad*a",
+        "comm(H,x^2) + comm(H,x^2) == 2*comm(H,x^2)",
+    )
+
+    @pytest.mark.parametrize("K", representative_cases(), ids=str)
+    def test_a_shared_memo_keeps_every_bit(self, K):
+        texts = (*BUILTIN_IDENTITIES.values(), *TestEvaluatorAgainstDenseWalk.COMPOSITES, *self.SHARING[1:])
+        sides = [side for text in texts for side in parse_identity(text)]
+        sides += [*random_words(7, 40, 6), parse_expr("-(x*p)/2 - -(x*p)/2 + (2+1i)^-1*(x*p)^0")]
+        forms, bands = {}, {}
+        for side in sides:
+            assert bits(normal_order(side, K, memo=forms)) == bits(normal_order(side, K)), side
+            assert bits(expr_to_matrix(side, K, 12, memo=bands)) == bits(expr_to_matrix(side, K, 12)), side
+
+    def test_a_check_forms_each_distinct_product_once(self, monkeypatch):
+        formed = []  # (left, right, product) of every operator product, kept alive
+        for cls in (NormalForm, Band):
+            def spy(left, right, matmul=cls.__matmul__):
+                product = matmul(left, right)
+                formed.append((left, right, product))
+                return product
+
+            monkeypatch.setattr(cls, "__matmul__", spy)
+
+        def check():
+            formed.clear()
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(["symbolic", "--case", "arik-coon", "--q", "0.7", "--check", COMPOSITE]) == 0
+            return list(formed)
+
+        first, second = check(), check()
+        for products in (first, second):
+            counts = Counter((type(left), bits(left), bits(right)) for left, right, _ in products)
+            assert max(counts.values()) == 1
+            # x@x, p@p, H@H, H^2@H, x^2@x, H^3@x^3 and x^3@H^3, for normal forms and for bands
+            assert Counter(kind for kind, *_ in counts) == {NormalForm: 7, Band: 7}
+        assert {id(p) for *_, p in first}.isdisjoint(id(p) for *_, p in second)
+
+    @pytest.mark.parametrize(
+        "nest",
+        [lambda n: "comm(x," * n + "x" + ")" * n, lambda n: "(x - " * n + "x" + ")" * n],
+        ids=["commutators", "parentheses"],
+    )
+    def test_the_deepest_nesting_that_parses_evaluates(self, nest):
+        def parses(depth):
+            try:
+                parse_identity(nest(depth) + " == x")
+            except ExprSyntaxError:
+                return False
+            return True
+
+        deepest, too_deep = 1, 4096
+        assert parses(deepest) and not parses(too_deep)
+        while too_deep - deepest > 1:
+            middle = (deepest + too_deep) // 2
+            deepest, too_deep = (middle, too_deep) if parses(middle) else (deepest, middle)
+        lhs, _ = parse_identity(nest(deepest) + " == x")
+        K = make_case(CaseId.ARIK_COON, q=0.7)
+        realized = nf_to_matrix(normal_order(lhs, K), 8)
+        assert residual(realized, expr_to_matrix(lhs, K, 8), margin=3) <= 1e-12

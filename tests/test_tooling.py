@@ -58,3 +58,6 @@ def test_tracer_resolves_every_name_and_counts_the_kernels():
     for name in tracing.DENSE_PRODUCTS:
         assert tracer.calls[name] > 0 and tracer.cmadd[name] > 0, name
     assert tracer.calls["cli.run_verify_checks"] == 1
+    # the symbolic call evaluates each side once per evaluator and compares once
+    calls = {fn: tracer.calls[f"symorder.{fn}"] for fn in ("normal_order", "expr_to_matrix", "nf_equal")}
+    assert calls == {"normal_order": 2, "expr_to_matrix": 2, "nf_equal": 1}
