@@ -4,11 +4,16 @@ Expressions over the alphabet
 
     a  ad  N  x  p  H  K(N+k)  q  alpha  beta  gamma  i  numerals
 
-are parsed to an AST, and one evaluator gives every node its meaning: a
-numeral or parameter is a multiple of the identity, a symbol or K(N+k) a
-leaf operator, sums and products fold + and @, powers repeat @, and
-comm(A, B) is A@B - B@A.  Division and negative powers are defined only by
-scalar subexpressions (offset 0 with a constant coefficient).
+are parsed to a tree that nests only where the text nests: in brackets,
+commutators and powers.  A run of signs is one Neg node, or none when it
+holds an even count of '-'; a + and - chain is one Add, and a * and / chain
+one Mul whose factors after the first are operands or Divisor nodes.  One
+recursive evaluator, with one branch per node kind, gives every node its
+meaning: a numeral or parameter is a multiple of the identity, a symbol or
+K(N+k) a leaf operator, sums and products fold + and @ left to right (a
+product divides at each Divisor), powers repeat @, and comm(A, B) is
+A@B - B@A.  Division and negative powers are defined only by scalar
+subexpressions (offset 0 with a constant coefficient).
 
 A check evaluates equal subexpressions once.  normal_order and
 expr_to_matrix take a keyword memo, one per evaluator, that the two sides of
@@ -85,9 +90,9 @@ _OPERATOR_NAMES = ("a", "ad", "N", "x", "p", "H")
 _PARAMETER_NAMES = ("q", "alpha", "beta", "gamma")
 
 GRID_MAX = 24
-# Bounds on symbolic work: an exponent above MAX_EXPONENT is a syntax error,
-# and a composition that would multiply more than MAX_COMPOSED_MONOMIALS
-# monomial pairs is refused before it starts.
+# Bounds on symbolic work: an exponent or a K shift above MAX_EXPONENT in size
+# is a syntax error, and a composition that would multiply more than
+# MAX_COMPOSED_MONOMIALS monomial pairs is refused before it starts.
 MAX_EXPONENT = 64
 MAX_COMPOSED_MONOMIALS = 10_000
 
@@ -152,9 +157,8 @@ class Neg(Expr):
 
 
 @dataclass(frozen=True)
-class Div(Expr):
-    numerator: Expr
-    denominator: Expr  # must be scalar-valued
+class Divisor(Expr):
+    operand: Expr  # a Mul factor after the first; must be scalar-valued
 
 
 @dataclass(frozen=True)
@@ -237,15 +241,23 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def expect_op(self, op):
-        kind, value, position = self.peek()
-        if kind != "op" or value != op:
-            raise ExprSyntaxError(f"expected {op!r}", position)
-        return self.advance()
+    def accept(self, ops: str):
+        """The next token's operator, consumed, if it is one of ops; None otherwise."""
+        kind, value, _ = self.peek()
+        if kind == "op" and value in ops:
+            self.pos += 1
+            return value
+        return None
+
+    def expect(self, value: str, message: str = "") -> None:
+        """Consume the next token; a syntax error at it unless it reads value."""
+        _, text, position = self.advance()
+        if text != value:
+            raise ExprSyntaxError(message or f"expected {value!r}", position)
 
     def parse_side(self) -> Expr:
-        """One whole expression; nesting deeper than the interpreter stack
-        allows is a syntax error at the token where it gave out."""
+        """One whole expression; bracket nesting deeper than the interpreter
+        stack allows is a syntax error at the token where it gave out."""
         try:
             return self.parse_expr()
         except RecursionError:
@@ -253,58 +265,43 @@ class _Parser:
 
     def parse_expr(self) -> Expr:
         terms = [self.parse_term()]
-        while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value in "+-":
-                self.advance()
-                term = self.parse_term()
-                terms.append(Neg(term) if value == "-" else term)
-            else:
-                break
+        while op := self.accept("+-"):
+            term = self.parse_term()
+            terms.append(Neg(term) if op == "-" else term)
         return terms[0] if len(terms) == 1 else Add(tuple(terms))
 
     def parse_term(self) -> Expr:
-        node = self.parse_unary()
-        while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value in "*/":
-                self.advance()
-                right = self.parse_unary()
-                node = Mul((node, right)) if value == "*" else Div(node, right)
-            else:
-                break
-        return node
+        """A * and / chain as one Mul, each divisor a Divisor factor."""
+        factors = [self.parse_unary()]
+        while op := self.accept("*/"):
+            factor = self.parse_unary()
+            factors.append(factor if op == "*" else Divisor(factor))
+        return factors[0] if len(factors) == 1 else Mul(tuple(factors))
 
     def parse_unary(self) -> Expr:
-        kind, value, _ = self.peek()
-        if kind == "op" and value in "+-":
-            self.advance()
-            operand = self.parse_unary()
-            return Neg(operand) if value == "-" else operand
-        return self.parse_power()
+        """A run of signs as one Neg, or none when it holds an even count of '-'."""
+        negate = False
+        while op := self.accept("+-"):
+            negate ^= op == "-"
+        operand = self.parse_power()
+        return Neg(operand) if negate else operand
 
     def parse_power(self) -> Expr:
         base = self.parse_atom()
-        kind, value, _ = self.peek()
-        if kind == "op" and value == "^":
-            self.advance()
-            exponent = self.parse_int_exponent()
-            return Pow(base, exponent)
-        return base
+        if self.accept("^") is None:
+            return base
+        return Pow(base, self.parse_int("exponent", self.accept("+-")))
 
-    def parse_int_exponent(self) -> int:
+    def parse_int(self, what: str, sign) -> int:
+        """The integer numeral after an optional sign ('+', '-' or None), at
+        most MAX_EXPONENT in size; a syntax error at the numeral otherwise."""
         kind, value, position = self.peek()
-        sign = 1
-        if kind == "op" and value in "+-":
-            self.advance()
-            sign = -1 if value == "-" else 1
-            kind, value, position = self.peek()
         if kind != "num" or value.imag != 0.0 or value.real != int(value.real):
-            raise ExprSyntaxError("exponent must be an integer", position)
+            raise ExprSyntaxError(f"{what} must be an integer", position)
         if abs(value.real) > MAX_EXPONENT:
-            raise ExprSyntaxError(f"exponent {int(value.real)} exceeds the cap {MAX_EXPONENT}", position)
+            raise ExprSyntaxError(f"{what} {int(value.real)} exceeds the cap {MAX_EXPONENT}", position)
         self.advance()
-        return sign * int(value.real)
+        return -int(value.real) if sign == "-" else int(value.real)
 
     def parse_atom(self) -> Expr:
         kind, value, position = self.advance()
@@ -312,19 +309,24 @@ class _Parser:
             return Num(value)
         if kind == "op" and value == "(":
             inner = self.parse_expr()
-            self.expect_op(")")
+            self.expect(")")
             return inner
         if kind == "name":
             if value == "i":
                 return Num(1j)
             if value == "K":
-                return self.parse_k_application(position)
+                self.expect("(")
+                self.expect("N", "K takes an argument of the form N+k")
+                sign = self.accept("+-")
+                offset = 0 if sign is None else self.parse_int("shift inside K", sign)
+                self.expect(")")
+                return KShift(offset)
             if value == "comm":
-                self.expect_op("(")
+                self.expect("(")
                 left = self.parse_expr()
-                self.expect_op(",")
+                self.expect(",")
                 right = self.parse_expr()
-                self.expect_op(")")
+                self.expect(")")
                 return Comm(left, right)
             if value in _OPERATOR_NAMES:
                 return Sym(value)
@@ -333,22 +335,16 @@ class _Parser:
             raise ExprSyntaxError(f"unknown identifier {value!r}", position)
         raise ExprSyntaxError("expected a value", position)
 
-    def parse_k_application(self, position) -> Expr:
-        self.expect_op("(")
-        kind, value, pos2 = self.advance()
-        if kind != "name" or value != "N":
-            raise ExprSyntaxError("K takes an argument of the form N+k", pos2)
-        kind, value, pos3 = self.peek()
-        offset = 0
-        if kind == "op" and value in "+-":
-            self.advance()
-            sign = -1 if value == "-" else 1
-            kind, numval, pos4 = self.advance()
-            if kind != "num" or numval.imag != 0.0 or numval.real != int(numval.real):
-                raise ExprSyntaxError("shift inside K must be an integer", pos4)
-            offset = sign * int(numval.real)
-        self.expect_op(")")
-        return KShift(offset)
+
+def _parse_sides(text: str, count: int) -> list:
+    """count expressions separated by '==', then the end of the text."""
+    parser = _Parser(_tokenize(text))
+    sides = [parser.parse_side()]
+    while len(sides) < count:
+        parser.expect("==", "expected '==' between the two sides")
+        sides.append(parser.parse_side())
+    parser.expect("", "trailing input")
+    return sides
 
 
 def parse_expr(text: str) -> Expr:
@@ -361,26 +357,12 @@ def parse_expr(text: str) -> Expr:
     left-associative; / only by scalar-valued subexpressions; whitespace
     insensitive.
     """
-    parser = _Parser(_tokenize(text))
-    node = parser.parse_side()
-    kind, _, position = parser.peek()
-    if kind != "end":
-        raise ExprSyntaxError("trailing input", position)
-    return node
+    return _parse_sides(text, 1)[0]
 
 
 def parse_identity(text: str) -> tuple[Expr, Expr]:
     """Parse an identity 'LHS == RHS' into its two sides."""
-    parser = _Parser(_tokenize(text))
-    lhs = parser.parse_side()
-    kind, _, position = parser.peek()
-    if kind != "eq":
-        raise ExprSyntaxError("expected '==' between the two sides", position)
-    parser.advance()
-    rhs = parser.parse_side()
-    kind, _, position = parser.peek()
-    if kind != "end":
-        raise ExprSyntaxError("trailing input", position)
+    lhs, rhs = _parse_sides(text, 2)
     return lhs, rhs
 
 
@@ -567,10 +549,15 @@ def _crossed_levels(d1: int, d2: int) -> range:
 
 
 def _evaluate(expr: Expr, K: SpectralFunction, scalar: Callable, leaf: Callable, memo: dict):
-    """The operator an expression denotes: scalar(c) is c times the identity,
-    leaf(node) the operator of a Sym or KShift node (H is evaluated as x*x +
-    p*p), and every other node combines its children's with +, -, @ and / by
-    a normal-form scalar.
+    """The operator an expression denotes, one branch per node kind: scalar(c)
+    is c times the identity, leaf(node) the operator of a Sym or KShift node
+    (H is evaluated as x*x + p*p), and every other node combines its
+    children's with +, -, @ and / by a normal-form scalar.  The parser nests
+    nodes only where the text nests, so this recursion is as deep as the
+    brackets, commutators and powers of the text.
+
+    A Mul folds its factors left to right, dividing at each Divisor.  Every
+    divisor is checked, the last one first, before any factor is evaluated.
 
     memo holds the leaves and products formed so far: a symbol's operator
     under its name, K(N+k) under k, and each product under the identities of
@@ -589,59 +576,50 @@ def _evaluate(expr: Expr, K: SpectralFunction, scalar: Callable, leaf: Callable,
         return entry[0]
 
     def evaluate(node):
-        # Neg, Mul and Div nest on their first operand as deep as the text is
-        # long (a*b*c... parses in a loop), so that spine is walked in a loop;
-        # it keeps each Neg and Mul node and each Div's divisor, which is
-        # checked before the numerator is evaluated
-        spine = []
-        while isinstance(node, (Neg, Mul, Div)):
-            if isinstance(node, Div):
-                divisor = _scalar_value(node.denominator, K, "division is only defined by scalar expressions")
-                if divisor == 0:
-                    raise ZeroDivisionError("division by zero scalar")
-                spine.append(divisor)
-                node = node.numerator
-            else:
-                spine.append(node)
-                node = node.operand if isinstance(node, Neg) else node.factors[0]
         if isinstance(node, Num):
-            value = scalar(node.value)
-        elif isinstance(node, Param):
+            return scalar(node.value)
+        if isinstance(node, Param):
             bound = K.params().get(node.name)
             if bound is None:
                 raise ValueError(f"parameter {node.name!r} is not bound for this case")
-            value = scalar(bound)
-        elif isinstance(node, Sym):
+            return scalar(bound)
+        if isinstance(node, Sym):
             value = memo.get(node.name)
             if value is None:
                 value = memo[node.name] = evaluate(_H_TERMS) if node.name == "H" else leaf(node)
-        elif isinstance(node, KShift):
+            return value
+        if isinstance(node, KShift):
             value = memo.get(node.offset)
             if value is None:
                 value = memo[node.offset] = leaf(node)
-        elif isinstance(node, Add):
-            value = reduce(operator.add, map(evaluate, node.terms))
-        elif isinstance(node, Pow):
+            return value
+        if isinstance(node, Neg):
+            return -evaluate(node.operand)
+        if isinstance(node, Add):
+            return reduce(operator.add, map(evaluate, node.terms))
+        if isinstance(node, Mul):
+            divisors = []
+            for factor in reversed(node.factors):
+                if isinstance(factor, Divisor):
+                    divisor = _scalar_value(factor.operand, K, "division is only defined by scalar expressions")
+                    if divisor == 0:
+                        raise ZeroDivisionError("division by zero scalar")
+                    divisors.append(divisor)
+            value = evaluate(node.factors[0])
+            for factor in node.factors[1:]:
+                value = value / divisors.pop() if isinstance(factor, Divisor) else matmul(value, evaluate(factor))
+            return value
+        if isinstance(node, Pow):
             if node.exponent < 0:
                 base = _scalar_value(node.base, K, "negative powers are only defined for scalar expressions")
-                value = scalar(base**node.exponent)
-            elif node.exponent == 0:
-                value = scalar(1)
-            else:
-                value = reduce(matmul, [evaluate(node.base)] * node.exponent)
-        elif isinstance(node, Comm):
+                return scalar(base**node.exponent)
+            if node.exponent == 0:
+                return scalar(1)
+            return reduce(matmul, [evaluate(node.base)] * node.exponent)
+        if isinstance(node, Comm):
             left, right = evaluate(node.left), evaluate(node.right)
-            value = matmul(left, right) - matmul(right, left)
-        else:
-            raise TypeError(f"unknown expression node {node!r}")  # pragma: no cover
-        for outer in reversed(spine):
-            if isinstance(outer, Neg):
-                value = -value
-            elif isinstance(outer, Mul):
-                value = reduce(matmul, map(evaluate, outer.factors[1:]), value)
-            else:
-                value = value / outer
-        return value
+            return matmul(left, right) - matmul(right, left)
+        raise TypeError(f"unknown expression node {node!r}")  # pragma: no cover
 
     return evaluate(expr)
 
@@ -682,14 +660,24 @@ def _scalar_value(expr: Expr, K: SpectralFunction, message: str) -> complex:
     return complex(diagonal.get((0, ()), 0.0))
 
 
+def _case_memo(memo: dict | None, K: SpectralFunction, D: int | None) -> dict:
+    """memo, or a new one, recording on first use the K and the band dimension D
+    (None for normal forms) of its operators; a ValueError for any other pair."""
+    memo = {} if memo is None else memo
+    if memo.setdefault("case", (K, D)) != (K, D):
+        raise ValueError("a memo holds the operators of one spectral function and one dimension")
+    return memo
+
+
 def normal_order(expr: Expr, K: SpectralFunction, *, memo: dict | None = None) -> NormalForm:
     """Compose an expression's canonical normal form over K's algebra.
 
     Scalar parameters (q, alpha, beta, gamma) take the values bound in K.
     Calls that pass one memo dict, all for expressions of this K, compose
-    each product they share once.
+    each product they share once; a memo first used for another K, or by
+    expr_to_matrix, is a ValueError.
     """
-    return _normal_form(expr, K, {} if memo is None else memo)
+    return _normal_form(expr, K, _case_memo(memo, K, None))
 
 
 def nf_equal(
@@ -756,9 +744,10 @@ def expr_to_matrix(expr: Expr, K: SpectralFunction, D: int, *, memo: dict | None
     numerically, so the result is independent of the contraction rule and
     serves as the oracle for normal-ordered realizations.  Calls that pass
     one memo dict, all for this K and D, build one representation and form
-    each product they share once.
+    each product they share once; a memo first used for another K or D, or
+    by normal_order, is a ValueError.
     """
-    memo = {} if memo is None else memo
+    memo = _case_memo(memo, K, D)
     if "rep" not in memo:  # before any band, so a representation error comes first
         rep = build_rep(K, D)
         memo["rep"] = (rep, quadratures(rep))

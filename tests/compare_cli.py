@@ -21,8 +21,9 @@ macfarlane-biedenharn scans at q = 3.5 whose fourth moments overflow, calls
 whose level tables overflow float64 or round to inf, q-scans with and
 without --q and with an --n-to, a set of usage errors, and symbolic
 calls through every node kind and error path of the expression evaluator,
-identities that reuse a subterm, and negation, product and quotient chains
-500 to 600 links long, together with negative parameter values written as
+identities that reuse a subterm, sign runs and product and quotient chains
+500 to 3,000 links long, divisor-order errors, K shifts just above the cap
+and far above it, together with negative parameter values written as
 '-1.' and '-1.e0'.
 Standard library only.
 """
@@ -83,10 +84,19 @@ EDGE_CALLS = [
     SYMBOLIC + ["x^16 == x^16"],
     SYMBOLIC + ["comm(a,ad) == a*ad - ad*a"],
     SYMBOLIC + ["comm(H,x^2) + comm(H,x^2) == 2*comm(H,x^2)"],
-    # chains that nest on their first operand as deep as they are long
+    # sign runs and product and quotient chains, each parsed to one node
     SYMBOLIC + ["-" * 500 + "x == x"],
+    SYMBOLIC + ["-" * 1000 + "x == x"],
     SYMBOLIC + ["1*" * 600 + "x == x"],
     SYMBOLIC + ["x" + "/1" * 600 + " == x"],
+    SYMBOLIC + ["x" + "/1*1" * 1500 + " == x"],
+    # every divisor of a chain is checked, the last one first, before any factor
+    SYMBOLIC + ["x/0/a == x"],
+    SYMBOLIC + ["x/a/0 == x"],
+    ["symbolic", "--case", "arik-coon", "--q", "0.7", "--check", "alpha*x/0 == x"],
+    # K shifts share the exponent cap
+    SYMBOLIC + ["K(N+65) == K(N+65)"],
+    SYMBOLIC + ["K(N+100000) - K(N-100000) == 200000"],
     ["table", "--case", "chung", "--q", "0.7", "--alpha", "-1.", "--beta", "0.5", "--levels", "1"],
     ["table", "--case", "chung", "--q", "0.7", "--alpha", "-1.e0", "--beta", "0.5", "--levels", "1"],
 ]

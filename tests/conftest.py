@@ -5,7 +5,7 @@ from functools import reduce
 import numpy as np
 
 from deformalg import Band, CaseId, level_table, make_case
-from deformalg.symorder import Add, Comm, Div, KShift, Mul, Neg, Num, Param, Pow, Sym
+from deformalg.symorder import Add, Comm, Divisor, KShift, Mul, Neg, Num, Param, Pow, Sym
 
 Q_GRID = [0.3, 0.7, 1.0, 1.5, 3.0]
 ABG_GRID = [-1.0, 0.5, 1.0, 2.0]
@@ -150,14 +150,15 @@ def dense_expr(expr, K, D):
         if isinstance(node, Add):
             return reduce(np.add, map(ev, node.terms))
         if isinstance(node, Mul):
-            return reduce(np.matmul, map(ev, node.factors))
+            value = ev(node.factors[0])
+            for factor in node.factors[1:]:
+                value = value / scalar(ev(factor.operand)) if isinstance(factor, Divisor) else value @ ev(factor)
+            return value
         if isinstance(node, Pow):
             base = ev(node.base)
             if node.exponent < 0:
                 return scalar(base) ** node.exponent * eye
             return np.linalg.matrix_power(base, node.exponent)
-        if isinstance(node, Div):
-            return ev(node.numerator) / scalar(ev(node.denominator))
         if isinstance(node, Comm):
             left, right = ev(node.left), ev(node.right)
             return left @ right - right @ left

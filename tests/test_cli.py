@@ -151,12 +151,18 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "identity",
-        ["-" * 500 + "x == x", "1*" * 5000 + "x == x", "x" + "/1" * 5000 + " == x"],
-        ids=["negations", "products", "quotients"],
+        [
+            "-" * 500 + "x == x",
+            "-" * 100_000 + "x == x",
+            "1*" * 5000 + "x == x",
+            "x" + "/1" * 5000 + " == x",
+            "x" + "/1*1" * 2500 + " == x",
+        ],
+        ids=["negations", "sign-run", "products", "quotients", "alternating"],
     )
     def test_long_operator_chains_evaluate(self, identity):
-        # each chain nests on its first operand as deep as it is long; it raised
-        # RecursionError in evaluation from about 500 links on
+        # each chain parses to one node whatever its length, so neither the
+        # parser nor the evaluator recurses once per link
         cp = run_cli("symbolic", "--case", "classical", "--check", identity)
         assert (cp.returncode, cp.stderr) == (0, "")
         assert json.loads(cp.stdout)["pass"] is True

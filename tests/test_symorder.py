@@ -31,7 +31,7 @@ from deformalg import (
     quadratures,
 )
 from deformalg.fockrep import scaled_max_residual
-from deformalg.symorder import Add, Comm, Expr, KShift, Mul, Num, Pow, Sym
+from deformalg.symorder import Add, Comm, Divisor, Expr, KShift, Mul, Neg, Num, Param, Pow, Sym
 
 # every character the grammar uses, and tokens that make parseable strings likely
 GRAMMAR_ALPHABET = sorted(set("a ad N x p H K comm q alpha beta gamma i 0123456789.eE+-*/^(),="))
@@ -57,6 +57,19 @@ def per_level(c, n):
     for (j, ks), scalar in c.terms.items():
         total += scalar * math.prod((spectral[k] for k in ks), start=n**j)
     return total
+
+
+def tree_depth(node):
+    """Nesting depth of an expression tree, walked with an explicit stack."""
+    deepest, stack = 0, [(node, 1)]
+    while stack:
+        node, level = stack.pop()
+        deepest = max(deepest, level)
+        for value in vars(node).values():
+            for child in value if isinstance(value, tuple) else (value,):
+                if isinstance(child, Expr):
+                    stack.append((child, level + 1))
+    return deepest
 
 
 class TestParser:
@@ -114,6 +127,35 @@ class TestParser:
             parse_expr(text)
         assert err.value.position == position
         assert parse_expr("x^64") == Pow(Sym("x"), 64)
+
+    @pytest.mark.parametrize("text", ["K(N+65)", "K(N-65)", "K(N+100000)"])
+    def test_k_shift_above_the_cap_fails_at_its_position(self, text):
+        with pytest.raises(ExprSyntaxError, match="shift inside K [0-9]+ exceeds the cap 64") as err:
+            parse_expr(text)
+        assert err.value.position == 4
+        assert parse_expr("K(N+64)*K(N-64)") == Mul((KShift(64), KShift(-64)))
+
+    @pytest.mark.parametrize(
+        "chain, expected",
+        [
+            (lambda n: "-" * n + "x", 1),  # an even count of '-' leaves no Neg
+            (lambda n: "-" * (n + 1) + "x", 2),
+            (lambda n: "+-" * n + "-x", 2),
+            (lambda n: "x" + "*x" * n, 2),
+            (lambda n: "x" + "/1*1" * (n // 2), 3),
+        ],
+        ids=["even-signs", "odd-signs", "mixed-signs", "products", "alternating"],
+    )
+    def test_nesting_depth_does_not_grow_with_chain_length(self, chain, expected):
+        for n in (10, 100_000):
+            lhs, rhs = parse_identity(chain(n) + " == " + chain(10))
+            assert (tree_depth(lhs), tree_depth(rhs)) == (expected, expected), n
+
+    def test_a_chain_is_one_node(self):
+        assert parse_expr("---x") == Neg(Sym("x")) and parse_expr("-+-x") == Sym("x")
+        a, x, p = Sym("a"), Sym("x"), Sym("p")
+        assert parse_expr("a*x/2*-p/q") == Mul((a, x, Divisor(Num(2)), Neg(p), Divisor(Param("q"))))
+        assert parse_expr("(a*x)*p") == Mul((Mul((a, x)), p))
 
     def test_nesting_beyond_the_stack_is_a_syntax_error(self):
         text = "(" * 400 + "x" + ")" * 400
@@ -176,6 +218,22 @@ class TestNormalOrder:
     def test_division_by_operator_rejected(self):
         with pytest.raises(ValueError, match="scalar"):
             normal_order(parse_expr("a/ad"), classical())
+
+    @pytest.mark.parametrize(
+        "K, text, error, message",
+        [
+            (classical(), "x/0/a", ValueError, "division is only defined by scalar expressions"),
+            (classical(), "x/a/0", ZeroDivisionError, "division by zero scalar"),
+            # alpha is not bound on arik-coon, but no factor is evaluated before the divisors
+            (make_case(CaseId.ARIK_COON, q=0.7), "alpha*x/0", ZeroDivisionError, "division by zero scalar"),
+        ],
+        ids=["operator-last", "zero-last", "unbound-factor"],
+    )
+    def test_every_divisor_is_checked_last_first_before_any_factor(self, K, text, error, message):
+        for evaluate in (lambda e: normal_order(e, K), lambda e: expr_to_matrix(e, K, 8)):
+            with pytest.raises((ValueError, ZeroDivisionError)) as err:
+                evaluate(parse_expr(text))
+            assert (err.type, str(err.value)) == (error, message)
 
     def test_scalar_division_and_negative_power(self):
         K = make_case(CaseId.ARIK_COON, q=0.5)
@@ -466,7 +524,7 @@ class TestEvaluatorAgainstDenseWalk:
         for identity in (*BUILTIN_IDENTITIES.values(), *self.COMPOSITES):
             for side in parse_identity(identity):
                 self.assert_matches(side, K)
-        for text in ("x^0", "-comm(a,ad)"):
+        for text in ("x^0", "-comm(a,ad)", "---x*-+-p", "x/2*p/(1+i)*-x/4"):
             self.assert_matches(parse_expr(text), K)
 
     def test_scalar_division_and_bound_parameters(self):
@@ -582,10 +640,33 @@ class TestSharedEvaluation:
             assert Counter(kind for kind, *_ in counts) == {NormalForm: 7, Band: 7}
         assert {id(p) for *_, p in first}.isdisjoint(id(p) for *_, p in second)
 
+    def test_a_memo_serves_one_case_and_dimension(self):
+        # operators formed for one K or D must never be returned for another
+        x = parse_expr("x")
+        K, other = make_case(CaseId.ARIK_COON, q=0.7), make_case(CaseId.ARIK_COON, q=0.3)
+        forms, bands = {}, {}
+        band, form = expr_to_matrix(x, K, 8, memo=bands), normal_order(x, K, memo=forms)
+        for mismatch in (
+            lambda: expr_to_matrix(x, K, 16, memo=bands),
+            lambda: expr_to_matrix(x, other, 8, memo=bands),
+            lambda: normal_order(x, other, memo=forms),
+            lambda: normal_order(x, K, memo=bands),
+            lambda: expr_to_matrix(x, K, 8, memo=forms),
+        ):
+            with pytest.raises(ValueError, match="one spectral function and one dimension"):
+                mismatch()
+        # an equal case shares the memo's operators
+        same = make_case(CaseId.ARIK_COON, q=0.7)
+        assert expr_to_matrix(x, same, 8, memo=bands) is band and normal_order(x, same, memo=forms) is form
+
     @pytest.mark.parametrize(
         "nest",
-        [lambda n: "comm(x," * n + "x" + ")" * n, lambda n: "(x - " * n + "x" + ")" * n],
-        ids=["commutators", "parentheses"],
+        [
+            lambda n: "comm(x," * n + "x" + ")" * n,
+            lambda n: "(x - " * n + "x" + ")" * n,
+            lambda n: "x/(" + "1/(" * n + "1" + ")" * (n + 1),
+        ],
+        ids=["commutators", "parentheses", "divisors"],
     )
     def test_the_deepest_nesting_that_parses_evaluates(self, nest):
         def parses(depth):
