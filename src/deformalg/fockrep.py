@@ -197,12 +197,22 @@ class FockRep:
     levels = K(0..D+1) is read in slices by every level-dependent form.  On
     first use, mat_a is built as the band whose only offset, -1, holds the
     entries (n-1, n) = sqrt(K(n)); mat_ad is its adjoint and mat_N the
-    diagonal 0..D-1.
+    diagonal 0..D-1.  The D + 2 levels must be finite, and K(n) >= 0 for n < D.
     """
 
     K: SpectralFunction
     D: int
     levels: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        values = self.levels.tolist()
+        if len(values) != self.D + 2:
+            raise ValueError(f"levels must be K(0..{self.D + 1}), got {len(values)} values")
+        # a finite sum and a non-negative minimum mean valid levels; anything else costs the search
+        if not math.isfinite(sum(values)) or min(values[: self.D], default=0.0) < 0.0:
+            for n, value in enumerate(values):
+                if not (math.isfinite(value) and (value >= 0.0 or n >= self.D)):
+                    raise ValueError(f"K({n}) = {value}: levels must be finite, and >= 0 below D = {self.D}")
 
     @cached_property
     def mat_a(self) -> Band:
@@ -289,15 +299,11 @@ def build_rep(K: SpectralFunction, D: int = DEFAULT_DIM) -> FockRep:
     """Build the D-dimensional truncated representation of K's algebra.
 
     Evaluates K(0..D+1) once.  Requires D >= 4 (smaller dimensions leave no
-    verification window) and K(n) >= 0 for n < D (the weights are sqrt(K)).
+    verification window); level_table and FockRep check the levels.
     """
     if D < 4:
         raise ValueError(f"representation dimension must be >= 4, got {D}")
-    levels = level_table(K, 0, D + 1)
-    for n, value in enumerate(levels[:D].tolist()):
-        if value < 0.0:
-            raise ValueError(f"K({n}) = {value} is negative; sqrt weights undefined")
-    return FockRep(K=K, D=D, levels=levels)
+    return FockRep(K=K, D=D, levels=level_table(K, 0, D + 1))
 
 
 def quadratures(rep: FockRep) -> QuadratureSet:
@@ -345,9 +351,9 @@ def lie_hamilton_rhs(rep: FockRep, quads: QuadratureSet, side: str) -> Band:
         C2(n) = (K(n+2) - K(n) + K(n+1) - K(n-1))/4
 
     K(0..D+1) come from rep.levels.  The K(n-1) value at n = 0 comes from
-    the closed form at -1; its contribution provably cancels between the x
-    and p terms, so any finite value there leaves the window agreement with
-    the true commutator intact.
+    the closed form at -1, through level_table, which rejects it unless it
+    is finite; its contribution provably cancels between the x and p terms,
+    so its value leaves the window agreement with the true commutator intact.
     """
     if side not in ("x", "p"):
         raise ValueError(f"side must be 'x' or 'p', got {side!r}")

@@ -7,8 +7,8 @@ Robertson bound
 
 which for a deformed oscillator equals <K(N+1) - K(N)>/4 on diagonal
 states; uncertainty_report evaluates it from the moments of the state, and
-number_state_reports reads it for number states |n> from the level table
-alone, with the float operations the moments of |n> would perform.
+number_state_reports reads it for number states |n> from the finite level
+table alone, with the float operations the moments of |n> would perform.
 Alongside it, reports carry a quadratic diagnostic
 
     (<K(N)>^2 + <K(N+1)>^2) / 4
@@ -108,39 +108,25 @@ def number_state_reports(rep: FockRep, levels) -> list:
 
     Report k equals uncertainty_report(number_state(rep.D, n_k), rep,
     quadratures(rep)) bit for bit, read from the level table alone, whose
-    levels below D are non-negative, as build_rep checks.  x|n> and p|n>
-    hold a = sqrt(K(n))/2 at level n-1 and b = sqrt(K(n+1))/2 at level n+1,
-    so dx^2 = dp^2 = a^2 + b^2, |<[x, p]>|/2 = |b^2 - a^2| and
+    levels are finite and non-negative below D, as FockRep checks.  x|n> and
+    p|n> hold a = sqrt(K(n))/2 at level n-1 and b = sqrt(K(n+1))/2 at level
+    n+1, so dx^2 = dp^2 = a^2 + b^2, |<[x, p]>|/2 = |b^2 - a^2| and
     <(x^2 + p^2)^2> = (2(a^2 + b^2))^2: the float operations of the moments
-    of |n>, whose other terms are exact zeros.  The NaN that 0 * inf gives
-    them is kept too: an inf or NaN weight sqrt(K(j))/2, j in 1..D-1, makes
-    every moment NaN, an inf or NaN K(j), j < D, other than K(n) makes
-    <K(N)> NaN, and one at j in 1..D other than K(n+1) makes <K(N+1)> NaN.
+    of |n>, whose other terms are exact zeros.
     """
     D = rep.D
-    levels = list(levels)
+    K = rep.levels.tolist()
+    form = _bound_form(rep.K)
+    reports = []
     for n in levels:
         if not 0 <= n < D:
             raise ValueError(f"level {n} outside 0..{D - 1}")
-    K = rep.levels.tolist()
-    form = _bound_form(rep.K)
-    # a finite sum means a finite table; one that overflows only costs the search below
-    finite = math.isfinite(sum(K))
-    bad = set() if finite else {j for j, k in enumerate(K[: D + 1]) if not math.isfinite(k)}
-    weighted = finite or not bad - {0, D}
-    reports = []
-    for n in levels:
-        kn = K[n] if finite or bad <= {n, D} else math.nan
-        knp1 = K[n + 1] if finite or bad <= {0, n + 1} else math.nan
-        if weighted:
-            a = 0.5 * math.sqrt(K[n]) if n > 0 else 0.0
-            b = 0.5 * math.sqrt(K[n + 1]) if n < D - 1 else 0.0
-            s = a * a + b * b
-            dx, robertson, fourth = math.sqrt(s), abs(b * b - a * a), (s + s) * (s + s)
-        else:
-            dx = robertson = fourth = math.nan
+        a = 0.5 * math.sqrt(K[n]) if n > 0 else 0.0
+        b = 0.5 * math.sqrt(K[n + 1]) if n < D - 1 else 0.0
+        s = a * a + b * b
+        dx, robertson, fourth = math.sqrt(s), abs(b * b - a * a), (s + s) * (s + s)
         bound = None if form is None else form(dx, dx, fourth)
-        reports.append(_report(dx, dx, dx * dx, robertson, 0.25 * (kn * kn + knp1 * knp1), bound))
+        reports.append(_report(dx, dx, dx * dx, robertson, 0.25 * (K[n] * K[n] + K[n + 1] * K[n + 1]), bound))
     return reports
 
 

@@ -242,17 +242,23 @@ def _closed_form(K: SpectralFunction) -> Callable[[float], float]:
 def level_table(K: SpectralFunction, lo: int, hi: int) -> np.ndarray:
     """K(lo..hi) as a float array, each level evaluated once (empty when hi < lo).
 
-    Raises ValueError naming the level and the case where K overflows float64.
+    Raises ValueError naming the case and the first level where K is not
+    finite: it overflows float64, by an OverflowError or to inf, or is NaN.
     """
     form = _closed_form(K)
     values = []
-    for n in range(lo, hi + 1):
-        try:
+    try:
+        for n in range(lo, hi + 1):
             values.append(form(n))
-        except OverflowError:
-            params = ", ".join(f"{name}={value!r}" for name, value in K.params().items())
-            where = f" ({params})" if params else ""
-            raise ValueError(f"K({n}) of case {K.case_id.value!r}{where} overflows float64") from None
+    except OverflowError:
+        values.append(math.inf)  # stands for the level that raised
+    # a finite sum means finite levels; one that overflows only costs the search
+    if not math.isfinite(sum(values)):
+        for n, k in enumerate(values, lo):
+            if not math.isfinite(k):
+                params = ", ".join(f"{name}={value!r}" for name, value in K.params().items())
+                where = f" ({params})" if params else ""
+                raise ValueError(f"K({n}) of case {K.case_id.value!r}{where} overflows float64")
     return np.array(values, dtype=float)
 
 

@@ -552,21 +552,18 @@ def _evaluate(expr: Expr, K: SpectralFunction, scalar: Callable, leaf: Callable,
     """The operator an expression denotes, one branch per node kind: scalar(c)
     is c times the identity, leaf(node) the operator of a Sym or KShift node
     (H is evaluated as x*x + p*p), and every other node combines its
-    children's with +, -, @ and / by a normal-form scalar.  The parser nests
-    nodes only where the text nests, so this recursion is as deep as the
-    brackets, commutators and powers of the text.
+    children's with +, -, @ and / by a normal-form scalar, recursing as deep
+    as the brackets, commutators and powers of the text.
 
     A Mul folds its factors left to right, dividing at each Divisor.  Every
     divisor is checked, the last one first, before any factor is evaluated.
 
     memo holds the leaves and products formed so far: a symbol's operator
     under its name, K(N+k) under k, and each product under the identities of
-    its two factors, which the entry keeps alive.  Equal subexpressions
-    evaluated with one memo thus form each product once, and comm(A, B) forms
-    A*B and B*A through the same entries as those products written out.  Sums,
-    negations and scalars are formed where they appear; they seldom repeat,
-    and a lookup for each would cost more than it saves.  Every value is
-    still the same left-to-right fold.
+    its two factors, which the entry keeps alive.  So equal subexpressions
+    form each product once per memo, and comm(A, B) shares A*B and B*A with
+    those products written out.  Sums, negations and scalars seldom repeat and
+    are formed where they appear.  Every value is the same left-to-right fold.
     """
     def matmul(left, right):
         key = (id(left), id(right))
@@ -621,7 +618,10 @@ def _evaluate(expr: Expr, K: SpectralFunction, scalar: Callable, leaf: Callable,
             return matmul(left, right) - matmul(right, left)
         raise TypeError(f"unknown expression node {node!r}")  # pragma: no cover
 
-    return evaluate(expr)
+    try:
+        return evaluate(expr)
+    finally:  # evaluate's cell holds evaluate: free the memo now, not at a GC pass
+        del evaluate
 
 
 # H = x^2 + p^2, composed rather than taken from its diagonal closed form

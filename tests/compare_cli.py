@@ -18,7 +18,8 @@ differently, full-range gup-scans on the six cases at D = 8, 65, 129 and
 300, q-scans on the four cases with a q at D = 32 and, over 61 steps, at
 D = 300, a one-step q-scan,
 macfarlane-biedenharn scans at q = 3.5 whose fourth moments overflow, calls
-whose level tables overflow float64 or round to inf, q-scans with and
+in every command whose level tables overflow float64, by an OverflowError or
+by rounding to inf, each a parameter error (exit 2), q-scans with and
 without --q and with an --n-to, a set of usage errors, and symbolic
 calls through every node kind and error path of the expression evaluator,
 identities that reuse a subterm, sign runs and product and quotient chains
@@ -112,6 +113,8 @@ Q_SCAN_CALLS = [
 
 # K(n) overflows float64 below the top of these level tables: 3.5^n does at n = 567
 MB_OVERFLOW = ["--case", "macfarlane-biedenharn", "--q", "3.5", "--dim", "600"]
+CHUNG_INF = ["--case", "chung", "--q", "10", "--alpha", "2", "--beta", "300", "--dim", "8"]
+NONLINEAR_INF = ["--case", "nonlinear", "--alpha", "1e308", "--beta", "1", "--dim", "8"]
 OVERFLOW_CALLS = [
     ["gup-scan", *MB_OVERFLOW, "--n-to", "5"],
     ["verify", *MB_OVERFLOW],
@@ -119,9 +122,17 @@ OVERFLOW_CALLS = [
     ["symbolic", *MB_OVERFLOW, "--check", "comm_xp"],
     ["gup-scan", "--case", "macfarlane-biedenharn", "--q", "1", "--dim", "600",
      "--q-from", "1", "--q-to", "3.5", "--q-steps", "61", "--n-from", "3"],
-    # K(2) = 4e308 rounds to inf without an OverflowError, so every row is NaN
-    ["gup-scan", "--case", "nonlinear", "--alpha", "1e308", "--beta", "1", "--dim", "8",
-     "--n-from", "0", "--n-to", "4"],
+    # K(5) = inf by multiplication, without an OverflowError: a parameter error all the same
+    ["gup-scan", *CHUNG_INF, "--n-from", "0", "--n-to", "2"],
+    ["gup-scan", *CHUNG_INF, "--q-from", "1", "--q-to", "10", "--q-steps", "3", "--n-from", "1"],
+    ["verify", *CHUNG_INF],
+    ["symbolic", *CHUNG_INF, "--check", "comm_xp"],
+    ["table", *CHUNG_INF, "--levels", "5"],
+    # K(2) = 1e308 * 2 * 2 + 2 rounds to inf by multiplication too
+    ["gup-scan", *NONLINEAR_INF, "--n-from", "0", "--n-to", "4"],
+    ["table", *NONLINEAR_INF, "--levels", "4"],
+    ["verify", *NONLINEAR_INF],
+    ["symbolic", *NONLINEAR_INF, "--check", "comm_xp"],
 ]
 
 # Runs inside the tree given as argv[1]: the labelled calls arrive on stdin as

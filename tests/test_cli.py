@@ -45,6 +45,10 @@ def run_module(*args, env_extra=None):
     return subprocess.run(cmd, capture_output=True, text=True, env=env)
 
 
+MB_OVERFLOW = ["--case", "macfarlane-biedenharn", "--q", "3.5", "--dim", "600"]
+CHUNG_INF = ["--case", "chung", "--q", "10", "--alpha", "2", "--beta", "300", "--dim", "8"]
+
+
 class TestExitCodes:
     def test_help(self):
         # entry-point smoke test
@@ -200,20 +204,31 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "args",
         [
-            ["gup-scan", "--n-to", "5"],
-            ["verify"],
-            ["table", "--levels", "590"],
-            ["symbolic", "--check", "comm_xp"],
-            ["gup-scan", "--q-from", "1", "--q-to", "3.5", "--q-steps", "61", "--n-from", "3"],
+            # 3.5^n overflows float64 at n = 567, below the top level of D = 600
+            ["gup-scan", *MB_OVERFLOW, "--n-to", "5"],
+            ["verify", *MB_OVERFLOW],
+            ["table", *MB_OVERFLOW, "--levels", "590"],
+            ["symbolic", *MB_OVERFLOW, "--check", "comm_xp"],
+            ["gup-scan", *MB_OVERFLOW, "--q-from", "1", "--q-to", "3.5", "--q-steps", "61", "--n-from", "3"],
+            # K(5) = 1e300 * 1e10 / 90 rounds to inf without an OverflowError
+            ["gup-scan", *CHUNG_INF, "--n-from", "0", "--n-to", "2"],
+            ["verify", *CHUNG_INF],
+            ["table", *CHUNG_INF, "--levels", "5"],
+            ["symbolic", *CHUNG_INF, "--check", "comm_xp"],
+            ["gup-scan", *CHUNG_INF, "--q-from", "1", "--q-to", "10", "--q-steps", "3", "--n-from", "1"],
         ],
-        ids=["gup-scan", "verify", "table", "symbolic", "q-scan"],
+        ids=[
+            "gup-scan", "verify", "table", "symbolic", "q-scan",
+            "chung-gup-scan", "chung-verify", "chung-table", "chung-symbolic", "chung-q-scan",
+        ],
     )
     def test_an_overflowing_level_table_exits_two(self, args):
-        # 3.5^n overflows float64 at n = 567, below the top level of D = 600
-        cp = run_cli(*args, "--case", "macfarlane-biedenharn", "--q", "3.5", "--dim", "600")
+        cp = run_cli(*args)
         assert (cp.returncode, cp.stdout) == (2, "")
         assert cp.stderr.startswith("error: K(") and cp.stderr.endswith(") overflows float64\n")
         assert cp.stderr.count("\n") == 1
+        if "chung" in args:
+            assert cp.stderr.startswith("error: K(5) of case 'chung' (q=10.0, alpha=2.0, beta=300.0)")
 
     def test_table_range_violation(self):
         cp = run_cli("table", "--case", "classical", "--levels", "30", "--dim", "32")

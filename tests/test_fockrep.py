@@ -11,6 +11,7 @@ from conftest import catalog_grid, custom_cases, dense, representative_cases, re
 from deformalg import (
     Band,
     CaseId,
+    FockRep,
     build_rep,
     commutator,
     eval_K,
@@ -88,6 +89,28 @@ class TestBuildRep:
         bad = make_case(CaseId.CUSTOM, custom_eval=lambda n: n * (n - 2.5))
         with pytest.raises(ValueError):
             build_rep(bad, 8)
+
+    @pytest.mark.parametrize("K", representative_cases(), ids=str)
+    @pytest.mark.parametrize("D", [4, 8])
+    def test_a_hand_built_table_is_checked(self, K, D):
+        levels = build_rep(K, D).levels
+        for table in (levels[:-1], np.append(levels, 1.0)):
+            with pytest.raises(ValueError, match=rf"^levels must be K\(0..{D + 1}\), got {table.size} values$"):
+                FockRep(K, D, table)
+        for n in range(D + 2):
+            for value in (math.inf, -math.inf, math.nan):
+                bad = levels.copy()
+                bad[n] = value
+                with pytest.raises(ValueError, match=rf"^K\({n}\) = {value}: levels must be finite"):
+                    FockRep(K, D, bad)
+            bad = levels.copy()
+            bad[n] = -1.0
+            if n < D:
+                with pytest.raises(ValueError, match=rf"^K\({n}\) = -1.0: .* >= 0 below D = {D}$"):
+                    FockRep(K, D, bad)
+            else:
+                # K(D) and K(D+1) weigh no ladder entry
+                assert FockRep(K, D, bad).levels[n] == -1.0
 
 
 class TestIdentityEquality:
@@ -244,10 +267,8 @@ class TestWindowedIdentities:
         nan_low = make_case(
             CaseId.CUSTOM, custom_eval=lambda n: math.nan if n == -1 else eval_K(mb, n)
         )
-        checks = {c.name: c for c in run_verify_checks(nan_low, 16, 3, 1e-10, 0)}
-        for side in ("x", "p"):
-            report = checks[f"lie_hamilton_{side}"]
-            assert math.isnan(report.max_abs_residual) and not report.passed
+        with pytest.raises(ValueError, match=r"^K\(-1\) of case 'custom' overflows float64$"):
+            run_verify_checks(nan_low, 16, 3, 1e-10, 0)
 
         def raising(n):
             if n == -1:
@@ -467,12 +488,14 @@ class TestRobertsonSweep:
 
 
 class TestVerifySuite:
-    def test_robertson_check_fails_on_nan_spectrum(self):
-        K = make_case(CaseId.CUSTOM, custom_eval=lambda n: n if n < 5 else math.nan)
-        checks = {c.name: c for c in run_verify_checks(K, 16, 3, 1e-10, seed=0)}
-        robertson = checks["robertson_inequality_random_states"]
-        assert math.isnan(robertson.max_abs_residual)
-        assert not robertson.passed
+    def test_nan_residuals_fail_their_rows(self):
+        # a finite table whose products overflow: inf - inf is NaN in these rows
+        # (the Robertson row's NaN is TestRobertsonSweep's)
+        K = make_case(CaseId.CUSTOM, custom_eval=lambda n: 1e308 if n else 0.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            checks = {c.name: c for c in run_verify_checks(K, 16, 3, 1e-10, seed=0)}
+        for name in ("hamiltonian_diagonal_form", "lie_hamilton_x", "lie_hamilton_p"):
+            assert math.isnan(checks[name].max_abs_residual) and not checks[name].passed, name
 
     def test_creation_on_the_wrong_diagonal_fails_the_exact_row(self, monkeypatch):
         def misplaced(K, D):

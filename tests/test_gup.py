@@ -13,7 +13,6 @@ from deformalg import cli, fockrep, gup
 from deformalg import (
     Band,
     CaseId,
-    FockRep,
     UncertaintyReport,
     build_rep,
     case_bound,
@@ -407,14 +406,6 @@ def fields(report, exact_bits=False):
     return out
 
 
-# One case of each case bound, and one without
-NON_FINITE_CASES = [
-    make_case(CaseId.CLASSICAL),
-    make_case(CaseId.ARIK_COON, q=0.7),
-    make_case(CaseId.MACFARLANE_BIEDENHARN, q=1.5),
-    make_case(CaseId.NONLINEAR, alpha=1.0, beta=2.0),
-]
-
 # Parameters whose level tables stay finite up to D = 4096
 DEEP_CASES = [
     make_case(CaseId.CLASSICAL),
@@ -457,38 +448,6 @@ class TestNumberStateReports:
             warnings.simplefilter("error")
             top = number_state_reports(rep, [295, 296])[1]
         assert top.case_bound == math.inf and top.square_sum_bound == math.inf
-
-    def test_a_non_finite_level_reaches_every_diagnostic(self):
-        # K(D) enters only <K(N+1)>, where every number state below D - 1
-        # weighs it by 0
-        D = 16
-        K = make_case(CaseId.CUSTOM, custom_eval=lambda n: math.inf if n == D else float(n))
-        rep = build_rep(K, D)
-        with np.errstate(invalid="ignore"):
-            self.assert_match(rep, list(range(D)))
-        reports = number_state_reports(rep, range(D))
-        assert all(math.isnan(r.square_sum_bound) for r in reports[:-1])
-        assert reports[-1].square_sum_bound == math.inf
-
-    @pytest.mark.parametrize("K", NON_FINITE_CASES, ids=str)
-    @pytest.mark.parametrize("D", [8, 16])
-    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=str)
-    def test_a_non_finite_value_at_each_level(self, K, D, value):
-        for j in range(D + 2):
-            levels = build_rep(K, D).levels.copy()
-            levels[j] = value
-            with np.errstate(invalid="ignore"):
-                self.assert_match(FockRep(K, D, levels), list(range(D)))
-
-    @pytest.mark.parametrize("K", NON_FINITE_CASES, ids=str)
-    def test_two_infinite_levels(self, K):
-        D = 8
-        for i in range(D + 2):
-            for j in range(i + 1, D + 2):
-                levels = build_rep(K, D).levels.copy()
-                levels[[i, j]] = math.inf
-                with np.errstate(invalid="ignore"):
-                    self.assert_match(FockRep(K, D, levels), list(range(D)))
 
     def test_finite_levels_whose_sum_overflows(self):
         K = make_case(CaseId.CUSTOM, custom_eval=lambda n: 1e308 if n else 0.0)

@@ -438,3 +438,22 @@ class TestLevelTable:
     def test_an_overflowing_level_is_named(self, K, message):
         with pytest.raises(ValueError, match=message.replace("(", r"\(").replace(")", r"\)")):
             level_table(K, -400, 800)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=str)
+    @pytest.mark.parametrize("level", [-1, 0, 3, 9])
+    def test_a_non_finite_level_is_named(self, value, level):
+        bad = {}  # filled after make_case, which checks K(0) = 0
+        K = make_case(CaseId.CUSTOM, custom_eval=lambda n: bad.get(n, float(n)))
+        bad[level] = value
+        with pytest.raises(ValueError, match=rf"^K\({level}\) of case 'custom' overflows float64$"):
+            level_table(K, -1, 9)
+        # a table that stops below the level keeps its values
+        assert level_table(K, -1, level - 1).tolist() == list(range(-1, level))
+
+    def test_a_level_that_rounds_to_inf_is_named(self):
+        # q^beta (q^(alpha n) - q^n)/(q^alpha - q) = 1e300 * 1e10 / 90 at n = 5: inf without an OverflowError
+        K = make_case(CaseId.CHUNG, q=10.0, alpha=2.0, beta=300.0)
+        message = r"^K\(5\) of case 'chung' \(q=10.0, alpha=2.0, beta=300.0\) overflows float64$"
+        with pytest.raises(ValueError, match=message):
+            level_table(K, 0, 9)
+        assert level_table(K, 0, 4)[-1] == 1.111e306

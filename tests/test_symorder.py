@@ -1,6 +1,7 @@
 """Parser, normal ordering, and the symbolic-numeric oracle bridge."""
 
 import contextlib
+import gc
 import io
 import math
 from collections import Counter
@@ -375,9 +376,10 @@ class TestNormalFormEquality:
             assert nf_equal(lhs, rhs, tol=1e-12).passed, K
 
     def test_nan_coefficient_fails(self):
-        # N and K(N) agree below n = 5, where the custom K turns NaN
-        K = make_case(CaseId.CUSTOM, custom_eval=lambda n: n if n < 5 else math.nan)
-        report = nf_equal(normal_order(parse_expr("N"), K), normal_order(parse_expr("K(N)"), K))
+        # K(N)^2 overflows to inf on both sides from n = 1, and inf - inf is NaN
+        K = make_case(CaseId.CUSTOM, custom_eval=lambda n: 1e200 * n)
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = nf_equal(normal_order(parse_expr("K(N)*K(N)"), K), normal_order(parse_expr("2*K(N)*K(N)"), K))
         assert math.isnan(report.max_abs_residual)
         assert not report.passed
 
@@ -639,6 +641,25 @@ class TestSharedEvaluation:
             # x@x, p@p, H@H, H^2@H, x^2@x, H^3@x^3 and x^3@H^3, for normal forms and for bands
             assert Counter(kind for kind, *_ in counts) == {NormalForm: 7, Band: 7}
         assert {id(p) for *_, p in first}.isdisjoint(id(p) for *_, p in second)
+
+    @pytest.mark.parametrize(
+        "evaluate, kind",
+        [(normal_order, NormalForm), (lambda expr, K: expr_to_matrix(expr, K, 16), Band)],
+        ids=["normal_order", "expr_to_matrix"],
+    )
+    def test_a_call_leaves_only_its_result_alive(self, evaluate, kind):
+        # reference counting alone frees the memo and every intermediate on return
+        expr, K = parse_expr("comm(H^3,x^3)"), make_case(CaseId.ARIK_COON, q=0.7)
+        evaluate(expr, K)
+        gc.collect()
+        gc.disable()
+        try:
+            before = sum(type(obj) is kind for obj in gc.get_objects())
+            result = evaluate(expr, K)
+            after = sum(type(obj) is kind for obj in gc.get_objects())
+        finally:
+            gc.enable()
+        assert isinstance(result, kind) and after - before == 1
 
     def test_a_memo_serves_one_case_and_dimension(self):
         # operators formed for one K or D must never be returned for another
