@@ -89,8 +89,10 @@ def square_sum_bound(state: StateVector, rep: FockRep) -> float:
     product for low-lying states (see module docstring) and must not be
     used as a bound.
     """
-    W = np.abs(state.amplitudes) ** 2
     D = rep.D
+    if state.dim != D:
+        raise ValueError(f"a dimension-{D} band applies to {D}-row vectors, got {state.amplitudes.shape}")
+    W = np.abs(state.amplitudes) ** 2
     # accumulate adds level after level, where sum would add pairwise
     kn = float(np.add.accumulate(W * rep.levels[:D])[-1])
     knp1 = float(np.add.accumulate(W * rep.levels[1 : D + 1])[-1])

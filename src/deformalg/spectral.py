@@ -14,6 +14,11 @@ Hamiltonian eigenvalue) used throughout the package.
 All q-dependent closed forms have removable singularities at q = 1 (and,
 for the two-exponent families, at alpha = 1 or alpha = gamma).  Those
 points are evaluated by exact limit branches, never by the raw quotient.
+
+Every K value this module returns, through eval_K, level_table,
+forward_delta or hamiltonian_eigenvalue, passes one finiteness rule: a
+level that overflows float64 or is NaN raises ValueError
+`K(n) of case ... overflows float64` or `K(n) of case ... is not finite`.
 """
 
 from __future__ import annotations
@@ -176,9 +181,10 @@ def eval_K(K: SpectralFunction, n: float) -> float:
 
     Negative arguments are permitted: the closed forms extend smoothly
     below zero, which the Lie-Hamilton coefficients rely on at the bottom
-    of the spectrum.
+    of the spectrum.  Raises level_table's ValueError when K(n) overflows
+    float64 or is NaN.
     """
-    return _closed_form(K)(n)
+    return _levels(K, (n,))[0]
 
 
 def _closed_form(K: SpectralFunction) -> Callable[[float], float]:
@@ -202,7 +208,8 @@ def _closed_form(K: SpectralFunction) -> Callable[[float], float]:
     q = K.q
     if abs(q - 1.0) <= DEGENERATE_TOL:
         return float
-    d = math.log1p(q - 1.0)
+    # q - 1.0 rounds to -1.0 below 2^-54, where log1p(-1) raises
+    d = math.log1p(q - 1.0) if q - 1.0 != -1.0 else math.log(q)
 
     if case is CaseId.ARIK_COON:
         if abs(q - 1.0) < NEAR_SINGULAR:
@@ -239,37 +246,51 @@ def _closed_form(K: SpectralFunction) -> Callable[[float], float]:
     return lambda n: qb * (q ** (a * n) - q ** (g * n)) / den
 
 
-def level_table(K: SpectralFunction, lo: int, hi: int) -> np.ndarray:
-    """K(lo..hi) as a float array, each level evaluated once (empty when hi < lo).
+def _levels(K: SpectralFunction, ns) -> list:
+    """K at each n of ns, in order, from one closed form.
 
-    Raises ValueError naming the case and the first level where K is not
-    finite: it overflows float64, by an OverflowError or to inf, or is NaN.
+    The one reader behind every K value this module returns; raises
+    level_table's ValueError at the first level that is not finite.
     """
     form = _closed_form(K)
     values = []
     try:
-        for n in range(lo, hi + 1):
+        for n in ns:
             values.append(form(n))
     except OverflowError:
         values.append(math.inf)  # stands for the level that raised
     # a finite sum means finite levels; one that overflows only costs the search
     if not math.isfinite(sum(values)):
-        for n, k in enumerate(values, lo):
+        for n, k in zip(ns, values):
             if not math.isfinite(k):
                 params = ", ".join(f"{name}={value!r}" for name, value in K.params().items())
                 where = f" ({params})" if params else ""
-                raise ValueError(f"K({n}) of case {K.case_id.value!r}{where} overflows float64")
-    return np.array(values, dtype=float)
+                what = "is not finite" if math.isnan(k) else "overflows float64"
+                raise ValueError(f"K({n}) of case {K.case_id.value!r}{where} {what}")
+    return values
+
+
+def level_table(K: SpectralFunction, lo: int, hi: int) -> np.ndarray:
+    """K(lo..hi) as a float array, each level evaluated once (empty when hi < lo).
+
+    Raises ValueError naming the case and the first level where K is not
+    finite: `K(n) of case ... overflows float64` when the closed form raises
+    OverflowError or gives an inf, `K(n) of case ... is not finite` when it
+    gives a NaN.
+    """
+    return np.array(_levels(K, range(lo, hi + 1)), dtype=float)
 
 
 def forward_delta(K: SpectralFunction, n: int) -> float:
     """K(n+1) - K(n): the eigenvalue of [a, a'] on level n."""
-    return eval_K(K, n + 1) - eval_K(K, n)
+    k0, k1 = _levels(K, (n, n + 1))
+    return k1 - k0
 
 
 def hamiltonian_eigenvalue(K: SpectralFunction, n: int) -> float:
     """(K(n) + K(n+1))/2: the level-n eigenvalue of H = x^2 + p^2."""
-    return 0.5 * (eval_K(K, n) + eval_K(K, n + 1))
+    k0, k1 = _levels(K, (n, n + 1))
+    return 0.5 * (k0 + k1)
 
 
 def defining_relation(K: SpectralFunction) -> DefiningRelation:

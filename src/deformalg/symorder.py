@@ -684,7 +684,6 @@ def nf_equal(
     lhs: NormalForm,
     rhs: NormalForm,
     tol: float = 1e-10,
-    name: str = "normal-form equality",
 ) -> IdentityReport:
     """Decide equality of two normal forms of one K on the integer grid 0..GRID_MAX.
 
@@ -708,7 +707,7 @@ def nf_equal(
     # np.max propagates NaN, where max() would drop it and pass the check
     worst = float(np.max(np.concatenate(deviations), initial=0.0))
     return IdentityReport(
-        name=name,
+        name="normal-form equality",
         window=GRID_MAX + 1,
         max_abs_residual=worst,
         tol=tol,

@@ -19,8 +19,9 @@ differently, full-range gup-scans on the six cases at D = 8, 65, 129 and
 D = 300, a one-step q-scan,
 macfarlane-biedenharn scans at q = 3.5 whose fourth moments overflow, calls
 in every command whose level tables overflow float64, by an OverflowError or
-by rounding to inf, each a parameter error (exit 2), q-scans with and
-without --q and with an --n-to, a set of usage errors, and symbolic
+by rounding to inf, each a parameter error (exit 2), calls in every command
+at q below 2^-54, q-scans with and without --q, with an --n-to and with an
+infinite --q-to, a set of usage errors, and symbolic
 calls through every node kind and error path of the expression evaluator,
 identities that reuse a subterm, sign runs and product and quotient chains
 500 to 3,000 links long, divisor-order errors, K shifts just above the cap
@@ -57,6 +58,8 @@ USAGE_ERRORS = [
     ["gup-scan", "--case", "classical", "--n-from", "0", "--n-to", "29"],
     ["gup-scan", "--case", "classical", "--q-from", "0.25", "--q-to", "0.75"],
     ["gup-scan", "--case", "arik-coon", "--q", "0.5", "--q-from", "0.25"],
+    ["gup-scan", "--case", "arik-coon", "--q", "0.5", "--q-from", "0.5", "--q-to", "inf", "--q-steps", "2",
+     "--dim", "8"],
     ["gup-scan", "--case", "classical", "--format", "json"],
     ["table", "--case", "classical", "--levels", "30", "--dim", "32"],
     ["table", "--case", "classical", "--levels", "0"],
@@ -133,6 +136,16 @@ OVERFLOW_CALLS = [
     ["table", *NONLINEAR_INF, "--levels", "4"],
     ["verify", *NONLINEAR_INF],
     ["symbolic", *NONLINEAR_INF, "--check", "comm_xp"],
+]
+
+# q below 2^-54, where q - 1.0 rounds to -1.0
+TINY_Q_CALLS = [
+    ["table", "--case", "arik-coon", "--q", "1e-300", "--levels", "3"],
+    ["verify", "--case", "arik-coon", "--q", "1e-300", "--dim", "8"],
+    ["symbolic", "--case", "arik-coon", "--q", "1e-300", "--check", "comm_xp"],
+    ["gup-scan", "--case", "arik-coon", "--q-from", "1e-320", "--q-to", "0.5", "--q-steps", "3", "--dim", "8"],
+    # K(2) = (q^2 - q^-2)/(q - 1/q): q^-2 overflows float64
+    ["table", "--case", "macfarlane-biedenharn", "--q", "1e-200", "--levels", "3"],
 ]
 
 # Runs inside the tree given as argv[1]: the labelled calls arrive on stdin as
@@ -219,7 +232,7 @@ def call_list() -> dict:
     sweep = ["verify", "--case", "arik-coon", "--q", "0.7"]
     argvs += [sweep + ["--dim", "4", "--margin", margin] for margin in ("1", "3")]
     argvs += [sweep + ["--dim", dim] for dim in ("41", "257", "4096")]
-    argvs += USAGE_ERRORS + EDGE_CALLS + Q_SCAN_CALLS + OVERFLOW_CALLS
+    argvs += USAGE_ERRORS + EDGE_CALLS + Q_SCAN_CALLS + OVERFLOW_CALLS + TINY_Q_CALLS
     return {shlex.join(argv): argv for argv in argvs}
 
 

@@ -83,6 +83,8 @@ class TestExitCodes:
             ("verify", "--case", "arik-coon", "--q", "inf"),
             ("verify", "--case", "nonlinear", "--alpha", "nan", "--beta", "2"),
             ("gup-scan", "--case", "chung", "--q", "0.7", "--alpha=-inf", "--beta", "0.5"),
+            # named by its flag, before inf * 0 makes a NaN grid point
+            ("gup-scan", "--case", "arik-coon", "--q", "0.5", "--q-from", "0.5", "--q-to", "inf", "--q-steps", "2"),
         ],
     )
     def test_non_finite_parameter_exits_two(self, args):
@@ -229,6 +231,16 @@ class TestExitCodes:
         assert cp.stderr.count("\n") == 1
         if "chung" in args:
             assert cp.stderr.startswith("error: K(5) of case 'chung' (q=10.0, alpha=2.0, beta=300.0)")
+
+    def test_a_q_below_two_to_the_minus_54_reads_its_levels(self):
+        # q - 1.0 rounds to -1.0 there, and log1p(-1.0) has no value
+        cp = run_cli("table", "--case", "arik-coon", "--q", "1e-300", "--levels", "3")
+        assert cp.returncode == 0, cp.stderr
+        rows = [line.split(",") for line in cp.stdout.splitlines()[1:]]
+        assert [float(row[1]) for row in rows] + [float(rows[-1][2])] == [0.0, 1.0, 1.0, 1.0]
+        cp = run_cli("table", "--case", "macfarlane-biedenharn", "--q", "1e-200", "--levels", "3")
+        assert (cp.returncode, cp.stdout) == (2, "")
+        assert cp.stderr == "error: K(2) of case 'macfarlane-biedenharn' (q=1e-200) overflows float64\n"
 
     def test_table_range_violation(self):
         cp = run_cli("table", "--case", "classical", "--levels", "30", "--dim", "32")

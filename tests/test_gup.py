@@ -126,6 +126,14 @@ class TestSquareSumDiagnostic:
             expected = 0.25 * eval_K(K, 1) ** 2
             assert square_sum_bound(number_state(8, 0), rep) == pytest.approx(expected, rel=1e-13)
 
+    @pytest.mark.parametrize("dim", [1, 4])
+    def test_a_state_of_another_dimension_is_rejected(self, dim):
+        # a dimension-1 state would broadcast over all eight levels
+        rep = build_rep(classical(), 8)
+        message = rf"^a dimension-8 band applies to 8-row vectors, got \({dim},\)$"
+        with pytest.raises(ValueError, match=message):
+            square_sum_bound(number_state(dim, 0), rep)
+
 
 class TestInversions:
     def test_geometric_spot_checks(self):

@@ -425,6 +425,13 @@ class TestLevelTable:
         expected = np.array([branch_walk_K(K, n) for n in range(lo, hi + 1)], dtype=float)
         assert level_table(K, lo, hi).tobytes() == expected.tobytes()
         assert [eval_K(K, n) for n in range(lo, hi + 1)] == expected.tolist()
+        walk = [branch_walk_K(K, n) for n in range(lo, hi + 2)]
+        for reader, combine in (
+            (forward_delta, lambda k0, k1: k1 - k0),
+            (hamiltonian_eigenvalue, lambda k0, k1: 0.5 * (k0 + k1)),
+        ):
+            expected = np.array(list(map(combine, walk, walk[1:])), dtype=float)
+            assert np.array([reader(K, n) for n in range(lo, hi + 1)], dtype=float).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize(
         "K, message",
@@ -439,13 +446,17 @@ class TestLevelTable:
         with pytest.raises(ValueError, match=message.replace("(", r"\(").replace(")", r"\)")):
             level_table(K, -400, 800)
 
-    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=str)
+    @pytest.mark.parametrize(
+        "value, what",
+        [(math.inf, "overflows float64"), (-math.inf, "overflows float64"), (math.nan, "is not finite")],
+        ids=["inf", "-inf", "nan"],
+    )
     @pytest.mark.parametrize("level", [-1, 0, 3, 9])
-    def test_a_non_finite_level_is_named(self, value, level):
+    def test_a_non_finite_level_is_named(self, value, what, level):
         bad = {}  # filled after make_case, which checks K(0) = 0
         K = make_case(CaseId.CUSTOM, custom_eval=lambda n: bad.get(n, float(n)))
         bad[level] = value
-        with pytest.raises(ValueError, match=rf"^K\({level}\) of case 'custom' overflows float64$"):
+        with pytest.raises(ValueError, match=rf"^K\({level}\) of case 'custom' {what}$"):
             level_table(K, -1, 9)
         # a table that stops below the level keeps its values
         assert level_table(K, -1, level - 1).tolist() == list(range(-1, level))
@@ -457,3 +468,23 @@ class TestLevelTable:
         with pytest.raises(ValueError, match=message):
             level_table(K, 0, 9)
         assert level_table(K, 0, 4)[-1] == 1.111e306
+
+    def test_every_reader_raises_the_level_table_error(self):
+        K = make_case(CaseId.CHUNG, q=10.0, alpha=2.0, beta=300.0)
+        message = r"^K\(5\) of case 'chung' \(q=10.0, alpha=2.0, beta=300.0\) overflows float64$"
+        for read in (lambda: eval_K(K, 5), lambda: forward_delta(K, 4), lambda: hamiltonian_eigenvalue(K, 4)):
+            with pytest.raises(ValueError, match=message):
+                read()
+
+    @pytest.mark.parametrize("reader", [forward_delta, hamiltonian_eigenvalue])
+    def test_a_level_pair_evaluates_each_level_once(self, reader):
+        calls = []
+
+        def counted(n):
+            calls.append(n)
+            return 2.0 * n
+
+        K = make_case(CaseId.CUSTOM, custom_eval=counted)
+        calls.clear()
+        reader(K, 4)
+        assert calls == [4, 5]
