@@ -13,6 +13,8 @@ difference and 0 when every call and demo is byte-identical.
 The call list is read from this tree: the golden commands of
 tests/regen_goldens.py, the three perfbench workloads at seeds 1 and 2,
 20-level tables and CSV verify runs at D = 8 and 32 on the six cases, verify
+runs on the six cases at D = 512 with --seed 0 and with
+--seed 18446744073709551516 (the sweep's seeds then wrap past 2^64), verify
 runs at dimensions that place the Robertson sweep's chunk boundaries
 differently, full-range gup-scans on the six cases at D = 8, 65, 129 and
 300, q-scans on the four cases with a q at D = 32 and, over 61 steps, at
@@ -21,7 +23,8 @@ macfarlane-biedenharn scans at q = 3.5 whose fourth moments overflow, calls
 in every command whose level tables overflow float64, by an OverflowError or
 by rounding to inf, each a parameter error (exit 2), calls in every command
 at q below 2^-54, q-scans with and without --q, with an --n-to and with an
-infinite --q-to, a set of usage errors, and symbolic
+infinite --q-to, a set of usage errors (among them q-scans given only one
+of --q-from and --q-to), and symbolic
 calls through every node kind and error path of the expression evaluator,
 identities that reuse a subterm, sign runs and product and quotient chains
 500 to 3,000 links long, divisor-order errors, K shifts just above the cap
@@ -58,6 +61,8 @@ USAGE_ERRORS = [
     ["gup-scan", "--case", "classical", "--n-from", "0", "--n-to", "29"],
     ["gup-scan", "--case", "classical", "--q-from", "0.25", "--q-to", "0.75"],
     ["gup-scan", "--case", "arik-coon", "--q", "0.5", "--q-from", "0.25"],
+    ["gup-scan", "--case", "arik-coon", "--q-from", "0.25"],
+    ["gup-scan", "--case", "arik-coon", "--q-to", "1.75"],
     ["gup-scan", "--case", "arik-coon", "--q", "0.5", "--q-from", "0.5", "--q-to", "inf", "--q-steps", "2",
      "--dim", "8"],
     ["gup-scan", "--case", "classical", "--format", "json"],
@@ -199,6 +204,10 @@ def call_list() -> dict:
                 ["verify", "--case", case, *params, "--format", "csv", "--margin", "5",
                  "--seed", "9", "--dim", dim]
             )
+    # the sweep at D = 512, with seeds that wrap past 2^64 in the second run
+    for case, params in workloads.CASES.items():
+        for seed in ("0", "18446744073709551516"):
+            argvs.append(["verify", "--case", case, *params, "--dim", "512", "--seed", seed])
     # full-range level scans
     for case, params in workloads.CASES.items():
         for dim in (8, 65, 129, 300):
