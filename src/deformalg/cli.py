@@ -202,14 +202,14 @@ def cmd_gup_scan(args, seed: int) -> int:
         raise UsageError("gup-scan output is CSV only")
     n_cap = args.dim - 1 - args.margin
     if args.q_from is not None or args.q_to is not None:
+        if args.q_from is None or args.q_to is None:
+            raise UsageError("--q-from and --q-to must be given together")
         # refused here, where the grid arithmetic would turn inf * 0 into a NaN point
         for flag, bound in (("--q-from", args.q_from), ("--q-to", args.q_to)):
-            if bound is not None and not math.isfinite(bound):
+            if not math.isfinite(bound):
                 raise UsageError(f"{flag} must be finite, got {bound}")
         # the grid replaces q, so a q-scan needs no --q; one that is given is still checked
         K = _case_from_args(args, args.q_from if args.q is None else args.q)
-        if args.q_from is None or args.q_to is None:
-            raise UsageError("--q-from and --q-to must be given together")
         if K.q is None:
             raise UsageError(f"case {K.case_id.value!r} has no q parameter to scan")
         if args.q_steps < 1:

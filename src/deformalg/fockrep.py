@@ -36,14 +36,13 @@ measure float64 rounding of the operands.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .spectral import CaseId, SpectralFunction, level_table
+from .spectral import CaseId, SpectralFunction, _require_finite, level_table
 
 __all__ = [
     "Band",
@@ -325,8 +324,10 @@ def kempf_rescale(quads: QuadratureSet, q: float) -> QuadratureSet:
     The rescaled geometric-case commutator satisfies
     [x', p'] = i (1 - ((1-q)/(1+q)) H') with H' = x'^2 + p'^2, which is
     the deformed-quantization normal form; direction fixed so that
-    substituting x'/sqrt(1+q) for x recovers the unscaled relation.
+    substituting x'/sqrt(1+q) for x recovers the unscaled relation.  q
+    must be finite and positive, as make_case requires.
     """
+    _require_finite(q=q)
     if not q > 0:
         raise ValueError(f"q must be positive, got {q}")
     s = math.sqrt(1.0 + q)
@@ -419,20 +420,21 @@ def number_state(D: int, n: int) -> StateVector:
     return StateVector(amp)
 
 
-def _norm(v: np.ndarray) -> float:
-    """The 2-norm of a 1-D vector: the two 1-D dots of numpy's 1-D np.linalg.norm."""
-    re, im = v.real, v.imag
-    return math.sqrt(re.dot(re) + im.dot(im))
+def _row_norms(A: np.ndarray) -> np.ndarray:
+    """The 2-norm of each row of A, as a column: the square root of the row's
+    sum of re^2 + im^2, numpy's pairwise sum of a 1-D array of those terms."""
+    return np.sqrt((A.real**2 + A.imag**2).sum(axis=1, keepdims=True))
 
 
-def _gaussian_amplitudes(D: int, seeds) -> np.ndarray:
-    """The first D Box-Muller pairs of each seed's splitmix stream, one row per seed.
+def _uniform_amplitudes(D: int, seeds) -> np.ndarray:
+    """The first D amplitudes of each seed's splitmix stream, one row per seed.
 
     Ordering contract: SplitMix64 words 1..2D of a seed, where word k is
     the finalizer applied to seed + k * 0x9E3779B97F4A7C15 (mod 2^64), are
     read in successive pairs u, v and mapped to uniforms in (0, 1] via
-    ((word >> 11) + 1) * 2^-53; amplitude k is (r cos t, r sin t) with
-    r = sqrt(-2 ln u), t = 2 pi v.  Fixed across platforms and releases.
+    ((word >> 11) + 1) * 2^-53; amplitude k is (2u - 1) + i(2v - 1), every
+    step exact in float64.  No libm function is called, so the amplitudes
+    are the same on every platform and in every numpy build.
     """
     # seeds are masked as Python ints: numpy wraps uint64 array arithmetic
     # silently but warns on scalar overflow
@@ -442,19 +444,14 @@ def _gaussian_amplitudes(D: int, seeds) -> np.ndarray:
     z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
     z ^= z >> np.uint64(31)
     uniform = ((z >> np.uint64(11)) + np.uint64(1)) * 2.0**-53
-    n = uniform.size // 2
-    # math.log per element: numpy's can differ from it in the last bit.
-    # cmath.rect(r, t) forms r * cos(t) and r * sin(t) with libm's cos and
-    # sin, the bits of math.cos and math.sin; t > 0 skips its t == 0 branch
-    r = np.sqrt(-2.0 * np.fromiter(map(math.log, uniform[:, 0::2].ravel().tolist()), float, n))
-    t = (2.0 * math.pi * uniform[:, 1::2]).ravel()
-    return np.fromiter(map(cmath.rect, r.tolist(), t.tolist()), complex, n).reshape(-1, D)
+    # u and v alternate along each row, as the real and imaginary parts of a complex array do
+    return (2.0 * uniform - 1.0).view(complex)
 
 
 def _random_rows(D: int, seeds) -> np.ndarray:
     """The amplitudes of random_state(D, seed) for each seed, one row per seed."""
-    rows = _gaussian_amplitudes(D, seeds)
-    rows /= np.array([_norm(row) for row in rows])[:, None]
+    rows = _uniform_amplitudes(D, seeds)
+    rows /= _row_norms(rows)
     return rows
 
 
@@ -462,18 +459,19 @@ def _truncate_rows(A: np.ndarray, margin: int) -> np.ndarray:
     """A with the top `margin` amplitudes of each row zeroed and each row renormalized."""
     A = A.copy()
     A[:, A.shape[1] - margin :] = 0.0
-    norms = np.array([_norm(row) for row in A])
+    norms = _row_norms(A)
     if not norms.all():
         raise ValueError("state has no support below the truncation margin")
-    return A / norms[:, None]
+    return A / norms
 
 
 def random_state(D: int, seed: int) -> StateVector:
-    """Deterministic pseudo-random state: 2D Gaussian draws, normalized.
+    """Deterministic pseudo-random state: 2D uniform draws on (-1, 1], normalized.
 
-    Amplitude k is (real, imag) = the k-th Box-Muller pair of the seeded
-    stream documented in _gaussian_amplitudes; the same seed always
-    produces the same vector on every platform.
+    Amplitude k is (2u - 1) + i(2v - 1) for the k-th pair of uniforms u, v
+    of the seeded stream documented in _uniform_amplitudes, divided by the
+    vector's 2-norm; the same seed always produces the same vector on every
+    platform, since only IEEE-754 basic operations form it.
     """
     return StateVector(_random_rows(D, [seed])[0])
 
@@ -610,7 +608,7 @@ def _robertson_stacks(D: int, margin: int, seed: int):
     """
     for chunk in np.array_split(np.arange(ROBERTSON_STATES), _chunk_count(D)):
         rows = _truncate_rows(_random_rows(D, [seed + k for k in chunk.tolist()]), margin)
-        norms = np.linalg.norm(rows, axis=1)
+        norms = _row_norms(rows)[:, 0]
         # the norm farthest from 1; np.argmax stops at the first NaN
         _require_unit_norm(float(norms[np.argmax(np.abs(norms - 1.0))]))
         yield np.ascontiguousarray(rows.T)

@@ -43,7 +43,7 @@ from typing import Optional
 import numpy as np
 
 from .fockrep import FockRep, QuadratureSet, StateVector, _moments, kempf_rescale
-from .spectral import DEGENERATE_TOL, CaseId, SpectralFunction
+from .spectral import DEGENERATE_TOL, CaseId, SpectralFunction, _require_finite
 
 __all__ = [
     "UncertaintyReport",
@@ -153,8 +153,10 @@ def invert_number_geometric(q: float, h: float) -> float:
 
     Solves q^n = (2/(1+q)) (1 - (1-q) h); at q = 1 the exact linear
     branch n = h - 1/2 applies.  Raises ValueError when h lies outside
-    the attainable range (non-positive argument of the logarithm).
+    the attainable range (non-positive argument of the logarithm), and on
+    a q or h that is not finite.
     """
+    _require_finite(q=q, h=h)
     if not q > 0:
         raise ValueError(f"q must be positive, got {q}")
     if abs(q - 1.0) <= DEGENERATE_TOL:
@@ -170,8 +172,10 @@ def invert_number_symmetric(q: float, h: float) -> float:
 
     Positive root of  q t^2 - 2(q-1) h t - 1 = 0  with t = q^n, written in
     the cancellation-free form for either sign of (q-1) h; at q = 1 the
-    linear branch n = h - 1/2 applies.
+    linear branch n = h - 1/2 applies.  Raises ValueError on a q or h that
+    is not finite.
     """
+    _require_finite(q=q, h=h)
     if not q > 0:
         raise ValueError(f"q must be positive, got {q}")
     if abs(q - 1.0) <= DEGENERATE_TOL:
@@ -189,10 +193,14 @@ def invert_number_quadratic(alpha: float, beta: float, h: float) -> float:
 
     n = (-(alpha+beta) + sqrt(beta^2 - alpha^2 + 4 alpha h)) / (2 alpha),
     with the linear continuation n = h/beta - 1/2 at alpha = 0.  Raises
-    ValueError on a negative radicand.
+    ValueError on a negative radicand, and on parameters that make_case
+    rejects for the case: alpha, beta or h not finite, alpha < 0, beta <= 0.
     """
+    _require_finite(alpha=alpha, beta=beta, h=h)
     if alpha < 0:
         raise ValueError(f"alpha must be >= 0, got {alpha}")
+    if not beta > 0:
+        raise ValueError(f"beta must be > 0, got {beta}")
     if abs(alpha) <= DEGENERATE_TOL:
         return h / beta - 0.5
     radicand = beta * beta - alpha * alpha + 4.0 * alpha * h

@@ -102,6 +102,13 @@ class DefiningRelation:
     g: Callable[[float], float] = field(repr=False)
 
 
+def _require_finite(**params) -> None:
+    """Raise ValueError naming the first given parameter that is not finite; None is not given."""
+    for name, value in params.items():
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 def make_case(
     case_id: CaseId | str,
     q: Optional[float] = None,
@@ -133,9 +140,7 @@ def make_case(
     Raises ValueError on out-of-domain or non-finite parameters.
     """
     case = CaseId(case_id)
-    for name, value in (("q", q), ("alpha", alpha), ("beta", beta), ("gamma", gamma)):
-        if value is not None and not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
+    _require_finite(q=q, alpha=alpha, beta=beta, gamma=gamma)
 
     if case is CaseId.CLASSICAL:
         return SpectralFunction(case)

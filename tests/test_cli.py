@@ -92,6 +92,14 @@ class TestExitCodes:
         assert cp.returncode == 2
         assert "must be finite" in cp.stderr and cp.stdout == ""
 
+    @pytest.mark.parametrize("bound", [("--q-from", "0.25"), ("--q-to", "1.75")], ids=["q-from", "q-to"])
+    def test_a_q_scan_needs_both_bounds(self, bound):
+        # with or without --q, before the case is built from a q the scan may lack
+        for q in ([], ["--q", "0.5"]):
+            cp = run_cli("gup-scan", "--case", "arik-coon", *q, *bound)
+            assert cp.returncode == 2 and cp.stdout == ""
+            assert "--q-from and --q-to must be given together" in cp.stderr
+
     def test_one_parser_serves_every_call(self):
         # a usage error inside a subcommand, then valid calls of other subcommands
         calls = [

@@ -345,30 +345,52 @@ class TestStates:
             assert expectation(state, quads.mat_p) == 0.0
 
 
+def pairwise_sum(terms):
+    """The sum of float terms in numpy's order for a 1-D float64 array: fewer
+    than 8 terms in sequence, up to 128 in eight interleaved partial sums
+    and the rest in sequence, longer runs split at the multiple of 8 at or
+    below the half."""
+    n = len(terms)
+    if n < 8:
+        total = -0.0
+        for t in terms:
+            total += t
+        return total
+    if n <= 128:
+        r = list(terms[:8])
+        full = n - n % 8
+        for i in range(8, full, 8):
+            for j in range(8):
+                r[j] += terms[i + j]
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for t in terms[full:]:
+            total += t
+        return total
+    half = n // 2 - n // 2 % 8
+    return pairwise_sum(terms[:half]) + pairwise_sum(terms[half:])
+
+
 def oracle_state(D, seed):
-    """random_state's documented contract, one amplitude at a time from the oracle stream."""
+    """random_state's documented contract in plain Python floats, drawn from the oracle stream."""
     words = splitmix64(seed)
-    amp = np.empty(D, dtype=complex)
-    for k in range(D):
-        u = ((next(words) >> 11) + 1) * 2.0**-53
-        v = ((next(words) >> 11) + 1) * 2.0**-53
-        r = math.sqrt(-2.0 * math.log(u))
-        t = 2.0 * math.pi * v
-        amp[k] = complex(r * math.cos(t), r * math.sin(t))
-    amp /= np.linalg.norm(amp)
-    return amp
+    parts = [2.0 * (((next(words) >> 11) + 1) * 2.0**-53) - 1.0 for _ in range(2 * D)]
+    re, im = parts[0::2], parts[1::2]
+    norm = math.sqrt(pairwise_sum([r * r + i * i for r, i in zip(re, im)]))
+    # numpy divides a complex by a real c as a product with 1/c
+    scale = 1.0 / norm
+    return np.array([complex(r * scale, i * scale) for r, i in zip(re, im)])
 
 
 # sha256 of random_state(D, seed).amplitudes.tobytes()
 STATE_DIGESTS = {
-    (8, 0): "36c61fc54bd8fefd4a77ef221e99aa9f312c565acf972229de4dd90d41f51f83",
-    (32, 1): "0f8e3794582a290fb4b4df36144a4c394c5850a6c45e1b3de09e0e78dc04121e",
-    (128, 7): "2b8f669da6c5b3cd99fc90ebef21a1443ee20775f0f67e9a4b5db990c7d679f7",
-    (8, -1): "00e03442d4a123fee7c1378d71c24b2f267d9aadc9760c282bb0eb9d20367e93",
-    (8, 2**64 - 1): "00e03442d4a123fee7c1378d71c24b2f267d9aadc9760c282bb0eb9d20367e93",
-    (32, 2**64 - 100): "ab2bdb3a39cc31ac0e6d0e108440b687d4810d06411d0cd15b114ac06b099d60",
+    (8, 0): "d0beefe647c16a3cb18273e7e53fdcf6baf72b38510c21f6c4c47072529331dc",
+    (32, 1): "bbef4cdb7c4b3f19737646a9a91480b15d2c9feb590cd7849aac9722138d5dd1",
+    (128, 7): "e9ebe3ff02747f16b9bc40411637df44ff3a9efc898377bfdb2155de5db33339",
+    (8, -1): "95f00966264680bb03e1bf98f84e23574ba2f42878a74dff4da91f0258b9a690",
+    (8, 2**64 - 1): "95f00966264680bb03e1bf98f84e23574ba2f42878a74dff4da91f0258b9a690",
+    (32, 2**64 - 100): "7905cc98aefed300344d884a5a3264151139a4b00f85aaf941b3eca6d39ef614",
     (256, 123456789012345678901): (
-        "3220fb4d94638c423f4ad41cf3ede777471a5dfab34833a9bb015378cb958b83"
+        "775e226f6919b551f9a3b9150ed685db1313c44e2bf9831ce85984da575bb030"
     ),
 }
 
@@ -390,6 +412,12 @@ class TestRandomStream:
             0x06C45D188009454F,
         ]
 
+    def test_pairwise_sum_is_numpys_order(self):
+        rng = np.random.default_rng(5)
+        for n in [*range(1, 300), 1000, 4096]:
+            terms = rng.random(n) * 10.0 ** rng.integers(-8, 8, n)
+            assert pairwise_sum(terms.tolist()) == terms.sum(), n
+
     @pytest.mark.parametrize("D,seed", list(STATE_DIGESTS), ids=str)
     def test_state_bytes_match_stored_digest(self, D, seed):
         data = random_state(D, seed).amplitudes.tobytes()
@@ -403,10 +431,19 @@ class TestRandomStream:
     @pytest.mark.parametrize("D", [4, 33])
     def test_batched_draw_rows_equal_one_seed_draws(self, D):
         seeds = [0, 1, 49, -1, 2**63, 2**64 - 100, 2**64 + 5, 123456789012345678901]
-        rows = fockrep._gaussian_amplitudes(D, seeds)
+        rows = fockrep._uniform_amplitudes(D, seeds)
         assert rows.shape == (len(seeds), D)
         for row, seed in zip(rows, seeds):
-            assert row.tobytes() == fockrep._gaussian_amplitudes(D, [seed])[0].tobytes()
+            assert row.tobytes() == fockrep._uniform_amplitudes(D, [seed])[0].tobytes()
+
+    def test_first_amplitude_of_seed_zero(self):
+        # words 1 and 2 of seed 0 are 0xE220A8397B1DCDAF and 0x6E789E6AA1B965F4.
+        # u = ((w >> 11) + 1) 2^-53 = 0x1C4415072F63BA 2^-53, so 2u - 1 =
+        # (0x38882A0E5EC774 - 2^53) 2^-53 = 0x18882A0E5EC774 2^-53;
+        # v = 0xDCF13CD54372D 2^-53, so 2v - 1 = -(2^53 - 0x1B9E279AA86E5A) 2^-53
+        # = -0x461D8655791A6 2^-53
+        amplitude = fockrep._uniform_amplitudes(1, [0])[0, 0]
+        assert amplitude == complex(float.fromhex("0x1.8882a0e5ec774p-1"), float.fromhex("-0x1.18761955e4698p-3"))
 
     def test_seed_wraps_modulo_two_to_the_64(self):
         # the Robertson sweep draws seeds seed..seed+199, which wrap past 2^64

@@ -181,6 +181,30 @@ class TestInversions:
         with pytest.raises(ValueError):
             invert_number_quadratic(1.0, 2.0, -10.0)
 
+    @pytest.mark.parametrize(
+        "invert,args,message",
+        [
+            (invert_number_geometric, (math.inf, 1.0), "q must be finite"),
+            (invert_number_geometric, (math.nan, 1.0), "q must be finite"),
+            (invert_number_geometric, (0.5, math.nan), "h must be finite"),
+            (invert_number_geometric, (1.0, -math.inf), "h must be finite"),
+            (invert_number_symmetric, (math.inf, 1.0), "q must be finite"),
+            (invert_number_symmetric, (2.0, math.inf), "h must be finite"),
+            (invert_number_symmetric, (0.0, 1.0), "q must be positive"),
+            (invert_number_quadratic, (math.nan, 1.0, 1.0), "alpha must be finite"),
+            (invert_number_quadratic, (1.0, math.inf, 1.0), "beta must be finite"),
+            (invert_number_quadratic, (1.0, 2.0, math.nan), "h must be finite"),
+            (invert_number_quadratic, (-1.0, 2.0, 1.0), "alpha must be >= 0"),
+            (invert_number_quadratic, (0.0, 0.0, 1.0), "beta must be > 0"),
+            (invert_number_quadratic, (0.0, -2.0, 1.0), "beta must be > 0"),
+            (invert_number_quadratic, (1.0, -2.0, 1.0), "beta must be > 0"),
+        ],
+        ids=lambda v: getattr(v, "__name__", str(v)),
+    )
+    def test_parameters_outside_make_case_rules_are_rejected(self, invert, args, message):
+        with pytest.raises(ValueError, match=message):
+            invert(*args)
+
     @pytest.mark.parametrize("q", [0.7, 1.0, 1.5, 3.0])
     def test_geometric_round_trip(self, q):
         K = make_case(CaseId.ARIK_COON, q=q)
@@ -213,6 +237,12 @@ class TestInversions:
 
 
 class TestKempfRescaling:
+    @pytest.mark.parametrize("q,message", [(math.inf, "finite"), (math.nan, "finite"), (0.0, "positive")])
+    def test_q_outside_make_case_rules_is_rejected(self, q, message):
+        quads = quadratures(build_rep(make_case(CaseId.ARIK_COON, q=0.5), 8))
+        with pytest.raises(ValueError, match=f"q must be {message}"):
+            kempf_rescale(quads, q)
+
     def test_classical_limit(self):
         quads = quadratures(build_rep(make_case(CaseId.ARIK_COON, q=1.0), 16))
         rescaled = kempf_rescale(quads, 1.0)
