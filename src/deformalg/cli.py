@@ -3,6 +3,11 @@
 The commands parse and validate arguments, call the library and format its
 results; the verify suite itself is fockrep.run_verify_checks.
 
+Importing this module, parsing the arguments, table and gup-scan load no
+numpy: they read K through spectral's level readers and the number-state
+reports from gup in Python floats.  verify imports fockrep, and symbolic
+fockrep and symorder, when they run, so only these two commands load numpy.
+
 Output is deterministic byte-for-byte: floats are rendered in scientific
 notation with 17 significant digits, JSON objects keep fixed key order,
 and lines end with LF.  Exit codes: 0 all checks passed, 1 at least one
@@ -22,9 +27,9 @@ import os
 import sys
 from typing import Optional
 
-from . import fockrep, gup, symorder
-from .fockrep import run_verify_checks
-from .spectral import CaseId, SpectralFunction, level_table, make_case
+from . import gup
+from .spectral import DEFAULT_DIM, DEFAULT_MARGIN, DEFAULT_TOL, CaseId, SpectralFunction, make_case
+from .spectral import _levels, _rep_levels
 
 __all__ = ["main"]
 
@@ -111,6 +116,13 @@ def _validate_geometry(args) -> None:
         raise UsageError(f"--margin must satisfy 0 < margin < dim, got {args.margin}")
 
 
+def run_verify_checks(K: SpectralFunction, D: int, margin: int, tol: float, seed: int) -> list:
+    """fockrep.run_verify_checks, under the name the benchmark's tracer wraps."""
+    # ROADMAP item 1 deletes this forward together with the tracer
+    from . import fockrep
+    return fockrep.run_verify_checks(K, D, margin, tol, seed)
+
+
 def cmd_verify(args, seed: int) -> int:
     _validate_geometry(args)
     K = _case_from_args(args)
@@ -162,7 +174,7 @@ def cmd_table(args, seed: int) -> int:
             f"--levels {args.levels} exceeds dim - margin = {args.dim - args.margin}"
         )
     header = ["n", "K_n", "K_np1", "H_n", "delta_n"]
-    levels = level_table(K, 0, args.levels).tolist()
+    levels = _levels(K, range(args.levels + 1))
     rows = [
         [str(n)] + [fmt_float(v) for v in (k, k1, 0.5 * (k + k1), k1 - k)]
         for n, (k, k1) in enumerate(zip(levels, levels[1:]))
@@ -228,7 +240,7 @@ def cmd_gup_scan(args, seed: int) -> int:
             if not qi > 0:
                 raise UsageError(f"q grid point {qi} is not positive")
             grid.append(make_case(K.case_id, q=qi, alpha=K.alpha, beta=K.beta, gamma=K.gamma))
-        reports = [gup.number_state_reports(fockrep.build_rep(Ki, args.dim), [n_fixed])[0] for Ki in grid]
+        reports = [gup._level_reports(Ki, _rep_levels(Ki, args.dim), [n_fixed])[0] for Ki in grid]
         rows = _scan_rows([_case_columns(Ki) for Ki in grid], [n_fixed] * len(grid), reports)
     else:
         K = _case_from_args(args)
@@ -239,13 +251,15 @@ def cmd_gup_scan(args, seed: int) -> int:
         if n_to > n_cap:
             raise UsageError(f"--n-to {n_to} exceeds dim - 1 - margin = {n_cap}")
         levels = range(n_from, n_to + 1)
-        reports = gup.number_state_reports(fockrep.build_rep(K, args.dim), levels)
+        reports = gup._level_reports(K, _rep_levels(K, args.dim), levels)
         rows = _scan_rows([_case_columns(K)] * len(levels), levels, reports)
     _emit(render_csv(_SCAN_HEADER, rows), args.out)
     return 0
 
 
 def cmd_symbolic(args, seed: int) -> int:
+    from . import fockrep, symorder
+
     _validate_geometry(args)
     if args.format == "csv":
         raise UsageError("symbolic output is JSON only")
@@ -307,9 +321,9 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--alpha", type=float, default=None)
     sub.add_argument("--beta", type=float, default=None)
     sub.add_argument("--gamma", type=float, default=None)
-    sub.add_argument("--dim", type=int, default=fockrep.DEFAULT_DIM)
-    sub.add_argument("--margin", type=int, default=fockrep.DEFAULT_MARGIN)
-    sub.add_argument("--tol", type=float, default=fockrep.DEFAULT_TOL)
+    sub.add_argument("--dim", type=int, default=DEFAULT_DIM)
+    sub.add_argument("--margin", type=int, default=DEFAULT_MARGIN)
+    sub.add_argument("--tol", type=float, default=DEFAULT_TOL)
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--out", default=None)
 

@@ -42,7 +42,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .spectral import CaseId, SpectralFunction, _require_finite, level_table
+from .spectral import DEFAULT_DIM, DEFAULT_MARGIN, DEFAULT_TOL  # re-exported; the CLI reads them without numpy
+from .spectral import CaseId, SpectralFunction, _rep_levels, _require_finite, level_table
 
 __all__ = [
     "Band",
@@ -66,9 +67,6 @@ __all__ = [
     "run_verify_checks",
 ]
 
-DEFAULT_DIM = 32
-DEFAULT_MARGIN = 3
-DEFAULT_TOL = 1e-10
 EXACT_TOL = 1e-14
 ROBERTSON_STATES = 200
 ROBERTSON_TOL = 1e-12
@@ -196,7 +194,8 @@ class FockRep:
     levels = K(0..D+1) is read in slices by every level-dependent form.  On
     first use, mat_a is built as the band whose only offset, -1, holds the
     entries (n-1, n) = sqrt(K(n)); mat_ad is its adjoint and mat_N the
-    diagonal 0..D-1.  The D + 2 levels must be finite, and K(n) >= 0 for n < D.
+    diagonal 0..D-1.  spectral._rep_levels checks D and the table: D >= 4, and
+    the D + 2 levels finite, and K(n) >= 0 for n < D.
     """
 
     K: SpectralFunction
@@ -204,14 +203,7 @@ class FockRep:
     levels: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        values = self.levels.tolist()
-        if len(values) != self.D + 2:
-            raise ValueError(f"levels must be K(0..{self.D + 1}), got {len(values)} values")
-        # a finite sum and a non-negative minimum mean valid levels; anything else costs the search
-        if not math.isfinite(sum(values)) or min(values[: self.D], default=0.0) < 0.0:
-            for n, value in enumerate(values):
-                if not (math.isfinite(value) and (value >= 0.0 or n >= self.D)):
-                    raise ValueError(f"K({n}) = {value}: levels must be finite, and >= 0 below D = {self.D}")
+        _rep_levels(self.K, self.D, self.levels.tolist())
 
     @cached_property
     def mat_a(self) -> Band:
@@ -297,12 +289,11 @@ class QuadratureMoments:
 def build_rep(K: SpectralFunction, D: int = DEFAULT_DIM) -> FockRep:
     """Build the D-dimensional truncated representation of K's algebra.
 
-    Evaluates K(0..D+1) once.  Requires D >= 4 (smaller dimensions leave no
-    verification window); level_table and FockRep check the levels.
+    Evaluates K(0..D+1) once, through spectral._rep_levels, which requires
+    D >= 4 (smaller dimensions leave no verification window) and checks the
+    levels.
     """
-    if D < 4:
-        raise ValueError(f"representation dimension must be >= 4, got {D}")
-    return FockRep(K=K, D=D, levels=level_table(K, 0, D + 1))
+    return FockRep(K=K, D=D, levels=np.array(_rep_levels(K, D), dtype=float))
 
 
 def quadratures(rep: FockRep) -> QuadratureSet:

@@ -32,18 +32,21 @@ from 1 - (1-q) h, which saturates geometrically at h -> 1/(1-q).  In
 float64 the level information is exhausted near n ~ log(eps)/log(q) / 2;
 beyond that no algorithm can recover n from a rounded h (about n = 14
 for q = 0.3).  The other inversions do not saturate.
+
+Number-state reports and the inversions run on Python floats; numpy and
+fockrep are imported only by the functions that take a state vector.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-import numpy as np
-
-from .fockrep import FockRep, QuadratureSet, StateVector, _moments, kempf_rescale
 from .spectral import DEGENERATE_TOL, CaseId, SpectralFunction, _require_finite
+
+if TYPE_CHECKING:
+    from .fockrep import FockRep, QuadratureSet, StateVector
 
 __all__ = [
     "UncertaintyReport",
@@ -89,6 +92,8 @@ def square_sum_bound(state: StateVector, rep: FockRep) -> float:
     product for low-lying states (see module docstring) and must not be
     used as a bound.
     """
+    import numpy as np
+
     D = rep.D
     if state.dim != D:
         raise ValueError(f"a dimension-{D} band applies to {D}-row vectors, got {state.amplitudes.shape}")
@@ -109,16 +114,22 @@ def number_state_reports(rep: FockRep, levels) -> list:
     """The report of each number state |n>, n in levels, in the order given.
 
     Report k equals uncertainty_report(number_state(rep.D, n_k), rep,
-    quadratures(rep)) bit for bit, read from the level table alone, whose
-    levels are finite and non-negative below D, as FockRep checks.  x|n> and
-    p|n> hold a = sqrt(K(n))/2 at level n-1 and b = sqrt(K(n+1))/2 at level
-    n+1, so dx^2 = dp^2 = a^2 + b^2, |<[x, p]>|/2 = |b^2 - a^2| and
-    <(x^2 + p^2)^2> = (2(a^2 + b^2))^2: the float operations of the moments
-    of |n>, whose other terms are exact zeros.
+    quadratures(rep)) bit for bit, read from the level table alone.
     """
-    D = rep.D
-    K = rep.levels.tolist()
-    form = _bound_form(rep.K)
+    return _level_reports(rep.K, rep.levels.tolist(), levels)
+
+
+def _level_reports(spectrum: SpectralFunction, K: list, levels) -> list:
+    """number_state_reports from the level list K = K(0..D+1) of spectrum's representation.
+
+    The levels are finite and non-negative below D, as spectral._rep_levels
+    checks.  x|n> and p|n> hold a = sqrt(K(n))/2 at level n-1 and
+    b = sqrt(K(n+1))/2 at level n+1, so dx^2 = dp^2 = a^2 + b^2,
+    |<[x, p]>|/2 = |b^2 - a^2| and <(x^2 + p^2)^2> = (2(a^2 + b^2))^2: the
+    float operations of the moments of |n>, whose other terms are exact zeros.
+    """
+    D = len(K) - 2
+    form = _bound_form(spectrum)
     reports = []
     for n in levels:
         if not 0 <= n < D:
@@ -146,6 +157,13 @@ def _report(dx, dp, product, robertson, diagnostic, bound) -> UncertaintyReport:
         bound,
         None if bound is None else product - bound,
     )
+
+
+def kempf_rescale(quads: QuadratureSet, q: float) -> QuadratureSet:
+    """fockrep.kempf_rescale, under the name the benchmark's tracer wraps."""
+    # ROADMAP item 1 deletes this forward together with the tracer
+    from . import fockrep
+    return fockrep.kempf_rescale(quads, q)
 
 
 def invert_number_geometric(q: float, h: float) -> float:
@@ -231,6 +249,10 @@ def _state_terms(state: StateVector, quads: QuadratureSet, K: SpectralFunction) 
     The moments are taken once, from the images x psi and p psi, which also
     form the fourth moment of the symmetric case.
     """
+    import numpy as np
+
+    from .fockrep import _moments
+
     v = state.amplitudes
     xv, pv = quads.mat_x @ v, quads.mat_p @ v
     m = _moments(v, xv, pv)

@@ -19,6 +19,9 @@ Every K value this module returns, through eval_K, level_table,
 forward_delta or hamiltonian_eigenvalue, passes one finiteness rule: a
 level that overflows float64 or is NaN raises ValueError
 `K(n) of case ... overflows float64` or `K(n) of case ... is not finite`.
+The table K(0..D+1) of a dimension-D representation also passes _rep_levels.
+Only level_table and relation_residual import numpy, so the table and gup-scan
+commands, which read K through _levels and _rep_levels, start without it.
 """
 
 from __future__ import annotations
@@ -26,9 +29,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "CaseId",
@@ -52,6 +56,11 @@ DEGENERATE_TOL = 1e-12
 # from it the direct powers are used (they are exact at exactly
 # representable points such as integer q-brackets).
 NEAR_SINGULAR = 1e-3
+
+# Representation and command-line defaults.
+DEFAULT_DIM = 32
+DEFAULT_MARGIN = 3
+DEFAULT_TOL = 1e-10
 
 
 class CaseId(str, Enum):
@@ -283,7 +292,30 @@ def level_table(K: SpectralFunction, lo: int, hi: int) -> np.ndarray:
     OverflowError or gives an inf, `K(n) of case ... is not finite` when it
     gives a NaN.
     """
+    import numpy as np
+
     return np.array(_levels(K, range(lo, hi + 1)), dtype=float)
+
+
+def _rep_levels(K: SpectralFunction, D: int, values: Optional[list] = None) -> list:
+    """The checked levels K(0..D+1) of K's dimension-D representation.
+
+    The one representation-level rule: D >= 4, since smaller dimensions leave
+    no verification window, and D + 2 levels, finite, and >= 0 below D.  The
+    levels are evaluated through level_table's reader unless given as values.
+    """
+    if D < 4:
+        raise ValueError(f"representation dimension must be >= 4, got {D}")
+    if values is None:
+        values = _levels(K, range(D + 2))
+    if len(values) != D + 2:
+        raise ValueError(f"levels must be K(0..{D + 1}), got {len(values)} values")
+    # a finite sum and a non-negative minimum mean valid levels; anything else costs the search
+    if not math.isfinite(sum(values)) or min(values[:D]) < 0.0:
+        for n, value in enumerate(values):
+            if not (math.isfinite(value) and (value >= 0.0 or n >= D)):
+                raise ValueError(f"K({n}) = {value}: levels must be finite, and >= 0 below D = {D}")
+    return values
 
 
 def forward_delta(K: SpectralFunction, n: int) -> float:
@@ -339,5 +371,7 @@ def relation_residual(K: SpectralFunction, rel: DefiningRelation, n_max: int) ->
     for n in range(n_max + 1):
         up, down, rhs = levels[n + 1], rel.s * levels[n], rel.g(n)
         defects.append(abs(up - down - rhs) / max(1.0, abs(up), abs(down), abs(rhs)))
+    import numpy as np
+
     # np.max propagates NaN, where max() would drop it
     return float(np.max(defects))

@@ -5,6 +5,7 @@ Usage:  python tests/regen_goldens.py
 
 import contextlib
 import io
+import os
 import pathlib
 import runpy
 import subprocess
@@ -13,6 +14,7 @@ import sys
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 DEMO_DIR = pathlib.Path(__file__).parents[1] / "demos"
 DEMO_GOLDEN = GOLDEN / "demos"
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 COMMANDS = {
     "verify_classical.json": ["verify", "--case", "classical"],
@@ -46,6 +48,13 @@ COMMANDS = {
 DEMOS = sorted(DEMO_DIR.glob("*.py"))
 
 
+def child_env(**extra) -> dict:
+    """os.environ with this checkout's src first on PYTHONPATH, so that a child
+    `python -m deformalg` runs this source whether or not a package is installed."""
+    path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+    return dict(os.environ, PYTHONPATH=path, **extra)
+
+
 def demo_stdout(path) -> str:
     """Everything a demo prints when run in-process as __main__."""
     out = io.StringIO()
@@ -68,11 +77,12 @@ def write_demo_transcripts():
 
 
 def main():
+    sys.path.insert(0, str(SRC))  # the demos run in this process
     GOLDEN.mkdir(exist_ok=True)
     for name, args in COMMANDS.items():
         target = GOLDEN / name
         cmd = [sys.executable, "-m", "deformalg", *args, "--out", str(target)]
-        subprocess.run(cmd, check=True)
+        subprocess.run(cmd, check=True, env=child_env())
         print(f"wrote {target}")
     write_demo_transcripts()
 

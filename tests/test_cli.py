@@ -1,10 +1,12 @@
 """Command-line interface: exit codes, schemas, golden-file determinism.
 
 Commands run in-process through cli.main; the tests marked as entry-point
-smoke tests start `python -m deformalg` in a subprocess instead.
+smoke tests start `python -m deformalg` in a subprocess instead, and the
+start-up tests run each command in a fresh interpreter.
 """
 
 import contextlib
+import importlib
 import io
 import json
 import os
@@ -15,7 +17,9 @@ from typing import NamedTuple
 
 import pytest
 from regen_goldens import COMMANDS as GOLDEN_COMMANDS
+from regen_goldens import child_env
 
+import deformalg
 from deformalg import cli
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -40,9 +44,8 @@ def run_cli(*args):
 
 
 def run_module(*args, env_extra=None):
-    env = dict(os.environ, **(env_extra or {}))
     cmd = [sys.executable, "-m", "deformalg", *args]
-    return subprocess.run(cmd, capture_output=True, text=True, env=env)
+    return subprocess.run(cmd, capture_output=True, text=True, env=child_env(**(env_extra or {})))
 
 
 MB_OVERFLOW = ["--case", "macfarlane-biedenharn", "--q", "3.5", "--dim", "600"]
@@ -448,3 +451,63 @@ class TestSeedHandling:
         # entry-point smoke test
         cp = run_module("verify", "--case", "classical", env_extra={"DEFORMALG_SEED": "x"})
         assert cp.returncode == 2
+
+
+# Runs cli.main on its arguments, or only imports the CLI when given none, and
+# reports on stderr's last line whether numpy was loaded.
+STARTUP_PROBE = """
+import sys
+import deformalg.cli
+rc = deformalg.cli.main(sys.argv[1:]) if len(sys.argv) > 1 else 0
+print("numpy loaded:", "numpy" in sys.modules, file=sys.stderr)
+sys.exit(rc)
+"""
+
+
+class TestStartup:
+    @pytest.mark.parametrize(
+        "args,returncode,numpy_free",
+        [
+            ([], 0, True),
+            (["--help"], 0, True),
+            (["verify", "--case", "no-such-case"], 2, True),
+            (GOLDEN_COMMANDS["table_nonlinear.csv"], 0, True),
+            (GOLDEN_COMMANDS["gup_scan_macfarlane_biedenharn.csv"], 0, True),
+            (["gup-scan", "--case", "arik-coon", "--dim", "8", "--q-from", "0.25", "--q-to", "1.75"], 0, True),
+            (["gup-scan", *MB_OVERFLOW, "--n-to", "5"], 2, True),
+            (["verify", "--case", "classical", "--dim", "8"], 0, False),
+            (GOLDEN_COMMANDS["symbolic_lh_x.json"], 0, False),
+        ],
+        ids=["import", "help", "usage-error", "table", "gup-scan", "q-scan", "overflow", "verify", "symbolic"],
+    )
+    def test_only_verify_and_symbolic_load_numpy(self, args, returncode, numpy_free):
+        cmd = [sys.executable, "-c", STARTUP_PROBE, *args]
+        cp = subprocess.run(cmd, capture_output=True, text=True, env=child_env())
+        assert cp.returncode == returncode, cp.stderr
+        if numpy_free:
+            assert cp.stderr.splitlines()[-1] == "numpy loaded: False"
+
+
+class TestLazyExports:
+    def test_every_name_is_its_home_modules_object(self):
+        for name in deformalg.__all__:
+            home = importlib.import_module(f"deformalg.{deformalg._HOMES[name]}")
+            value = getattr(home, name)
+            assert getattr(deformalg, name) is value and deformalg.__getattr__(name) is value, name
+            assert getattr(value, "__module__", home.__name__) == home.__name__, name
+
+    def test_star_import_binds_every_name(self):
+        namespace = {}
+        exec("from deformalg import *", namespace)
+        for name in deformalg.__all__:
+            assert namespace[name] is getattr(deformalg, name), name
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+            deformalg.no_such_name
+        assert not hasattr(deformalg, "no_such_name")
+
+    def test_a_submodule_imports_by_name(self):
+        probe = "from deformalg import fockrep, gup; print(fockrep.__name__, gup.__name__)"
+        cp = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=child_env())
+        assert (cp.returncode, cp.stdout) == (0, "deformalg.fockrep deformalg.gup\n"), cp.stderr

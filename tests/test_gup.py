@@ -377,12 +377,14 @@ class TestCaseBounds:
     @pytest.mark.parametrize("K", representative_cases(), ids=str)
     def test_report_takes_the_moments_once(self, K, monkeypatch):
         calls = []
+        moments = fockrep._moments
 
         def counted(V, xV, pV):
             calls.append(V.shape)
-            return fockrep._moments(V, xV, pV)
+            return moments(V, xV, pV)
 
-        monkeypatch.setattr(gup, "_moments", counted)
+        # gup reads fockrep._moments each time it takes the moments of a state
+        monkeypatch.setattr(fockrep, "_moments", counted)
         D = 12
         rep = build_rep(K, D)
         uncertainty_report(number_state(D, 2), rep, quadratures(rep))
