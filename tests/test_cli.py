@@ -16,6 +16,8 @@ import sys
 from typing import NamedTuple
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from regen_goldens import COMMANDS as GOLDEN_COMMANDS
 from regen_goldens import child_env
 
@@ -437,6 +439,40 @@ class TestDeterminism:
         run_cli("table", "--case", "classical", "--levels", "4", "--out", str(out))
         cp = run_cli("table", "--case", "classical", "--levels", "4")
         assert cp.stdout.encode() == out.read_bytes()
+
+
+# JSON text with the characters json escapes: quotes, backslashes, control and non-ASCII
+JSON_TEXT = st.text(st.characters() | st.sampled_from('"\\/\x00\x08\x1f\n\t\x7f\u00e9\u2028\U0001f600'))
+JSON_PAYLOADS = st.recursive(
+    st.none() | st.booleans() | st.integers() | JSON_TEXT,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(JSON_TEXT, inner, max_size=4),
+    max_leaves=24,
+)
+
+
+class TestRenderJson:
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @given(JSON_PAYLOADS)
+    def test_matches_json_dumps_without_floats(self, payload):
+        assert cli.render_json(payload) == json.dumps(payload, indent=2) + "\n"
+
+    def test_floats_take_seventeen_digits(self):
+        payload = {"zero": -0.0, "steps": (0.1, 1e-300, -2.5), "edges": [float("inf"), float("nan")], "empty": {}}
+        assert cli.render_json(payload) == (
+            "{\n"
+            '  "zero": 0.0000000000000000e+00,\n'
+            '  "steps": [\n'
+            "    1.0000000000000001e-01,\n"
+            "    1.0000000000000000e-300,\n"
+            "    -2.5000000000000000e+00\n"
+            "  ],\n"
+            '  "edges": [\n'
+            "    inf,\n"
+            "    nan\n"
+            "  ],\n"
+            '  "empty": {}\n'
+            "}\n"
+        )
 
 
 class TestSeedHandling:

@@ -56,6 +56,41 @@ def classical():
     return make_case(CaseId.CLASSICAL)
 
 
+class TestReportRecord:
+    """UncertaintyReport is an immutable value, equal and hashed by its fields."""
+
+    FIELDS = (0.5, 0.5, 0.25, 0.25, 0.5, True, 0.0)
+
+    def test_report_is_an_immutable_value(self):
+        report = UncertaintyReport(*self.FIELDS)
+        with pytest.raises(AttributeError):
+            report.product = 1.0
+        same = UncertaintyReport(*self.FIELDS)
+        assert report == same and hash(report) == hash(same) == hash((*self.FIELDS, None, None))
+        assert report != UncertaintyReport(*self.FIELDS, case_bound=0.125, margin_case=0.125)
+
+    def test_report_defaults_and_keywords(self):
+        report = UncertaintyReport(
+            delta_x=0.5,
+            delta_p=0.5,
+            product=0.25,
+            robertson_bound=0.25,
+            square_sum_bound=0.5,
+            square_sum_violated=True,
+            margin_robertson=0.0,
+        )
+        assert report == UncertaintyReport(*self.FIELDS)
+        assert (report.case_bound, report.margin_case) == (None, None)
+
+    def test_report_repr_names_every_field(self):
+        report = UncertaintyReport(*self.FIELDS, case_bound=0.125, margin_case=0.125)
+        assert repr(report) == str(report) == (
+            "UncertaintyReport(delta_x=0.5, delta_p=0.5, product=0.25, robertson_bound=0.25, "
+            "square_sum_bound=0.5, square_sum_violated=True, margin_robertson=0.0, "
+            "case_bound=0.125, margin_case=0.125)"
+        )
+
+
 class TestRobertsonBound:
     def test_classical_number_states(self):
         rep = build_rep(classical(), 12)

@@ -13,6 +13,7 @@ from conftest import ABG_GRID, Q_GRID, catalog_grid, custom_case
 from deformalg import (
     CaseId,
     DefiningRelation,
+    SpectralFunction,
     defining_relation,
     eval_K,
     forward_delta,
@@ -127,6 +128,45 @@ class TestDefiningRelations:
         K = make_case(CaseId.CLASSICAL)
         with pytest.raises(ValueError):
             relation_residual(K, defining_relation(K), 0)
+
+
+class TestRecords:
+    """SpectralFunction and DefiningRelation are immutable values, equal and hashed by their fields."""
+
+    def test_spectral_function_is_an_immutable_value(self):
+        K = make_case(CaseId.ARIK_COON, q=0.7)
+        with pytest.raises(AttributeError):
+            K.q = 0.5
+        same = SpectralFunction(CaseId.ARIK_COON, q=0.7)
+        assert K == same and hash(K) == hash(same) == hash((CaseId.ARIK_COON, 0.7, None, None, None, None))
+        assert K != make_case(CaseId.ARIK_COON, q=0.5)
+
+    def test_spectral_function_defaults_and_keywords(self):
+        K = SpectralFunction(CaseId.CHUNG, 0.7, 2.0, beta=0.5)
+        assert (K.case_id, K.q, K.alpha, K.beta, K.gamma, K.custom_eval) == (CaseId.CHUNG, 0.7, 2.0, 0.5, None, None)
+        assert K == make_case(CaseId.CHUNG, q=0.7, alpha=2.0, beta=0.5)
+        assert SpectralFunction(case_id=CaseId.CLASSICAL) == make_case(CaseId.CLASSICAL)
+
+    def test_spectral_function_repr_hides_custom_eval(self):
+        expected = "SpectralFunction(case_id=<CaseId.ARIK_COON: 'arik-coon'>, q=0.7, alpha=None, beta=None, gamma=None)"
+        assert repr(make_case(CaseId.ARIK_COON, q=0.7)) == expected
+        custom = make_case(CaseId.CUSTOM, custom_eval=lambda n: 2.0 * n)
+        expected = "SpectralFunction(case_id=<CaseId.CUSTOM: 'custom'>, q=None, alpha=None, beta=None, gamma=None)"
+        assert repr(custom) == str(custom) == expected
+
+    def test_defining_relation_is_an_immutable_value(self):
+        def g(n):
+            return 1.0
+
+        rel = DefiningRelation(0.7, g)
+        with pytest.raises(AttributeError):
+            rel.s = 0.5
+        same = DefiningRelation(s=0.7, g=g)
+        assert rel == same and hash(rel) == hash(same) == hash((0.7, g))
+        assert rel != DefiningRelation(0.7, lambda n: 1.0)
+        assert repr(rel) == str(rel) == "DefiningRelation(s=0.7)"
+        with pytest.raises(TypeError):
+            DefiningRelation(0.7)  # g has no default
 
 
 class TestInvariants:
