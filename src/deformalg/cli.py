@@ -7,6 +7,9 @@ Importing this module, parsing the arguments, table and gup-scan load no
 numpy: they read K through spectral's level readers and the number-state
 reports from gup in Python floats.  verify imports fockrep, and symbolic
 fockrep and symorder, when they run, so only these two commands load numpy.
+Nor do they load dataclasses or json: spectral's and gup's records are
+NamedTuples, and json is imported by render_json, which only verify and
+symbolic call.
 
 Output is deterministic byte-for-byte: floats are rendered in scientific
 notation with 17 significant digits, JSON objects keep fixed key order,
@@ -21,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import os
 import sys
@@ -51,30 +53,36 @@ def fmt_float(x: float) -> str:
     return f"{x:.16e}"
 
 
-def _json_text(value, level: int = 0) -> str:
-    pad = "  " * level
-    inner = "  " * (level + 1)
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        rows = [f"{inner}{json.dumps(k)}: {_json_text(v, level + 1)}" for k, v in value.items()]
-        return "{\n" + ",\n".join(rows) + "\n" + pad + "}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        rows = [f"{inner}{_json_text(v, level + 1)}" for v in value]
-        return "[\n" + ",\n".join(rows) + "\n" + pad + "]"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        return fmt_float(value)
-    return json.dumps(value)  # strings and None
-
-
 def render_json(payload: dict) -> str:
-    return _json_text(payload) + "\n"
+    """payload as json.dumps(payload, indent=2) writes it, plus LF, but with every float in fmt_float's form."""
+    import json
+
+    quote = json.encoder.encode_basestring_ascii  # what json.dumps runs on a str by default
+
+    def text(value, newline: str) -> str:
+        # newline is LF and the indent of value's own line
+        if isinstance(value, dict):
+            if not value:
+                return "{}"
+            inner = newline + "  "
+            rows = [f"{quote(k)}: {text(v, inner)}" for k, v in value.items()]
+            return "{" + inner + ("," + inner).join(rows) + newline + "}"
+        if isinstance(value, (list, tuple)):
+            if not value:
+                return "[]"
+            inner = newline + "  "
+            return "[" + inner + ("," + inner).join([text(v, inner) for v in value]) + newline + "]"
+        if isinstance(value, bool):
+            return "true" if value else "false"
+        if isinstance(value, int):
+            return str(value)
+        if isinstance(value, float):
+            return fmt_float(value)
+        if isinstance(value, str):
+            return quote(value)
+        return json.dumps(value)  # None, or json's TypeError
+
+    return text(payload, "\n") + "\n"
 
 
 def render_csv(header: list, rows: list) -> str:

@@ -35,13 +35,14 @@ for q = 0.3).  The other inversions do not saturate.
 
 Number-state reports and the inversions run on Python floats; numpy and
 fockrep are imported only by the functions that take a state vector.
+UncertaintyReport is a NamedTuple, not a dataclass, to keep dataclasses and
+the inspect modules it imports off the start-up path of gup-scan.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .spectral import DEGENERATE_TOL, CaseId, SpectralFunction, _require_finite
 
@@ -63,8 +64,7 @@ __all__ = [
 VIOLATION_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class UncertaintyReport:
+class UncertaintyReport(NamedTuple):
     """Bound evaluations for one state.
 
     margin_robertson = product - robertson_bound (>= -1e-12 always, by

@@ -22,14 +22,15 @@ level that overflows float64 or is NaN raises ValueError
 The table K(0..D+1) of a dimension-D representation also passes _rep_levels.
 Only level_table and relation_residual import numpy, so the table and gup-scan
 commands, which read K through _levels and _rep_levels, start without it.
+SpectralFunction and DefiningRelation are NamedTuples, not dataclasses, to keep
+dataclasses and the inspect modules it imports off the start-up path.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from enum import Enum
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
 if TYPE_CHECKING:
     import numpy as np
@@ -78,8 +79,7 @@ class CaseId(str, Enum):
 _Q_CASES = (CaseId.ARIK_COON, CaseId.MACFARLANE_BIEDENHARN, CaseId.CHUNG, CaseId.BORZOV)
 
 
-@dataclass(frozen=True)
-class SpectralFunction:
+class SpectralFunction(NamedTuple):
     """A deformation case with an evaluable spectral function K.
 
     Immutable; all evaluation is pure, so instances may be shared freely
@@ -91,7 +91,14 @@ class SpectralFunction:
     alpha: Optional[float] = None
     beta: Optional[float] = None
     gamma: Optional[float] = None
-    custom_eval: Optional[Callable[[float], float]] = field(default=None, repr=False)
+    custom_eval: Optional[Callable[[float], float]] = None
+
+    def __repr__(self) -> str:
+        # custom_eval is left out: a function's repr holds its address, and test ids read str(K)
+        return (
+            f"SpectralFunction(case_id={self.case_id!r}, q={self.q!r}, alpha={self.alpha!r}, "
+            f"beta={self.beta!r}, gamma={self.gamma!r})"
+        )
 
     def params(self) -> dict:
         """Present numeric parameters, in fixed (q, alpha, beta, gamma) order."""
@@ -103,12 +110,15 @@ class SpectralFunction:
         return out
 
 
-@dataclass(frozen=True)
-class DefiningRelation:
+class DefiningRelation(NamedTuple):
     """Right-hand data of a defining relation  a a' - s * a'a = g(N)."""
 
     s: float
-    g: Callable[[float], float] = field(repr=False)
+    g: Callable[[float], float]
+
+    def __repr__(self) -> str:
+        # g is left out: a function's repr holds its address
+        return f"DefiningRelation(s={self.s!r})"
 
 
 def _require_finite(**params) -> None:

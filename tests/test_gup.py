@@ -474,7 +474,7 @@ def oracle_report(state, rep, quads):
 def fields(report, exact_bits=False):
     """The report's fields, floats as their bytes when exact_bits, NaN as one marker otherwise."""
     out = []
-    for value in vars(report).values():
+    for value in report._asdict().values():
         if isinstance(value, float):
             value = np.float64(value).tobytes() if exact_bits else ("nan" if math.isnan(value) else value)
         out.append(value)
