@@ -13,8 +13,8 @@ from deformalg import (
     nf_to_matrix,
     normal_order,
     parse_expr,
+    verify_window,
 )
-from deformalg.fockrep import scaled_max_residual
 from deformalg.symorder import BUILTIN_IDENTITIES, parse_identity
 
 
@@ -49,10 +49,8 @@ def main():
     print("\nbuiltin identities against the matrix oracle (D = 16, window margin 3):")
     for name, identity in BUILTIN_IDENTITIES.items():
         lhs, rhs = parse_identity(identity)
-        residual = scaled_max_residual(
-            expr_to_matrix(lhs, K, 16), expr_to_matrix(rhs, K, 16), margin=3
-        )
-        print(f"  {name}: matrix residual {residual:.3e}")
+        report = verify_window(expr_to_matrix(lhs, K, 16), expr_to_matrix(rhs, K, 16), margin=3)
+        print(f"  {name}: matrix residual {report.max_abs_residual:.3e}")
 
     print("\nnormal-ordered realizations are exact where truncation is not:")
     D = 10

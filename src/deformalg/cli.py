@@ -11,9 +11,10 @@ Nor do they load dataclasses or json: spectral's and gup's records are
 NamedTuples, and json is imported by render_json, which only verify and
 symbolic call.
 
-Output is deterministic byte-for-byte: floats are rendered in scientific
-notation with 17 significant digits, JSON objects keep fixed key order,
-and lines end with LF.  Exit codes: 0 all checks passed, 1 at least one
+Output is deterministic byte-for-byte: finite floats are rendered in
+scientific notation with 17 significant digits (JSON writes NaN and the
+infinities as json.dumps does), JSON objects keep fixed key order, and
+lines end with LF.  Exit codes: 0 all checks passed, 1 at least one
 check failed, 2 usage or parameter error.
 
 The random-state seed defaults to --seed and is overridden by the
@@ -31,7 +32,7 @@ from typing import Optional
 
 from . import gup
 from .spectral import DEFAULT_DIM, DEFAULT_MARGIN, DEFAULT_TOL, CaseId, SpectralFunction, make_case
-from .spectral import _levels, _rep_levels
+from .spectral import _levels
 
 __all__ = ["main"]
 
@@ -54,7 +55,10 @@ def fmt_float(x: float) -> str:
 
 
 def render_json(payload: dict) -> str:
-    """payload as json.dumps(payload, indent=2) writes it, plus LF, but with every float in fmt_float's form."""
+    """payload as json.dumps(payload, indent=2) writes it, plus LF, but with every finite float in fmt_float's form.
+
+    A NaN or infinite float is written as json.dumps writes it: NaN, Infinity or -Infinity.
+    """
     import json
 
     quote = json.encoder.encode_basestring_ascii  # what json.dumps runs on a str by default
@@ -76,11 +80,11 @@ def render_json(payload: dict) -> str:
             return "true" if value else "false"
         if isinstance(value, int):
             return str(value)
-        if isinstance(value, float):
+        if isinstance(value, float) and math.isfinite(value):
             return fmt_float(value)
         if isinstance(value, str):
             return quote(value)
-        return json.dumps(value)  # None, or json's TypeError
+        return json.dumps(value)  # None, a non-finite float, or json's TypeError
 
     return text(payload, "\n") + "\n"
 
@@ -248,7 +252,7 @@ def cmd_gup_scan(args, seed: int) -> int:
             if not qi > 0:
                 raise UsageError(f"q grid point {qi} is not positive")
             grid.append(make_case(K.case_id, q=qi, alpha=K.alpha, beta=K.beta, gamma=K.gamma))
-        reports = [gup._level_reports(Ki, _rep_levels(Ki, args.dim), [n_fixed])[0] for Ki in grid]
+        reports = [gup.number_state_reports(Ki, args.dim, [n_fixed])[0] for Ki in grid]
         rows = _scan_rows([_case_columns(Ki) for Ki in grid], [n_fixed] * len(grid), reports)
     else:
         K = _case_from_args(args)
@@ -259,7 +263,7 @@ def cmd_gup_scan(args, seed: int) -> int:
         if n_to > n_cap:
             raise UsageError(f"--n-to {n_to} exceeds dim - 1 - margin = {n_cap}")
         levels = range(n_from, n_to + 1)
-        reports = gup._level_reports(K, _rep_levels(K, args.dim), levels)
+        reports = gup.number_state_reports(K, args.dim, levels)
         rows = _scan_rows([_case_columns(K)] * len(levels), levels, reports)
     _emit(render_csv(_SCAN_HEADER, rows), args.out)
     return 0
@@ -295,8 +299,7 @@ def cmd_symbolic(args, seed: int) -> int:
         mat_r = symorder.expr_to_matrix(rhs, K, args.dim, memo=bands)
     except (symorder.ExprSyntaxError, ValueError, ZeroDivisionError, OverflowError) as exc:
         raise UsageError(str(exc)) from exc
-    residual = fockrep.scaled_max_residual(mat_l, mat_r, args.margin)
-    matrix_pass = residual <= args.tol
+    matrix = fockrep.verify_window(mat_l, mat_r, margin=args.margin, tol=args.tol)
     payload = {
         "case": K.case_id.value,
         "params": {k: v for k, v in K.params().items()},
@@ -308,15 +311,15 @@ def cmd_symbolic(args, seed: int) -> int:
             "grid_max": nf_report.window - 1,
         },
         "matrix_oracle": {
-            "pass": matrix_pass,
-            "max_abs_residual": residual,
+            "pass": matrix.passed,
+            "max_abs_residual": matrix.max_abs_residual,
             "D": args.dim,
-            "window": args.dim - args.margin,
+            "window": matrix.window,
         },
-        "pass": nf_report.passed and matrix_pass,
+        "pass": nf_report.passed and matrix.passed,
     }
     _emit(render_json(payload), args.out)
-    return 0 if (nf_report.passed and matrix_pass) else 1
+    return 0 if payload["pass"] else 1
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,9 @@ Robertson bound
 
 which for a deformed oscillator equals <K(N+1) - K(N)>/4 on diagonal
 states; uncertainty_report evaluates it from the moments of the state, and
-number_state_reports reads it for number states |n> from the finite level
-table alone, with the float operations the moments of |n> would perform.
+number_state_reports(K, D, levels) reads it for number states |n> from the
+checked level table K(0..D+1) alone, with the float operations the moments
+of |n> would perform.
 Alongside it, reports carry a quadratic diagnostic
 
     (<K(N)>^2 + <K(N+1)>^2) / 4
@@ -44,7 +45,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
-from .spectral import DEGENERATE_TOL, CaseId, SpectralFunction, _require_finite
+from .spectral import DEGENERATE_TOL, CaseId, SpectralFunction, _rep_levels, _require_finite
 
 if TYPE_CHECKING:
     from .fockrep import FockRep, QuadratureSet, StateVector
@@ -110,36 +111,29 @@ def uncertainty_report(state: StateVector, rep: FockRep, quads: QuadratureSet) -
     return _report(dx, dp, product, robertson, square_sum_bound(state, rep), bound)
 
 
-def number_state_reports(rep: FockRep, levels) -> list:
-    """The report of each number state |n>, n in levels, in the order given.
+def number_state_reports(K: SpectralFunction, D: int, levels) -> list:
+    """The reports of the number states |n>, n in levels, of K's dimension-D representation, in order.
 
-    Report k equals uncertainty_report(number_state(rep.D, n_k), rep,
-    quadratures(rep)) bit for bit, read from the level table alone.
-    """
-    return _level_reports(rep.K, rep.levels.tolist(), levels)
-
-
-def _level_reports(spectrum: SpectralFunction, K: list, levels) -> list:
-    """number_state_reports from the level list K = K(0..D+1) of spectrum's representation.
-
-    The levels are finite and non-negative below D, as spectral._rep_levels
-    checks.  x|n> and p|n> hold a = sqrt(K(n))/2 at level n-1 and
-    b = sqrt(K(n+1))/2 at level n+1, so dx^2 = dp^2 = a^2 + b^2,
+    Each equals uncertainty_report(number_state(D, n), rep, quadratures(rep))
+    for rep = build_rep(K, D), bit for bit, read from the levels
+    k = K(0..D+1) alone, which spectral._rep_levels evaluates and checks as
+    build_rep does.  x|n> and p|n> hold a = sqrt(k[n])/2 at level n-1 and
+    b = sqrt(k[n+1])/2 at level n+1, so dx^2 = dp^2 = a^2 + b^2,
     |<[x, p]>|/2 = |b^2 - a^2| and <(x^2 + p^2)^2> = (2(a^2 + b^2))^2: the
     float operations of the moments of |n>, whose other terms are exact zeros.
     """
-    D = len(K) - 2
-    form = _bound_form(spectrum)
+    k = _rep_levels(K, D)
+    form = _bound_form(K)
     reports = []
     for n in levels:
         if not 0 <= n < D:
             raise ValueError(f"level {n} outside 0..{D - 1}")
-        a = 0.5 * math.sqrt(K[n]) if n > 0 else 0.0
-        b = 0.5 * math.sqrt(K[n + 1]) if n < D - 1 else 0.0
+        a = 0.5 * math.sqrt(k[n]) if n > 0 else 0.0
+        b = 0.5 * math.sqrt(k[n + 1]) if n < D - 1 else 0.0
         s = a * a + b * b
         dx, robertson, fourth = math.sqrt(s), abs(b * b - a * a), (s + s) * (s + s)
         bound = None if form is None else form(dx, dx, fourth)
-        reports.append(_report(dx, dx, dx * dx, robertson, 0.25 * (K[n] * K[n] + K[n + 1] * K[n + 1]), bound))
+        reports.append(_report(dx, dx, dx * dx, robertson, 0.25 * (k[n] * k[n] + k[n + 1] * k[n + 1]), bound))
     return reports
 
 

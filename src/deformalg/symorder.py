@@ -689,9 +689,9 @@ def nf_equal(
 
     For d < 0 the levels n < |d| are skipped (the ladder action vanishes
     there, so the coefficients are unconstrained).  The reported deviation
-    is normalized per grid point by max(1, |lhs|, |rhs|); a NaN deviation
-    anywhere is reported and fails.  One level table serves both sides, so
-    no level is evaluated twice.
+    is normalized per grid point by max(1, |lhs|, |rhs|); a NaN or inf
+    deviation anywhere is reported and fails, by IdentityReport.judge's
+    rule.  One level table serves both sides, so no level is evaluated twice.
     """
     if lhs.K != rhs.K:
         raise ValueError("nf_equal compares normal forms of one spectral function")
@@ -706,13 +706,7 @@ def nf_equal(
         deviations.append(np.abs(vl - vr) / np.maximum(np.maximum(1.0, np.abs(vl)), np.abs(vr)))
     # np.max propagates NaN, where max() would drop it and pass the check
     worst = float(np.max(np.concatenate(deviations), initial=0.0))
-    return IdentityReport(
-        name="normal-form equality",
-        window=GRID_MAX + 1,
-        max_abs_residual=worst,
-        tol=tol,
-        passed=math.isfinite(worst) and worst <= tol,
-    )
+    return IdentityReport.judge("normal-form equality", GRID_MAX + 1, worst, tol)
 
 
 def nf_to_matrix(nf: NormalForm, D: int) -> Band:

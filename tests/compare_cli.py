@@ -21,7 +21,9 @@ differently, full-range gup-scans on the six cases at D = 8, 65, 129 and
 D = 300, a one-step q-scan,
 macfarlane-biedenharn scans at q = 3.5 whose fourth moments overflow, calls
 in every command whose level tables overflow float64, by an OverflowError or
-by rounding to inf, each a parameter error (exit 2), calls in every command
+by rounding to inf, each a parameter error (exit 2), verify runs in JSON
+and CSV whose finite level tables overflow in the band products (NaN
+residual rows, exit 1), calls in every command
 at q below 2^-54, q-scans with and without --q, with an --n-to and with an
 infinite --q-to, a set of usage errors (among them q-scans given only one
 of --q-from and --q-to), and symbolic
@@ -143,6 +145,16 @@ OVERFLOW_CALLS = [
     ["symbolic", *NONLINEAR_INF, "--check", "comm_xp"],
 ]
 
+# finite level tables whose band products overflow: NaN residual rows, exit 1
+NAN_RESIDUAL_CALLS = [
+    ["verify", *case, *fmt]
+    for case in (
+        ["--case", "chung", "--q", "10", "--alpha", "2", "--beta", "280", "--dim", "8"],
+        ["--case", "macfarlane-biedenharn", "--q", "3", "--dim", "600"],
+    )
+    for fmt in (["--format", "csv"], [])
+]
+
 # q below 2^-54, where q - 1.0 rounds to -1.0
 TINY_Q_CALLS = [
     ["table", "--case", "arik-coon", "--q", "1e-300", "--levels", "3"],
@@ -241,7 +253,7 @@ def call_list() -> dict:
     sweep = ["verify", "--case", "arik-coon", "--q", "0.7"]
     argvs += [sweep + ["--dim", "4", "--margin", margin] for margin in ("1", "3")]
     argvs += [sweep + ["--dim", dim] for dim in ("41", "257", "4096")]
-    argvs += USAGE_ERRORS + EDGE_CALLS + Q_SCAN_CALLS + OVERFLOW_CALLS + TINY_Q_CALLS
+    argvs += USAGE_ERRORS + EDGE_CALLS + Q_SCAN_CALLS + OVERFLOW_CALLS + NAN_RESIDUAL_CALLS + TINY_Q_CALLS
     return {shlex.join(argv): argv for argv in argvs}
 
 

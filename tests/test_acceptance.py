@@ -58,7 +58,6 @@ from deformalg import (
     uncertainty_product,
     uncertainty_report,
 )
-from deformalg.fockrep import scaled_max_residual
 from test_gup import SYMMETRIC_BOUND_MARGINS
 
 D = 32
@@ -317,15 +316,13 @@ def test_criterion_08_symbolic_numeric_oracle():
             margin = len(word.factors)
             realized = nf_to_matrix(normal_order(word, K), D_words)
             direct = expr_to_matrix(word, K, D_words)
-            residual = scaled_max_residual(realized, direct, margin=margin)
-            if residual > 1e-9:
-                failures.append(f"{case_label(K)} word {word}: {residual:.2e}")
+            worst = residual(realized, direct, margin=margin)
+            if worst > 1e-9:
+                failures.append(f"{case_label(K)} word {word}: {worst:.2e}")
         for name, identity in BUILTIN_IDENTITIES.items():
             lhs, rhs = parse_identity(identity)
             nf_report = nf_equal(normal_order(lhs, K), normal_order(rhs, K), tol=1e-10)
-            mat = scaled_max_residual(
-                expr_to_matrix(lhs, K, D), expr_to_matrix(rhs, K, D), MARGIN
-            )
+            mat = residual(expr_to_matrix(lhs, K, D), expr_to_matrix(rhs, K, D), MARGIN)
             if not nf_report.passed or mat > WINDOW_TOL:
                 failures.append(f"{case_label(K)} builtin {name}")
     finish(8, "symbolic-numeric oracle (200 words + builtins per case)", failures)

@@ -9,10 +9,12 @@ import contextlib
 import importlib
 import io
 import json
+import math
 import os
 import pathlib
 import subprocess
 import sys
+import warnings
 from typing import NamedTuple
 
 import pytest
@@ -142,7 +144,7 @@ class TestExitCodes:
     @pytest.mark.xfail(
         strict=True,
         reason="the normal form matches with deviation 0.0, but the matrix oracle reports "
-        "1.89e-10 > 1e-10: scaled_max_residual divides by max(1, |A|, |B|), both sides are "
+        "1.89e-10 > 1e-10: verify_window divides by max(1, |A|, |B|), both sides are "
         "about 0, and the rounding of the cancelled products N@ad - ad@N - ad is not scaled "
         "by the size of those products",
     )
@@ -467,12 +469,46 @@ class TestRenderJson:
             "    -2.5000000000000000e+00\n"
             "  ],\n"
             '  "edges": [\n'
-            "    inf,\n"
-            "    nan\n"
+            "    Infinity,\n"
+            "    NaN\n"
             "  ],\n"
             '  "empty": {}\n'
             "}\n"
         )
+
+    def test_non_finite_floats_as_json_dumps_writes_them(self):
+        payload = {"edges": [float("inf"), -float("inf"), float("nan")], "one": float("nan")}
+        assert cli.render_json(payload) == json.dumps(payload, indent=2) + "\n"
+
+
+# finite level tables whose band products overflow: their residual rows are NaN
+NAN_RESIDUALS = {
+    "chung": ["--case", "chung", "--q", "10", "--alpha", "2", "--beta", "280", "--dim", "8"],
+    "macfarlane-biedenharn": ["--case", "macfarlane-biedenharn", "--q", "3", "--dim", "600"],
+}
+
+
+class TestNonFiniteResiduals:
+    @pytest.mark.parametrize("case_args", NAN_RESIDUALS.values(), ids=NAN_RESIDUALS)
+    def test_json_parses_and_the_nan_rows_fail(self, case_args):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cp = run_cli("verify", *case_args)
+        assert (cp.returncode, cp.stderr) == (1, "")
+        payload = json.loads(cp.stdout)
+        nan_rows = [c for c in payload["checks"] if math.isnan(c["max_abs_residual"])]
+        assert nan_rows and not any(c["pass"] for c in nan_rows)
+        assert payload["pass"] is False
+
+    @pytest.mark.parametrize("case_args", NAN_RESIDUALS.values(), ids=NAN_RESIDUALS)
+    def test_csv_keeps_nan_and_fails_the_rows(self, case_args):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cp = run_cli("verify", *case_args, "--format", "csv")
+        assert (cp.returncode, cp.stderr) == (1, "")
+        rows = [line.split(",") for line in cp.stdout.splitlines()[1:]]
+        nan_rows = [row for row in rows if row[7] == "nan"]
+        assert nan_rows and all(row[9] == "false" for row in nan_rows)
 
 
 class TestSeedHandling:

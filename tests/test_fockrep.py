@@ -27,7 +27,7 @@ from deformalg import (
     verify_window,
 )
 from deformalg import fockrep
-from deformalg.fockrep import run_verify_checks, scaled_max_residual
+from deformalg.fockrep import run_verify_checks
 
 
 def classical():
@@ -54,8 +54,8 @@ class TestBuildRep:
     def test_number_commutators_exact(self):
         for K in representative_cases():
             rep = build_rep(K, 10)
-            assert scaled_max_residual(commutator(rep.mat_N, rep.mat_ad), rep.mat_ad) <= 1e-14
-            assert scaled_max_residual(commutator(rep.mat_N, rep.mat_a), -rep.mat_a) <= 1e-14
+            assert residual(commutator(rep.mat_N, rep.mat_ad), rep.mat_ad) <= 1e-14
+            assert residual(commutator(rep.mat_N, rep.mat_a), -rep.mat_a) <= 1e-14
 
     def test_vacuum_annihilated_exactly(self):
         rep = build_rep(make_case(CaseId.ARIK_COON, q=0.7), 8)
@@ -300,8 +300,21 @@ class TestWindowedIdentities:
         closed = Band.diagonal(0.5j * q ** np.arange(D))
         report = verify_window(quads.mat_xp, closed, margin=0, tol=1e-14)
         assert report.window == D
-        assert report.max_abs_residual == scaled_max_residual(quads.mat_xp, closed, 0)
-        assert report.max_abs_residual > scaled_max_residual(quads.mat_xp, closed, 1)
+        assert report.max_abs_residual == residual(quads.mat_xp, closed, 0)
+        assert report.max_abs_residual > residual(quads.mat_xp, closed, 1)
+
+    def test_verify_window_fails_an_infinite_residual_at_an_infinite_tol(self):
+        A, B = Band.diagonal([1e308, 0, 0, 0]), Band.diagonal([-1e308, 0, 0, 0])
+        with np.errstate(over="ignore"):
+            report = verify_window(A, B, margin=0, tol=math.inf)
+        assert report.max_abs_residual == math.inf
+        assert report.passed is False
+
+    @pytest.mark.parametrize(
+        "worst, passed", [(0.0, True), (1e308, True), (math.inf, False), (-math.inf, False), (math.nan, False)]
+    )
+    def test_one_verdict_rule_passes_only_finite_residuals(self, worst, passed):
+        assert fockrep.IdentityReport.judge("rule", 4, worst, math.inf).passed is passed
 
 
 class TestStates:

@@ -497,7 +497,7 @@ class TestNumberStateReports:
 
     @staticmethod
     def assert_match(rep, levels):
-        reports = number_state_reports(rep, levels)
+        reports = number_state_reports(rep.K, rep.D, levels)
         assert len(reports) == len(levels)
         quads = quadratures(rep)
         for n, report in zip(levels, reports):
@@ -521,7 +521,7 @@ class TestNumberStateReports:
         with warnings.catch_warnings():
             # np.vdot and Python floats overflow silently, so the level-table path does too
             warnings.simplefilter("error")
-            top = number_state_reports(rep, [295, 296])[1]
+            top = number_state_reports(K, 300, [295, 296])[1]
         assert top.case_bound == math.inf and top.square_sum_bound == math.inf
 
     def test_finite_levels_whose_sum_overflows(self):
@@ -532,10 +532,16 @@ class TestNumberStateReports:
             self.assert_match(rep, list(range(8)))
 
     def test_levels_outside_the_representation_are_rejected(self):
-        rep = build_rep(classical(), 8)
         with pytest.raises(ValueError, match="level 8 outside 0..7"):
-            number_state_reports(rep, [0, 8])
-        assert number_state_reports(rep, []) == []
+            number_state_reports(classical(), 8, [0, 8])
+        assert number_state_reports(classical(), 8, []) == []
+
+    def test_the_representation_rule_of_build_rep_applies(self):
+        with pytest.raises(ValueError, match="dimension must be >= 4"):
+            number_state_reports(classical(), 3, [0])
+        negative = make_case(CaseId.CUSTOM, custom_eval=lambda n: -1.0 if n == 2 else n)
+        with pytest.raises(ValueError, match=r"K\(2\) = -1.0: levels must be finite"):
+            number_state_reports(negative, 8, [0])
 
     @pytest.mark.parametrize("K", representative_cases(), ids=str)
     def test_single_states_keep_their_bits(self, K):
