@@ -203,21 +203,17 @@ _SCAN_HEADER = [
 
 def _scan_rows(bases: list, levels, reports: list) -> list:
     """One row per report: the case columns of its representation, its level and its values."""
-    return [
-        base
-        + [
-            str(n),
-            fmt_float(report.delta_x),
-            fmt_float(report.delta_p),
-            fmt_float(report.product),
-            fmt_float(report.robertson_bound),
-            fmt_float(report.case_bound) if report.case_bound is not None else "",
-            fmt_float(report.square_sum_bound),
-            fmt_float(report.margin_robertson),
-            fmt_float(report.margin_case) if report.margin_case is not None else "",
-        ]
-        for base, n, report in zip(bases, levels, reports)
-    ]
+    rows = []
+    for base, n, r in zip(bases, levels, reports):
+        dx = fmt_float(r.delta_x)
+        # a number state has dp == dx, and equal floats format alike (fmt_float normalizes -0.0)
+        dp = dx if r.delta_p == r.delta_x else fmt_float(r.delta_p)
+        rows.append(base + [
+            str(n), dx, dp, fmt_float(r.product), fmt_float(r.robertson_bound),
+            "" if r.case_bound is None else fmt_float(r.case_bound), fmt_float(r.square_sum_bound),
+            fmt_float(r.margin_robertson), "" if r.margin_case is None else fmt_float(r.margin_case),
+        ])
+    return rows
 
 
 def cmd_gup_scan(args, seed: int) -> int:
@@ -270,6 +266,8 @@ def cmd_gup_scan(args, seed: int) -> int:
 
 
 def cmd_symbolic(args, seed: int) -> int:
+    import numpy as np
+
     from . import fockrep, symorder
 
     _validate_geometry(args)
@@ -295,11 +293,14 @@ def cmd_symbolic(args, seed: int) -> int:
         nf_l = symorder.normal_order(lhs, K, memo=forms)
         nf_r = symorder.normal_order(rhs, K, memo=forms)
         nf_report = symorder.nf_equal(nf_l, nf_r, tol=args.tol)
-        mat_l = symorder.expr_to_matrix(lhs, K, args.dim, memo=bands)
-        mat_r = symorder.expr_to_matrix(rhs, K, args.dim, memo=bands)
+        # as in run_verify_checks, band products that overflow read as NaN residuals, without numpy warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            mat_l = symorder.expr_to_matrix(lhs, K, args.dim, memo=bands)
+            mat_r = symorder.expr_to_matrix(rhs, K, args.dim, memo=bands)
     except (symorder.ExprSyntaxError, ValueError, ZeroDivisionError, OverflowError) as exc:
         raise UsageError(str(exc)) from exc
-    matrix = fockrep.verify_window(mat_l, mat_r, margin=args.margin, tol=args.tol)
+    with np.errstate(over="ignore", invalid="ignore"):
+        matrix = fockrep.verify_window(mat_l, mat_r, margin=args.margin, tol=args.tol)
     payload = {
         "case": K.case_id.value,
         "params": {k: v for k, v in K.params().items()},

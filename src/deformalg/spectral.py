@@ -19,6 +19,9 @@ Every K value this module returns, through eval_K, level_table,
 forward_delta or hamiltonian_eigenvalue, passes one finiteness rule: a
 level that overflows float64 or is NaN raises ValueError
 `K(n) of case ... overflows float64` or `K(n) of case ... is not finite`.
+They read K through _levels, which makes one call of the closed form per
+table and evaluates each level once, except after an OverflowError, when
+it evaluates the levels again one by one to name the level that raised.
 The table K(0..D+1) of a dimension-D representation also passes _rep_levels.
 Only level_table and relation_residual import numpy, so the table and gup-scan
 commands, which read K through _levels and _rep_levels, start without it.
@@ -30,7 +33,7 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Optional
 
 if TYPE_CHECKING:
     import numpy as np
@@ -158,7 +161,7 @@ def make_case(
 
     Raises ValueError on out-of-domain or non-finite parameters.
     """
-    case = CaseId(case_id)
+    case = case_id if isinstance(case_id, CaseId) else CaseId(case_id)
     _require_finite(q=q, alpha=alpha, beta=beta, gamma=gamma)
 
     if case is CaseId.CLASSICAL:
@@ -211,78 +214,83 @@ def eval_K(K: SpectralFunction, n: float) -> float:
     return _levels(K, (n,))[0]
 
 
-def _closed_form(K: SpectralFunction) -> Callable[[float], float]:
-    """K's closed form as a function of the level, its branch and constants resolved once.
+def _closed_form(K: SpectralFunction) -> Callable[[Iterable[float]], list]:
+    """K's closed form as a function of a level sequence, its branch and constants resolved once.
 
-    Each constant is the value the expression would compute in place, so
-    every level keeps its bits.
+    Each branch builds the list of K at every level in one expression.  Each
+    constant is the value the expression would compute in place, so every level keeps its bits.
     """
     case = K.case_id
     if case is CaseId.CLASSICAL:
-        return float
+        return lambda ns: list(map(float, ns))
 
     if case is CaseId.CUSTOM:
         custom = K.custom_eval
-        return lambda n: float(custom(n))
+        return lambda ns: [float(custom(n)) for n in ns]
 
     if case is CaseId.NONLINEAR:
         al, be = K.alpha, K.beta
-        return lambda n: al * n * n + be * n
+        return lambda ns: [al * n * n + be * n for n in ns]
 
     q = K.q
     if abs(q - 1.0) <= DEGENERATE_TOL:
-        return float
+        return lambda ns: list(map(float, ns))
+    # away from q = 1 the one-base brackets take the direct powers and need no log q
+    if case is CaseId.ARIK_COON and abs(q - 1.0) >= NEAR_SINGULAR:
+        qm1 = q - 1.0
+        return lambda ns: [(q**n - 1.0) / qm1 for n in ns]
+    if case is CaseId.MACFARLANE_BIEDENHARN and abs(q - 1.0) >= NEAR_SINGULAR:
+        bracket = q - 1.0 / q
+        return lambda ns: [(q**n - q**-n) / bracket for n in ns]
     # q - 1.0 rounds to -1.0 below 2^-54, where log1p(-1) raises
     d = math.log1p(q - 1.0) if q - 1.0 != -1.0 else math.log(q)
-
     if case is CaseId.ARIK_COON:
-        if abs(q - 1.0) < NEAR_SINGULAR:
-            em1 = math.expm1(d)
-            return lambda n: math.expm1(n * d) / em1
-        qm1 = q - 1.0
-        return lambda n: (q**n - 1.0) / qm1
-
+        em1 = math.expm1(d)
+        return lambda ns: [math.expm1(n * d) / em1 for n in ns]
     if case is CaseId.MACFARLANE_BIEDENHARN:
-        if abs(q - 1.0) < NEAR_SINGULAR:
-            sh = math.sinh(d)
-            return lambda n: math.sinh(n * d) / sh
-        bracket = q - 1.0 / q
-        return lambda n: (q**n - q**-n) / bracket
+        sh = math.sinh(d)
+        return lambda ns: [math.sinh(n * d) / sh for n in ns]
 
     if case is CaseId.CHUNG:
         a, b = K.alpha, K.beta
         if abs(a - 1.0) <= DEGENERATE_TOL:
-            return lambda n: n * q ** (n - 1.0 + b)
+            return lambda ns: [n * q ** (n - 1.0 + b) for n in ns]
         if abs((a - 1.0) * d) < NEAR_SINGULAR:
             em1 = math.expm1((a - 1.0) * d)
-            return lambda n: q ** (b + n - 1.0) * math.expm1((a - 1.0) * n * d) / em1
+            return lambda ns: [q ** (b + n - 1.0) * math.expm1((a - 1.0) * n * d) / em1 for n in ns]
         qb, den = q**b, q**a - q
-        return lambda n: qb * (q ** (a * n) - q**n) / den
+        return lambda ns: [qb * (q ** (a * n) - q**n) / den for n in ns]
 
     # Borzov family
     a, b, g = K.alpha, K.beta, K.gamma
     if abs(a - g) <= DEGENERATE_TOL:
-        return lambda n: n * q ** (g * (n - 1.0) + b)
+        return lambda ns: [n * q ** (g * (n - 1.0) + b) for n in ns]
     if abs((a - g) * d) < NEAR_SINGULAR:
         em1 = math.expm1((a - g) * d)
-        return lambda n: q ** (b + g * (n - 1.0)) * math.expm1((a - g) * n * d) / em1
+        return lambda ns: [q ** (b + g * (n - 1.0)) * math.expm1((a - g) * n * d) / em1 for n in ns]
     qb, den = q**b, q**a - q**g
-    return lambda n: qb * (q ** (a * n) - q ** (g * n)) / den
+    return lambda ns: [qb * (q ** (a * n) - q ** (g * n)) / den for n in ns]
 
 
 def _levels(K: SpectralFunction, ns) -> list:
-    """K at each n of ns, in order, from one closed form.
+    """K at each n of ns, in order, from one call of the closed form.
 
     The one reader behind every K value this module returns; raises
-    level_table's ValueError at the first level that is not finite.
+    level_table's ValueError at the first level that is not finite.  Each
+    level is evaluated once, except after an OverflowError, when the levels
+    are evaluated again one by one only to name the level that raised.
     """
     form = _closed_form(K)
-    values = []
     try:
-        for n in ns:
-            values.append(form(n))
+        values = form(ns)
     except OverflowError:
-        values.append(math.inf)  # stands for the level that raised
+        values = []
+        for n in ns:
+            try:
+                values.append(form((n,))[0])
+            except OverflowError:
+                values.append(math.inf)  # stands for the level that raised
+                break
     # a finite sum means finite levels; one that overflows only costs the search
     if not math.isfinite(sum(values)):
         for n, k in zip(ns, values):
@@ -295,7 +303,9 @@ def _levels(K: SpectralFunction, ns) -> list:
 
 
 def level_table(K: SpectralFunction, lo: int, hi: int) -> np.ndarray:
-    """K(lo..hi) as a float array, each level evaluated once (empty when hi < lo).
+    """K(lo..hi) as a float array, from one call of the closed form (empty when hi < lo).
+
+    Each level is evaluated once, except in the search after an OverflowError.
 
     Raises ValueError naming the case and the first level where K is not
     finite: `K(n) of case ... overflows float64` when the closed form raises
@@ -312,16 +322,18 @@ def _rep_levels(K: SpectralFunction, D: int, values: Optional[list] = None) -> l
 
     The one representation-level rule: D >= 4, since smaller dimensions leave
     no verification window, and D + 2 levels, finite, and >= 0 below D.  The
-    levels are evaluated through level_table's reader unless given as values.
+    levels are evaluated through level_table's reader, which has found them
+    finite, unless given as values, whose sum is checked instead.
     """
     if D < 4:
         raise ValueError(f"representation dimension must be >= 4, got {D}")
-    if values is None:
+    found_finite = values is None
+    if found_finite:
         values = _levels(K, range(D + 2))
     if len(values) != D + 2:
         raise ValueError(f"levels must be K(0..{D + 1}), got {len(values)} values")
-    # a finite sum and a non-negative minimum mean valid levels; anything else costs the search
-    if not math.isfinite(sum(values)) or min(values[:D]) < 0.0:
+    # finite levels with a non-negative minimum are valid; anything else costs the search
+    if not (found_finite or math.isfinite(sum(values))) or min(values[:D]) < 0.0:
         for n, value in enumerate(values):
             if not (math.isfinite(value) and (value >= 0.0 or n >= D)):
                 raise ValueError(f"K({n}) = {value}: levels must be finite, and >= 0 below D = {D}")

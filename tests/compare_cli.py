@@ -23,9 +23,10 @@ macfarlane-biedenharn scans at q = 3.5 whose fourth moments overflow, calls
 in every command whose level tables overflow float64, by an OverflowError or
 by rounding to inf, each a parameter error (exit 2), verify runs in JSON
 and CSV whose finite level tables overflow in the band products (NaN
-residual rows, exit 1), calls in every command
-at q below 2^-54, q-scans with and without --q, with an --n-to and with an
-infinite --q-to, a set of usage errors (among them q-scans given only one
+residual rows, exit 1), a symbolic call whose matrix oracle overflows
+the same way, calls in every command at q below 2^-54, chung and borzov
+tables at q = 1e-300 whose levels underflow to 0, q-scans with and
+without --q, with an --n-to and with an infinite --q-to, a set of usage errors (among them q-scans given only one
 of --q-from and --q-to), and symbolic
 calls through every node kind and error path of the expression evaluator,
 identities that reuse a subterm, sign runs and product and quotient chains
@@ -153,6 +154,9 @@ NAN_RESIDUAL_CALLS = [
         ["--case", "macfarlane-biedenharn", "--q", "3", "--dim", "600"],
     )
     for fmt in (["--format", "csv"], [])
+] + [
+    # the symbolic matrix oracle's band products overflow too
+    ["symbolic", "--case", "macfarlane-biedenharn", "--q", "3", "--dim", "600", "--check", "lh_x"],
 ]
 
 # q below 2^-54, where q - 1.0 rounds to -1.0
@@ -163,6 +167,9 @@ TINY_Q_CALLS = [
     ["gup-scan", "--case", "arik-coon", "--q-from", "1e-320", "--q-to", "0.5", "--q-steps", "3", "--dim", "8"],
     # K(2) = (q^2 - q^-2)/(q - 1/q): q^-2 overflows float64
     ["table", "--case", "macfarlane-biedenharn", "--q", "1e-200", "--levels", "3"],
+    # K underflows to 0 at every level, though K(1) = q is representable
+    ["table", "--case", "chung", "--q", "1e-300", "--alpha", "2", "--beta", "1", "--levels", "3"],
+    ["table", "--case", "borzov", "--q", "1e-300", "--alpha", "2", "--beta", "0", "--gamma", "1", "--levels", "3"],
 ]
 
 # Runs inside the tree given as argv[1]: the labelled calls arrive on stdin as

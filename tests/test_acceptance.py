@@ -317,15 +317,27 @@ def test_criterion_08_symbolic_numeric_oracle():
             realized = nf_to_matrix(normal_order(word, K), D_words)
             direct = expr_to_matrix(word, K, D_words)
             worst = residual(realized, direct, margin=margin)
-            if worst > 1e-9:
+            if not (worst <= 1e-9):  # negated so that a NaN residual fails
                 failures.append(f"{case_label(K)} word {word}: {worst:.2e}")
         for name, identity in BUILTIN_IDENTITIES.items():
             lhs, rhs = parse_identity(identity)
             nf_report = nf_equal(normal_order(lhs, K), normal_order(rhs, K), tol=1e-10)
             mat = residual(expr_to_matrix(lhs, K, D), expr_to_matrix(rhs, K, D), MARGIN)
-            if not nf_report.passed or mat > WINDOW_TOL:
+            if not nf_report.passed or not (mat <= WINDOW_TOL):
                 failures.append(f"{case_label(K)} builtin {name}")
     finish(8, "symbolic-numeric oracle (200 words + builtins per case)", failures)
+
+
+def test_criterion_08_records_a_nan_residual_as_a_failure(monkeypatch):
+    module = sys.modules[__name__]
+    words = list(random_words(seed=99, count=2, max_len=6))
+    recorded = {}
+    monkeypatch.setattr(module, "representative_cases", lambda: [make_case(CaseId.CLASSICAL)])
+    monkeypatch.setattr(module, "random_words", lambda seed, count, max_len: words)
+    monkeypatch.setattr(module, "residual", lambda A, B, margin=0: math.nan)
+    monkeypatch.setattr(module, "finish", lambda number, label, failures: recorded.setdefault(number, failures))
+    test_criterion_08_symbolic_numeric_oracle()
+    assert [f.split(" ")[1] for f in recorded[8]] == ["word"] * 2 + ["builtin"] * len(BUILTIN_IDENTITIES)
 
 
 def test_criterion_09_limits_and_reductions():

@@ -24,7 +24,7 @@ from regen_goldens import COMMANDS as GOLDEN_COMMANDS
 from regen_goldens import child_env
 
 import deformalg
-from deformalg import cli
+from deformalg import cli, gup
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -398,6 +398,12 @@ class TestScan:
         ]
         assert rows == [cp.stdout.split("\n")[1] for cp in singles]
 
+    def test_a_delta_p_apart_from_delta_x_gets_its_own_string(self):
+        report = gup.UncertaintyReport(0.5, 0.25, 0.125, 0.0625, 1.0, True, 0.0625)
+        [row] = cli._scan_rows([["classical", "", "", "", ""]], [2], [report])
+        assert row[5:9] == ["2", cli.fmt_float(0.5), cli.fmt_float(0.25), cli.fmt_float(0.125)]
+        assert row[10] == row[13] == ""
+
     def test_q_scan_on_caseless_q_rejected(self):
         cp = run_cli(
             "gup-scan", "--case", "classical", "--q-from", "0.25", "--q-to", "0.75"
@@ -509,6 +515,14 @@ class TestNonFiniteResiduals:
         rows = [line.split(",") for line in cp.stdout.splitlines()[1:]]
         nan_rows = [row for row in rows if row[7] == "nan"]
         assert nan_rows and all(row[9] == "false" for row in nan_rows)
+
+    def test_the_symbolic_matrix_oracle_fails_without_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cp = run_cli("symbolic", *NAN_RESIDUALS["macfarlane-biedenharn"], "--check", "lh_x")
+        assert (cp.returncode, cp.stderr) == (1, "")
+        oracle = json.loads(cp.stdout)["matrix_oracle"]
+        assert math.isnan(oracle["max_abs_residual"]) and oracle["pass"] is False
 
 
 class TestSeedHandling:

@@ -22,6 +22,7 @@ from deformalg import (
     make_case,
     relation_residual,
 )
+from deformalg import gup
 from deformalg.spectral import DEGENERATE_TOL, NEAR_SINGULAR
 
 
@@ -254,6 +255,11 @@ class TestValidation:
         K = make_case("arik-coon", q=2.0)
         assert K.case_id is CaseId.ARIK_COON
         assert K.params() == {"q": 2.0}
+
+    def test_a_case_id_member_and_its_string_give_the_same_case(self):
+        K = make_case(CaseId.CHUNG, q=0.7, alpha=2.0, beta=0.5)
+        assert K == make_case("chung", q=0.7, alpha=2.0, beta=0.5)
+        assert K.case_id is CaseId.CHUNG
 
 
 # Valid parameters of every catalog case; each slot is then spoiled in turn.
@@ -501,6 +507,28 @@ class TestLevelTable:
         # a table that stops below the level keeps its values
         assert level_table(K, -1, level - 1).tolist() == list(range(-1, level))
 
+    def test_a_nan_below_an_overflowing_level_is_named_first(self):
+        def form(n):
+            if n == 6:
+                raise OverflowError("math range error")
+            return math.nan if n == 3 else float(n)
+
+        K = make_case(CaseId.CUSTOM, custom_eval=form)
+        with pytest.raises(ValueError, match=r"^K\(3\) of case 'custom' is not finite$"):
+            level_table(K, 0, 9)
+
+    def test_a_level_that_raises_overflow_is_named(self):
+        def form(n):
+            if n == 6:
+                raise OverflowError("math range error")
+            return 2.0 * n
+
+        K = make_case(CaseId.CUSTOM, custom_eval=form)
+        with pytest.raises(ValueError, match=r"^K\(6\) of case 'custom' overflows float64$"):
+            level_table(K, 0, 9)
+        # a table that stops below the level keeps its values
+        assert level_table(K, 0, 5).tolist() == [0.0, 2.0, 4.0, 6.0, 8.0, 10.0]
+
     def test_a_level_that_rounds_to_inf_is_named(self):
         # q^beta (q^(alpha n) - q^n)/(q^alpha - q) = 1e300 * 1e10 / 90 at n = 5: inf without an OverflowError
         K = make_case(CaseId.CHUNG, q=10.0, alpha=2.0, beta=300.0)
@@ -528,3 +556,15 @@ class TestLevelTable:
         calls.clear()
         reader(K, 4)
         assert calls == [4, 5]
+
+    def test_a_number_state_report_evaluates_each_level_once(self):
+        calls = []
+
+        def counted(n):
+            calls.append(n)
+            return 2.0 * n
+
+        K = make_case(CaseId.CUSTOM, custom_eval=counted)
+        calls.clear()
+        gup.number_state_reports(K, 16, [3])
+        assert calls == list(range(18))
