@@ -11,9 +11,15 @@ functions together with their defining relations
 and provides the per-level derived quantities (commutator step,
 Hamiltonian eigenvalue) used throughout the package.
 
+The four q-cases are one two-base family (Daskaloyannis' generalized oscillator),
+K(n) = q^beta (q^(alpha n) - q^(gamma n))/(q^alpha - q^gamma) with s = q^gamma and
+g(n) = q^(alpha n + beta); _EXPONENTS holds each case's (alpha, gamma, beta).
+
 All q-dependent closed forms have removable singularities at q = 1 (and,
 for the two-exponent families, at alpha = 1 or alpha = gamma).  Those
 points are evaluated by exact limit branches, never by the raw quotient.
+A level whose value lies below the float range reads 0, so a float table
+promises only K(n) >= 0 for n >= 1.
 
 Every K value this module returns, through eval_K, level_table,
 forward_delta or hamiltonian_eigenvalue, passes one finiteness rule: a
@@ -21,7 +27,8 @@ level that overflows float64 or is NaN raises ValueError
 `K(n) of case ... overflows float64` or `K(n) of case ... is not finite`.
 They read K through _levels, which makes one call of the closed form per
 table and evaluates each level once, except after an OverflowError, when
-it evaluates the levels again one by one to name the level that raised.
+it evaluates the levels again one by one to name the level that raised, and
+except a chung or borzov level that the direct quotient under- or overflows.
 The table K(0..D+1) of a dimension-D representation also passes _rep_levels.
 Only level_table and relation_residual import numpy, so the table and gup-scan
 commands, which read K through _levels and _rep_levels, start without it.
@@ -33,7 +40,7 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Optional
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence
 
 if TYPE_CHECKING:
     import numpy as np
@@ -79,7 +86,15 @@ class CaseId(str, Enum):
     CUSTOM = "custom"
 
 
-_Q_CASES = (CaseId.ARIK_COON, CaseId.MACFARLANE_BIEDENHARN, CaseId.CHUNG, CaseId.BORZOV)
+# (alpha, gamma, beta) of each q-case's two-base form: a number, or the name of the case's parameter
+_EXPONENTS = {
+    CaseId.ARIK_COON: (0.0, 1.0, 0.0),
+    CaseId.MACFARLANE_BIEDENHARN: (-1.0, 1.0, 0.0),
+    CaseId.CHUNG: ("alpha", 1.0, "beta"),
+    CaseId.BORZOV: ("alpha", "gamma", "beta"),
+}
+# the parameters each q-case requires besides q, in params() order: the names among its exponents
+_REQUIRED = {case: tuple(sorted(e for e in exps if isinstance(e, str))) for case, exps in _EXPONENTS.items()}
 
 
 class SpectralFunction(NamedTuple):
@@ -148,8 +163,8 @@ def make_case(
     * ``macfarlane-biedenharn``  -- q > 0; symmetric bracket
       K(n) = (q^n - q^-n)/(q - q^-1).
     * ``chung``                  -- q > 0, real alpha, beta;
-      K(n) = q^beta (q^(alpha n) - q^n)/(q^alpha - q), with the exact
-      limit n q^(n-1+beta) at alpha = 1.
+      K(n) = q^beta (q^(alpha n) - q^n)/(q^alpha - q), borzov at gamma = 1,
+      with the exact limit n q^(n-1+beta) at alpha = 1.
     * ``borzov``                 -- q > 0, real alpha, beta, gamma;
       K(n) = q^beta (q^(alpha n) - q^(gamma n))/(q^alpha - q^gamma), with
       the exact limit n q^(gamma (n-1) + beta) at alpha = gamma.
@@ -167,22 +182,18 @@ def make_case(
     if case is CaseId.CLASSICAL:
         return SpectralFunction(case)
 
-    if case in _Q_CASES:
+    required = _REQUIRED.get(case)
+    if required is not None:
         if q is None:
             raise ValueError(f"case {case.value!r} requires parameter q")
         if not q > 0:
             raise ValueError(f"q must be positive, got {q}")
-        if case is CaseId.ARIK_COON or case is CaseId.MACFARLANE_BIEDENHARN:
+        if not required:
             return SpectralFunction(case, q=float(q))
-        if case is CaseId.CHUNG:
-            if alpha is None or beta is None:
-                raise ValueError("case 'chung' requires alpha and beta")
-            return SpectralFunction(case, q=float(q), alpha=float(alpha), beta=float(beta))
-        if alpha is None or beta is None or gamma is None:
-            raise ValueError("case 'borzov' requires alpha, beta and gamma")
-        return SpectralFunction(
-            case, q=float(q), alpha=float(alpha), beta=float(beta), gamma=float(gamma)
-        )
+        given = {"alpha": alpha, "beta": beta, "gamma": gamma}
+        if None in map(given.get, required):
+            raise ValueError(f"case {case.value!r} requires {', '.join(required[:-1])} and {required[-1]}")
+        return SpectralFunction(case, q=float(q), **{name: float(given[name]) for name in required})
 
     if case is CaseId.NONLINEAR:
         if alpha is None or beta is None:
@@ -214,11 +225,18 @@ def eval_K(K: SpectralFunction, n: float) -> float:
     return _levels(K, (n,))[0]
 
 
-def _closed_form(K: SpectralFunction) -> Callable[[Iterable[float]], list]:
+def _exponents(K: SpectralFunction) -> tuple:
+    """(alpha, gamma, beta) of a q-case's two-base form, with K's parameters filled in."""
+    return tuple(getattr(K, e) if isinstance(e, str) else e for e in _EXPONENTS[K.case_id])
+
+
+def _closed_form(K: SpectralFunction) -> Callable[[Sequence[float]], list]:
     """K's closed form as a function of a level sequence, its branch and constants resolved once.
 
     Each branch builds the list of K at every level in one expression.  Each
     constant is the value the expression would compute in place, so every level keeps its bits.
+    The exception is the chung and borzov quotient: a level it under- or overflows is evaluated
+    again in a factored form, which names the first level whose value overflows.
     """
     case = K.case_id
     if case is CaseId.CLASSICAL:
@@ -251,25 +269,44 @@ def _closed_form(K: SpectralFunction) -> Callable[[Iterable[float]], list]:
         sh = math.sinh(d)
         return lambda ns: [math.sinh(n * d) / sh for n in ns]
 
-    if case is CaseId.CHUNG:
-        a, b = K.alpha, K.beta
-        if abs(a - 1.0) <= DEGENERATE_TOL:
-            return lambda ns: [n * q ** (n - 1.0 + b) for n in ns]
-        if abs((a - 1.0) * d) < NEAR_SINGULAR:
-            em1 = math.expm1((a - 1.0) * d)
-            return lambda ns: [q ** (b + n - 1.0) * math.expm1((a - 1.0) * n * d) / em1 for n in ns]
-        qb, den = q**b, q**a - q
-        return lambda ns: [qb * (q ** (a * n) - q**n) / den for n in ns]
-
-    # Borzov family
-    a, b, g = K.alpha, K.beta, K.gamma
+    # chung and borzov: the two-base form, chung at gamma = 1
+    a, g, b = _exponents(K)
     if abs(a - g) <= DEGENERATE_TOL:
         return lambda ns: [n * q ** (g * (n - 1.0) + b) for n in ns]
     if abs((a - g) * d) < NEAR_SINGULAR:
         em1 = math.expm1((a - g) * d)
+        if case is CaseId.CHUNG:
+            # (b + n) - 1.0 and b + 1.0 * (n - 1.0) round apart on some levels, so chung keeps its prefactor
+            return lambda ns: [q ** (b + n - 1.0) * math.expm1((a - g) * n * d) / em1 for n in ns]
         return lambda ns: [q ** (b + g * (n - 1.0)) * math.expm1((a - g) * n * d) / em1 for n in ns]
-    qb, den = q**b, q**a - q**g
-    return lambda ns: [qb * (q ** (a * n) - q ** (g * n)) / den for n in ns]
+    # The factored form takes out the larger power q^(hi n), so expm1's argument x n is < 0 at n > 0
+    # and the level is at least its prefactor: it raises only where the level overflows.
+    lo, hi = (a, g) if (a - g) * d < 0.0 else (g, a)
+    x = (lo - hi) * d
+    em1 = math.expm1(x)
+
+    def factored(ns):
+        return [q ** (b + hi * (n - 1.0)) * math.expm1(x * n) / em1 if n else 0.0 for n in ns]
+
+    try:
+        qb, den = q**b, q**a - q**g
+    except OverflowError:
+        den = 0.0
+    if den == 0.0:  # a constant overflows, or both powers underflow
+        return factored
+
+    def direct(ns):
+        try:
+            ks = [qb * (q ** (a * n) - q ** (g * n)) / den for n in ns]
+        except OverflowError:  # a power overflows, which the level need not
+            return factored(ns)
+        # K(0) is 0; another 0 or an inf is a level whose factors under- or overflowed, so it is
+        # evaluated again, and keeps its zero, sign included, only if its value is below the float range
+        if ks.count(0.0) <= (0 in ns) and math.isfinite(sum(ks)):
+            return ks
+        return [factored((n,))[0] or k if n > 0 and (k == 0.0 or abs(k) == math.inf) else k for n, k in zip(ns, ks)]
+
+    return direct
 
 
 def _levels(K: SpectralFunction, ns) -> list:
@@ -278,7 +315,8 @@ def _levels(K: SpectralFunction, ns) -> list:
     The one reader behind every K value this module returns; raises
     level_table's ValueError at the first level that is not finite.  Each
     level is evaluated once, except after an OverflowError, when the levels
-    are evaluated again one by one only to name the level that raised.
+    are evaluated again one by one only to name the level that raised, and
+    except a level that the chung and borzov quotient under- or overflows.
     """
     form = _closed_form(K)
     try:
@@ -305,7 +343,7 @@ def _levels(K: SpectralFunction, ns) -> list:
 def level_table(K: SpectralFunction, lo: int, hi: int) -> np.ndarray:
     """K(lo..hi) as a float array, from one call of the closed form (empty when hi < lo).
 
-    Each level is evaluated once, except in the search after an OverflowError.
+    Each level is evaluated once, except as _levels says.
 
     Raises ValueError naming the case and the first level where K is not
     finite: `K(n) of case ... overflows float64` when the closed form raises
@@ -361,16 +399,8 @@ def defining_relation(K: SpectralFunction) -> DefiningRelation:
     case = K.case_id
     if case is CaseId.CLASSICAL:
         return DefiningRelation(1.0, lambda n: 1.0)
-    if case is CaseId.ARIK_COON:
-        return DefiningRelation(K.q, lambda n: 1.0)
-    if case is CaseId.MACFARLANE_BIEDENHARN:
-        q = K.q
-        return DefiningRelation(q, lambda n: q ** (-n))
-    if case is CaseId.CHUNG:
-        q, a, b = K.q, K.alpha, K.beta
-        return DefiningRelation(q, lambda n: q ** (a * n + b))
-    if case is CaseId.BORZOV:
-        q, a, b, g = K.q, K.alpha, K.beta, K.gamma
+    if case in _EXPONENTS:
+        q, (a, g, b) = K.q, _exponents(K)
         return DefiningRelation(q**g, lambda n: q ** (a * n + b))
     if case is CaseId.NONLINEAR:
         a, b = K.alpha, K.beta

@@ -21,11 +21,13 @@ differently, full-range gup-scans on the six cases at D = 8, 65, 129 and
 D = 300, a one-step q-scan,
 macfarlane-biedenharn scans at q = 3.5 whose fourth moments overflow, calls
 in every command whose level tables overflow float64, by an OverflowError or
-by rounding to inf, each a parameter error (exit 2), verify runs in JSON
+by rounding to inf, each a parameter error (exit 2), chung and borzov tables
+whose q^beta or q^alpha - q^gamma overflows at q = 1e300, 1e-300 and 1e-5, verify runs in JSON
 and CSV whose finite level tables overflow in the band products (NaN
 residual rows, exit 1), a symbolic call whose matrix oracle overflows
 the same way, calls in every command at q below 2^-54, chung and borzov
-tables at q = 1e-300 whose levels underflow to 0, q-scans with and
+tables and a borzov gup-scan at q = 1e-300 whose factors underflow, among
+them a borzov table whose q^alpha - q^gamma underflows to 0, q-scans with and
 without --q, with an --n-to and with an infinite --q-to, a set of usage errors (among them q-scans given only one
 of --q-from and --q-to), and symbolic
 calls through every node kind and error path of the expression evaluator,
@@ -133,7 +135,7 @@ OVERFLOW_CALLS = [
     ["symbolic", *MB_OVERFLOW, "--check", "comm_xp"],
     ["gup-scan", "--case", "macfarlane-biedenharn", "--q", "1", "--dim", "600",
      "--q-from", "1", "--q-to", "3.5", "--q-steps", "61", "--n-from", "3"],
-    # K(5) = inf by multiplication, without an OverflowError: a parameter error all the same
+    # K(6) = 10^300 (10^12 - 10^6)/90 overflows; K(5) = 1.1111e308 is read, though 10^300 * 10^10 overflows
     ["gup-scan", *CHUNG_INF, "--n-from", "0", "--n-to", "2"],
     ["gup-scan", *CHUNG_INF, "--q-from", "1", "--q-to", "10", "--q-steps", "3", "--n-from", "1"],
     ["verify", *CHUNG_INF],
@@ -144,6 +146,11 @@ OVERFLOW_CALLS = [
     ["table", *NONLINEAR_INF, "--levels", "4"],
     ["verify", *NONLINEAR_INF],
     ["symbolic", *NONLINEAR_INF, "--check", "comm_xp"],
+    # q^beta or q^alpha - q^gamma overflows before any level: K(1), K(2), K(2) and K(1) overflow
+    ["table", "--case", "chung", "--q", "1e300", "--alpha", "0.5", "--beta", "2", "--levels", "3"],
+    ["table", "--case", "borzov", "--q", "1e300", "--alpha", "0.5", "--beta", "0", "--gamma", "2", "--levels", "3"],
+    ["table", "--case", "chung", "--q", "1e-300", "--alpha", "-2", "--beta", "0", "--levels", "3"],
+    ["table", "--case", "borzov", "--q", "1e-5", "--alpha", "80", "--beta", "-70", "--gamma", "1", "--levels", "3"],
 ]
 
 # finite level tables whose band products overflow: NaN residual rows, exit 1
@@ -167,9 +174,14 @@ TINY_Q_CALLS = [
     ["gup-scan", "--case", "arik-coon", "--q-from", "1e-320", "--q-to", "0.5", "--q-steps", "3", "--dim", "8"],
     # K(2) = (q^2 - q^-2)/(q - 1/q): q^-2 overflows float64
     ["table", "--case", "macfarlane-biedenharn", "--q", "1e-200", "--levels", "3"],
-    # K underflows to 0 at every level, though K(1) = q is representable
+    # levels that underflow to 0 in the direct quotient, though their values (1e-300, 5e-151) are representable
     ["table", "--case", "chung", "--q", "1e-300", "--alpha", "2", "--beta", "1", "--levels", "3"],
     ["table", "--case", "borzov", "--q", "1e-300", "--alpha", "2", "--beta", "0", "--gamma", "1", "--levels", "3"],
+    ["table", "--case", "borzov", "--q", "1e-300", "--alpha", "0.5", "--beta", "0", "--gamma", "2", "--levels", "4"],
+    ["gup-scan", "--case", "borzov", "--q", "1e-300", "--alpha", "2", "--beta", "0", "--gamma", "1", "--dim", "8",
+     "--n-to", "4"],
+    # q^alpha - q^gamma underflows to 0
+    ["table", "--case", "borzov", "--q", "1e-300", "--alpha", "2", "--beta", "0", "--gamma", "3", "--levels", "3"],
 ]
 
 # Runs inside the tree given as argv[1]: the labelled calls arrive on stdin as

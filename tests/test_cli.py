@@ -53,7 +53,7 @@ def run_module(*args, env_extra=None):
 
 
 MB_OVERFLOW = ["--case", "macfarlane-biedenharn", "--q", "3.5", "--dim", "600"]
-CHUNG_INF = ["--case", "chung", "--q", "10", "--alpha", "2", "--beta", "300", "--dim", "8"]
+CHUNG_INF = ["--case", "chung", "--q", "10", "--alpha", "2", "--beta", "300.25", "--dim", "8"]
 
 
 class TestExitCodes:
@@ -227,7 +227,7 @@ class TestExitCodes:
             ["table", *MB_OVERFLOW, "--levels", "590"],
             ["symbolic", *MB_OVERFLOW, "--check", "comm_xp"],
             ["gup-scan", *MB_OVERFLOW, "--q-from", "1", "--q-to", "3.5", "--q-steps", "61", "--n-from", "3"],
-            # K(5) = 1e300 * 1e10 / 90 rounds to inf without an OverflowError
+            # K(5) = 10^300.25 (1e10 - 1e5)/90 = 1.98e308 rounds to inf without an OverflowError
             ["gup-scan", *CHUNG_INF, "--n-from", "0", "--n-to", "2"],
             ["verify", *CHUNG_INF],
             ["table", *CHUNG_INF, "--levels", "5"],
@@ -245,7 +245,23 @@ class TestExitCodes:
         assert cp.stderr.startswith("error: K(") and cp.stderr.endswith(") overflows float64\n")
         assert cp.stderr.count("\n") == 1
         if "chung" in args:
-            assert cp.stderr.startswith("error: K(5) of case 'chung' (q=10.0, alpha=2.0, beta=300.0)")
+            assert cp.stderr.startswith("error: K(5) of case 'chung' (q=10.0, alpha=2.0, beta=300.25)")
+
+    @pytest.mark.parametrize(
+        "args, level",
+        [
+            (["--case", "chung", "--q", "1e300", "--alpha", "0.5", "--beta", "2"], 1),
+            (["--case", "borzov", "--q", "1e300", "--alpha", "0.5", "--beta", "0", "--gamma", "2"], 2),
+            (["--case", "chung", "--q", "1e-300", "--alpha", "-2", "--beta", "0"], 2),
+            (["--case", "borzov", "--q", "1e-5", "--alpha", "80", "--beta", "-70", "--gamma", "1"], 1),
+        ],
+        ids=["chung-big-q", "borzov-big-q", "chung-tiny-q", "borzov-big-beta"],
+    )
+    def test_overflowing_two_base_constants_name_the_first_overflowing_level(self, args, level):
+        # q^beta or q^alpha - q^gamma overflows before any level is evaluated
+        cp = run_cli("table", *args, "--levels", "3")
+        assert (cp.returncode, cp.stdout) == (2, "")
+        assert cp.stderr.startswith(f"error: K({level}) of case ") and cp.stderr.endswith(") overflows float64\n")
 
     def test_a_q_below_two_to_the_minus_54_reads_its_levels(self):
         # q - 1.0 rounds to -1.0 there, and log1p(-1.0) has no value

@@ -4,6 +4,7 @@ import math
 import sys
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -96,7 +97,31 @@ class TestDerivedQuantities:
         assert hamiltonian_eigenvalue(K, 1) == pytest.approx(1.75, abs=1e-14)
 
 
+def relation_walk(K):
+    """(s, g) of K's catalog defining relation, spelled out case by case: the tests' copy of the relations."""
+    case = K.case_id
+    if case is CaseId.CLASSICAL:
+        return 1.0, lambda n: 1.0
+    if case is CaseId.NONLINEAR:
+        a, b = K.alpha, K.beta
+        return 1.0, lambda n: 2.0 * a * n + a + b
+    q = K.q
+    if case is CaseId.ARIK_COON:
+        return q, lambda n: 1.0
+    if case is CaseId.MACFARLANE_BIEDENHARN:
+        return q, lambda n: q ** (-n)
+    if case is CaseId.CHUNG:
+        return q, lambda n: q ** (K.alpha * n + K.beta)
+    return q**K.gamma, lambda n: q ** (K.alpha * n + K.beta)
+
+
 class TestDefiningRelations:
+    def test_every_relation_keeps_the_bits_of_the_case_walk(self):
+        for K in catalog_grid():
+            rel, (s, g) = defining_relation(K), relation_walk(K)
+            assert rel.s.hex() == s.hex(), K
+            assert [rel.g(n).hex() for n in range(-1, 41)] == [g(n).hex() for n in range(-1, 41)], K
+
     def test_classical_residual_is_zero(self):
         K = make_case(CaseId.CLASSICAL)
         assert relation_residual(K, DefiningRelation(1.0, lambda n: 1.0), 20) == 0.0
@@ -530,16 +555,17 @@ class TestLevelTable:
         assert level_table(K, 0, 5).tolist() == [0.0, 2.0, 4.0, 6.0, 8.0, 10.0]
 
     def test_a_level_that_rounds_to_inf_is_named(self):
-        # q^beta (q^(alpha n) - q^n)/(q^alpha - q) = 1e300 * 1e10 / 90 at n = 5: inf without an OverflowError
-        K = make_case(CaseId.CHUNG, q=10.0, alpha=2.0, beta=300.0)
-        message = r"^K\(5\) of case 'chung' \(q=10.0, alpha=2.0, beta=300.0\) overflows float64$"
+        # q^beta (q^(alpha n) - q^n)/(q^alpha - q) = 10^300.25 (1e10 - 1e5)/90 = 1.98e308 at n = 5:
+        # inf without an OverflowError, in the direct quotient and in the factored form
+        K = make_case(CaseId.CHUNG, q=10.0, alpha=2.0, beta=300.25)
+        message = r"^K\(5\) of case 'chung' \(q=10.0, alpha=2.0, beta=300.25\) overflows float64$"
         with pytest.raises(ValueError, match=message):
             level_table(K, 0, 9)
-        assert level_table(K, 0, 4)[-1] == 1.111e306
+        assert level_table(K, 0, 4)[-1] == 10.0**300.25 * (1e8 - 1e4) / 90.0
 
     def test_every_reader_raises_the_level_table_error(self):
-        K = make_case(CaseId.CHUNG, q=10.0, alpha=2.0, beta=300.0)
-        message = r"^K\(5\) of case 'chung' \(q=10.0, alpha=2.0, beta=300.0\) overflows float64$"
+        K = make_case(CaseId.CHUNG, q=10.0, alpha=2.0, beta=300.25)
+        message = r"^K\(5\) of case 'chung' \(q=10.0, alpha=2.0, beta=300.25\) overflows float64$"
         for read in (lambda: eval_K(K, 5), lambda: forward_delta(K, 4), lambda: hamiltonian_eigenvalue(K, 4)):
             with pytest.raises(ValueError, match=message):
                 read()
@@ -568,3 +594,70 @@ class TestLevelTable:
         calls.clear()
         gup.number_state_reports(K, 16, [3])
         assert calls == list(range(18))
+
+
+def exact_two_base(q, alpha, gamma, beta, n):
+    """K(n) of the two-base form in 80-digit arithmetic, from the float parameters as given."""
+    with mpmath.workdps(80):
+        q, alpha, gamma, beta = map(mpmath.mpf, (q, alpha, gamma, beta))
+        return q**beta * (q ** (alpha * n) - q ** (gamma * n)) / (q**alpha - q**gamma)
+
+
+# (case, alpha, gamma): chung and borzov with alpha below and above gamma; at alpha = 2, gamma = 3
+# q^alpha - q^gamma overflows at q = 1e300 and underflows to 0 at q = 1e-300
+EXTREME_BASES = [
+    (CaseId.CHUNG, 0.5, 1.0),
+    (CaseId.CHUNG, 2.0, 1.0),
+    (CaseId.BORZOV, 0.5, 2.0),
+    (CaseId.BORZOV, 2.0, 0.5),
+    (CaseId.BORZOV, 2.0, 3.0),
+]
+
+
+class TestExtremeQ:
+    """Chung and borzov levels at extreme q against exact values."""
+
+    @pytest.mark.parametrize(
+        "case, alpha, gamma", EXTREME_BASES, ids=[f"{c.value}-a{a}-g{g}" for c, a, g in EXTREME_BASES]
+    )
+    @pytest.mark.parametrize("beta", [0.0, 1.0, -0.5])
+    @pytest.mark.parametrize("q", [1e-300, 1e-5, 1e300])
+    def test_levels_match_the_exact_values(self, case, alpha, gamma, beta, q):
+        params = {"q": q, "alpha": alpha, "beta": beta}
+        if case is CaseId.BORZOV:
+            params["gamma"] = gamma
+        K = make_case(case, **params)
+        exact = [exact_two_base(q, alpha, gamma, beta, n) for n in range(13)]
+        top = sys.float_info.max
+        overflowing = [n for n, value in enumerate(exact) if abs(value) > top]
+        last = overflowing[0] - 1 if overflowing else 12
+        if overflowing:
+            with pytest.raises(ValueError, match=rf"^K\({overflowing[0]}\) of case '{case.value}' .* overflows float64$"):
+                level_table(K, 0, 12)
+        levels = level_table(K, 0, last).tolist()
+        for n, (k, value) in enumerate(zip(levels, exact)):
+            if abs(value) >= sys.float_info.min:
+                assert abs(k - value) <= 4 * math.ulp(float(value)), (n, k, value)
+            elif abs(value) < mpmath.ldexp(1, -1075):  # rounds to 0
+                assert k == 0.0, (n, k, value)
+        assert levels[0] == 0.0 and last >= 1
+
+    @pytest.mark.parametrize(
+        "q, alpha, beta, level",
+        [(10.0, 2.0, 300.0, 5), (1e300, 0.5, 1.0, 1)],
+        ids=["q=10", "q=1e300"],
+    )
+    def test_a_level_whose_product_overflows_reads_its_value(self, q, alpha, beta, level):
+        # 1e300 * (1e10 - 1e5) and 1e300 * -1e300 overflow, though K(5) = 1.1111e308 and K(1) = 1e300
+        K = make_case(CaseId.CHUNG, q=q, alpha=alpha, beta=beta)
+        value = exact_two_base(q, alpha, 1.0, beta, level)
+        assert abs(eval_K(K, level) - value) <= 4 * math.ulp(float(value))
+        with pytest.raises(ValueError, match=rf"^K\({level + 1}\) of case 'chung' .* overflows float64$"):
+            level_table(K, 0, level + 1)
+
+    def test_levels_below_the_float_range_keep_their_bits(self):
+        # the D = 4096 table of the number-state tests: exactly 0 (-0.0, as the direct quotient gives it) from n = 2090 on
+        K = make_case(CaseId.CHUNG, q=0.7, alpha=2.0, beta=0.5)
+        levels = level_table(K, 0, 4097)
+        assert levels.tobytes() == np.array([branch_walk_K(K, n) for n in range(4098)]).tobytes()
+        assert levels[2089] > 0.0 and not levels[2090:].any()
