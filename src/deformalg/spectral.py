@@ -18,6 +18,9 @@ g(n) = q^(alpha n + beta); _EXPONENTS holds each case's (alpha, gamma, beta).
 All q-dependent closed forms have removable singularities at q = 1 (and,
 for the two-exponent families, at alpha = 1 or alpha = gamma).  Those
 points are evaluated by exact limit branches, never by the raw quotient.
+Away from q = 1 arik-coon and macfarlane-biedenharn take their direct
+brackets; every other q-case level comes from one factored two-base form,
+which cancels no digits and raises only where the level overflows.
 A level whose value lies below the float range reads 0, so a float table
 promises only K(n) >= 0 for n >= 1.
 
@@ -26,12 +29,13 @@ forward_delta or hamiltonian_eigenvalue, passes one finiteness rule: a
 level that overflows float64 or is NaN raises ValueError
 `K(n) of case ... overflows float64` or `K(n) of case ... is not finite`.
 They read K through _levels, which makes one call of the closed form per
-table and evaluates each level once, except after an OverflowError, when
-it evaluates the levels again one by one to name the level that raised, and
-except a chung or borzov level that the direct quotient under- or overflows.
+table and evaluates each level once, except where a power of a one-base
+bracket overflows, when the table is evaluated again in the factored form,
+and after an OverflowError, when it evaluates the levels again one by one to
+name the level that raised.
 The table K(0..D+1) of a dimension-D representation also passes _rep_levels.
-Only level_table and relation_residual import numpy, so the table and gup-scan
-commands, which read K through _levels and _rep_levels, start without it.
+Only level_table imports numpy, so the table and gup-scan commands, which
+read K through _levels and _rep_levels, start without it.
 SpectralFunction and DefiningRelation are NamedTuples, not dataclasses, to keep
 dataclasses and the inspect modules it imports off the start-up path.
 """
@@ -62,9 +66,9 @@ __all__ = [
 # defining parameter is within this distance of the singular point.
 DEGENERATE_TOL = 1e-12
 
-# Within this distance of a removable singularity the raw quotients lose
-# digits to cancellation and the expm1/sinh factored forms take over; away
-# from it the direct powers are used (they are exact at exactly
+# Within this distance of q = 1 the arik-coon and macfarlane-biedenharn
+# brackets lose digits to cancellation and the factored two-base form takes
+# over; away from it they take the direct powers (exact at exactly
 # representable points such as integer q-brackets).
 NEAR_SINGULAR = 1e-3
 
@@ -174,6 +178,8 @@ def make_case(
       positivity up to the representation dimension is checked when a
       representation is built.
 
+    The four q-cases evaluate at any q > 0, in the forms _closed_form names.
+
     Raises ValueError on out-of-domain or non-finite parameters.
     """
     case = case_id if isinstance(case_id, CaseId) else CaseId(case_id)
@@ -230,13 +236,33 @@ def _exponents(K: SpectralFunction) -> tuple:
     return tuple(getattr(K, e) if isinstance(e, str) else e for e in _EXPONENTS[K.case_id])
 
 
+def _factored(K: SpectralFunction) -> Callable[[Sequence[float]], list]:
+    """K's two-base form with the larger power of each level taken out, as a function of a level sequence.
+
+    With hi the exponent of the larger of q^(alpha n) and q^(gamma n) at n > 0, lo the other
+    and x = (lo - hi) ln q < 0, K(n) is q^(beta + hi (n - 1)) expm1(x n)/expm1(x) at n > 0 and
+    -q^(beta + lo n - hi) expm1(-x n)/expm1(x) at n < 0.  Every expm1 argument is <= 0, so each
+    level is at least its prefactor and raises OverflowError only where its value overflows.
+    """
+    q, (a, g, b) = K.q, _exponents(K)
+    # below q = 0.5, q - 1.0 rounds away low bits of q, so math.log reads q itself
+    d = math.log1p(q - 1.0) if q >= 0.5 else math.log(q)
+    lo, hi = (a, g) if (a - g) * d < 0.0 else (g, a)
+    x = (lo - hi) * d
+    em1 = math.expm1(x)
+    return lambda ns: [
+        q ** (b + hi * (n - 1.0)) * math.expm1(x * n) / em1 if n > 0
+        else -(q ** (b + lo * n - hi)) * math.expm1(-x * n) / em1 if n else 0.0
+        for n in ns
+    ]
+
+
 def _closed_form(K: SpectralFunction) -> Callable[[Sequence[float]], list]:
     """K's closed form as a function of a level sequence, its branch and constants resolved once.
 
-    Each branch builds the list of K at every level in one expression.  Each
-    constant is the value the expression would compute in place, so every level keeps its bits.
-    The exception is the chung and borzov quotient: a level it under- or overflows is evaluated
-    again in a factored form, which names the first level whose value overflows.
+    Each branch builds the list of K at every level in one expression, and each constant is
+    the value the expression would compute in place.  A table in which a power of the direct
+    arik-coon or macfarlane-biedenharn bracket overflows is evaluated again by _factored.
     """
     case = K.case_id
     if case is CaseId.CLASSICAL:
@@ -256,57 +282,29 @@ def _closed_form(K: SpectralFunction) -> Callable[[Sequence[float]], list]:
     # away from q = 1 the one-base brackets take the direct powers and need no log q
     if case is CaseId.ARIK_COON and abs(q - 1.0) >= NEAR_SINGULAR:
         qm1 = q - 1.0
-        return lambda ns: [(q**n - 1.0) / qm1 for n in ns]
+
+        def arik_coon(ns):
+            try:
+                return [(q**n - 1.0) / qm1 for n in ns]
+            except OverflowError:  # a power overflows, which the level need not
+                return _factored(K)(ns)
+
+        return arik_coon
     if case is CaseId.MACFARLANE_BIEDENHARN and abs(q - 1.0) >= NEAR_SINGULAR:
         bracket = q - 1.0 / q
-        return lambda ns: [(q**n - q**-n) / bracket for n in ns]
-    # q - 1.0 rounds to -1.0 below 2^-54, where log1p(-1) raises
-    d = math.log1p(q - 1.0) if q - 1.0 != -1.0 else math.log(q)
-    if case is CaseId.ARIK_COON:
-        em1 = math.expm1(d)
-        return lambda ns: [math.expm1(n * d) / em1 for n in ns]
-    if case is CaseId.MACFARLANE_BIEDENHARN:
-        sh = math.sinh(d)
-        return lambda ns: [math.sinh(n * d) / sh for n in ns]
 
-    # chung and borzov: the two-base form, chung at gamma = 1
+        def macfarlane_biedenharn(ns):
+            try:
+                return [(q**n - q**-n) / bracket for n in ns]
+            except OverflowError:  # a power overflows, which the level need not
+                return _factored(K)(ns)
+
+        return macfarlane_biedenharn
+
     a, g, b = _exponents(K)
     if abs(a - g) <= DEGENERATE_TOL:
         return lambda ns: [n * q ** (g * (n - 1.0) + b) for n in ns]
-    if abs((a - g) * d) < NEAR_SINGULAR:
-        em1 = math.expm1((a - g) * d)
-        if case is CaseId.CHUNG:
-            # (b + n) - 1.0 and b + 1.0 * (n - 1.0) round apart on some levels, so chung keeps its prefactor
-            return lambda ns: [q ** (b + n - 1.0) * math.expm1((a - g) * n * d) / em1 for n in ns]
-        return lambda ns: [q ** (b + g * (n - 1.0)) * math.expm1((a - g) * n * d) / em1 for n in ns]
-    # The factored form takes out the larger power q^(hi n), so expm1's argument x n is < 0 at n > 0
-    # and the level is at least its prefactor: it raises only where the level overflows.
-    lo, hi = (a, g) if (a - g) * d < 0.0 else (g, a)
-    x = (lo - hi) * d
-    em1 = math.expm1(x)
-
-    def factored(ns):
-        return [q ** (b + hi * (n - 1.0)) * math.expm1(x * n) / em1 if n else 0.0 for n in ns]
-
-    try:
-        qb, den = q**b, q**a - q**g
-    except OverflowError:
-        den = 0.0
-    if den == 0.0:  # a constant overflows, or both powers underflow
-        return factored
-
-    def direct(ns):
-        try:
-            ks = [qb * (q ** (a * n) - q ** (g * n)) / den for n in ns]
-        except OverflowError:  # a power overflows, which the level need not
-            return factored(ns)
-        # K(0) is 0; another 0 or an inf is a level whose factors under- or overflowed, so it is
-        # evaluated again, and keeps its zero, sign included, only if its value is below the float range
-        if ks.count(0.0) <= (0 in ns) and math.isfinite(sum(ks)):
-            return ks
-        return [factored((n,))[0] or k if n > 0 and (k == 0.0 or abs(k) == math.inf) else k for n, k in zip(ns, ks)]
-
-    return direct
+    return _factored(K)
 
 
 def _levels(K: SpectralFunction, ns) -> list:
@@ -314,9 +312,10 @@ def _levels(K: SpectralFunction, ns) -> list:
 
     The one reader behind every K value this module returns; raises
     level_table's ValueError at the first level that is not finite.  Each
-    level is evaluated once, except after an OverflowError, when the levels
-    are evaluated again one by one only to name the level that raised, and
-    except a level that the chung and borzov quotient under- or overflows.
+    level is evaluated once, except in a table where a power of a one-base
+    bracket overflows, which is evaluated again in the factored form, and
+    after an OverflowError, when the levels are evaluated again one by one
+    only to name the level that raised.
     """
     form = _closed_form(K)
     try:
@@ -418,12 +417,10 @@ def relation_residual(K: SpectralFunction, rel: DefiningRelation, n_max: int) ->
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    levels = level_table(K, 0, n_max + 1).tolist()
+    levels = _levels(K, range(n_max + 2))
     defects = []
     for n in range(n_max + 1):
         up, down, rhs = levels[n + 1], rel.s * levels[n], rel.g(n)
         defects.append(abs(up - down - rhs) / max(1.0, abs(up), abs(down), abs(rhs)))
-    import numpy as np
-
-    # np.max propagates NaN, where max() would drop it
-    return float(np.max(defects))
+    # max() would drop a NaN
+    return math.nan if any(map(math.isnan, defects)) else max(defects)

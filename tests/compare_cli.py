@@ -27,7 +27,9 @@ and CSV whose finite level tables overflow in the band products (NaN
 residual rows, exit 1), a symbolic call whose matrix oracle overflows
 the same way, calls in every command at q below 2^-54, chung and borzov
 tables and a borzov gup-scan at q = 1e-300 whose factors underflow, among
-them a borzov table whose q^alpha - q^gamma underflows to 0, q-scans with and
+them a borzov table whose q^alpha - q^gamma underflows to 0, tables whose
+arik-coon or macfarlane-biedenharn power overflows below the level that
+overflows, chung and borzov tables with a subnormal factor or 600 levels, q-scans with and
 without --q, with an --n-to and with an infinite --q-to, a set of usage errors (among them q-scans given only one
 of --q-from and --q-to), and symbolic
 calls through every node kind and error path of the expression evaluator,
@@ -184,6 +186,19 @@ TINY_Q_CALLS = [
     ["table", "--case", "borzov", "--q", "1e-300", "--alpha", "2", "--beta", "0", "--gamma", "3", "--levels", "3"],
 ]
 
+# levels near the ends of the float range: a one-base bracket whose power overflows, though the
+# level (1.11e308, 9.54e307, 1e200) does not, and two-base levels with a subnormal factor
+# (q^beta = 1e-310 and q^62 = 1e-310) or with 600 levels of rounding
+EXTREME_LEVEL_CALLS = [
+    ["table", "--case", "arik-coon", "--q", "10", "--dim", "400", "--levels", "309"],
+    ["table", "--case", "macfarlane-biedenharn", "--q", "3.5", "--dim", "600", "--levels", "567"],
+    ["table", "--case", "arik-coon", "--q", "1e200", "--levels", "3"],
+    ["table", "--case", "macfarlane-biedenharn", "--q", "1e200", "--levels", "3"],
+    ["table", "--case", "borzov", "--q", "1e-5", "--alpha", "-1", "--beta", "62", "--gamma", "-2", "--levels", "3"],
+    ["table", "--case", "chung", "--q", "1e-5", "--alpha", "2", "--beta", "-0.5", "--dim", "70", "--levels", "63"],
+    ["table", "--case", "chung", "--q", "0.8", "--alpha", "2", "--beta", "1", "--dim", "603", "--levels", "600"],
+]
+
 # Runs inside the tree given as argv[1]: the labelled calls arrive on stdin as
 # JSON, and {label: [exit code, stdout, stderr]} leaves on stdout.
 CHILD = r"""
@@ -273,6 +288,7 @@ def call_list() -> dict:
     argvs += [sweep + ["--dim", "4", "--margin", margin] for margin in ("1", "3")]
     argvs += [sweep + ["--dim", dim] for dim in ("41", "257", "4096")]
     argvs += USAGE_ERRORS + EDGE_CALLS + Q_SCAN_CALLS + OVERFLOW_CALLS + NAN_RESIDUAL_CALLS + TINY_Q_CALLS
+    argvs += EXTREME_LEVEL_CALLS
     return {shlex.join(argv): argv for argv in argvs}
 
 

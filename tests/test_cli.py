@@ -269,9 +269,10 @@ class TestExitCodes:
         assert cp.returncode == 0, cp.stderr
         rows = [line.split(",") for line in cp.stdout.splitlines()[1:]]
         assert [float(row[1]) for row in rows] + [float(rows[-1][2])] == [0.0, 1.0, 1.0, 1.0]
+        # K(2) = 1e200 reads, though its q^-2 term overflows; K(3) = 1e400 overflows
         cp = run_cli("table", "--case", "macfarlane-biedenharn", "--q", "1e-200", "--levels", "3")
         assert (cp.returncode, cp.stdout) == (2, "")
-        assert cp.stderr == "error: K(2) of case 'macfarlane-biedenharn' (q=1e-200) overflows float64\n"
+        assert cp.stderr == "error: K(3) of case 'macfarlane-biedenharn' (q=1e-200) overflows float64\n"
 
     def test_table_range_violation(self):
         cp = run_cli("table", "--case", "classical", "--levels", "30", "--dim", "32")

@@ -1,6 +1,7 @@
 """Spectral function catalog: closed forms, limits, defining relations."""
 
 import math
+import re
 import sys
 from fractions import Fraction
 
@@ -319,9 +320,11 @@ EPS = sys.float_info.epsilon
 
 # (case, switch, parameter): every branch switch of the catalog, with the
 # parameter that crosses it.  A "degenerate" switch enters a limit branch at
-# DEGENERATE_TOL; a "near" switch leaves the expm1/sinh forms for the direct
-# quotient at NEAR_SINGULAR.  Chung and Borzov cross their near switch in
-# (alpha - 1) d and (alpha - gamma) d, with d = ln q.
+# DEGENERATE_TOL; a "near" switch leaves the factored two-base form for the
+# direct arik-coon and macfarlane-biedenharn brackets at NEAR_SINGULAR.
+# Chung and borzov take the factored form on both sides of their "near"
+# point, (alpha - 1) d or (alpha - gamma) d = NEAR_SINGULAR with d = ln q, so
+# there K must be continuous within the same tolerance.
 BRANCH_SWITCHES = [
     (CaseId.ARIK_COON, "degenerate", "q"),
     (CaseId.ARIK_COON, "near", "q"),
@@ -416,32 +419,34 @@ def branch_walk_K(K, n):
     q = K.q
     if abs(q - 1.0) <= DEGENERATE_TOL:
         return float(n)
-    d = math.log1p(q - 1.0)
-    if case is CaseId.ARIK_COON:
-        if abs(q - 1.0) < NEAR_SINGULAR:
-            return math.expm1(n * d) / math.expm1(d)
-        return (q**n - 1.0) / (q - 1.0)
-    if case is CaseId.MACFARLANE_BIEDENHARN:
-        if abs(q - 1.0) < NEAR_SINGULAR:
-            return math.sinh(n * d) / math.sinh(d)
-        return (q**n - q**-n) / (q - 1.0 / q)
-    if case is CaseId.CHUNG:
-        a, b = K.alpha, K.beta
-        if abs(a - 1.0) <= DEGENERATE_TOL:
-            return n * q ** (n - 1.0 + b)
-        if abs((a - 1.0) * d) < NEAR_SINGULAR:
-            return q ** (b + n - 1.0) * math.expm1((a - 1.0) * n * d) / math.expm1((a - 1.0) * d)
-        return q**b * (q ** (a * n) - q**n) / (q**a - q)
-    a, b, g = K.alpha, K.beta, K.gamma
+    try:
+        if case is CaseId.ARIK_COON and abs(q - 1.0) >= NEAR_SINGULAR:
+            return (q**n - 1.0) / (q - 1.0)
+        if case is CaseId.MACFARLANE_BIEDENHARN and abs(q - 1.0) >= NEAR_SINGULAR:
+            return (q**n - q**-n) / (q - 1.0 / q)
+    except OverflowError:
+        pass  # the level in the factored two-base form
+    a, g, b = {
+        CaseId.ARIK_COON: (0.0, 1.0, 0.0),
+        CaseId.MACFARLANE_BIEDENHARN: (-1.0, 1.0, 0.0),
+        CaseId.CHUNG: (K.alpha, 1.0, K.beta),
+        CaseId.BORZOV: (K.alpha, K.gamma, K.beta),
+    }[case]
     if abs(a - g) <= DEGENERATE_TOL:
         return n * q ** (g * (n - 1.0) + b)
-    if abs((a - g) * d) < NEAR_SINGULAR:
-        return q ** (b + g * (n - 1.0)) * math.expm1((a - g) * n * d) / math.expm1((a - g) * d)
-    return q**b * (q ** (a * n) - q ** (g * n)) / (q**a - q**g)
+    d = math.log1p(q - 1.0) if q >= 0.5 else math.log(q)
+    lo, hi = (a, g) if (a - g) * d < 0.0 else (g, a)
+    x = (lo - hi) * d
+    if n > 0:
+        return q ** (b + hi * (n - 1.0)) * math.expm1(x * n) / math.expm1(x)
+    if n < 0:
+        return -(q ** (b + lo * n - hi)) * math.expm1(-x * n) / math.expm1(x)
+    return 0.0
 
 
 Q_CASES = (CaseId.ARIK_COON, CaseId.MACFARLANE_BIEDENHARN, CaseId.CHUNG, CaseId.BORZOV)
-# every branch of the closed forms: (case, which parameter sits where)
+# every branch of the closed forms, and the regions near a singularity that the factored
+# form covers: (case, which parameter sits where)
 BRANCHES = (
     [(CaseId.CLASSICAL, None), (CaseId.CUSTOM, None), (CaseId.NONLINEAR, None)]
     + [(case, kind) for case in Q_CASES for kind in ("q = 1", "q near 1", "direct q")]
@@ -507,8 +512,8 @@ class TestLevelTable:
     @pytest.mark.parametrize(
         "K, message",
         [
-            (make_case(CaseId.MACFARLANE_BIEDENHARN, q=3.5), "K(567) of case 'macfarlane-biedenharn' (q=3.5) overflows"),
-            (make_case(CaseId.ARIK_COON, q=10.0), "K(309) of case 'arik-coon' (q=10.0) overflows"),
+            (make_case(CaseId.MACFARLANE_BIEDENHARN, q=3.5), "K(568) of case 'macfarlane-biedenharn' (q=3.5) overflows"),
+            (make_case(CaseId.ARIK_COON, q=10.0), "K(310) of case 'arik-coon' (q=10.0) overflows"),
             (make_case(CaseId.CUSTOM, custom_eval=math.expm1), "K(710) of case 'custom' overflows"),
         ],
         ids=["macfarlane-biedenharn", "arik-coon", "custom"],
@@ -556,12 +561,12 @@ class TestLevelTable:
 
     def test_a_level_that_rounds_to_inf_is_named(self):
         # q^beta (q^(alpha n) - q^n)/(q^alpha - q) = 10^300.25 (1e10 - 1e5)/90 = 1.98e308 at n = 5:
-        # inf without an OverflowError, in the direct quotient and in the factored form
+        # inf without an OverflowError in the factored form
         K = make_case(CaseId.CHUNG, q=10.0, alpha=2.0, beta=300.25)
         message = r"^K\(5\) of case 'chung' \(q=10.0, alpha=2.0, beta=300.25\) overflows float64$"
         with pytest.raises(ValueError, match=message):
             level_table(K, 0, 9)
-        assert level_table(K, 0, 4)[-1] == 10.0**300.25 * (1e8 - 1e4) / 90.0
+        assert level_table(K, 0, 4)[-1] == branch_walk_K(K, 4)
 
     def test_every_reader_raises_the_level_table_error(self):
         K = make_case(CaseId.CHUNG, q=10.0, alpha=2.0, beta=300.25)
@@ -596,11 +601,14 @@ class TestLevelTable:
         assert calls == list(range(18))
 
 
-def exact_two_base(q, alpha, gamma, beta, n):
-    """K(n) of the two-base form in 80-digit arithmetic, from the float parameters as given."""
+def exact_two_base(q, alpha, gamma, beta, ns):
+    """K(n) of the two-base form at each integer n of ns in 80-digit arithmetic, from the float
+    parameters as given."""
     with mpmath.workdps(80):
         q, alpha, gamma, beta = map(mpmath.mpf, (q, alpha, gamma, beta))
-        return q**beta * (q ** (alpha * n) - q ** (gamma * n)) / (q**alpha - q**gamma)
+        qa, qg = q**alpha, q**gamma
+        scale = q**beta / (qa - qg)
+        return [scale * (qa**n - qg**n) for n in ns]
 
 
 # (case, alpha, gamma): chung and borzov with alpha below and above gamma; at alpha = 2, gamma = 3
@@ -627,7 +635,7 @@ class TestExtremeQ:
         if case is CaseId.BORZOV:
             params["gamma"] = gamma
         K = make_case(case, **params)
-        exact = [exact_two_base(q, alpha, gamma, beta, n) for n in range(13)]
+        exact = exact_two_base(q, alpha, gamma, beta, range(13))
         top = sys.float_info.max
         overflowing = [n for n, value in enumerate(exact) if abs(value) > top]
         last = overflowing[0] - 1 if overflowing else 12
@@ -650,14 +658,88 @@ class TestExtremeQ:
     def test_a_level_whose_product_overflows_reads_its_value(self, q, alpha, beta, level):
         # 1e300 * (1e10 - 1e5) and 1e300 * -1e300 overflow, though K(5) = 1.1111e308 and K(1) = 1e300
         K = make_case(CaseId.CHUNG, q=q, alpha=alpha, beta=beta)
-        value = exact_two_base(q, alpha, 1.0, beta, level)
+        (value,) = exact_two_base(q, alpha, 1.0, beta, [level])
         assert abs(eval_K(K, level) - value) <= 4 * math.ulp(float(value))
         with pytest.raises(ValueError, match=rf"^K\({level + 1}\) of case 'chung' .* overflows float64$"):
             level_table(K, 0, level + 1)
 
     def test_levels_below_the_float_range_keep_their_bits(self):
-        # the D = 4096 table of the number-state tests: exactly 0 (-0.0, as the direct quotient gives it) from n = 2090 on
+        # the D = 4096 table of the number-state tests: exactly 0 (+0.0, as the factored form gives it) from n = 2090 on
         K = make_case(CaseId.CHUNG, q=0.7, alpha=2.0, beta=0.5)
         levels = level_table(K, 0, 4097)
         assert levels.tobytes() == np.array([branch_walk_K(K, n) for n in range(4098)]).tobytes()
         assert levels[2089] > 0.0 and not levels[2090:].any()
+
+
+# The accuracy grid: chung and borzov base pairs (case, alpha, gamma), each with every beta and q,
+# read at levels -64..64, since verify reads K(-1) and symbolic reads shifts down to K(N-64)
+GRID_BASES = [
+    (CaseId.CHUNG, 0.5, 1.0),
+    (CaseId.CHUNG, 2.0, 1.0),
+    (CaseId.CHUNG, -1.0, 1.0),
+    (CaseId.BORZOV, 0.5, 2.0),
+    (CaseId.BORZOV, 2.0, 0.5),
+    (CaseId.BORZOV, 2.0, 3.0),
+    (CaseId.BORZOV, -1.0, -2.0),
+]
+GRID_BETAS = (0.0, 1.0, -0.5, 62.0)
+GRID_Q = (1e-300, 1e-200, 1e-100, 1e-20, 1e-5, 0.3, 0.8, 1.5, 1e3, 1e20, 1e100, 1e300)
+# the levels compared with mpmath: a subsample of -64..64 that holds the levels whose factors are
+# subnormal at q = 1e-5 (K(2) at beta = 62, K(62) of chung alpha = 2)
+GRID_LEVELS = (-64, -63, -58, -33, -17, -2, -1, 1, 2, 3, 7, 31, 62, 63, 64)
+# a level rounds to inf from here up
+OVERFLOW = mpmath.mpf(2) ** 1024 * (1 - mpmath.mpf(2) ** -54)
+
+
+def accuracy_tables():
+    """(K, (alpha, gamma, beta), lo, hi): the grid, the one-base brackets at extreme q, and every
+    q-case within NEAR_SINGULAR of q = 1."""
+    for case, alpha, gamma in GRID_BASES:
+        for beta in GRID_BETAS:
+            for q in GRID_Q:
+                params = {"q": q, "alpha": alpha, "beta": beta}
+                if case is CaseId.BORZOV:
+                    params["gamma"] = gamma
+                yield make_case(case, **params), (alpha, gamma, beta), -64, 64
+    for q in (1e-300, 1e-200, 1e-5, 3.5, 10.0, 1e200, 1e300):
+        hi = 800 if q in (3.5, 10.0) else 64
+        yield make_case(CaseId.ARIK_COON, q=q), (0.0, 1.0, 0.0), -64, hi
+        yield make_case(CaseId.MACFARLANE_BIEDENHARN, q=q), (-1.0, 1.0, 0.0), -64, hi
+    for q in (1.0 - 9e-4, 1.0 - 1e-6, 1.0 + 1e-6, 1.0 + 9e-4):
+        yield make_case(CaseId.ARIK_COON, q=q), (0.0, 1.0, 0.0), -64, 64
+        yield make_case(CaseId.MACFARLANE_BIEDENHARN, q=q), (-1.0, 1.0, 0.0), -64, 64
+        yield make_case(CaseId.CHUNG, q=q, alpha=2.0, beta=0.5), (2.0, 1.0, 0.5), -64, 64
+        yield make_case(CaseId.BORZOV, q=q, alpha=0.5, beta=1.0, gamma=2.0), (0.5, 2.0, 1.0), -64, 64
+
+
+def read_tables(K, lo, hi):
+    """K(lo..hi) read as level tables, each up to the level named as overflowing: the finite
+    levels as {n: K(n)}, and the named levels."""
+    values, named = {}, []
+    while lo <= hi:
+        try:
+            top = hi + 1
+            table = level_table(K, lo, hi)
+        except ValueError as err:
+            top = int(re.fullmatch(r"K\((-?\d+)\) of case .* overflows float64", str(err)).group(1))
+            named.append(top)
+            table = level_table(K, lo, top - 1)
+        values.update(zip(range(lo, top), table.tolist()))
+        lo = top + 1
+    return values, named
+
+
+class TestAccuracy:
+    def test_levels_are_within_4_ulp_and_only_overflowing_levels_are_named(self):
+        wrong = []
+        for K, (alpha, gamma, beta), lo, hi in accuracy_tables():
+            values, named = read_tables(K, lo, hi)
+            # the sample, and the top level read below each named one
+            levels = sorted({n for n in (*GRID_LEVELS, *(m - 1 for m in named)) if n in values})
+            exact = dict(zip(levels + named, exact_two_base(K.q, alpha, gamma, beta, levels + named)))
+            wrong += [(K, n, "named") for n in named if abs(exact[n]) < OVERFLOW]
+            for n in levels:
+                value = exact[n]
+                if abs(value) >= sys.float_info.min and abs(values[n] - value) > 4 * math.ulp(float(value)):
+                    wrong.append((K, n, values[n], float(value)))
+        assert not wrong, (len(wrong), wrong[:5])
