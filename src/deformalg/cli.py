@@ -297,10 +297,9 @@ def cmd_symbolic(args, seed: int) -> int:
         with np.errstate(over="ignore", invalid="ignore"):
             mat_l = symorder.expr_to_matrix(lhs, K, args.dim, memo=bands)
             mat_r = symorder.expr_to_matrix(rhs, K, args.dim, memo=bands)
-    except (symorder.ExprSyntaxError, ValueError, ZeroDivisionError, OverflowError) as exc:
+            matrix = fockrep.verify_window(mat_l, mat_r, margin=args.margin, tol=args.tol)
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:  # an ExprSyntaxError is a ValueError
         raise UsageError(str(exc)) from exc
-    with np.errstate(over="ignore", invalid="ignore"):
-        matrix = fockrep.verify_window(mat_l, mat_r, margin=args.margin, tol=args.tol)
     payload = {
         "case": K.case_id.value,
         "params": {k: v for k, v in K.params().items()},

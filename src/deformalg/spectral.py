@@ -29,10 +29,10 @@ forward_delta or hamiltonian_eigenvalue, passes one finiteness rule: a
 level that overflows float64 or is NaN raises ValueError
 `K(n) of case ... overflows float64` or `K(n) of case ... is not finite`.
 They read K through _levels, which makes one call of the closed form per
-table and evaluates each level once, except where a power of a one-base
-bracket overflows, when the table is evaluated again in the factored form,
-and after an OverflowError, when it evaluates the levels again one by one to
-name the level that raised.
+table and evaluates each level once, except after an OverflowError, when it
+evaluates the levels again one by one: a level whose one-base bracket power
+overflows is read in the factored form, and the first level that still raises
+is named.  So each level's value depends only on K and n.
 The table K(0..D+1) of a dimension-D representation also passes _rep_levels.
 Only level_table imports numpy, so the table and gup-scan commands, which
 read K through _levels and _rep_levels, start without it.
@@ -261,8 +261,9 @@ def _closed_form(K: SpectralFunction) -> Callable[[Sequence[float]], list]:
     """K's closed form as a function of a level sequence, its branch and constants resolved once.
 
     Each branch builds the list of K at every level in one expression, and each constant is
-    the value the expression would compute in place.  A table in which a power of the direct
-    arik-coon or macfarlane-biedenharn bracket overflows is evaluated again by _factored.
+    the value the expression would compute in place.  A power of the direct arik-coon or
+    macfarlane-biedenharn bracket can raise OverflowError where its level is finite; _levels
+    reads that level from _factored.
     """
     case = K.case_id
     if case is CaseId.CLASSICAL:
@@ -282,24 +283,10 @@ def _closed_form(K: SpectralFunction) -> Callable[[Sequence[float]], list]:
     # away from q = 1 the one-base brackets take the direct powers and need no log q
     if case is CaseId.ARIK_COON and abs(q - 1.0) >= NEAR_SINGULAR:
         qm1 = q - 1.0
-
-        def arik_coon(ns):
-            try:
-                return [(q**n - 1.0) / qm1 for n in ns]
-            except OverflowError:  # a power overflows, which the level need not
-                return _factored(K)(ns)
-
-        return arik_coon
+        return lambda ns: [(q**n - 1.0) / qm1 for n in ns]
     if case is CaseId.MACFARLANE_BIEDENHARN and abs(q - 1.0) >= NEAR_SINGULAR:
         bracket = q - 1.0 / q
-
-        def macfarlane_biedenharn(ns):
-            try:
-                return [(q**n - q**-n) / bracket for n in ns]
-            except OverflowError:  # a power overflows, which the level need not
-                return _factored(K)(ns)
-
-        return macfarlane_biedenharn
+        return lambda ns: [(q**n - q**-n) / bracket for n in ns]
 
     a, g, b = _exponents(K)
     if abs(a - g) <= DEGENERATE_TOL:
@@ -310,22 +297,29 @@ def _closed_form(K: SpectralFunction) -> Callable[[Sequence[float]], list]:
 def _levels(K: SpectralFunction, ns) -> list:
     """K at each n of ns, in order, from one call of the closed form.
 
-    The one reader behind every K value this module returns; raises
-    level_table's ValueError at the first level that is not finite.  Each
-    level is evaluated once, except in a table where a power of a one-base
-    bracket overflows, which is evaluated again in the factored form, and
-    after an OverflowError, when the levels are evaluated again one by one
-    only to name the level that raised.
+    The one reader behind every K value this module returns, and the only place
+    that catches OverflowError; raises level_table's ValueError at the first
+    level that is not finite.  Each level is evaluated once, except after an
+    OverflowError, when the levels are evaluated again one by one: an arik-coon
+    or macfarlane-biedenharn level whose direct power raises is read from
+    _factored, and the first level that still raises is named.
     """
     form = _closed_form(K)
     try:
         values = form(ns)
     except OverflowError:
+        # a one-base bracket's power can overflow where its level does not: that level reads _factored
+        one_base = K.case_id in (CaseId.ARIK_COON, CaseId.MACFARLANE_BIEDENHARN)
+        forms = (form, _factored(K)) if one_base else (form,)
         values = []
         for n in ns:
-            try:
-                values.append(form((n,))[0])
-            except OverflowError:
+            for each in forms:
+                try:
+                    values.append(each((n,))[0])
+                    break
+                except OverflowError:
+                    pass
+            else:
                 values.append(math.inf)  # stands for the level that raised
                 break
     # a finite sum means finite levels; one that overflows only costs the search
@@ -342,7 +336,7 @@ def _levels(K: SpectralFunction, ns) -> list:
 def level_table(K: SpectralFunction, lo: int, hi: int) -> np.ndarray:
     """K(lo..hi) as a float array, from one call of the closed form (empty when hi < lo).
 
-    Each level is evaluated once, except as _levels says.
+    Each level is evaluated once, except after an OverflowError, as _levels says.
 
     Raises ValueError naming the case and the first level where K is not
     finite: `K(n) of case ... overflows float64` when the closed form raises

@@ -609,7 +609,8 @@ def _evaluate(expr: Expr, K: SpectralFunction, scalar: Callable, leaf: Callable,
         if isinstance(node, Pow):
             if node.exponent < 0:
                 base = _scalar_value(node.base, K, "negative powers are only defined for scalar expressions")
-                return scalar(base**node.exponent)
+                # a complex power forms (1e160 + 0j)^2 as inf + nan*i; a real base's power stays real
+                return scalar((base.real if base.imag == 0.0 else base) ** node.exponent)
             if node.exponent == 0:
                 return scalar(1)
             return reduce(matmul, [evaluate(node.base)] * node.exponent)

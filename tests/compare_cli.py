@@ -29,11 +29,12 @@ the same way, calls in every command at q below 2^-54, chung and borzov
 tables and a borzov gup-scan at q = 1e-300 whose factors underflow, among
 them a borzov table whose q^alpha - q^gamma underflows to 0, tables whose
 arik-coon or macfarlane-biedenharn power overflows below the level that
-overflows, chung and borzov tables with a subnormal factor or 600 levels, q-scans with and
+overflows, chung and borzov tables with a subnormal factor or 600 levels, gup-scan and symbolic
+calls whose representation tables reach such a power below their top level, q-scans with and
 without --q, with an --n-to and with an infinite --q-to, a set of usage errors (among them q-scans given only one
 of --q-from and --q-to), and symbolic
 calls through every node kind and error path of the expression evaluator,
-identities that reuse a subterm, sign runs and product and quotient chains
+negative powers of real scalars whose powers overflow, identities that reuse a subterm, sign runs and product and quotient chains
 500 to 3,000 links long, divisor-order errors, K shifts just above the cap
 and far above it, together with negative parameter values written as
 '-1.' and '-1.e0'.
@@ -89,6 +90,10 @@ USAGE_ERRORS = [
 SYMBOLIC = ["symbolic", "--case", "classical", "--check"]
 EDGE_CALLS = [
     ["symbolic", "--case", "arik-coon", "--q", "0.7", "--check", "(1+q)^-1*a/2 == a/(2+2*q)"],
+    # negative powers of a real scalar whose square overflows, of one whose power overflows, and of zero
+    ["symbolic", "--case", "arik-coon", "--q", "0.7", "--check", "(1e160)^-2*x == 1e-320*x"],
+    SYMBOLIC + ["(1e-300)^-64*x == x"],
+    SYMBOLIC + ["(0)^-1*x == x"],
     SYMBOLIC + ["x^0 == 1"],
     SYMBOLIC + ["-comm(a,ad) == K(N)-K(N+1)"],
     SYMBOLIC + ["-comm(a,ad)==K(N)-K(N+1)"],
@@ -199,6 +204,15 @@ EXTREME_LEVEL_CALLS = [
     ["table", "--case", "chung", "--q", "0.8", "--alpha", "2", "--beta", "1", "--dim", "603", "--levels", "600"],
 ]
 
+# representation tables K(0..D+1) whose top level is finite though its one-base power overflows:
+# 10^309 at D = 308 and 3.5^567 at D = 566
+ONE_BASE_POWER_CALLS = [
+    ["gup-scan", "--case", "macfarlane-biedenharn", "--q", "3.5", "--dim", "566", "--n-from", "0", "--n-to", "3"],
+    ["gup-scan", "--case", "arik-coon", "--q", "10", "--dim", "308", "--n-from", "0", "--n-to", "3"],
+    ["symbolic", "--case", "macfarlane-biedenharn", "--q", "3.5", "--dim", "566", "--check", "comm_xp"],
+    ["symbolic", "--case", "arik-coon", "--q", "10", "--dim", "308", "--check", "comm_xp"],
+]
+
 # Runs inside the tree given as argv[1]: the labelled calls arrive on stdin as
 # JSON, and {label: [exit code, stdout, stderr]} leaves on stdout.
 CHILD = r"""
@@ -288,7 +302,7 @@ def call_list() -> dict:
     argvs += [sweep + ["--dim", "4", "--margin", margin] for margin in ("1", "3")]
     argvs += [sweep + ["--dim", dim] for dim in ("41", "257", "4096")]
     argvs += USAGE_ERRORS + EDGE_CALLS + Q_SCAN_CALLS + OVERFLOW_CALLS + NAN_RESIDUAL_CALLS + TINY_Q_CALLS
-    argvs += EXTREME_LEVEL_CALLS
+    argvs += EXTREME_LEVEL_CALLS + ONE_BASE_POWER_CALLS
     return {shlex.join(argv): argv for argv in argvs}
 
 

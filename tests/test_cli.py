@@ -155,6 +155,12 @@ class TestExitCodes:
         )
         assert cp.returncode == 0, cp.stdout
 
+    def test_symbolic_negative_power_of_a_real_scalar_passes(self):
+        # both sides are 1e-320 x; a complex power would form 1e160^2 as inf + nan*i
+        cp = run_cli("symbolic", "--case", "arik-coon", "--q", "0.7", "--check", "(1e160)^-2*x == 1e-320*x")
+        assert cp.returncode == 0, cp.stdout
+        assert "NaN" not in cp.stdout
+
     def test_symbolic_parse_error_exits_two(self):
         cp = run_cli("symbolic", "--case", "classical", "--check", "a*ad == ad*")
         assert cp.returncode == 2

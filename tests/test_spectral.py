@@ -523,6 +523,17 @@ class TestLevelTable:
             level_table(K, -400, 800)
 
     @pytest.mark.parametrize(
+        "K, hi",
+        [(make_case(CaseId.ARIK_COON, q=10.0), 309), (make_case(CaseId.MACFARLANE_BIEDENHARN, q=3.5), 567)],
+        ids=["arik-coon", "macfarlane-biedenharn"],
+    )
+    def test_a_table_that_reaches_an_overflowing_power_keeps_every_level(self, K, hi):
+        # K(hi) is finite, though its direct power (10^309, 3.5^567) overflows
+        expected = np.array([branch_walk_K(K, n) for n in range(hi + 1)], dtype=float)
+        assert level_table(K, 0, hi).tobytes() == expected.tobytes()
+        assert np.array([eval_K(K, n) for n in range(hi + 1)], dtype=float).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize(
         "value, what",
         [(math.inf, "overflows float64"), (-math.inf, "overflows float64"), (math.nan, "is not finite")],
         ids=["inf", "-inf", "nan"],

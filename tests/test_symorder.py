@@ -240,6 +240,19 @@ class TestNormalOrder:
         nf = normal_order(parse_expr("(1+q)^-1 * a / 2"), K)
         assert nf.coefficient(-1)(3) == pytest.approx(1.0 / 1.5 / 2.0)
 
+    @pytest.mark.parametrize(
+        "text, value",
+        [("(1e160)^-2", 1e-320), ("(-2)^-3", -0.125), ("(2+1i)^-1", (2 + 1j) ** -1)],
+        ids=["square-overflows", "negative-real", "complex"],
+    )
+    def test_a_negative_power_of_a_real_scalar_is_a_real_power(self, text, value):
+        # a complex power forms (1e160 + 0j)^2 as inf + nan*i; a real base's power stays real
+        K = make_case(CaseId.ARIK_COON, q=0.7)
+        nf = normal_order(parse_expr(f"{text}*x"), K)
+        assert nf.coefficient(1)(3) == 0.5 * value
+        band, x = (expr_to_matrix(parse_expr(f"{side}x"), K, 8) for side in (f"{text}*", ""))
+        assert np.array_equal(band.diagonals[1], complex(value) * x.diagonals[1])
+
 
 class TestComposition:
     def test_hamiltonian_composes_to_its_diagonal_closed_form(self):
@@ -461,6 +474,13 @@ class TestRealization:
                 assert np.array_equal(dense(M), np.linalg.matrix_power(power, k))
             M = nf_to_matrix(normal_order(parse_expr(f"{text}^5"), K), D)
             assert residual(M, np.linalg.matrix_power(power, 5)) <= 1e-14
+
+    def test_the_level_leaf_is_the_representation_diagonal(self):
+        # K(0..309) of D = 308 reaches 10^309, a direct power that overflows below a finite level
+        K = make_case(CaseId.ARIK_COON, q=10.0)
+        diagonal = expr_to_matrix(parse_expr("K(N)"), K, 308).diagonals[0]
+        assert not diagonal.imag.any()
+        assert diagonal.real.tobytes() == build_rep(K, 308).levels[:308].tobytes()
 
     def test_matrix_oracle_forms_h_only_when_named(self, monkeypatch):
         # H is x*x + p*p, the only squares these expressions can form
