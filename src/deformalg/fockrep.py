@@ -180,11 +180,24 @@ class Band:
     def _apply(self, V: np.ndarray) -> np.ndarray:
         if V.ndim not in (1, 2) or V.shape[0] != self.D:
             raise ValueError(f"a dimension-{self.D} band applies to {self.D}-row vectors, got {V.shape}")
-        out = np.zeros(V.shape, dtype=complex)
-        # descending offsets: each entry sums its columns k in increasing order
+        if not self.diagonals:
+            return np.zeros(V.shape, dtype=complex)
+        out = np.empty(V.shape, dtype=complex)
+        # descending offsets: each entry sums its columns k in increasing order.
+        # The first offset's products are written, not added to zeros, and the
+        # rows it misses are zeroed; so an entry whose every product is -0.0
+        # reads -0.0, where a sum from 0.0 would read 0.0
+        first = True
         for d, m in reversed(self.diagonals.items()):
             row, col = max(0, d), max(0, -d)
-            out[row : row + m.size] += (m if V.ndim == 1 else m[:, None]) * V[col : col + m.size]
+            rows, weights = slice(row, row + m.size), m if V.ndim == 1 else m[:, None]
+            if first:
+                out[:row] = 0.0
+                out[row + m.size :] = 0.0
+                np.multiply(weights, V[col : col + m.size], out=out[rows])
+                first = False
+            else:
+                out[rows] += weights * V[col : col + m.size]
         return out
 
 
@@ -405,7 +418,19 @@ def number_state(D: int, n: int) -> StateVector:
 def _row_norms(A: np.ndarray) -> np.ndarray:
     """The 2-norm of each row of A, as a column: the square root of the row's
     sum of re^2 + im^2, numpy's pairwise sum of a 1-D array of those terms."""
-    return np.sqrt((A.real**2 + A.imag**2).sum(axis=1, keepdims=True))
+    terms = np.square(A.real)
+    terms += np.square(A.imag)
+    return np.sqrt(terms.sum(axis=1, keepdims=True))
+
+
+def _divide_rows(A: np.ndarray, norms: np.ndarray) -> None:
+    """A /= norms in place, for a C-contiguous complex A and its column of positive row norms.
+
+    numpy divides a complex by a real c as a product with 1/c, so the
+    product is taken on A's float view: both parts, one multiply each.
+    """
+    parts = A.view(float)
+    parts *= 1.0 / norms
 
 
 def _uniform_amplitudes(D: int, seeds) -> np.ndarray:
@@ -422,29 +447,41 @@ def _uniform_amplitudes(D: int, seeds) -> np.ndarray:
     # silently but warns on scalar overflow
     z = np.array([int(s) & 0xFFFFFFFFFFFFFFFF for s in seeds], dtype=np.uint64)[:, None]
     z = z + np.arange(1, 2 * D + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    z ^= z >> np.uint64(31)
-    uniform = ((z >> np.uint64(11)) + np.uint64(1)) * 2.0**-53
+    # the finalizer in place, each shift into the one buffer t
+    t = z >> np.uint64(30)
+    z ^= t
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    np.right_shift(z, np.uint64(27), out=t)
+    z ^= t
+    z *= np.uint64(0x94D049BB133111EB)
+    np.right_shift(z, np.uint64(31), out=t)
+    z ^= t
+    # 2u - 1 = ((word >> 11) - (2^52 - 1)) * 2^-52: an integer of magnitude
+    # at most 2^52, which int64 holds and float64 converts and scales exactly
+    np.right_shift(z, np.uint64(11), out=z)
+    z -= np.uint64(2**52 - 1)
+    amplitudes = t.view(float)
+    np.multiply(z.view(np.int64), 2.0**-52, out=amplitudes)
     # u and v alternate along each row, as the real and imaginary parts of a complex array do
-    return (2.0 * uniform - 1.0).view(complex)
+    return amplitudes.view(complex)
 
 
 def _random_rows(D: int, seeds) -> np.ndarray:
     """The amplitudes of random_state(D, seed) for each seed, one row per seed."""
     rows = _uniform_amplitudes(D, seeds)
-    rows /= _row_norms(rows)
+    _divide_rows(rows, _row_norms(rows))
     return rows
 
 
 def _truncate_rows(A: np.ndarray, margin: int) -> np.ndarray:
-    """A with the top `margin` amplitudes of each row zeroed and each row renormalized."""
-    A = A.copy()
+    """A, C-contiguous and complex, with the top `margin` amplitudes of each row
+    zeroed and each row renormalized, in place."""
     A[:, A.shape[1] - margin :] = 0.0
     norms = _row_norms(A)
     if not norms.all():
         raise ValueError("state has no support below the truncation margin")
-    return A / norms
+    _divide_rows(A, norms)
+    return A
 
 
 def random_state(D: int, seed: int) -> StateVector:
@@ -467,7 +504,8 @@ def truncation_safe(state: StateVector, margin: int = DEFAULT_MARGIN) -> StateVe
     """
     if not 0 < margin < state.dim:
         raise ValueError(f"margin must satisfy 0 < margin < {state.dim}, got {margin}")
-    return StateVector(_truncate_rows(state.amplitudes[None, :], margin)[0])
+    # a complex copy: the rows are truncated in place, and the state is left as it is
+    return StateVector(_truncate_rows(np.array(state.amplitudes, dtype=complex)[None, :], margin)[0])
 
 
 def expectation(state: StateVector, M: Band) -> complex:
@@ -483,9 +521,13 @@ def _moments(V: np.ndarray, xV: np.ndarray, pV: np.ndarray) -> QuadratureMoments
     = 2i Im<xv|pv>, since x and p are Hermitian; the same for p.  Each field
     holds one value per column.
     """
+    scratch = np.empty(V.shape, dtype=complex)
 
     def inner(U, W):
-        return (U.conj() * W).sum(axis=0)
+        # the conjugate and the complex product into one buffer, then its column sums
+        np.conjugate(U, out=scratch)
+        np.multiply(scratch, W, out=scratch)
+        return scratch.sum(axis=0)
 
     mean_x = inner(V, xV).real
     mean_p = inner(V, pV).real
@@ -590,15 +632,21 @@ def _robertson_stacks(D: int, margin: int, seed: int):
     """The sweep's states as C-contiguous (D, c) stacks, chunk by chunk.
 
     State k is truncation_safe(random_state(D, seed + k), margin), bit for
-    bit: each row is drawn, normalized and truncated on its own, and the
-    StateVector contract is checked for the whole chunk.
+    bit.  The generator keeps no stack once it has yielded it.
     """
     for chunk in np.array_split(np.arange(ROBERTSON_STATES), _chunk_count(D)):
-        rows = _truncate_rows(_random_rows(D, [seed + k for k in chunk.tolist()]), margin)
-        norms = _row_norms(rows)[:, 0]
-        # the norm farthest from 1; np.argmax stops at the first NaN
-        _require_unit_norm(float(norms[np.argmax(np.abs(norms - 1.0))]))
-        yield np.ascontiguousarray(rows.T)
+        yield _state_stack(D, [seed + k for k in chunk.tolist()], margin)
+
+
+def _state_stack(D: int, seeds: list, margin: int) -> np.ndarray:
+    """The states of the seeds as one (D, c) stack: each row is drawn,
+    normalized and truncated on its own, in place, and the StateVector
+    contract is checked for the whole chunk; only the stack outlives the call."""
+    rows = _truncate_rows(_random_rows(D, seeds), margin)
+    norms = _row_norms(rows)[:, 0]
+    # the norm farthest from 1; np.argmax stops at the first NaN
+    _require_unit_norm(float(norms[np.argmax(np.abs(norms - 1.0))]))
+    return np.ascontiguousarray(rows.T)
 
 
 def _violations(V: np.ndarray, quads: QuadratureSet) -> np.ndarray:
@@ -618,6 +666,7 @@ def _robertson_check(quads: QuadratureSet, margin: int, seed: int) -> IdentityRe
     for V in _robertson_stacks(quads.mat_x.D, margin, seed):
         # np.max propagates NaN, where max() would drop it and pass the check
         worst = np.max(_violations(V, quads), initial=worst)
+        del V  # freed before the next chunk is drawn
     name = "robertson_inequality_random_states"
     return IdentityReport.judge(name, ROBERTSON_STATES, float(worst), ROBERTSON_TOL)
 

@@ -610,7 +610,14 @@ def _evaluate(expr: Expr, K: SpectralFunction, scalar: Callable, leaf: Callable,
             if node.exponent < 0:
                 base = _scalar_value(node.base, K, "negative powers are only defined for scalar expressions")
                 # a complex power forms (1e160 + 0j)^2 as inf + nan*i; a real base's power stays real
-                return scalar((base.real if base.imag == 0.0 else base) ** node.exponent)
+                base = base.real if base.imag == 0.0 else base
+                try:
+                    return scalar(base**node.exponent)
+                except (OverflowError, ZeroDivisionError):
+                    # a nonzero complex base whose power underflows to 0 raises ZeroDivisionError too
+                    failure = "divides by zero" if base == 0 else "overflows float64"
+                    written = str(base).strip("()").replace("j", "i")  # as the expression writes it
+                    raise ValueError(f"({written})^{node.exponent} {failure}") from None
             if node.exponent == 0:
                 return scalar(1)
             return reduce(matmul, [evaluate(node.base)] * node.exponent)

@@ -34,7 +34,8 @@ calls whose representation tables reach such a power below their top level, q-sc
 without --q, with an --n-to and with an infinite --q-to, a set of usage errors (among them q-scans given only one
 of --q-from and --q-to), and symbolic
 calls through every node kind and error path of the expression evaluator,
-negative powers of real scalars whose powers overflow, identities that reuse a subterm, sign runs and product and quotient chains
+negative powers of real and complex scalars whose powers overflow, identities that
+reuse a subterm, sign runs and product and quotient chains
 500 to 3,000 links long, divisor-order errors, K shifts just above the cap
 and far above it, together with negative parameter values written as
 '-1.' and '-1.e0'.
@@ -90,10 +91,12 @@ USAGE_ERRORS = [
 SYMBOLIC = ["symbolic", "--case", "classical", "--check"]
 EDGE_CALLS = [
     ["symbolic", "--case", "arik-coon", "--q", "0.7", "--check", "(1+q)^-1*a/2 == a/(2+2*q)"],
-    # negative powers of a real scalar whose square overflows, of one whose power overflows, and of zero
+    # negative powers of a real scalar whose square overflows, of one whose power overflows, and of
+    # zero, and of a complex scalar whose power overflows
     ["symbolic", "--case", "arik-coon", "--q", "0.7", "--check", "(1e160)^-2*x == 1e-320*x"],
     SYMBOLIC + ["(1e-300)^-64*x == x"],
     SYMBOLIC + ["(0)^-1*x == x"],
+    SYMBOLIC + ["(1e-300+1e-300i)^-64*x == x"],
     SYMBOLIC + ["x^0 == 1"],
     SYMBOLIC + ["-comm(a,ad) == K(N)-K(N+1)"],
     SYMBOLIC + ["-comm(a,ad)==K(N)-K(N+1)"],

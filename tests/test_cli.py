@@ -161,6 +161,15 @@ class TestExitCodes:
         assert cp.returncode == 0, cp.stdout
         assert "NaN" not in cp.stdout
 
+    @pytest.mark.parametrize(
+        "identity, message",
+        [("(1e-300)^-64*x == x", "(1e-300)^-64 overflows float64"), ("(0)^-1*x == x", "(0.0)^-1 divides by zero")],
+        ids=["overflows", "zero"],
+    )
+    def test_symbolic_failing_negative_power_exits_two_and_names_it(self, identity, message):
+        cp = run_cli("symbolic", "--case", "classical", "--check", identity)
+        assert (cp.returncode, cp.stdout, cp.stderr) == (2, "", f"error: {message}\n")
+
     def test_symbolic_parse_error_exits_two(self):
         cp = run_cli("symbolic", "--case", "classical", "--check", "a*ad == ad*")
         assert cp.returncode == 2

@@ -458,6 +458,28 @@ class TestRandomStream:
         amplitude = fockrep._uniform_amplitudes(1, [0])[0, 0]
         assert amplitude == complex(float.fromhex("0x1.8882a0e5ec774p-1"), float.fromhex("-0x1.18761955e4698p-3"))
 
+    def test_draws_and_truncation_leave_earlier_states_unchanged(self):
+        # the rows are drawn, normalized and truncated in place, on fresh arrays only
+        state = random_state(16, 7)
+        before = state.amplitudes.tobytes()
+        truncated = truncation_safe(state, 3)
+        assert not np.shares_memory(truncated.amplitudes, state.amplitudes)
+        random_state(16, 7)
+        truncation_safe(random_state(16, 7), 3)
+        assert state.amplitudes.tobytes() == before
+        assert truncated.amplitudes.tobytes() == truncation_safe(random_state(16, 7), 3).amplitudes.tobytes()
+
+    @pytest.mark.parametrize("D", [8, 41, 128, 256, 4096])
+    def test_a_row_divided_by_its_norm_is_its_float_view_times_the_reciprocal(self, D):
+        # what the in-place normalization relies on, on rows shaped as the sweep's chunks
+        seeds = range(fockrep.ROBERTSON_STATES // fockrep._chunk_count(D))
+        rows = fockrep._uniform_amplitudes(D, seeds)
+        truncated = rows.copy()
+        truncated[:, D - 3 :] = 0.0
+        for A in (rows, truncated):
+            norms = fockrep._row_norms(A)
+            assert (A / norms).tobytes() == (A.view(float) * (1.0 / norms)).tobytes()
+
     def test_seed_wraps_modulo_two_to_the_64(self):
         # the Robertson sweep draws seeds seed..seed+199, which wrap past 2^64
         for k in range(3):
@@ -480,8 +502,44 @@ class TestUncertaintyProduct:
         assert report.product == pytest.approx(0.25 * (1.5 + 1.75), abs=1e-12)
 
 
+def oracle_apply(band, V):
+    """band @ V for a (D, c) stack as a sum from zeros: one add per offset, descending."""
+    out = np.zeros(V.shape, dtype=complex)
+    for d, m in sorted(band.diagonals.items(), reverse=True):
+        row, col = max(0, d), max(0, -d)
+        out[row : row + m.size] += m[:, None] * V[col : col + m.size]
+    return out
+
+
+def oracle_violations(V, quads):
+    """|<[x, p]>|/2 - dx dp for each column of V, each inner product summed from one fresh product."""
+    xV, pV = oracle_apply(quads.mat_x, V), oracle_apply(quads.mat_p, V)
+
+    def inner(U, W):
+        return (U.conj() * W).sum(axis=0)
+
+    mean_x, mean_p = inner(V, xV).real, inner(V, pV).real
+    dx = np.sqrt(np.maximum(inner(xV, xV).real - mean_x**2, 0.0))
+    dp = np.sqrt(np.maximum(inner(pV, pV).real - mean_p**2, 0.0))
+    return 0.5 * np.abs(2j * inner(xV, pV).imag) - dx * dp
+
+
 class TestRobertsonSweep:
     """The chunked sweep against the per-state construction, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "K",
+        [make_case(CaseId.ARIK_COON, q=0.7), make_case(CaseId.CHUNG, q=0.7, alpha=2.0, beta=0.5)],
+        ids=["arik-coon", "chung"],
+    )
+    @pytest.mark.parametrize("D", [8, 41, 128, 256, 4096])
+    def test_violations_equal_the_test_side_arithmetic(self, K, D):
+        # a live comparison, not a digest: the complex products follow numpy's
+        # CPU dispatch; chung's levels are exactly 0 from n = 2090, so at
+        # D = 4096 the x and p images hold signed zeros
+        quads = quadratures(build_rep(K, D))
+        for V in fockrep._robertson_stacks(D, 3, 0):
+            assert fockrep._violations(V, quads).tobytes() == oracle_violations(V, quads).tobytes()
 
     @pytest.mark.parametrize("seed", [0, -1, 2**64 - 100])
     @pytest.mark.parametrize("D", [8, 41, 128, 256, 512, 4096])

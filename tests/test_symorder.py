@@ -253,6 +253,23 @@ class TestNormalOrder:
         band, x = (expr_to_matrix(parse_expr(f"{side}x"), K, 8) for side in (f"{text}*", ""))
         assert np.array_equal(band.diagonals[1], complex(value) * x.diagonals[1])
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("(1e-300)^-64", "(1e-300)^-64 overflows float64"),
+            ("(0)^-1", "(0.0)^-1 divides by zero"),
+            # a complex power that underflows to 0 raises as a division by zero would
+            ("(1e-300+1e-300i)^-64", "(1e-300+1e-300i)^-64 overflows float64"),
+        ],
+        ids=["overflows", "zero", "complex-overflows"],
+    )
+    def test_a_negative_power_that_fails_names_its_base_and_exponent(self, text, message):
+        K = make_case(CaseId.CLASSICAL)
+        for evaluate in (lambda e: normal_order(e, K), lambda e: expr_to_matrix(e, K, 8)):
+            with pytest.raises(ValueError) as err:
+                evaluate(parse_expr(f"{text}*x"))
+            assert str(err.value) == message
+
 
 class TestComposition:
     def test_hamiltonian_composes_to_its_diagonal_closed_form(self):
