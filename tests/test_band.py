@@ -104,6 +104,69 @@ def test_products_match_dense_products_within_four_ulp(monkeypatch, K, D):
         assert np.array_equal(dense(C), ordered_sum_product(a, b)), (A, B)
 
 
+def recorded_results(monkeypatch, K, D, exprs):
+    """Every band that Band's arithmetic builds while expr_to_matrix evaluates exprs."""
+    results = []
+    of = Band._of.__func__
+
+    def recording(cls, D, diagonals):
+        band = of(cls, D, diagonals)
+        results.append(band)
+        return band
+
+    monkeypatch.setattr(Band, "_of", classmethod(recording))
+    for expr in exprs:
+        expr_to_matrix(expr, K, D)
+    monkeypatch.undo()
+    return results
+
+
+def assert_passes_the_public_checks(band):
+    """The band's offsets sorted, each offset complex, 1-D and of length D - |d|,
+    and Band(D, diagonals) the same band, offset for offset and byte for byte."""
+    D = band.D
+    assert list(band.diagonals) == sorted(band.diagonals)
+    for d, m in band.diagonals.items():
+        assert (m.dtype, m.shape) == (np.dtype(complex), (D - abs(d),)), (band, d)
+    checked = Band(D, band.diagonals)
+    assert list(checked.diagonals) == list(band.diagonals)
+    for d, m in band.diagonals.items():
+        assert checked.diagonals[d].tobytes() == m.tobytes(), (band, d)
+
+
+@pytest.mark.parametrize("D", [4, 8, 32])
+@pytest.mark.parametrize("K", representative_cases() + custom_cases(), ids=str)
+def test_arithmetic_results_pass_the_public_checks(monkeypatch, K, D):
+    exprs = [side for identity in BUILTIN_IDENTITIES.values() for side in parse_identity(identity)]
+    exprs += list(random_words(seed=7, count=40, max_len=6))
+    results = recorded_results(monkeypatch, K, D, exprs)
+    assert len(results) > 40
+    rep = build_rep(K, D)
+    quads = quadratures(rep)
+    bands = [rep.mat_a, rep.mat_ad, rep.mat_N, quads.mat_x, quads.mat_p, quads.mat_H, quads.mat_xp]
+    # offsets {-2, 2} times {0, 1} first meet the output offsets in the order -2, 2, -1, 3
+    bands += [rep.mat_a @ rep.mat_a + rep.mat_ad @ rep.mat_ad, rep.mat_N + rep.mat_ad]
+    for A in bands:
+        results += [-A, A.adjoint(), 2 * A, A * (0.5 - 1j), np.float64(3.0) * A, A / 3, A / (1 + 2j)]
+        for B in bands:
+            results += [A + B, A - B, A @ B]
+    for band in results:
+        assert_passes_the_public_checks(band)
+
+
+def test_a_scalar_of_another_dtype_takes_the_public_conversion():
+    x = quadratures(build_rep(make_case(CaseId.ARIK_COON, q=0.7), 8)).mat_x
+    for c in (np.longdouble(0.1), np.clongdouble(0.1 + 0.2j)):
+        for band in (c * x, x * c, x / c):
+            assert_passes_the_public_checks(band)
+
+
+def test_an_entry_whose_only_product_is_negative_zero_keeps_its_sign():
+    # offset 0 of A @ B is spanned by its first product, which is written, not added to +0.0
+    C = Band.diagonal(-np.ones(4)) @ Band.diagonal(np.zeros(4))
+    assert np.signbit(C.entries(0).real).all()
+
+
 def test_vectors_and_state_stacks_apply_column_by_column():
     quads = quadratures(build_rep(make_case(CaseId.ARIK_COON, q=0.7), 12))
     rng = np.random.default_rng(5)

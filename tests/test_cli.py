@@ -155,6 +155,18 @@ class TestExitCodes:
         )
         assert cp.returncode == 0, cp.stdout
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="a false pass: ad^k a^k is the product of K(N - j) over j < k, which vanishes on "
+        "every level both oracles read, the nf_equal grid 0..24 and the D=32 window 0..28, "
+        "though not on the levels above them; ROADMAP item 4 decides such an identity from "
+        "its coefficients instead of sampling it",
+    )
+    def test_symbolic_product_vanishing_on_the_sampled_levels_fails(self):
+        for case_args, k in ((["--case", "classical"], 29), (["--case", "arik-coon", "--q", "0.5"], 30)):
+            cp = run_cli("symbolic", *case_args, "--check", f"ad^{k}*a^{k} == 0")
+            assert cp.returncode == 1, (case_args, cp.stdout)
+
     def test_symbolic_negative_power_of_a_real_scalar_passes(self):
         # both sides are 1e-320 x; a complex power would form 1e160^2 as inf + nan*i
         cp = run_cli("symbolic", "--case", "arik-coon", "--q", "0.7", "--check", "(1e160)^-2*x == 1e-320*x")

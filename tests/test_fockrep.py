@@ -1,13 +1,16 @@
 """Matrix representation engine: structure, windowed identities, states."""
 
+import contextlib
 import hashlib
+import io
+import json
 import math
 import warnings
 
 import numpy as np
 import pytest
 
-from conftest import catalog_grid, custom_cases, dense, representative_cases, residual, splitmix64
+from conftest import catalog_grid, custom_case, custom_cases, dense, representative_cases, residual, splitmix64
 from deformalg import (
     Band,
     CaseId,
@@ -26,8 +29,8 @@ from deformalg import (
     uncertainty_product,
     verify_window,
 )
-from deformalg import fockrep
-from deformalg.fockrep import run_verify_checks
+from deformalg import cli, fockrep
+from deformalg.fockrep import EXACT_TOL, run_verify_checks
 
 
 def classical():
@@ -244,8 +247,9 @@ class TestWindowedIdentities:
         else:
             oracle = c1 * p - 1j * (c2 * x)
         rhs = lie_hamilton_rhs(rep, quads, side)
-        # every entry equal to the formula's; a band product sums from +0.0, so
-        # where the formula gives -0.0 the band holds +0.0
+        # every entry equal to the formula's, up to the sign of a zero: a band
+        # sum or a partly spanned product starts from +0.0 where the formula
+        # may give -0.0
         assert np.array_equal(dense(rhs), oracle)
 
     def test_k_minus_one_extension_is_irrelevant_on_window(self):
@@ -619,3 +623,98 @@ class TestVerifySuite:
         assert not checks["number_raises_creation"].passed
         assert checks["number_raises_creation"].max_abs_residual >= 0.25
         assert checks["number_lowers_annihilation"].passed
+
+
+# the six cases of the benchmark workloads, with their parameters
+WORKLOAD_CASES = {
+    "classical": make_case(CaseId.CLASSICAL),
+    "arik-coon": make_case(CaseId.ARIK_COON, q=0.7),
+    "macfarlane-biedenharn": make_case(CaseId.MACFARLANE_BIEDENHARN, q=1.5),
+    "chung": make_case(CaseId.CHUNG, q=0.7, alpha=2.0, beta=0.5),
+    "borzov": make_case(CaseId.BORZOV, q=1.5, alpha=0.5, beta=1.0, gamma=2.0),
+    "nonlinear": make_case(CaseId.NONLINEAR, alpha=1.0, beta=2.0),
+    "custom": custom_case(2024),
+}
+
+
+def bits(x):
+    return np.float64(x).tobytes()
+
+
+def recorded_judgements(monkeypatch):
+    """Every table of rows that _judge_windows judges, with its reports, as they happen."""
+    judged = []
+    judge = fockrep._judge_windows
+
+    def recording(rows):
+        reports = judge(rows)
+        judged.append((list(rows), reports))
+        return reports
+
+    monkeypatch.setattr(fockrep, "_judge_windows", recording)
+    return judged
+
+
+def assert_reports_are_the_test_side_residuals(rows, reports):
+    """Each report carries its row's name and window, and conftest.residual of
+    its operands, bit for bit, judged by IdentityReport.judge's rule."""
+    assert len(reports) == len(rows)
+    for (name, A, B, margin, tol), report in zip(rows, reports):
+        assert (report.name, report.window, report.tol) == (name, A.D - margin, tol)
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = residual(A, B, margin)
+        assert bits(report.max_abs_residual) == bits(expected), (name, report.max_abs_residual, expected)
+        assert report.passed is (math.isfinite(expected) and expected <= tol), name
+
+
+class TestOnePassJudge:
+    @pytest.mark.parametrize("D", [4, 8, 32, 129])
+    @pytest.mark.parametrize("K", WORKLOAD_CASES.values(), ids=WORKLOAD_CASES)
+    def test_every_verify_row_is_the_test_side_residual(self, monkeypatch, K, D):
+        judged = recorded_judgements(monkeypatch)
+        checks = run_verify_checks(K, D, 3, 1e-10, seed=0)
+        # one judge for the whole table; the Robertson row is the sweep's
+        [(rows, reports)] = judged
+        k = [c.name for c in checks].index("robertson_inequality_random_states")
+        assert checks[:k] + checks[k + 1 :] == reports
+        assert all(tol == (EXACT_TOL if m == 0 else 1e-10) for _, _, _, m, tol in rows)
+        assert_reports_are_the_test_side_residuals(rows, reports)
+
+    def test_the_nan_rows_are_the_test_side_residual(self, monkeypatch):
+        judged = recorded_judgements(monkeypatch)
+        K = make_case(CaseId.CUSTOM, custom_eval=lambda n: 1e308 if n else 0.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            run_verify_checks(K, 16, 3, 1e-10, seed=0)
+        [(rows, reports)] = judged
+        assert sum(math.isnan(r.max_abs_residual) for r in reports) >= 3
+        assert_reports_are_the_test_side_residuals(rows, reports)
+
+    @pytest.mark.parametrize("name", ["chung", "borzov"])
+    def test_a_case_without_closed_forms_adds_no_rows(self, name):
+        K = WORKLOAD_CASES[name]
+        rep = build_rep(K, 16)
+        quads = quadratures(rep)
+        xH, pH = commutator(quads.mat_x, quads.mat_H), commutator(quads.mat_p, quads.mat_H)
+        assert list(fockrep._closed_form_rows(rep, quads, xH, pH, 3)) == []
+        assert fockrep._judge_windows([]) == []
+        assert len(run_verify_checks(K, 16, 3, 1e-10, seed=0)) == 12
+
+    @pytest.mark.parametrize(
+        "case_args",
+        [
+            ["--case", "arik-coon", "--q", "0.7"],
+            ["--case", "borzov", "--q", "1.5", "--alpha", "0.5", "--beta", "1", "--gamma", "2"],
+            ["--case", "macfarlane-biedenharn", "--q", "3", "--dim", "600"],  # products overflow: NaN
+        ],
+        ids=["arik-coon", "borzov", "overflowing"],
+    )
+    @pytest.mark.parametrize("check", ["comm_xp", "lh_x", "comm(N,ad) - ad == 0"])
+    def test_the_symbolic_oracle_is_the_one_row_case(self, monkeypatch, case_args, check):
+        judged = recorded_judgements(monkeypatch)
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            cli.main(["symbolic", *case_args, "--check", check])
+        [(rows, reports)] = judged
+        assert len(rows) == 1 and rows[0][3] == 3
+        assert_reports_are_the_test_side_residuals(rows, reports)
+        oracle = json.loads(out.getvalue())["matrix_oracle"]
+        assert bits(oracle["max_abs_residual"]) == bits(reports[0].max_abs_residual)
