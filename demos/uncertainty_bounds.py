@@ -1,4 +1,4 @@
-"""Uncertainty bounds, the quadratic diagnostic, and spectrum inversions.
+"""Uncertainty bounds, the quadratic diagnostic, and the spectrum inversion.
 
 Demonstrates the Robertson bound on number and random states, the
 diagnostic that real states violate, the case-specific bounds, the
@@ -9,8 +9,7 @@ from deformalg import (
     CaseId,
     build_rep,
     hamiltonian_eigenvalue,
-    invert_number_geometric,
-    invert_number_quadratic,
+    invert_number,
     kempf_rescale,
     make_case,
     number_state,
@@ -62,11 +61,11 @@ def main():
     print("\nspectrum inversions (level from Hamiltonian eigenvalue):")
     for n in (0, 3, 7):
         h = hamiltonian_eigenvalue(K, n)
-        print(f"  geometric q=0.5: h({n}) = {h:.6f} -> n = {invert_number_geometric(q, h):.12f}")
+        print(f"  geometric q=0.5: h({n}) = {h:.6f} -> n = {invert_number(K, h):.12f}")
     Kq = make_case(CaseId.NONLINEAR, alpha=1.0, beta=2.0)
     for n in (0, 3, 7):
         h = hamiltonian_eigenvalue(Kq, n)
-        print(f"  quadratic a=1 b=2: h({n}) = {h:.6f} -> n = {invert_number_quadratic(1.0, 2.0, h):.12f}")
+        print(f"  quadratic a=1 b=2: h({n}) = {h:.6f} -> n = {invert_number(Kq, h):.12f}")
 
 
 if __name__ == "__main__":

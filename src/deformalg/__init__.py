@@ -4,7 +4,7 @@ Five deformation families (plus user spectra) are described by a spectral
 function K with a'a = K(N).  The package builds truncated Fock-space
 representations as banded operators, verifies the operator identities of the algebra
 both numerically and by symbolic normal ordering, and evaluates
-generalized uncertainty bounds and Hamiltonian-to-level inversions.
+generalized uncertainty bounds and the Hamiltonian-to-level inversion.
 
 The names below are exported lazily (PEP 562): each is imported from its
 module on first access, so `import deformalg` loads neither numpy nor any
@@ -18,11 +18,10 @@ _EXPORTS = {
     "fockrep": """Band FockRep IdentityReport QuadratureMoments QuadratureSet StateVector build_rep
         commutator expectation kempf_rescale lie_hamilton_rhs number_state quadratures random_state
         run_verify_checks truncation_safe uncertainty_product verify_window""",
-    "gup": """UncertaintyReport case_bound invert_number_geometric invert_number_quadratic
-        invert_number_symmetric number_state_reports square_sum_bound uncertainty_report""",
+    "gup": "UncertaintyReport case_bound invert_number number_state_reports square_sum_bound uncertainty_report",
     "spectral": """CaseId DefiningRelation SpectralFunction defining_relation eval_K forward_delta
         hamiltonian_eigenvalue level_table make_case relation_residual""",
-    "symorder": """BUILTIN_IDENTITIES CoefficientFunction ExprSyntaxError NormalForm expr_to_matrix
+    "symorder": """BUILTIN_IDENTITIES CoefficientFunction Expr ExprSyntaxError NormalForm expr_to_matrix
         nf_equal nf_to_matrix normal_order parse_expr parse_identity""",
 }
 _HOMES = {name: home for home, names in _EXPORTS.items() for name in names.split()}

@@ -176,8 +176,6 @@ def cmd_verify(args, seed: int) -> int:
 
 def cmd_table(args, seed: int) -> int:
     _validate_geometry(args)
-    if args.format == "json":
-        raise UsageError("table output is CSV only")
     K = _case_from_args(args)
     if args.levels < 1:
         raise UsageError(f"--levels must be >= 1, got {args.levels}")
@@ -218,8 +216,6 @@ def _scan_rows(bases: list, levels, reports: list) -> list:
 
 def cmd_gup_scan(args, seed: int) -> int:
     _validate_geometry(args)
-    if args.format == "json":
-        raise UsageError("gup-scan output is CSV only")
     n_cap = args.dim - 1 - args.margin
     if args.q_from is not None or args.q_to is not None:
         if args.q_from is None or args.q_to is None:
@@ -245,8 +241,6 @@ def cmd_gup_scan(args, seed: int) -> int:
                 qi = args.q_from
             else:
                 qi = args.q_from + (args.q_to - args.q_from) * i / (args.q_steps - 1)
-            if not qi > 0:
-                raise UsageError(f"q grid point {qi} is not positive")
             grid.append(make_case(K.case_id, q=qi, alpha=K.alpha, beta=K.beta, gamma=K.gamma))
         reports = [gup.number_state_reports(Ki, args.dim, [n_fixed])[0] for Ki in grid]
         rows = _scan_rows([_case_columns(Ki) for Ki in grid], [n_fixed] * len(grid), reports)
@@ -271,8 +265,6 @@ def cmd_symbolic(args, seed: int) -> int:
     from . import fockrep, symorder
 
     _validate_geometry(args)
-    if args.format == "csv":
-        raise UsageError("symbolic output is JSON only")
     K = _case_from_args(args)
     text = args.check
     if text is None:
@@ -292,9 +284,10 @@ def cmd_symbolic(args, seed: int) -> int:
         forms, bands = {}, {}
         nf_l = symorder.normal_order(lhs, K, memo=forms)
         nf_r = symorder.normal_order(rhs, K, memo=forms)
-        nf_report = symorder.nf_equal(nf_l, nf_r, tol=args.tol)
-        # as in run_verify_checks, band products that overflow read as NaN residuals, without numpy warnings
+        # as in run_verify_checks, coefficients and band products that overflow read as NaN residuals,
+        # without numpy warnings
         with np.errstate(over="ignore", invalid="ignore"):
+            nf_report = symorder.nf_equal(nf_l, nf_r, tol=args.tol)
             mat_l = symorder.expr_to_matrix(lhs, K, args.dim, memo=bands)
             mat_r = symorder.expr_to_matrix(rhs, K, args.dim, memo=bands)
             matrix = fockrep.verify_window(mat_l, mat_r, margin=args.margin, tol=args.tol)
@@ -355,13 +348,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_table = subparsers.add_parser("table", help="emit the spectrum table as CSV")
     _add_common(p_table)
-    p_table.add_argument("--format", choices=["json", "csv"], default="csv")
+    p_table.add_argument("--format", choices=["csv"], default="csv")
     p_table.add_argument("--levels", type=int, default=8)
     p_table.set_defaults(func=cmd_table)
 
     p_scan = subparsers.add_parser("gup-scan", help="scan uncertainty bounds over levels or q")
     _add_common(p_scan)
-    p_scan.add_argument("--format", choices=["json", "csv"], default="csv")
+    p_scan.add_argument("--format", choices=["csv"], default="csv")
     p_scan.add_argument("--n-from", type=int, default=None)
     p_scan.add_argument("--n-to", type=int, default=None)
     p_scan.add_argument("--q-from", type=float, default=None)
@@ -371,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sym = subparsers.add_parser("symbolic", help="check an operator identity symbolically")
     _add_common(p_sym)
-    p_sym.add_argument("--format", choices=["json", "csv"], default="json")
+    p_sym.add_argument("--format", choices=["json"], default="json")
     p_sym.add_argument("--check", default=None)
     p_sym.set_defaults(func=cmd_symbolic)
 

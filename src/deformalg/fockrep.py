@@ -385,12 +385,11 @@ def commutator(A: Band, B: Band) -> Band:
     return A @ B - B @ A
 
 
-def lie_hamilton_rhs(rep: FockRep, quads: QuadratureSet, side: str) -> Band:
-    """Closed-form right side of the equation of motion commutator.
+def lie_hamilton_rhs(rep: FockRep, quads: QuadratureSet) -> tuple:
+    """Closed-form right sides of the equation of motion commutators [x, H] and [p, H].
 
-    For side='x' returns  C1(N) x + i C2(N) p  and for side='p' returns
-    C1(N) p - i C2(N) x, with diagonal coefficient operators applied on the
-    left and
+    Returns the pair  (C1(N) x + i C2(N) p,  C1(N) p - i C2(N) x),  with
+    diagonal coefficient operators applied on the left and
 
         C1(n) = (K(n+2) - K(n) - K(n+1) + K(n-1))/4
         C2(n) = (K(n+2) - K(n) + K(n+1) - K(n-1))/4
@@ -400,16 +399,13 @@ def lie_hamilton_rhs(rep: FockRep, quads: QuadratureSet, side: str) -> Band:
     is finite; its contribution provably cancels between the x and p terms,
     so its value leaves the window agreement with the true commutator intact.
     """
-    if side not in ("x", "p"):
-        raise ValueError(f"side must be 'x' or 'p', got {side!r}")
     D = rep.D
     k = np.concatenate((level_table(rep.K, -1, -1), rep.levels))  # K(-1..D+1)
     k_prev, k_n, k_next, k_next2 = (k[j : j + D] for j in range(4))  # K(n-1..n+2)
     c1 = Band.diagonal(0.25 * (k_next2 - k_n - k_next + k_prev))
     c2 = Band.diagonal(0.25 * (k_next2 - k_n + k_next - k_prev))
-    if side == "x":
-        return c1 @ quads.mat_x + 1j * (c2 @ quads.mat_p)
-    return c1 @ quads.mat_p - 1j * (c2 @ quads.mat_x)
+    x, p = quads.mat_x, quads.mat_p
+    return c1 @ x + 1j * (c2 @ p), c1 @ p - 1j * (c2 @ x)
 
 
 def verify_window(
@@ -680,8 +676,9 @@ def _structure_rows(rep: FockRep, quads: QuadratureSet, xH, pH, margin: int):
     yield "ladder_commutator_step", commutator(a, ad), Band.diagonal(delta), margin
     yield "hamiltonian_diagonal_form", H, Band.diagonal(0.5 * (levels[:D] + levels[1:])), margin
     yield "xp_commutator_step", quads.mat_xp, Band.diagonal(0.5j * delta), margin
-    yield "lie_hamilton_x", xH, lie_hamilton_rhs(rep, quads, "x"), margin
-    yield "lie_hamilton_p", pH, lie_hamilton_rhs(rep, quads, "p"), margin
+    rhs_x, rhs_p = lie_hamilton_rhs(rep, quads)
+    yield "lie_hamilton_x", xH, rhs_x, margin
+    yield "lie_hamilton_p", pH, rhs_p, margin
 
 
 def _chunk_count(D: int) -> int:

@@ -1,4 +1,4 @@
-"""Generalized uncertainty bounds, diagnostics and spectrum inversions.
+"""Generalized uncertainty bounds, diagnostics and the spectrum inversion.
 
 The operative uncertainty bound everywhere in this package is the
 Robertson bound
@@ -32,9 +32,9 @@ Numerical domain note: inverting the geometric spectrum at q < 1 reads n
 from 1 - (1-q) h, which saturates geometrically at h -> 1/(1-q).  In
 float64 the level information is exhausted near n ~ log(eps)/log(q) / 2;
 beyond that no algorithm can recover n from a rounded h (about n = 14
-for q = 0.3).  The other inversions do not saturate.
+for q = 0.3).  The symmetric and quadratic forms do not saturate.
 
-Number-state reports and the inversions run on Python floats; numpy and
+Number-state reports and the inversion run on Python floats; numpy and
 fockrep are imported only by the functions that take a state vector.
 UncertaintyReport is a NamedTuple, not a dataclass, to keep dataclasses and
 the inspect modules it imports off the start-up path of gup-scan.
@@ -55,10 +55,7 @@ __all__ = [
     "square_sum_bound",
     "uncertainty_report",
     "number_state_reports",
-    "invert_number_geometric",
-    "invert_number_symmetric",
-    "invert_number_quadratic",
-    "kempf_rescale",
+    "invert_number",
     "case_bound",
 ]
 
@@ -160,65 +157,43 @@ def kempf_rescale(quads: QuadratureSet, q: float) -> QuadratureSet:
     return fockrep.kempf_rescale(quads, q)
 
 
-def invert_number_geometric(q: float, h: float) -> float:
-    """Level n with Hamiltonian eigenvalue h for the geometric spectrum.
+def invert_number(K: SpectralFunction, h: float) -> float:
+    """Level n with Hamiltonian eigenvalue h = (K(n) + K(n+1))/2 on K's spectrum.
 
-    Solves q^n = (2/(1+q)) (1 - (1-q) h); at q = 1 the exact linear
-    branch n = h - 1/2 applies.  Raises ValueError when h lies outside
-    the attainable range (non-positive argument of the logarithm), and on
-    a q or h that is not finite.
-    """
-    _require_finite(q=q, h=h)
-    if not q > 0:
-        raise ValueError(f"q must be positive, got {q}")
-    if abs(q - 1.0) <= DEGENERATE_TOL:
-        return h - 0.5
-    t = (2.0 / (1.0 + q)) * (1.0 - (1.0 - q) * h)
-    if t <= 0.0:
-        raise ValueError(f"h = {h} is outside the attainable spectrum for q = {q}")
-    return math.log(t) / math.log(q)
-
-
-def invert_number_symmetric(q: float, h: float) -> float:
-    """Level n with Hamiltonian eigenvalue h for the symmetric bracket.
-
-    Positive root of  q t^2 - 2(q-1) h t - 1 = 0  with t = q^n, written in
-    the cancellation-free form for either sign of (q-1) h; at q = 1 the
-    linear branch n = h - 1/2 applies.  Raises ValueError on a q or h that
-    is not finite.
-    """
-    _require_finite(q=q, h=h)
-    if not q > 0:
-        raise ValueError(f"q must be positive, got {q}")
-    if abs(q - 1.0) <= DEGENERATE_TOL:
-        return h - 0.5
-    A = (q - 1.0) * h
-    if A >= 0.0:
-        t = (A + math.sqrt(A * A + q)) / q
-    else:
-        t = 1.0 / (math.sqrt(A * A + q) - A)
-    return math.log(t) / math.log(q)
-
-
-def invert_number_quadratic(alpha: float, beta: float, h: float) -> float:
-    """Level n with Hamiltonian eigenvalue h for K(n) = alpha n^2 + beta n.
-
+    arik-coon solves q^n = (2/(1+q)) (1 - (1-q) h), and raises ValueError
+    when h lies outside the attainable range (non-positive argument of the
+    logarithm).  macfarlane-biedenharn takes the positive root of
+    q t^2 - 2(q-1) h t - 1 = 0 with t = q^n, written in the
+    cancellation-free form for either sign of (q-1) h.  nonlinear takes
     n = (-(alpha+beta) + sqrt(beta^2 - alpha^2 + 4 alpha h)) / (2 alpha),
-    with the linear continuation n = h/beta - 1/2 at alpha = 0.  Raises
-    ValueError on a negative radicand, and on parameters that make_case
-    rejects for the case: alpha, beta or h not finite, alpha < 0, beta <= 0.
+    and raises ValueError on a negative radicand.  classical, q = 1 and
+    alpha = 0 take the linear branches n = h - 1/2 and n = h/beta - 1/2.
+
+    K's parameters are the ones make_case checked; h must be finite.
+    chung, borzov and custom raise ValueError: they have no closed-form inversion.
     """
-    _require_finite(alpha=alpha, beta=beta, h=h)
-    if alpha < 0:
-        raise ValueError(f"alpha must be >= 0, got {alpha}")
-    if not beta > 0:
-        raise ValueError(f"beta must be > 0, got {beta}")
-    if abs(alpha) <= DEGENERATE_TOL:
-        return h / beta - 0.5
-    radicand = beta * beta - alpha * alpha + 4.0 * alpha * h
-    if radicand < 0.0:
-        raise ValueError(f"h = {h} gives a negative radicand {radicand}")
-    return (-(alpha + beta) + math.sqrt(radicand)) / (2.0 * alpha)
+    _require_finite(h=h)
+    case, q = K.case_id, K.q
+    if case is CaseId.NONLINEAR:
+        alpha, beta = K.alpha, K.beta
+        if abs(alpha) <= DEGENERATE_TOL:
+            return h / beta - 0.5
+        radicand = beta * beta - alpha * alpha + 4.0 * alpha * h
+        if radicand < 0.0:
+            raise ValueError(f"h = {h} gives a negative radicand {radicand}")
+        return (-(alpha + beta) + math.sqrt(radicand)) / (2.0 * alpha)
+    if case not in (CaseId.CLASSICAL, CaseId.ARIK_COON, CaseId.MACFARLANE_BIEDENHARN):
+        raise ValueError(f"case {case.value!r} has no closed-form inversion")
+    if case is CaseId.CLASSICAL or abs(q - 1.0) <= DEGENERATE_TOL:
+        return h - 0.5
+    if case is CaseId.ARIK_COON:
+        t = (2.0 / (1.0 + q)) * (1.0 - (1.0 - q) * h)
+        if t <= 0.0:
+            raise ValueError(f"h = {h} is outside the attainable spectrum for q = {q}")
+    else:
+        A = (q - 1.0) * h
+        t = (A + math.sqrt(A * A + q)) / q if A >= 0.0 else 1.0 / (math.sqrt(A * A + q) - A)
+    return math.log(t) / math.log(q)
 
 
 def case_bound(state: StateVector, quads: QuadratureSet, K: SpectralFunction) -> Optional[float]:

@@ -25,14 +25,16 @@ by rounding to inf, each a parameter error (exit 2), chung and borzov tables
 whose q^beta or q^alpha - q^gamma overflows at q = 1e300, 1e-300 and 1e-5, verify runs in JSON
 and CSV whose finite level tables overflow in the band products (NaN
 residual rows, exit 1), a symbolic call whose matrix oracle overflows
-the same way, calls in every command at q below 2^-54, chung and borzov
+the same way and one whose normal-form coefficients overflow, calls in
+every command at q below 2^-54, chung and borzov
 tables and a borzov gup-scan at q = 1e-300 whose factors underflow, among
 them a borzov table whose q^alpha - q^gamma underflows to 0, tables whose
 arik-coon or macfarlane-biedenharn power overflows below the level that
 overflows, chung and borzov tables with a subnormal factor or 600 levels, gup-scan and symbolic
 calls whose representation tables reach such a power below their top level, q-scans with and
 without --q, with an --n-to and with an infinite --q-to, a set of usage errors (among them q-scans given only one
-of --q-from and --q-to), and symbolic
+of --q-from and --q-to, a q-scan through a non-positive q and each command given
+a --format it does not write), and symbolic
 calls through every node kind and error path of the expression evaluator,
 negative powers of real and complex scalars whose powers overflow, identities that
 reuse a subterm, sign runs and product and quotient chains
@@ -75,10 +77,12 @@ USAGE_ERRORS = [
     ["gup-scan", "--case", "arik-coon", "--q", "0.5", "--q-from", "0.5", "--q-to", "inf", "--q-steps", "2",
      "--dim", "8"],
     ["gup-scan", "--case", "classical", "--format", "json"],
+    ["gup-scan", "--case", "arik-coon", "--q-from", "0.5", "--q-to", "-0.5", "--q-steps", "3"],
     ["table", "--case", "classical", "--levels", "30", "--dim", "32"],
     ["table", "--case", "classical", "--levels", "0"],
     ["table", "--case", "classical", "--format", "json"],
     ["symbolic", "--case", "classical"],
+    ["symbolic", "--case", "classical", "--check", "comm_xp", "--format", "csv"],
     ["symbolic", "--case", "classical", "--check", "no_such_builtin"],
     ["symbolic", "--case", "classical", "--check", "a*ad == ad*"],
     ["symbolic", "--case", "classical", "--check", "x^1e400 == x"],
@@ -172,8 +176,9 @@ NAN_RESIDUAL_CALLS = [
     )
     for fmt in (["--format", "csv"], [])
 ] + [
-    # the symbolic matrix oracle's band products overflow too
+    # the symbolic matrix oracle's band products overflow too, and so do the normal form's coefficients
     ["symbolic", "--case", "macfarlane-biedenharn", "--q", "3", "--dim", "600", "--check", "lh_x"],
+    ["symbolic", "--case", "classical", "--check", "(1e200)^2 == 0"],
 ]
 
 # q below 2^-54, where q - 1.0 rounds to -1.0

@@ -125,6 +125,18 @@ class TestExitCodes:
         assert [cp.returncode for cp in together] == [2, 0, 2, 0]
         assert cli.build_parser() is cli.build_parser()
 
+    @pytest.mark.parametrize(
+        "command,written,other",
+        [("table", "csv", "json"), ("gup-scan", "csv", "json"), ("symbolic", "json", "csv")],
+        ids=["table", "gup-scan", "symbolic"],
+    )
+    def test_each_command_accepts_only_the_format_it_writes(self, command, written, other):
+        args = (command, "--case", "classical") + (("--check", "comm_xp") if command == "symbolic" else ())
+        assert run_cli(*args, "--format", written) == run_cli(*args)
+        cp = run_cli(*args, "--format", other)
+        assert (cp.returncode, cp.stdout) == (2, "")
+        assert f"argument --format: invalid choice: '{other}'" in cp.stderr
+
     def test_zero_margin_rejected(self):
         cp = run_cli("verify", "--case", "classical", "--margin", "0")
         assert cp.returncode == 2
@@ -466,6 +478,11 @@ class TestScan:
         cp = run_cli(*self.Q_SCAN, "--q", "-1")
         assert (cp.returncode, cp.stdout, cp.stderr) == (2, "", "error: q must be positive, got -1.0\n")
 
+    def test_a_nonpositive_grid_point_is_refused_by_make_case(self):
+        # the grid 0.5, 0.0, -0.5 starts at a valid q
+        cp = run_cli("gup-scan", "--case", "arik-coon", "--q-from", "0.5", "--q-to", "-0.5", "--q-steps", "3")
+        assert (cp.returncode, cp.stdout, cp.stderr) == (2, "", "error: q must be positive, got 0.0\n")
+
     def test_q_scan_rejects_n_to(self):
         cp = run_cli(*self.Q_SCAN, "--q", "0.5", "--n-from", "3", "--n-to", "10")
         assert (cp.returncode, cp.stdout) == (2, "")
@@ -568,6 +585,15 @@ class TestNonFiniteResiduals:
         oracle = json.loads(cp.stdout)["matrix_oracle"]
         assert math.isnan(oracle["max_abs_residual"]) and oracle["pass"] is False
 
+    def test_the_symbolic_normal_form_fails_without_warnings(self):
+        # the coefficient 1e400 overflows on the normal form's levels as in the matrix oracle
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cp = run_cli("symbolic", "--case", "classical", "--check", "(1e200)^2 == 0")
+        assert (cp.returncode, cp.stderr) == (1, "")
+        normal_form = json.loads(cp.stdout)["normal_form"]
+        assert math.isnan(normal_form["max_deviation"]) and normal_form["pass"] is False
+
 
 class TestSeedHandling:
     def test_env_overrides_flag(self, monkeypatch):
@@ -632,6 +658,11 @@ class TestLazyExports:
         exec("from deformalg import *", namespace)
         for name in deformalg.__all__:
             assert namespace[name] is getattr(deformalg, name), name
+
+    def test_each_modules_all_is_its_export_entry(self):
+        for home, names in deformalg._EXPORTS.items():
+            module = importlib.import_module(f"deformalg.{home}")
+            assert sorted(module.__all__) == names.split(), home
 
     def test_unknown_name_raises_attribute_error(self):
         with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):

@@ -1,14 +1,15 @@
-"""Uncertainty bounds, the quadratic diagnostic, and spectrum inversions."""
+"""Uncertainty bounds, the quadratic diagnostic, and the spectrum inversion."""
 
 import contextlib
 import io
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
 
-from conftest import dense, representative_cases
+from conftest import catalog_grid, custom_case, dense, representative_cases
 from deformalg import cli, fockrep, gup
 from deformalg import (
     Band,
@@ -19,9 +20,7 @@ from deformalg import (
     commutator,
     eval_K,
     hamiltonian_eigenvalue,
-    invert_number_geometric,
-    invert_number_quadratic,
-    invert_number_symmetric,
+    invert_number,
     kempf_rescale,
     make_case,
     number_state,
@@ -170,24 +169,54 @@ class TestSquareSumDiagnostic:
             square_sum_bound(number_state(dim, 0), rep)
 
 
+def closed_form_inversion(K, h):
+    """The geometric, symmetric and quadratic inversion formulas, one per case: the tests' oracle."""
+    if K.case_id is CaseId.CLASSICAL:
+        return h - 0.5
+    if K.case_id is CaseId.NONLINEAR:
+        alpha, beta = K.alpha, K.beta
+        if abs(alpha) <= 1e-12:
+            return h / beta - 0.5
+        radicand = beta * beta - alpha * alpha + 4.0 * alpha * h
+        if radicand < 0.0:
+            raise ValueError(f"h = {h} gives a negative radicand {radicand}")
+        return (-(alpha + beta) + math.sqrt(radicand)) / (2.0 * alpha)
+    q = K.q
+    if abs(q - 1.0) <= 1e-12:
+        return h - 0.5
+    if K.case_id is CaseId.ARIK_COON:
+        t = (2.0 / (1.0 + q)) * (1.0 - (1.0 - q) * h)
+        if t <= 0.0:
+            raise ValueError(f"h = {h} is outside the attainable spectrum for q = {q}")
+        return math.log(t) / math.log(q)
+    A = (q - 1.0) * h
+    if A >= 0.0:
+        t = (A + math.sqrt(A * A + q)) / q
+    else:
+        t = 1.0 / (math.sqrt(A * A + q) - A)
+    return math.log(t) / math.log(q)
+
+
+INVERTIBLE = (CaseId.CLASSICAL, CaseId.ARIK_COON, CaseId.MACFARLANE_BIEDENHARN, CaseId.NONLINEAR)
+
+
 class TestInversions:
     def test_geometric_spot_checks(self):
         K = make_case(CaseId.ARIK_COON, q=0.5)
         h = hamiltonian_eigenvalue(K, 2)
         assert h == pytest.approx(1.625, abs=1e-14)
         assert (2.0 / 1.5) * (1.0 - 0.5 * h) == pytest.approx(0.25, abs=1e-14)
-        assert invert_number_geometric(0.5, h) == pytest.approx(2.0, abs=1e-12)
-        assert invert_number_geometric(2.0, 0.5) == pytest.approx(0.0, abs=1e-12)
+        assert invert_number(K, h) == pytest.approx(2.0, abs=1e-12)
+        assert invert_number(make_case(CaseId.ARIK_COON, q=2.0), 0.5) == pytest.approx(0.0, abs=1e-12)
 
     def test_geometric_continuation_at_q_one(self):
+        K = make_case(CaseId.ARIK_COON, q=1.0)
         for n in range(6):
-            assert invert_number_geometric(1.0, n + 0.5) == pytest.approx(n, abs=1e-14)
+            assert invert_number(K, n + 0.5) == pytest.approx(n, abs=1e-14)
 
     def test_geometric_out_of_range(self):
-        with pytest.raises(ValueError):
-            invert_number_geometric(0.5, 10.0)
-        with pytest.raises(ValueError):
-            invert_number_geometric(-1.0, 0.5)
+        with pytest.raises(ValueError, match=r"^h = 10.0 is outside the attainable spectrum for q = 0.5$"):
+            invert_number(make_case(CaseId.ARIK_COON, q=0.5), 10.0)
 
     def test_symmetric_spot_checks(self):
         K = make_case(CaseId.MACFARLANE_BIEDENHARN, q=2.0)
@@ -195,57 +224,68 @@ class TestInversions:
         assert h == pytest.approx(1.75, abs=1e-14)
         # exact rational arithmetic: (1/3)(2.625 + sqrt(6.890625 + 4.5)) = 2
         assert (2.625 + math.sqrt(6.890625 + 4.5)) / 3.0 == pytest.approx(2.0, abs=1e-14)
-        assert invert_number_symmetric(2.0, h) == pytest.approx(1.0, abs=1e-12)
-        assert invert_number_symmetric(2.0, 0.5) == pytest.approx(0.0, abs=1e-12)
+        assert invert_number(K, h) == pytest.approx(1.0, abs=1e-12)
+        assert invert_number(K, 0.5) == pytest.approx(0.0, abs=1e-12)
 
     def test_symmetric_monotone(self):
-        hs = np.linspace(0.5, 40.0, 50)
-        ns = [invert_number_symmetric(2.0, h) for h in hs]
+        K = make_case(CaseId.MACFARLANE_BIEDENHARN, q=2.0)
+        ns = [invert_number(K, h) for h in np.linspace(0.5, 40.0, 50)]
         assert all(b > a for a, b in zip(ns, ns[1:]))
 
     def test_quadratic_spot_checks(self):
-        assert invert_number_quadratic(1.0, 2.0, 19.5) == pytest.approx(3.0, abs=1e-12)
-        assert invert_number_quadratic(1.0, 2.0, 11.5) == pytest.approx(2.0, abs=1e-12)
-        assert invert_number_quadratic(1.0, 2.0, 1.5) == pytest.approx(0.0, abs=1e-12)
+        K = make_case(CaseId.NONLINEAR, alpha=1.0, beta=2.0)
+        assert invert_number(K, 19.5) == pytest.approx(3.0, abs=1e-12)
+        assert invert_number(K, 11.5) == pytest.approx(2.0, abs=1e-12)
+        assert invert_number(K, 1.5) == pytest.approx(0.0, abs=1e-12)
         assert math.sqrt(4.0 - 1.0 + 46.0) == 7.0
 
     def test_quadratic_linear_continuation(self):
-        assert invert_number_quadratic(0.0, 2.0, 5.0) == pytest.approx(2.0, abs=1e-14)
+        assert invert_number(make_case(CaseId.NONLINEAR, alpha=0.0, beta=2.0), 5.0) == pytest.approx(2.0, abs=1e-14)
 
     def test_quadratic_negative_radicand(self):
-        with pytest.raises(ValueError):
-            invert_number_quadratic(1.0, 2.0, -10.0)
+        with pytest.raises(ValueError, match=r"^h = -10.0 gives a negative radicand -37.0$"):
+            invert_number(make_case(CaseId.NONLINEAR, alpha=1.0, beta=2.0), -10.0)
+
+    @pytest.mark.parametrize("K", [K for K in catalog_grid() if K.case_id in INVERTIBLE], ids=str)
+    def test_each_case_takes_its_closed_form_bit_for_bit(self, K):
+        # the round-trip levels, then eigenvalues below, between and beyond them,
+        # among them the geometric saturation point and the negative radicands
+        hs = [hamiltonian_eigenvalue(K, n) for n in range(29)]
+        hs += [-1e300, -10.0, -1.0, -0.25, 0.0, 0.25, 1.0 + 1e-9, 1.4, 3.3, 10.0, 1e6, 1e300]
+        for h in hs:
+            try:
+                expected = closed_form_inversion(K, h)
+            except ValueError as exc:
+                with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                    invert_number(K, h)
+            else:
+                assert invert_number(K, h).hex() == expected.hex(), h
 
     @pytest.mark.parametrize(
-        "invert,args,message",
+        "K",
         [
-            (invert_number_geometric, (math.inf, 1.0), "q must be finite"),
-            (invert_number_geometric, (math.nan, 1.0), "q must be finite"),
-            (invert_number_geometric, (0.5, math.nan), "h must be finite"),
-            (invert_number_geometric, (1.0, -math.inf), "h must be finite"),
-            (invert_number_symmetric, (math.inf, 1.0), "q must be finite"),
-            (invert_number_symmetric, (2.0, math.inf), "h must be finite"),
-            (invert_number_symmetric, (0.0, 1.0), "q must be positive"),
-            (invert_number_quadratic, (math.nan, 1.0, 1.0), "alpha must be finite"),
-            (invert_number_quadratic, (1.0, math.inf, 1.0), "beta must be finite"),
-            (invert_number_quadratic, (1.0, 2.0, math.nan), "h must be finite"),
-            (invert_number_quadratic, (-1.0, 2.0, 1.0), "alpha must be >= 0"),
-            (invert_number_quadratic, (0.0, 0.0, 1.0), "beta must be > 0"),
-            (invert_number_quadratic, (0.0, -2.0, 1.0), "beta must be > 0"),
-            (invert_number_quadratic, (1.0, -2.0, 1.0), "beta must be > 0"),
+            make_case(CaseId.CHUNG, q=0.7, alpha=2.0, beta=0.5),
+            make_case(CaseId.BORZOV, q=1.5, alpha=0.5, beta=1.0, gamma=2.0),
+            custom_case(2024),
         ],
-        ids=lambda v: getattr(v, "__name__", str(v)),
+        ids=lambda K: K.case_id.value,
     )
-    def test_parameters_outside_make_case_rules_are_rejected(self, invert, args, message):
-        with pytest.raises(ValueError, match=message):
-            invert(*args)
+    def test_cases_without_a_closed_form_are_refused(self, K):
+        with pytest.raises(ValueError, match=rf"^case '{K.case_id.value}' has no closed-form inversion$"):
+            invert_number(K, 1.5)
+
+    @pytest.mark.parametrize("h", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("K", representative_cases(), ids=str)
+    def test_h_that_is_not_finite_is_refused(self, K, h):
+        with pytest.raises(ValueError, match=rf"^h must be finite, got {h}$"):
+            invert_number(K, h)
 
     @pytest.mark.parametrize("q", [0.7, 1.0, 1.5, 3.0])
     def test_geometric_round_trip(self, q):
         K = make_case(CaseId.ARIK_COON, q=q)
         for n in range(29):
             h = hamiltonian_eigenvalue(K, n)
-            assert abs(invert_number_geometric(q, h) - n) <= 1e-9
+            assert abs(invert_number(K, h) - n) <= 1e-9
 
     def test_geometric_round_trip_saturation_domain(self):
         # at q < 1 the map n -> h saturates at 1/(1-q); float64 carries
@@ -253,14 +293,14 @@ class TestInversions:
         K = make_case(CaseId.ARIK_COON, q=0.3)
         for n in range(13):
             h = hamiltonian_eigenvalue(K, n)
-            assert abs(invert_number_geometric(0.3, h) - n) <= 1e-9
+            assert abs(invert_number(K, h) - n) <= 1e-9
 
     @pytest.mark.parametrize("q", [0.3, 0.7, 1.0, 1.5, 3.0])
     def test_symmetric_round_trip(self, q):
         K = make_case(CaseId.MACFARLANE_BIEDENHARN, q=q)
         for n in range(29):
             h = hamiltonian_eigenvalue(K, n)
-            assert abs(invert_number_symmetric(q, h) - n) <= 1e-9
+            assert abs(invert_number(K, h) - n) <= 1e-9
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
     @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0])
@@ -268,7 +308,7 @@ class TestInversions:
         K = make_case(CaseId.NONLINEAR, alpha=alpha, beta=beta)
         for n in range(29):
             h = hamiltonian_eigenvalue(K, n)
-            assert abs(invert_number_quadratic(alpha, beta, h) - n) <= 1e-9
+            assert abs(invert_number(K, h) - n) <= 1e-9
 
 
 class TestKempfRescaling:

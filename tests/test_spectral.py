@@ -8,7 +8,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import ABG_GRID, Q_GRID, catalog_grid, custom_case
@@ -249,18 +249,20 @@ class TestInvariants:
 class TestValidation:
     def test_nonpositive_q_rejected(self):
         for case in (CaseId.ARIK_COON, CaseId.MACFARLANE_BIEDENHARN):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match=r"^q must be positive, got -1.0$"):
                 make_case(case, q=-1.0)
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match=r"^q must be positive, got 0.0$"):
                 make_case(case, q=0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^q must be positive, got -2.0$"):
             make_case(CaseId.CHUNG, q=-2.0, alpha=1.0, beta=1.0)
 
     def test_nonlinear_domain(self):
-        with pytest.raises(ValueError):
-            make_case(CaseId.NONLINEAR, alpha=-0.5, beta=1.0)
-        with pytest.raises(ValueError):
-            make_case(CaseId.NONLINEAR, alpha=1.0, beta=0.0)
+        for alpha in (-0.5, -1.0):
+            with pytest.raises(ValueError, match=rf"^nonlinear spectrum requires alpha >= 0, got {alpha}$"):
+                make_case(CaseId.NONLINEAR, alpha=alpha, beta=2.0)
+        for alpha, beta in ((1.0, 0.0), (0.0, 0.0), (0.0, -2.0), (1.0, -2.0)):
+            with pytest.raises(ValueError, match=rf"^nonlinear spectrum requires beta > 0, got {beta}$"):
+                make_case(CaseId.NONLINEAR, alpha=alpha, beta=beta)
 
     def test_missing_parameters(self):
         with pytest.raises(ValueError):
@@ -306,9 +308,14 @@ class TestParameterValidation:
         slot=st.sampled_from(("q", "alpha", "beta", "gamma")),
         bad=st.sampled_from((math.nan, math.inf, -math.inf)),
     )
+    @example(case=CaseId.ARIK_COON, slot="q", bad=math.inf)
+    @example(case=CaseId.ARIK_COON, slot="q", bad=math.nan)
+    @example(case=CaseId.MACFARLANE_BIEDENHARN, slot="q", bad=math.inf)
+    @example(case=CaseId.NONLINEAR, slot="alpha", bad=math.nan)
+    @example(case=CaseId.NONLINEAR, slot="beta", bad=math.inf)
     def test_non_finite_parameter_rejected(self, case, slot, bad):
         params = dict(CATALOG_PARAMS[case], **{slot: bad})
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(ValueError, match=rf"^{slot} must be finite, got {bad}$"):
             make_case(case, **params)
 
     def test_valid_parameters_accepted(self):
