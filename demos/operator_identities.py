@@ -36,7 +36,7 @@ def main():
     delta = Band.diagonal(levels[1:] - levels[:-1])
     hdiag = Band.diagonal(0.5 * (levels[:-1] + levels[1:]))
     nn = np.arange(D, dtype=float)
-    rhs_x, rhs_p = lie_hamilton_rhs(rep, quads)
+    rhs_x, rhs_p = lie_hamilton_rhs(quads)
 
     checks = [
         ("a'a = diag K(n)            ", rep.mat_ad @ rep.mat_a, Band.diagonal(levels[:D])),

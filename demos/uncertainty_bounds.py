@@ -25,11 +25,10 @@ def main():
     D = 24
     print("classical case: the quadratic diagnostic is NOT a lower bound")
     K = make_case(CaseId.CLASSICAL)
-    rep = build_rep(K, D)
-    quads = quadratures(rep)
+    quads = quadratures(build_rep(K, D))
     print(f"  {'n':>2} {'product':>10} {'robertson':>10} {'diagnostic':>11}  violated")
     for n in range(4):
-        r = uncertainty_report(number_state(D, n), rep, quads)
+        r = uncertainty_report(number_state(D, n), quads)
         print(
             f"  {n:>2} {r.product:>10.6f} {r.robertson_bound:>10.6f}"
             f" {r.square_sum_bound:>11.6f}  {r.square_sum_violated}"
@@ -38,23 +37,21 @@ def main():
     print("\ngeometric case q = 0.5: case bound q^n/8 on number states")
     q = 0.5
     K = make_case(CaseId.ARIK_COON, q=q)
-    rep = build_rep(K, D)
-    quads = quadratures(rep)
+    quads = quadratures(build_rep(K, D))
     print(f"  {'n':>2} {'product':>10} {'case bound':>11} {'margin':>10}")
     for n in range(5):
-        r = uncertainty_report(number_state(D, n), rep, quads)
+        r = uncertainty_report(number_state(D, n), quads)
         print(f"  {n:>2} {r.product:>10.6f} {r.case_bound:>11.6f} {r.margin_case:>10.6f}")
 
     print("\nRobertson inequality on truncation-safe random states:")
     worst = min(
-        uncertainty_product(truncation_safe(random_state(D, 100 + k), 3), quads).product
-        - uncertainty_report(truncation_safe(random_state(D, 100 + k), 3), rep, quads).robertson_bound
+        uncertainty_report(truncation_safe(random_state(D, 100 + k), 3), quads).margin_robertson
         for k in range(50)
     )
     print(f"  min(product - bound) over 50 seeded states: {worst:.3e}")
 
     print("\nPlanck-scale rescaling x' = sqrt(1+q) x:")
-    rescaled = kempf_rescale(quads, q)
+    rescaled = kempf_rescale(quads)
     vac = uncertainty_product(number_state(D, 0), rescaled)
     print(f"  vacuum product before: 0.25, after: {vac.product:.6f} (= (1+q)/4)")
 

@@ -7,9 +7,10 @@ each check costs O(D) time and memory, and no D x D array is formed.
 
 A representation is its level table: FockRep holds K(0..D+1), evaluated
 once, and derives from it the ladder bands a, a' and N.  A QuadratureSet
-holds the quadratures x = (a' + a)/2, p = i(a' - a)/2 and forms [x, p] and
-the Hamiltonian H = x^2 + p^2 once, on first use.  The moments of a state
-read only x psi and p psi.  Operator identities are verified on the
+holds the quadratures x = (a' + a)/2, p = i(a' - a)/2 and their FockRep, the
+one source of every reader's case and levels, and forms [x, p] and the
+Hamiltonian H = x^2 + p^2 once, on first use.  The moments of a state read
+only x psi and p psi.  Operator identities are verified on the
 sub-block where the truncation is faithful to the infinite-dimensional
 algebra.
 
@@ -49,7 +50,7 @@ from functools import cached_property
 import numpy as np
 
 from .spectral import DEFAULT_DIM, DEFAULT_MARGIN, DEFAULT_TOL  # re-exported; the CLI reads them without numpy
-from .spectral import CaseId, SpectralFunction, _rep_levels, _require_finite, level_table
+from .spectral import CaseId, SpectralFunction, _rep_levels, level_table
 
 __all__ = [
     "Band",
@@ -270,12 +271,14 @@ class FockRep:
 class QuadratureSet:
     """Position and momentum bands of a representation, with their products.
 
-    mat_xp = [x, p] and the Hamiltonian mat_H = x^2 + p^2 are formed on
-    first use and shared by every later reader.
+    rep is the representation the (unscaled) bands came from.  mat_xp =
+    [x, p] and the Hamiltonian mat_H = x^2 + p^2 are formed on first use
+    and shared by every later reader.
     """
 
     mat_x: Band = field(repr=False)
     mat_p: Band = field(repr=False)
+    rep: FockRep = field(repr=False)
 
     @cached_property
     def mat_xp(self) -> Band:
@@ -359,33 +362,30 @@ def quadratures(rep: FockRep) -> QuadratureSet:
     half = (0.5 * roots).astype(complex)  # both offsets of x hold it: no band writes its diagonals
     x = Band(rep.D, {-1: half, 1: half})
     p = Band(rep.D, {-1: -0.5j * roots, 1: 0.5j * roots})
-    return QuadratureSet(mat_x=x, mat_p=p)
+    return QuadratureSet(mat_x=x, mat_p=p, rep=rep)
 
 
-def kempf_rescale(quads: QuadratureSet, q: float) -> QuadratureSet:
-    """Planck-scale rescaling x' = sqrt(1+q) x, p' = sqrt(1+q) p.
+def kempf_rescale(quads: QuadratureSet) -> QuadratureSet:
+    """Planck-scale rescaling x' = sqrt(1+q) x, p' = sqrt(1+q) p of arik-coon quadratures.
 
-    The rescaled geometric-case commutator satisfies
-    [x', p'] = i (1 - ((1-q)/(1+q)) H') with H' = x'^2 + p'^2, which is
-    the deformed-quantization normal form; direction fixed so that
-    substituting x'/sqrt(1+q) for x recovers the unscaled relation.  q
-    must be finite and positive, as make_case requires.
+    q is quads.rep.K.q; a case other than arik-coon is a ValueError.  The
+    rescaled commutator is [x', p'] = i (1 - ((1-q)/(1+q)) H') with
+    H' = x'^2 + p'^2, the deformed-quantization normal form; direction fixed
+    so that substituting x'/sqrt(1+q) for x recovers the unscaled relation.
     """
-    _require_finite(q=q)
-    if not q > 0:
-        raise ValueError(f"q must be positive, got {q}")
-    s = math.sqrt(1.0 + q)
-    return QuadratureSet(mat_x=s * quads.mat_x, mat_p=s * quads.mat_p)
+    K = quads.rep.K
+    if K.case_id is not CaseId.ARIK_COON:
+        raise ValueError(f"case {K.case_id.value!r} has no Kempf rescaling, which serves arik-coon alone")
+    s = math.sqrt(1.0 + K.q)
+    return QuadratureSet(mat_x=s * quads.mat_x, mat_p=s * quads.mat_p, rep=quads.rep)
 
 
 def commutator(A: Band, B: Band) -> Band:
     """AB - BA for operators of one dimension."""
-    if A.shape != B.shape:
-        raise ValueError(f"commutator needs operators of one dimension, got {A.shape} and {B.shape}")
     return A @ B - B @ A
 
 
-def lie_hamilton_rhs(rep: FockRep, quads: QuadratureSet) -> tuple:
+def lie_hamilton_rhs(quads: QuadratureSet) -> tuple:
     """Closed-form right sides of the equation of motion commutators [x, H] and [p, H].
 
     Returns the pair  (C1(N) x + i C2(N) p,  C1(N) p - i C2(N) x),  with
@@ -394,13 +394,13 @@ def lie_hamilton_rhs(rep: FockRep, quads: QuadratureSet) -> tuple:
         C1(n) = (K(n+2) - K(n) - K(n+1) + K(n-1))/4
         C2(n) = (K(n+2) - K(n) + K(n+1) - K(n-1))/4
 
-    K(0..D+1) come from rep.levels.  The K(n-1) value at n = 0 comes from
+    K(0..D+1) are quads.rep.levels.  The K(n-1) value at n = 0 comes from
     the closed form at -1, through level_table, which rejects it unless it
     is finite; its contribution provably cancels between the x and p terms,
     so its value leaves the window agreement with the true commutator intact.
     """
-    D = rep.D
-    k = np.concatenate((level_table(rep.K, -1, -1), rep.levels))  # K(-1..D+1)
+    D = quads.rep.D
+    k = np.concatenate((level_table(quads.rep.K, -1, -1), quads.rep.levels))  # K(-1..D+1)
     k_prev, k_n, k_next, k_next2 = (k[j : j + D] for j in range(4))  # K(n-1..n+2)
     c1 = Band.diagonal(0.25 * (k_next2 - k_n - k_next + k_prev))
     c2 = Band.diagonal(0.25 * (k_next2 - k_n + k_next - k_prev))
@@ -642,21 +642,20 @@ def run_verify_checks(K: SpectralFunction, D: int, margin: int, tol: float, seed
         raise ValueError(f"margin must satisfy 0 < margin < {D}, got {margin}")
 
     with np.errstate(over="ignore", invalid="ignore"):
-        rep = build_rep(K, D)
-        quads = quadratures(rep)
+        quads = quadratures(build_rep(K, D))
         xH = commutator(quads.mat_x, quads.mat_H)
         pH = commutator(quads.mat_p, quads.mat_H)
-        structure = list(_structure_rows(rep, quads, xH, pH, margin))
+        structure = list(_structure_rows(quads, xH, pH, margin))
         robertson = _robertson_check(quads, margin, seed)
-        rows = structure + list(_closed_form_rows(rep, quads, xH, pH, margin))
+        rows = structure + list(_closed_form_rows(quads, xH, pH, margin))
         reports = _judge_windows([(name, A, B, m, EXACT_TOL if m == 0 else tol) for name, A, B, m in rows])
         return reports[: len(structure)] + [robertson] + reports[len(structure) :]
 
 
-def _structure_rows(rep: FockRep, quads: QuadratureSet, xH, pH, margin: int):
+def _structure_rows(quads: QuadratureSet, xH, pH, margin: int):
     """Exact ladder structure and Hermiticity, then the windowed identities of every case."""
+    rep, x, p, H = quads.rep, quads.mat_x, quads.mat_p, quads.mat_H
     a, ad, D = rep.mat_a, rep.mat_ad, rep.D
-    x, p, H = quads.mat_x, quads.mat_p, quads.mat_H
     levels = rep.levels[: D + 1]
     delta = levels[1:] - levels[:D]
 
@@ -676,7 +675,7 @@ def _structure_rows(rep: FockRep, quads: QuadratureSet, xH, pH, margin: int):
     yield "ladder_commutator_step", commutator(a, ad), Band.diagonal(delta), margin
     yield "hamiltonian_diagonal_form", H, Band.diagonal(0.5 * (levels[:D] + levels[1:])), margin
     yield "xp_commutator_step", quads.mat_xp, Band.diagonal(0.5j * delta), margin
-    rhs_x, rhs_p = lie_hamilton_rhs(rep, quads)
+    rhs_x, rhs_p = lie_hamilton_rhs(quads)
     yield "lie_hamilton_x", xH, rhs_x, margin
     yield "lie_hamilton_p", pH, rhs_p, margin
 
@@ -736,9 +735,9 @@ def _robertson_check(quads: QuadratureSet, margin: int, seed: int) -> IdentityRe
     return IdentityReport.judge(name, ROBERTSON_STATES, float(worst), ROBERTSON_TOL)
 
 
-def _closed_form_rows(rep: FockRep, quads: QuadratureSet, xH, pH, margin: int):
+def _closed_form_rows(quads: QuadratureSet, xH, pH, margin: int):
     """Closed forms of [x, H], [p, H] and [x, p] particular to the case."""
-    K, D = rep.K, rep.D
+    K, D = quads.rep.K, quads.rep.D
     x, p, H, xp = quads.mat_x, quads.mat_p, quads.mat_H, quads.mat_xp
     diagonal = Band.diagonal
     identity = diagonal(np.ones(D))
@@ -749,7 +748,7 @@ def _closed_form_rows(rep: FockRep, quads: QuadratureSet, xH, pH, margin: int):
         yield "xp_commutator_constant", xp, 0.5j * identity, margin
         yield "lie_hamilton_x_classical", xH, 1j * p, margin
         yield "lie_hamilton_p_classical", pH, -1j * x, margin
-        yield "hamiltonian_number_shift", H, rep.mat_N + 0.5 * identity, margin
+        yield "hamiltonian_number_shift", H, quads.rep.mat_N + 0.5 * identity, margin
     elif case is CaseId.ARIK_COON:
         q = K.q
         c1 = diagonal(-0.25 * (1.0 - q * q) * q ** (nn - 1.0))
@@ -763,7 +762,7 @@ def _closed_form_rows(rep: FockRep, quads: QuadratureSet, xH, pH, margin: int):
             (1j / (1.0 + q)) * (identity - (1.0 - q) * H),
             margin,
         )
-        rescaled = kempf_rescale(quads, q)
+        rescaled = kempf_rescale(quads)
         yield (
             "kempf_rescaled_commutator",
             rescaled.mat_xp,

@@ -6,10 +6,10 @@ Robertson bound
     dx dp >= |<[x, p]>| / 2,
 
 which for a deformed oscillator equals <K(N+1) - K(N)>/4 on diagonal
-states; uncertainty_report evaluates it from the moments of the state, and
-number_state_reports(K, D, levels) reads it for number states |n> from the
-checked level table K(0..D+1) alone, with the float operations the moments
-of |n> would perform.
+states; uncertainty_report(state, quads) evaluates it from the moments of
+the state and the case of quads.rep, and number_state_reports(K, D, levels)
+reads it for number states |n> from the checked level table K(0..D+1) alone,
+with the float operations the moments of |n> would perform.
 Alongside it, reports carry a quadratic diagnostic
 
     (<K(N)>^2 + <K(N+1)>^2) / 4
@@ -48,7 +48,7 @@ from typing import TYPE_CHECKING, NamedTuple, Optional
 from .spectral import DEGENERATE_TOL, CaseId, SpectralFunction, _rep_levels, _require_finite
 
 if TYPE_CHECKING:
-    from .fockrep import FockRep, QuadratureSet, StateVector
+    from .fockrep import QuadratureSet, StateVector
 
 __all__ = [
     "UncertaintyReport",
@@ -82,7 +82,7 @@ class UncertaintyReport(NamedTuple):
     margin_case: Optional[float] = None
 
 
-def square_sum_bound(state: StateVector, rep: FockRep) -> float:
+def square_sum_bound(state: StateVector, quads: QuadratureSet) -> float:
     """Quadratic diagnostic (<K(N)>^2 + <K(N+1)>^2)/4.
 
     Computed from diagonal expectations over the level table, summed in
@@ -92,32 +92,32 @@ def square_sum_bound(state: StateVector, rep: FockRep) -> float:
     """
     import numpy as np
 
-    D = rep.D
+    D, levels = quads.rep.D, quads.rep.levels
     if state.dim != D:
         raise ValueError(f"a dimension-{D} band applies to {D}-row vectors, got {state.amplitudes.shape}")
     W = np.abs(state.amplitudes) ** 2
     # accumulate adds level after level, where sum would add pairwise
-    kn = float(np.add.accumulate(W * rep.levels[:D])[-1])
-    knp1 = float(np.add.accumulate(W * rep.levels[1 : D + 1])[-1])
+    kn = float(np.add.accumulate(W * levels[:D])[-1])
+    knp1 = float(np.add.accumulate(W * levels[1 : D + 1])[-1])
     return 0.25 * (kn * kn + knp1 * knp1)
 
 
-def uncertainty_report(state: StateVector, rep: FockRep, quads: QuadratureSet) -> UncertaintyReport:
+def uncertainty_report(state: StateVector, quads: QuadratureSet) -> UncertaintyReport:
     """Assemble the full bound report for one state, with the case bound where one applies."""
-    dx, dp, product, robertson, bound = _state_terms(state, quads, rep.K)
-    return _report(dx, dp, product, robertson, square_sum_bound(state, rep), bound)
+    dx, dp, product, robertson, bound = _state_terms(state, quads)
+    return _report(dx, dp, product, robertson, square_sum_bound(state, quads), bound)
 
 
 def number_state_reports(K: SpectralFunction, D: int, levels) -> list:
     """The reports of the number states |n>, n in levels, of K's dimension-D representation, in order.
 
-    Each equals uncertainty_report(number_state(D, n), rep, quadratures(rep))
-    for rep = build_rep(K, D), bit for bit, read from the levels
-    k = K(0..D+1) alone, which spectral._rep_levels evaluates and checks as
-    build_rep does.  x|n> and p|n> hold a = sqrt(k[n])/2 at level n-1 and
-    b = sqrt(k[n+1])/2 at level n+1, so dx^2 = dp^2 = a^2 + b^2,
-    |<[x, p]>|/2 = |b^2 - a^2| and <(x^2 + p^2)^2> = (2(a^2 + b^2))^2: the
-    float operations of the moments of |n>, whose other terms are exact zeros.
+    Each equals uncertainty_report(number_state(D, n), quadratures(build_rep(K, D)))
+    bit for bit, read from the levels k = K(0..D+1) alone, which
+    spectral._rep_levels evaluates and checks as build_rep does.  x|n> and
+    p|n> hold a = sqrt(k[n])/2 at level n-1 and b = sqrt(k[n+1])/2 at level
+    n+1, so dx^2 = dp^2 = a^2 + b^2, |<[x, p]>|/2 = |b^2 - a^2| and
+    <(x^2 + p^2)^2> = (2(a^2 + b^2))^2: the float operations of the moments
+    of |n>, whose other terms are exact zeros.
     """
     k = _rep_levels(K, D)
     form = _bound_form(K)
@@ -150,11 +150,11 @@ def _report(dx, dp, product, robertson, diagnostic, bound) -> UncertaintyReport:
     )
 
 
-def kempf_rescale(quads: QuadratureSet, q: float) -> QuadratureSet:
+def kempf_rescale(quads: QuadratureSet) -> QuadratureSet:
     """fockrep.kempf_rescale, under the name the benchmark's tracer wraps."""
     # ROADMAP item 1 deletes this forward together with the tracer
     from . import fockrep
-    return fockrep.kempf_rescale(quads, q)
+    return fockrep.kempf_rescale(quads)
 
 
 def invert_number(K: SpectralFunction, h: float) -> float:
@@ -196,8 +196,8 @@ def invert_number(K: SpectralFunction, h: float) -> float:
     return math.log(t) / math.log(q)
 
 
-def case_bound(state: StateVector, quads: QuadratureSet, K: SpectralFunction) -> Optional[float]:
-    """Evaluate the case-specific bound of K's case on the supplied state.
+def case_bound(state: StateVector, quads: QuadratureSet) -> Optional[float]:
+    """Evaluate the bound of the case of quads.rep.K on the supplied state.
 
     Geometric case:   (1 - (1-q)(dx^2 + dp^2)) / (4(1+q))
     Symmetric case:   sqrt(q)/(2(1+q)) * (1 + q(q - 1/q)^2/(2(q+1)^2) *
@@ -209,11 +209,11 @@ def case_bound(state: StateVector, quads: QuadratureSet, K: SpectralFunction) ->
     their sum is <(x^2 + p^2)^2> = |x(x psi) + p(p psi)|^2.  Returns None
     for the cases without a bound.
     """
-    return _state_terms(state, quads, K)[-1]
+    return _state_terms(state, quads)[-1]
 
 
-def _state_terms(state: StateVector, quads: QuadratureSet, K: SpectralFunction) -> tuple:
-    """dx, dp, their product, the Robertson bound and K's case bound, as Python numbers.
+def _state_terms(state: StateVector, quads: QuadratureSet) -> tuple:
+    """dx, dp, their product, the Robertson bound and the case bound, as Python numbers.
 
     The moments are taken once, from the images x psi and p psi, which also
     form the fourth moment of the symmetric case.
@@ -226,9 +226,9 @@ def _state_terms(state: StateVector, quads: QuadratureSet, K: SpectralFunction) 
     xv, pv = quads.mat_x @ v, quads.mat_p @ v
     m = _moments(v, xv, pv)
     dx, dp = float(m.delta_x), float(m.delta_p)
-    form = _bound_form(K)
+    form = _bound_form(quads.rep.K)
     fourth = None
-    if K.case_id is CaseId.MACFARLANE_BIEDENHARN:
+    if quads.rep.K.case_id is CaseId.MACFARLANE_BIEDENHARN:
         h = quads.mat_x @ xv + quads.mat_p @ pv
         fourth = float(np.vdot(h, h).real)
     bound = None if form is None else form(dx, dp, fourth)

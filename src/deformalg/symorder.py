@@ -749,15 +749,14 @@ def expr_to_matrix(expr: Expr, K: SpectralFunction, D: int, *, memo: dict | None
     by normal_order, is a ValueError.
     """
     memo = _case_memo(memo, K, D)
-    if "rep" not in memo:  # before any band, so a representation error comes first
-        rep = build_rep(K, D)
-        memo["rep"] = (rep, quadratures(rep))
-    rep, quads = memo["rep"]
+    if "quads" not in memo:  # before any band, so a representation error comes first
+        memo["quads"] = quadratures(build_rep(K, D))
+    quads = memo["quads"]
     identity = Band.diagonal(np.ones(D))
 
     def leaf(node) -> Band:
         if isinstance(node, Sym):  # a, ad, N, x or p
-            return getattr(quads if node.name in ("x", "p") else rep, "mat_" + node.name)
+            return getattr(quads if node.name in ("x", "p") else quads.rep, "mat_" + node.name)
         return Band.diagonal(level_table(K, node.offset, node.offset + D - 1))
 
     return _evaluate(expr, K, lambda c: complex(c) * identity, leaf, memo)

@@ -103,7 +103,7 @@ def test_criterion_02_general_identities():
         levels = np.array([eval_K(K, n) for n in range(D + 1)])
         delta = np.diag(levels[1:] - levels[:-1]).astype(complex)
         hdiag = np.diag(0.5 * (levels[:-1] + levels[1:])).astype(complex)
-        rhs_x, rhs_p = lie_hamilton_rhs(rep, quads)
+        rhs_x, rhs_p = lie_hamilton_rhs(quads)
         checks = [
             ("ladder_comm", commutator(rep.mat_a, rep.mat_ad), delta),
             ("hamiltonian_diag", quads.mat_H, hdiag),
@@ -248,12 +248,11 @@ def test_criterion_05_robertson_inequality():
 def test_criterion_06_square_sum_misprint_diagnostic():
     failures = []
     K = make_case(CaseId.CLASSICAL)
-    rep = build_rep(K, 8)
-    quads = quadratures(rep)
+    quads = quadratures(build_rep(K, 8))
     state = number_state(8, 1)
-    diagnostic = square_sum_bound(state, rep)
+    diagnostic = square_sum_bound(state, quads)
     product = uncertainty_product(state, quads).product
-    report = uncertainty_report(state, rep, quads)
+    report = uncertainty_report(state, quads)
     if abs(diagnostic - 1.25) > 1e-12:
         failures.append(f"diagnostic value {diagnostic!r}, expected 1.25")
     if abs(product - 0.75) > 1e-12:
@@ -271,7 +270,7 @@ def test_criterion_07_case_bounds():
         rep = build_rep(K, 16)
         quads = quadratures(rep)
         for n in range(6):
-            report = uncertainty_report(number_state(16, n), rep, quads)
+            report = uncertainty_report(number_state(16, n), quads)
             if report.margin_case < 0.0:
                 failures.append(f"geometric q={q} n={n}: margin {report.margin_case:.2e}")
 
@@ -280,7 +279,7 @@ def test_criterion_07_case_bounds():
         rep = build_rep(K, 16)
         quads = quadratures(rep)
         for n in range(6):
-            report = uncertainty_report(number_state(16, n), rep, quads)
+            report = uncertainty_report(number_state(16, n), quads)
             if not report.margin_case > 0.0:
                 failures.append(f"quadratic a={a} b={b} n={n}: margin {report.margin_case:.2e}")
 
@@ -289,7 +288,7 @@ def test_criterion_07_case_bounds():
         rep = build_rep(K, 24)
         quads = quadratures(rep)
         state = number_state(24, n)
-        margin = uncertainty_product(state, quads).product - case_bound(state, quads, K)
+        margin = uncertainty_product(state, quads).product - case_bound(state, quads)
         if abs(margin - frozen) > 1e-10:
             failures.append(f"symmetric q={q} n={n}: margin {margin!r} vs frozen {frozen!r}")
     K = make_case(CaseId.MACFARLANE_BIEDENHARN, q=1.0)
@@ -297,7 +296,7 @@ def test_criterion_07_case_bounds():
     quads = quadratures(rep)
     vacuum = number_state(16, 0)
     lhs = uncertainty_product(vacuum, quads).product
-    rhs = case_bound(vacuum, quads, K)
+    rhs = case_bound(vacuum, quads)
     if abs(lhs - rhs) > 1e-12 or abs(lhs - 0.25) > 1e-12:
         failures.append(f"symmetric equality at q=1 vacuum: lhs {lhs!r} rhs {rhs!r}")
 

@@ -82,8 +82,8 @@ class TestBuildRep:
         assert calls == list(range(10))
         calls.clear()
         quads = quadratures(rep)
-        square_sum_bound(random_state(8, 3), rep)
-        lie_hamilton_rhs(rep, quads)
+        square_sum_bound(random_state(8, 3), quads)
+        lie_hamilton_rhs(quads)
         assert calls == [-1]
 
     def test_dimension_and_negativity_rejected(self):
@@ -196,7 +196,7 @@ class TestWindowedIdentities:
         levels = np.array([eval_K(K, n) for n in range(D + 1)])
         delta = Band.diagonal(levels[1:] - levels[:-1])
         hdiag = Band.diagonal(0.5 * (levels[:-1] + levels[1:]))
-        rhs_x, rhs_p = lie_hamilton_rhs(rep, quads)
+        rhs_x, rhs_p = lie_hamilton_rhs(quads)
         checks = [
             ("ladder_comm", commutator(rep.mat_a, rep.mat_ad), delta),
             ("hamiltonian", quads.mat_H, hdiag),
@@ -220,7 +220,7 @@ class TestWindowedIdentities:
         K = make_case(CaseId.ARIK_COON, q=q)
         rep = build_rep(K, D)
         quads = quadratures(rep)
-        rhs = lie_hamilton_rhs(rep, quads)[0]
+        rhs = lie_hamilton_rhs(quads)[0]
         assert verify_window(commutator(quads.mat_x, quads.mat_H), rhs).passed
         nn = np.arange(D, dtype=float)
         c1 = np.diag(-0.25 * (1 - q * q) * q ** (nn - 1)).astype(complex)
@@ -247,7 +247,7 @@ class TestWindowedIdentities:
             oracle = c1 * x + 1j * (c2 * p)
         else:
             oracle = c1 * p - 1j * (c2 * x)
-        rhs = lie_hamilton_rhs(rep, quads)["xp".index(side)]
+        rhs = lie_hamilton_rhs(quads)["xp".index(side)]
         # every entry equal to the formula's, up to the sign of a zero: a band
         # sum or a partly spanned product starts from +0.0 where the formula
         # may give -0.0
@@ -264,7 +264,7 @@ class TestWindowedIdentities:
             rep = build_rep(K, 16)
             quads = quadratures(rep)
             lhs = commutator(quads.mat_x, quads.mat_H)
-            rhs = lie_hamilton_rhs(rep, quads)[0]
+            rhs = lie_hamilton_rhs(quads)[0]
             assert verify_window(lhs, rhs).passed
 
     def test_k_minus_one_nan_fails_and_raise_propagates(self):
@@ -696,7 +696,7 @@ class TestOnePassJudge:
         rep = build_rep(K, 16)
         quads = quadratures(rep)
         xH, pH = commutator(quads.mat_x, quads.mat_H), commutator(quads.mat_p, quads.mat_H)
-        assert list(fockrep._closed_form_rows(rep, quads, xH, pH, 3)) == []
+        assert list(fockrep._closed_form_rows(quads, xH, pH, 3)) == []
         assert fockrep._judge_windows([]) == []
         assert len(run_verify_checks(K, 16, 3, 1e-10, seed=0)) == 12
 

@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import catalog_grid, custom_case, dense, representative_cases
+from conftest import catalog_grid, custom_case, custom_cases, dense, representative_cases
 from deformalg import cli, fockrep, gup
 from deformalg import (
     Band,
@@ -95,13 +95,13 @@ class TestRobertsonBound:
         rep = build_rep(classical(), 12)
         quads = quadratures(rep)
         for n in range(8):
-            bound = uncertainty_report(number_state(12, n), rep, quads).robertson_bound
+            bound = uncertainty_report(number_state(12, n), quads).robertson_bound
             assert bound == pytest.approx(0.25, abs=1e-13)
 
     def test_geometric_number_state(self):
         rep = build_rep(make_case(CaseId.ARIK_COON, q=0.5), 10)
         quads = quadratures(rep)
-        bound = uncertainty_report(number_state(10, 2), rep, quads).robertson_bound
+        bound = uncertainty_report(number_state(10, 2), quads).robertson_bound
         assert bound == pytest.approx(0.0625, abs=1e-14)
         assert bound == pytest.approx(0.25 * 0.5**2, abs=1e-14)
 
@@ -112,7 +112,7 @@ class TestRobertsonBound:
             for k in range(100):
                 state = truncation_safe(random_state(16, 1000 + k), margin=3)
                 moments = uncertainty_product(state, quads)
-                bound = uncertainty_report(state, rep, quads).robertson_bound
+                bound = uncertainty_report(state, quads).robertson_bound
                 assert moments.product - bound >= -1e-12
 
 
@@ -128,45 +128,43 @@ class TestSquareSumDiagnostic:
     @pytest.mark.parametrize("K", representative_cases(), ids=str)
     def test_matches_per_level_formula(self, K):
         D = 16
-        rep = build_rep(K, D)
+        quads = quadratures(build_rep(K, D))
         states = [number_state(D, n) for n in range(D)]
         states += [random_state(D, 50 + k) for k in range(5)]
         states += [truncation_safe(random_state(D, 60 + k), 3) for k in range(5)]
         for state in states:
-            assert square_sum_bound(state, rep) == square_sum_per_level(state, K)
+            assert square_sum_bound(state, quads) == square_sum_per_level(state, K)
 
     def test_classical_first_level_violates(self):
-        rep = build_rep(classical(), 8)
-        quads = quadratures(rep)
+        quads = quadratures(build_rep(classical(), 8))
         state = number_state(8, 1)
-        diagnostic = square_sum_bound(state, rep)
+        diagnostic = square_sum_bound(state, quads)
         assert diagnostic == pytest.approx(1.25, abs=1e-13)
-        report = uncertainty_report(state, rep, quads)
+        report = uncertainty_report(state, quads)
         assert report.product == pytest.approx(0.75, abs=1e-13)
         assert report.square_sum_violated
 
     def test_classical_vacuum_equality(self):
-        rep = build_rep(classical(), 8)
-        quads = quadratures(rep)
+        quads = quadratures(build_rep(classical(), 8))
         state = number_state(8, 0)
-        assert square_sum_bound(state, rep) == pytest.approx(0.25, abs=1e-14)
-        report = uncertainty_report(state, rep, quads)
+        assert square_sum_bound(state, quads) == pytest.approx(0.25, abs=1e-14)
+        report = uncertainty_report(state, quads)
         assert not report.square_sum_violated
 
     def test_vacuum_general_form(self):
         for q in (0.5, 2.0):
             K = make_case(CaseId.ARIK_COON, q=q)
-            rep = build_rep(K, 8)
+            quads = quadratures(build_rep(K, 8))
             expected = 0.25 * eval_K(K, 1) ** 2
-            assert square_sum_bound(number_state(8, 0), rep) == pytest.approx(expected, rel=1e-13)
+            assert square_sum_bound(number_state(8, 0), quads) == pytest.approx(expected, rel=1e-13)
 
     @pytest.mark.parametrize("dim", [1, 4])
     def test_a_state_of_another_dimension_is_rejected(self, dim):
         # a dimension-1 state would broadcast over all eight levels
-        rep = build_rep(classical(), 8)
+        quads = quadratures(build_rep(classical(), 8))
         message = rf"^a dimension-8 band applies to 8-row vectors, got \({dim},\)$"
         with pytest.raises(ValueError, match=message):
-            square_sum_bound(number_state(dim, 0), rep)
+            square_sum_bound(number_state(dim, 0), quads)
 
 
 def closed_form_inversion(K, h):
@@ -312,15 +310,28 @@ class TestInversions:
 
 
 class TestKempfRescaling:
-    @pytest.mark.parametrize("q,message", [(math.inf, "finite"), (math.nan, "finite"), (0.0, "positive")])
-    def test_q_outside_make_case_rules_is_rejected(self, q, message):
-        quads = quadratures(build_rep(make_case(CaseId.ARIK_COON, q=0.5), 8))
-        with pytest.raises(ValueError, match=f"q must be {message}"):
-            kempf_rescale(quads, q)
+    @pytest.mark.parametrize(
+        "K",
+        [K for K in representative_cases() + custom_cases() if K.case_id is not CaseId.ARIK_COON],
+        ids=str,
+    )
+    def test_a_case_other_than_arik_coon_is_rejected_by_name(self, K):
+        # q comes from the quadratures' own case, so no other case's q can reach the rescaling
+        quads = quadratures(build_rep(K, 8))
+        message = f"^case '{K.case_id.value}' has no Kempf rescaling, which serves arik-coon alone$"
+        for rescale in (kempf_rescale, gup.kempf_rescale):
+            with pytest.raises(ValueError, match=message):
+                rescale(quads)
+
+    def test_the_quadratures_carry_their_representation(self):
+        rep = build_rep(make_case(CaseId.ARIK_COON, q=0.5), 8)
+        quads = quadratures(rep)
+        assert quads.rep is rep
+        assert kempf_rescale(quads).rep is quads.rep
 
     def test_classical_limit(self):
         quads = quadratures(build_rep(make_case(CaseId.ARIK_COON, q=1.0), 16))
-        rescaled = kempf_rescale(quads, 1.0)
+        rescaled = kempf_rescale(quads)
         assert np.allclose(dense(rescaled.mat_x), math.sqrt(2.0) * dense(quads.mat_x))
         lhs = commutator(rescaled.mat_x, rescaled.mat_p)
         assert verify_window(lhs, 1j * Band.diagonal(np.ones(16)), tol=1e-12).passed
@@ -328,7 +339,7 @@ class TestKempfRescaling:
     def test_deformed_commutator_form(self):
         q = 0.5
         quads = quadratures(build_rep(make_case(CaseId.ARIK_COON, q=q), 32))
-        rescaled = kempf_rescale(quads, q)
+        rescaled = kempf_rescale(quads)
         lhs = commutator(rescaled.mat_x, rescaled.mat_p)
         rhs = 1j * (Band.diagonal(np.ones(32)) - ((1 - q) / (1 + q)) * rescaled.mat_H)
         assert verify_window(lhs, rhs, tol=1e-10).passed
@@ -336,7 +347,7 @@ class TestKempfRescaling:
     def test_vacuum_product_scales(self):
         q = 0.5
         quads = quadratures(build_rep(make_case(CaseId.ARIK_COON, q=q), 12))
-        rescaled = kempf_rescale(quads, q)
+        rescaled = kempf_rescale(quads)
         moments = uncertainty_product(number_state(12, 0), rescaled)
         assert moments.product == pytest.approx((1 + q) * 0.25, rel=1e-12)
 
@@ -359,7 +370,7 @@ class TestCaseBounds:
         quads = quadratures(rep)
         for n in range(6):
             state = number_state(16, n)
-            rhs = case_bound(state, quads, K)
+            rhs = case_bound(state, quads)
             assert rhs == pytest.approx(q**n / 8.0, rel=1e-11)
             lhs = uncertainty_product(state, quads).product
             assert lhs - rhs >= 0.0
@@ -371,7 +382,7 @@ class TestCaseBounds:
         quads = quadratures(rep)
         for n in range(6):
             state = number_state(16, n)
-            report = uncertainty_report(state, rep, quads)
+            report = uncertainty_report(state, quads)
             assert report.margin_case >= 0.0
 
     def test_symmetric_bound_equality_at_q_one_vacuum(self):
@@ -379,7 +390,7 @@ class TestCaseBounds:
         rep = build_rep(K, 16)
         quads = quadratures(rep)
         state = number_state(16, 0)
-        rhs = case_bound(state, quads, K)
+        rhs = case_bound(state, quads)
         lhs = uncertainty_product(state, quads).product
         assert lhs == pytest.approx(0.25, abs=1e-13)
         assert rhs == pytest.approx(0.25, abs=1e-13)
@@ -400,7 +411,7 @@ class TestCaseBounds:
             prefactor = math.sqrt(q) / (2.0 * (1.0 + q))
             correction = q * (q - 1.0 / q) ** 2 / (2.0 * (q + 1.0) ** 2)
             expected = prefactor * (1.0 + correction * moments)
-            bound = case_bound(number_state(D, n), quads, K)
+            bound = case_bound(number_state(D, n), quads)
             assert bound == pytest.approx(expected, rel=8 * np.finfo(float).eps, abs=0.0), n
 
     def test_symmetric_bound_frozen_margins(self):
@@ -409,7 +420,7 @@ class TestCaseBounds:
             rep = build_rep(K, 24)
             quads = quadratures(rep)
             state = number_state(24, n)
-            margin = uncertainty_product(state, quads).product - case_bound(state, quads, K)
+            margin = uncertainty_product(state, quads).product - case_bound(state, quads)
             assert margin == pytest.approx(frozen, abs=1e-10), (q, n)
             assert (margin < 0.0) == (frozen < 0.0)
 
@@ -419,7 +430,7 @@ class TestCaseBounds:
         quads = quadratures(rep)
         state = number_state(16, 0)
         lhs = uncertainty_product(state, quads).product
-        rhs = case_bound(state, quads, K)
+        rhs = case_bound(state, quads)
         assert lhs == pytest.approx(0.75, abs=1e-13)
         assert rhs == pytest.approx(0.3125, abs=1e-13)
 
@@ -430,7 +441,7 @@ class TestCaseBounds:
         quads = quadratures(rep)
         for n in range(6):
             state = number_state(16, n)
-            report = uncertainty_report(state, rep, quads)
+            report = uncertainty_report(state, quads)
             assert report.margin_case > 0.0
 
     @pytest.mark.parametrize("K", representative_cases(), ids=str)
@@ -440,8 +451,8 @@ class TestCaseBounds:
         quads = quadratures(rep)
         has_bound = K.case_id in (CaseId.ARIK_COON, CaseId.MACFARLANE_BIEDENHARN, CaseId.NONLINEAR)
         for state in (number_state(D, 2), truncation_safe(random_state(D, 5), 3)):
-            report = uncertainty_report(state, rep, quads)
-            bound = case_bound(state, quads, K)
+            report = uncertainty_report(state, quads)
+            bound = case_bound(state, quads)
             assert (bound is not None) == has_bound
             assert report.case_bound == bound
             if has_bound:
@@ -462,14 +473,14 @@ class TestCaseBounds:
         monkeypatch.setattr(fockrep, "_moments", counted)
         D = 12
         rep = build_rep(K, D)
-        uncertainty_report(number_state(D, 2), rep, quadratures(rep))
+        uncertainty_report(number_state(D, 2), quadratures(rep))
         assert calls == [(D,)]
 
     def test_case_without_bound_gives_none(self):
         K = classical()
         rep = build_rep(K, 8)
         quads = quadratures(rep)
-        assert case_bound(number_state(8, 0), quads, K) is None
+        assert case_bound(number_state(8, 0), quads) is None
 
 
 def oracle_report(state, rep, quads):
@@ -591,9 +602,9 @@ class TestNumberStateReports:
         for seed in range(20):
             state = truncation_safe(random_state(D, 700 + seed), 3)
             expected = oracle_report(state, rep, quads)
-            assert fields(uncertainty_report(state, rep, quads), True) == fields(expected, True)
-            assert np.float64(square_sum_bound(state, rep)).tobytes() == np.float64(expected.square_sum_bound).tobytes()
-            bound = case_bound(state, quads, K)
+            assert fields(uncertainty_report(state, quads), True) == fields(expected, True)
+            assert np.float64(square_sum_bound(state, quads)).tobytes() == np.float64(expected.square_sum_bound).tobytes()
+            bound = case_bound(state, quads)
             if expected.case_bound is None:
                 assert bound is None
             else:

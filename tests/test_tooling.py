@@ -3,9 +3,9 @@
 perfbench/tracing.py wraps the library functions it names in TRACED and reads
 the dimension of each dense-kernel call from its arguments.  It is loaded
 here as it is, installed over the five modules, and driven through one call of
-each CLI command and one direct call of fockrep.uncertainty_product, which no
-command makes, so that a rename or a changed argument in the library shows up
-here and not only in a benchmark run.
+each CLI command and one direct call each of fockrep.uncertainty_product and
+gup.kempf_rescale, which no command makes, so that a rename or a changed
+argument in the library shows up here and not only in a benchmark run.
 """
 
 import contextlib
@@ -49,6 +49,8 @@ def test_tracer_resolves_every_name_and_counts_the_kernels():
         # no command takes the moments of a single state any more
         quads = fockrep.quadratures(fockrep.build_rep(spectral.make_case("arik-coon", q=0.7), 8))
         fockrep.uncertainty_product(fockrep.number_state(8, 2), quads)
+        # nor calls the forward the tracer wraps; it must stay the library's rescaling
+        rescaled = gup.kempf_rescale(quads)
     finally:
         tracer.uninstall()
     assert codes == [0, 0, 0, 0]
@@ -58,6 +60,11 @@ def test_tracer_resolves_every_name_and_counts_the_kernels():
     for name in tracing.DENSE_PRODUCTS:
         assert tracer.calls[name] > 0 and tracer.cmadd[name] > 0, name
     assert tracer.calls["cli.run_verify_checks"] == 1
+    assert tracer.calls["gup.kempf_rescale"] == 1
+    direct = fockrep.kempf_rescale(quads)
+    for name in ("mat_x", "mat_p"):
+        got, want = getattr(rescaled, name).diagonals, getattr(direct, name).diagonals
+        assert got.keys() == want.keys() and all(got[d].tobytes() == want[d].tobytes() for d in want), name
     # the symbolic call evaluates each side once per evaluator and compares once
     calls = {fn: tracer.calls[f"symorder.{fn}"] for fn in ("normal_order", "expr_to_matrix", "nf_equal")}
     assert calls == {"normal_order": 2, "expr_to_matrix": 2, "nf_equal": 1}
