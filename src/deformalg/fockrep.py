@@ -102,7 +102,9 @@ class Band:
     constructor.  In A @ B the first product that spans a whole output
     offset is written, not added to zeros: an entry whose only product is
     -0.0 reads -0.0, where a sum from zeros reads +0.0.  No other bit
-    changes, since every entry is summed in the same order.
+    changes, since every entry is summed in the same order.  Each pair of
+    offsets finds the columns it covers by comparing the output offset with
+    bounds taken once per right offset.
     """
 
     __slots__ = ("D", "diagonals")
@@ -193,14 +195,20 @@ class Band:
         left = [(d1, a, max(0, -d1)) for d1, a in self.diagonals.items()]
         # for one output offset, ascending d2 is ascending k = j + d2
         for d2, b in other.diagonals.items():
-            s2 = max(0, -d2)
+            # B[j+d2, j] exists for the columns j in s2..hi2 - 1
+            s2, hi2 = (-d2, D) if d2 < 0 else (0, D - d2)
             for d1, a, s1 in left:
                 d = d1 + d2
-                # columns j where B[j+d2, j], A[j+d, j+d2] and C[j+d, j] all exist
-                lo, hi = max(0, -d2, -d), min(D, D - d2, D - d)
+                # the columns j where C[j+d, j] exists too: from -d on for d < 0,
+                # below D - d for d > 0; A[j+d, j+d2] then exists with them
+                if d < 0:
+                    s = -d
+                    lo, hi = (s2 if s2 > s else s), hi2
+                else:
+                    s = 0
+                    lo, hi = s2, (hi2 if hi2 < D - d else D - d)
                 if lo >= hi:
                     continue
-                s = max(0, -d)
                 product = a[lo + d2 - s1 : hi + d2 - s1] * b[lo - s2 : hi - s2]
                 c = out.get(d)
                 if c is not None:
@@ -271,14 +279,16 @@ class FockRep:
 class QuadratureSet:
     """Position and momentum bands of a representation, with their products.
 
-    rep is the representation the (unscaled) bands came from.  mat_xp =
-    [x, p] and the Hamiltonian mat_H = x^2 + p^2 are formed on first use
-    and shared by every later reader.
+    rep is the representation the (unscaled) bands came from; rescaled is
+    True for the set kempf_rescale returns, whose bands are no longer rep's.
+    mat_xp = [x, p] and the Hamiltonian mat_H = x^2 + p^2 are formed on
+    first use and shared by every later reader.
     """
 
     mat_x: Band = field(repr=False)
     mat_p: Band = field(repr=False)
     rep: FockRep = field(repr=False)
+    rescaled: bool = False
 
     @cached_property
     def mat_xp(self) -> Band:
@@ -372,12 +382,13 @@ def kempf_rescale(quads: QuadratureSet) -> QuadratureSet:
     rescaled commutator is [x', p'] = i (1 - ((1-q)/(1+q)) H') with
     H' = x'^2 + p'^2, the deformed-quantization normal form; direction fixed
     so that substituting x'/sqrt(1+q) for x recovers the unscaled relation.
+    The result is marked rescaled, and the gup state readers refuse it.
     """
     K = quads.rep.K
     if K.case_id is not CaseId.ARIK_COON:
         raise ValueError(f"case {K.case_id.value!r} has no Kempf rescaling, which serves arik-coon alone")
     s = math.sqrt(1.0 + K.q)
-    return QuadratureSet(mat_x=s * quads.mat_x, mat_p=s * quads.mat_p, rep=quads.rep)
+    return QuadratureSet(mat_x=s * quads.mat_x, mat_p=s * quads.mat_p, rep=quads.rep, rescaled=True)
 
 
 def commutator(A: Band, B: Band) -> Band:

@@ -9,7 +9,9 @@ which for a deformed oscillator equals <K(N+1) - K(N)>/4 on diagonal
 states; uncertainty_report(state, quads) evaluates it from the moments of
 the state and the case of quads.rep, and number_state_reports(K, D, levels)
 reads it for number states |n> from the checked level table K(0..D+1) alone,
-with the float operations the moments of |n> would perform.
+with the float operations the moments of |n> would perform.  The state
+readers refuse a Kempf-rescaled QuadratureSet: its moments are not those of
+the levels and the case formulas of its rep.
 Alongside it, reports carry a quadratic diagnostic
 
     (<K(N)>^2 + <K(N+1)>^2) / 4
@@ -92,6 +94,7 @@ def square_sum_bound(state: StateVector, quads: QuadratureSet) -> float:
     """
     import numpy as np
 
+    _require_unscaled(quads)
     D, levels = quads.rep.D, quads.rep.levels
     if state.dim != D:
         raise ValueError(f"a dimension-{D} band applies to {D}-row vectors, got {state.amplitudes.shape}")
@@ -222,6 +225,7 @@ def _state_terms(state: StateVector, quads: QuadratureSet) -> tuple:
 
     from .fockrep import _moments
 
+    _require_unscaled(quads)
     v = state.amplitudes
     xv, pv = quads.mat_x @ v, quads.mat_p @ v
     m = _moments(v, xv, pv)
@@ -233,6 +237,11 @@ def _state_terms(state: StateVector, quads: QuadratureSet) -> tuple:
         fourth = float(np.vdot(h, h).real)
     bound = None if form is None else form(dx, dp, fourth)
     return dx, dp, float(m.product), 0.5 * abs(complex(m.xp_commutator_mean)), bound
+
+
+def _require_unscaled(quads: QuadratureSet) -> None:
+    if quads.rescaled:
+        raise ValueError("the gup readers take unscaled quadratures, not a Kempf-rescaled set")
 
 
 def _bound_form(K: SpectralFunction):

@@ -48,8 +48,9 @@ identities whose two sides compose to the same polynomials compare
 bit-equal.  Equality of normal forms is still decided by evaluation on an
 integer grid, which refutes soundly but certifies equality only up to the
 grid: K is an arbitrary spectral function, so equal values on the grid
-need not mean equal polynomials in K's atoms.  nf_equal reads each atom
-K(N+k) from one level table once per shift, and forms each power of N once.
+need not mean equal polynomials in K's atoms.  nf_equal evaluates one
+level table and each power N^j once per call, over the whole grid, and reads
+every offset's atoms K(N+k) and powers as slices of them.
 
 nf_to_matrix realizes a normal form as a truncated fockrep.Band, offset
 for offset.  expr_to_matrix runs the same evaluator with the bands of
@@ -388,24 +389,32 @@ class CoefficientFunction:
         self.K = K
         self.terms = {m: c for m, c in sorted(merged.items()) if c != 0}
 
+    @classmethod
+    def _of(cls, K: SpectralFunction, merged: dict) -> "CoefficientFunction":
+        """The coefficient of already merged terms with no exact zero, sorted here."""
+        c = object.__new__(cls)
+        c.K = K
+        c.terms = dict(sorted(merged.items()))
+        return c
+
     def __call__(self, n):
         """c(n) at an integer level n, or elementwise over an integer array n."""
         ns = np.atleast_1d(n)
-        value = self._on_levels(ns, *_level_table(self.K, [(self, ns)]))
+        table, lo = _level_table(self.K, [(self, int(ns.min()), int(ns.max()))] if ns.size else [])
+        atoms = {k: table[ns + k - lo] for k in self._shifts()}
+        powers = _powers(ns, {j for j, _ in self.terms})
+        value = self._on_levels(powers.__getitem__, atoms.__getitem__, ns.shape)
         return complex(value[0]) if np.ndim(n) == 0 else value
 
-    def _on_levels(self, n: np.ndarray, table: np.ndarray, lo: int) -> np.ndarray:
-        """c(n) over the integer array n, reading K(m) from table[m - lo]: each monomial
-        is n**j in Python ints, rounded once, times its atoms in ks order, added in order.
-        Each distinct atom is read from the table once, and each distinct power formed once."""
-        atoms = {k: table[n + k - lo] for k in self._shifts()}
-        exact = n.astype(object)
-        powers = {j: (exact**j).astype(float) for j in {j for j, _ in self.terms}}
-        total = np.zeros(n.shape, dtype=complex)
+    def _on_levels(self, power: Callable, atom: Callable, shape: tuple) -> np.ndarray:
+        """c over an array of levels n, from the float arrays power(j) = n**j and
+        atom(k) = K(n+k) over them: each monomial is its power times its atoms in
+        ks order, and the monomials are added in order to zeros of that shape."""
+        total = np.zeros(shape, dtype=complex)
         for (j, ks), c in self.terms.items():
-            value = powers[j]
+            value = power(j)
             for k in ks:
-                value = value * atoms[k]
+                value = value * atom(k)
             total = total + c * value
         return total
 
@@ -413,18 +422,17 @@ class CoefficientFunction:
         """The offsets k of the atoms K(N+k) it reads."""
         return {k for _, ks in self.terms for k in ks}
 
-    def shift(self, s: int) -> "CoefficientFunction":
-        """c(N) -> c(N+s): K(N+k) -> K(N+k+s) and N^j -> (N+s)^j expanded."""
-        if s == 0:
-            return self
-        return CoefficientFunction(
-            self.K,
-            (
-                ((i, tuple(k + s for k in ks)), c if i == j else c * (math.comb(j, i) * s ** (j - i)))
-                for (j, ks), c in self.terms.items()
-                for i in range(j + 1)
-            ),
-        )
+    def _shifted(self, s: int) -> list:
+        """The sorted terms of c(N+s), s != 0: K(N+k) -> K(N+k+s) and N^j -> (N+s)^j
+        expanded, like monomials added in the order they come, exact zeros dropped."""
+        merged: dict = {}
+        for (j, ks), c in self.terms.items():
+            ks = tuple(k + s for k in ks)
+            for i in range(j + 1):
+                value = c if i == j else c * (math.comb(j, i) * s ** (j - i))
+                m = (i, ks)
+                merged[m] = merged[m] + value if m in merged else value
+        return [(m, c) for m, c in sorted(merged.items()) if c != 0]
 
     def map_scalars(self, fn: Callable[[complex], complex]) -> "CoefficientFunction":
         """Apply fn to every scalar (negation, division by a scalar)."""
@@ -433,28 +441,25 @@ class CoefficientFunction:
     def __add__(self, other: "CoefficientFunction") -> "CoefficientFunction":
         return CoefficientFunction(self.K, [*self.terms.items(), *other.terms.items()])
 
-    def __mul__(self, other: "CoefficientFunction") -> "CoefficientFunction":
-        return CoefficientFunction(
-            self.K,
-            (
-                ((j1 + j2, tuple(sorted(ks1 + ks2))), c1 * c2)
-                for (j1, ks1), c1 in self.terms.items()
-                for (j2, ks2), c2 in other.terms.items()
-            ),
-        )
-
 
 def _level_table(K: SpectralFunction, evaluations) -> tuple:
-    """K(lo..hi) and lo, spanning every atom K(n+k) of each (coefficient, levels) pair:
-    a pair reads from min(levels) + min(shifts) to max(levels) + max(shifts)."""
+    """K(lo..hi) and lo, spanning every atom K(n+k) of each (coefficient, first, last)
+    triple: its levels first..last read from first + min(shifts) to last + max(shifts)."""
     spans = []
-    for c, ns in evaluations:
+    for c, first, last in evaluations:
         shifts = c._shifts()
-        if shifts and ns.size:
-            spans.append((int(ns.min()) + min(shifts), int(ns.max()) + max(shifts)))
+        if shifts:
+            spans.append((first + min(shifts), last + max(shifts)))
     lo = min((first for first, _ in spans), default=0)
     hi = max((last for _, last in spans), default=-1)
     return level_table(K, lo, hi), lo
+
+
+def _powers(n: np.ndarray, exponents) -> dict:
+    """j -> n**j over the integer array n for each j in exponents, formed in Python
+    ints and rounded once to float."""
+    exact = n.astype(object)
+    return {j: (exact**j).astype(float) for j in exponents}
 
 
 # ---------------------------------------------------------------------------
@@ -518,7 +523,17 @@ class NormalForm:
 
     def __matmul__(self, other):
         """Each term pair adds c1(N+d2) c2(N) prod K(N+k) to offset d1+d2; a ValueError
-        when that would multiply more than MAX_COMPOSED_MONOMIALS monomial pairs."""
+        when that would multiply more than MAX_COMPOSED_MONOMIALS monomial pairs.
+
+        A pair's terms pass through three dicts, each merged as a
+        CoefficientFunction merges (like monomials added in the order they
+        come, exact zeros dropped before the next dict reads them): c1 shifted
+        by d2; its product with c2, the crossed atoms joined into each monomial
+        and each scalar then times 1.0, a full complex product, where atoms are
+        crossed; and the running sum of offset d1+d2.  Only that sum becomes a
+        CoefficientFunction, sorted once, with the bits a CoefficientFunction
+        built at every step would hold.
+        """
         if not isinstance(other, NormalForm):
             return NotImplemented
         self._same_algebra(other)
@@ -527,16 +542,30 @@ class NormalForm:
             raise ValueError(
                 f"composition would multiply {count} monomial pairs, above the cap {MAX_COMPOSED_MONOMIALS}"
             )
-        out: dict = {}
+        sums: dict = {}  # offset -> {monomial: scalar}, every scalar nonzero
         for d2, c2 in other.coefficients.items():
+            right = c2.terms.items()
             for d1, c1 in self.coefficients.items():
-                term = c1.shift(d2) * c2
                 crossed = tuple(_crossed_levels(d1, d2))
-                if crossed:
-                    term = term * CoefficientFunction(self.K, [((0, crossed), 1.0)])
-                d = d1 + d2
-                out[d] = out[d] + term if d in out else term
-        return NormalForm(self.K, out)
+                product: dict = {}
+                for (j1, ks1), a in c1.terms.items() if d2 == 0 else c1._shifted(d2):
+                    for (j2, ks2), b in right:
+                        monomial = (j1 + j2, tuple(sorted(ks1 + ks2 + crossed)))
+                        value = a * b
+                        product[monomial] = product[monomial] + value if monomial in product else value
+                total = sums.setdefault(d1 + d2, {})
+                for monomial, value in product.items():
+                    if value == 0:
+                        continue
+                    if crossed:
+                        value = value * 1.0
+                    if monomial in total:
+                        value = total[monomial] + value
+                        if value == 0:
+                            del total[monomial]
+                            continue
+                    total[monomial] = value
+        return NormalForm(self.K, {d: CoefficientFunction._of(self.K, total) for d, total in sums.items()})
 
 
 def _crossed_levels(d1: int, d2: int) -> range:
@@ -699,18 +728,31 @@ def nf_equal(
     there, so the coefficients are unconstrained).  The reported deviation
     is normalized per grid point by max(1, |lhs|, |rhs|); a NaN or inf
     deviation anywhere is reported and fails, by IdentityReport.judge's
-    rule.  One level table serves both sides, so no level is evaluated twice.
+    rule.  One level table serves both sides, so no level is evaluated
+    twice, and each power N^j is formed once per call over the whole grid;
+    every offset reads its atoms K(N+k) and powers as slices of them.
     """
     if lhs.K != rhs.K:
         raise ValueError("nf_equal compares normal forms of one spectral function")
+    # an offset below -GRID_MAX has no level on the grid
     pairs = [
-        (lhs.coefficient(d), rhs.coefficient(d), np.arange(max(0, -d), GRID_MAX + 1))
-        for d in sorted(set(lhs.support()) | set(rhs.support()))
+        (lhs.coefficient(d), rhs.coefficient(d), max(0, -d))
+        for d in sorted(lhs.coefficients.keys() | rhs.coefficients.keys())
+        if d >= -GRID_MAX
     ]
-    table, lo = _level_table(lhs.K, [(c, ns) for cl, cr, ns in pairs for c in (cl, cr)])
+    table, lo = _level_table(lhs.K, [(c, first, GRID_MAX) for cl, cr, first in pairs for c in (cl, cr)])
+    powers = _powers(np.arange(GRID_MAX + 1), {j for cl, cr, _ in pairs for c in (cl, cr) for j, _ in c.terms})
     deviations = [np.zeros(0)]
-    for cl, cr, ns in pairs:
-        vl, vr = cl._on_levels(ns, table, lo), cr._on_levels(ns, table, lo)
+    for cl, cr, first in pairs:
+
+        def power(j):
+            return powers[j][first:]
+
+        def atom(k):
+            return table[first + k - lo : GRID_MAX + 1 + k - lo]
+
+        shape = (GRID_MAX + 1 - first,)
+        vl, vr = cl._on_levels(power, atom, shape), cr._on_levels(power, atom, shape)
         deviations.append(np.abs(vl - vr) / np.maximum(np.maximum(1.0, np.abs(vl)), np.abs(vr)))
     # np.max propagates NaN, where max() would drop it and pass the check
     worst = float(np.max(np.concatenate(deviations), initial=0.0))

@@ -1,10 +1,12 @@
 """Shared parameter grids, case factories, word generators and dense oracles for the tests."""
 
+import importlib.util
+import pathlib
 from functools import reduce
 
 import numpy as np
 
-from deformalg import Band, CaseId, level_table, make_case
+from deformalg import BUILTIN_IDENTITIES, Band, CaseId, level_table, make_case
 from deformalg.symorder import Add, Comm, Divisor, KShift, Mul, Neg, Num, Param, Pow, Sym
 
 Q_GRID = [0.3, 0.7, 1.0, 1.5, 3.0]
@@ -98,6 +100,20 @@ def random_words(seed, count, max_len):
             else:
                 atoms.append(Num(scalars[next(words) % len(scalars)]))
         yield Mul(tuple(atoms))
+
+
+def perfbench_workloads():
+    """perfbench/workloads.py, loaded as it is: the benchmark's call lists."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def symbolic_mix_identities():
+    """The identities of the symbolic-mix workload: the builtins by text, then its composites."""
+    return [*BUILTIN_IDENTITIES.values(), *perfbench_workloads().COMPOSITES]
 
 
 def dense(M):

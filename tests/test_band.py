@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import custom_cases, dense, random_words, representative_cases
+from conftest import custom_cases, dense, random_words, representative_cases, symbolic_mix_identities
 from deformalg import (
     BUILTIN_IDENTITIES,
     Band,
@@ -102,6 +102,76 @@ def test_products_match_dense_products_within_four_ulp(monkeypatch, K, D):
         error = np.abs(dense(C) - a @ b)
         assert np.all(error <= 4 * EPS * (np.abs(a) @ np.abs(b))), (A, B)
         assert np.array_equal(dense(C), ordered_sum_product(a, b)), (A, B)
+
+
+def staged_product(A, B):
+    """A @ B as the band product was first written, the oracle for its bounds:
+    five max and min calls per pair of offsets, the first product that spans
+    its output offset written and every other one added."""
+    D = A.D
+    out = {}
+    left = [(d1, a, max(0, -d1)) for d1, a in A.diagonals.items()]
+    for d2, b in B.diagonals.items():
+        s2 = max(0, -d2)
+        for d1, a, s1 in left:
+            d = d1 + d2
+            lo, hi = max(0, -d2, -d), min(D, D - d2, D - d)
+            if lo >= hi:
+                continue
+            s = max(0, -d)
+            product = a[lo + d2 - s1 : hi + d2 - s1] * b[lo - s2 : hi - s2]
+            c = out.get(d)
+            if c is not None:
+                c[lo - s : hi - s] += product
+            elif hi - lo == D - abs(d):
+                out[d] = product
+            else:
+                c = out[d] = np.zeros(D - abs(d), dtype=complex)
+                c[lo - s : hi - s] += product
+    return dict(sorted(out.items()))
+
+
+def assert_staged(A, B, C):
+    """C holds the offsets of staged_product(A, B) in its order, and the same entry bytes."""
+    expected = staged_product(A, B)
+    assert list(C.diagonals) == list(expected), (A, B)
+    for d, m in expected.items():
+        assert C.diagonals[d].tobytes() == m.tobytes(), (A, B, d)
+
+
+@pytest.mark.parametrize("D", [4, 5, 8, 32, 129])
+@pytest.mark.parametrize("K", representative_cases() + custom_cases(), ids=str)
+def test_products_equal_the_staged_product_bit_for_bit(monkeypatch, K, D):
+    exprs = [side for identity in symbolic_mix_identities() for side in parse_identity(identity)]
+    exprs += list(random_words(seed=29, count=60, max_len=6))
+    products = recorded_products(monkeypatch, K, D, exprs)
+    assert len(products) > 100
+    for A, B, C in products:
+        assert_staged(A, B, C)
+
+
+def test_a_first_pair_that_does_not_span_its_offset_is_added_to_zeros():
+    # offset 0 first meets (1, -1), which misses column 0, then (0, 0), which spans it
+    D = 6
+    A = Band(D, {0: np.full(D, -1.0), 1: np.full(D - 1, 2.0 - 1j)})
+    B = Band(D, {-1: np.full(D - 1, -0.0), 0: np.zeros(D)})
+    C = A @ B
+    assert_staged(A, B, C)
+    assert not np.signbit(C.entries(0).real).any()
+
+
+@pytest.mark.parametrize("D", [4, 5, 8])
+def test_products_of_random_offset_sets_equal_the_staged_product(D):
+    rng = np.random.default_rng(D)
+    offsets = range(-D + 1, D)
+
+    def band():
+        chosen = sorted(rng.choice(offsets, size=rng.integers(0, 5), replace=False).tolist())
+        return Band(D, {d: rng.normal(size=D - abs(d)) + 1j * rng.normal(size=D - abs(d)) for d in chosen})
+
+    for _ in range(200):
+        A, B = band(), band()
+        assert_staged(A, B, A @ B)
 
 
 def recorded_results(monkeypatch, K, D, exprs):

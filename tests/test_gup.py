@@ -326,8 +326,22 @@ class TestKempfRescaling:
     def test_the_quadratures_carry_their_representation(self):
         rep = build_rep(make_case(CaseId.ARIK_COON, q=0.5), 8)
         quads = quadratures(rep)
-        assert quads.rep is rep
-        assert kempf_rescale(quads).rep is quads.rep
+        assert quads.rep is rep and not quads.rescaled
+        assert kempf_rescale(quads).rep is quads.rep and kempf_rescale(quads).rescaled
+
+    def test_the_gup_readers_refuse_a_rescaled_set(self):
+        # rescaled moments beside the unscaled levels read product 0.375, diagnostic 0.25 and case bound 0.104
+        quads = quadratures(build_rep(make_case(CaseId.ARIK_COON, q=0.5), 12))
+        vacuum = number_state(12, 0)
+        report = uncertainty_report(vacuum, quads)
+        assert (report.product, report.square_sum_bound) == pytest.approx((0.25, 0.25), abs=1e-15)
+        assert report.case_bound == pytest.approx(0.125, abs=1e-15)
+        message = "^the gup readers take unscaled quadratures, not a Kempf-rescaled set$"
+        for reader in (uncertainty_report, case_bound, square_sum_bound):
+            with pytest.raises(ValueError, match=message):
+                reader(vacuum, kempf_rescale(quads))
+        # the moments themselves stay readable
+        assert uncertainty_product(vacuum, kempf_rescale(quads)).product == pytest.approx(0.375, rel=1e-12)
 
     def test_classical_limit(self):
         quads = quadratures(build_rep(make_case(CaseId.ARIK_COON, q=1.0), 16))

@@ -11,7 +11,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import custom_cases, dense, dense_expr, random_words, representative_cases, residual
+from conftest import (
+    custom_cases,
+    dense,
+    dense_expr,
+    random_words,
+    representative_cases,
+    residual,
+    symbolic_mix_identities,
+)
 from deformalg import (
     BUILTIN_IDENTITIES,
     Band,
@@ -31,7 +39,24 @@ from deformalg import (
     parse_identity,
     quadratures,
 )
-from deformalg.symorder import Add, Comm, Divisor, Expr, KShift, Mul, Neg, Num, Param, Pow, Sym
+from deformalg import symorder
+from deformalg.fockrep import IdentityReport
+from deformalg.spectral import level_table
+from deformalg.symorder import (
+    GRID_MAX,
+    Add,
+    CoefficientFunction,
+    Comm,
+    Divisor,
+    Expr,
+    KShift,
+    Mul,
+    Neg,
+    Num,
+    Param,
+    Pow,
+    Sym,
+)
 
 # every character the grammar uses, and tokens that make parseable strings likely
 GRAMMAR_ALPHABET = sorted(set("a ad N x p H K comm q alpha beta gamma i 0123456789.eE+-*/^(),="))
@@ -57,6 +82,131 @@ def per_level(c, n):
     for (j, ks), scalar in c.terms.items():
         total += scalar * math.prod((spectral[k] for k in ks), start=n**j)
     return total
+
+
+# The contraction as it was first written, the oracle for the fused one: each term
+# pair builds its coefficient in five stages, and each stage merges like
+# monomials in order, sorts them and drops exact zeros.
+
+
+def merged(terms):
+    """Like monomials added in the order they come, then sorted, exact zeros dropped."""
+    out = {}
+    for monomial, c in terms:
+        out[monomial] = out[monomial] + c if monomial in out else c
+    return {m: c for m, c in sorted(out.items()) if c != 0}
+
+
+def staged_shift(terms, s):
+    """c(N) -> c(N+s), N^j expanded binomially."""
+    if s == 0:
+        return terms
+    return merged(
+        ((i, tuple(k + s for k in ks)), c if i == j else c * (math.comb(j, i) * s ** (j - i)))
+        for (j, ks), c in terms.items()
+        for i in range(j + 1)
+    )
+
+
+def staged_times(left, right):
+    return merged(
+        ((j1 + j2, tuple(sorted(ks1 + ks2))), c1 * c2)
+        for (j1, ks1), c1 in left.items()
+        for (j2, ks2), c2 in right.items()
+    )
+
+
+def crossed_levels(d1, d2):
+    if d2 < 0 < d1:
+        return range(d2 + 1, d2 + min(-d2, d1) + 1)
+    if d1 < 0 < d2:
+        return range(d2 - min(d2, -d1) + 1, d2 + 1)
+    return range(0)
+
+
+def staged_product(A, B):
+    """The terms of A @ B by offset: shift, product, crossed atoms (times 1.0), then
+    added into the offset's sum, each stage merged on its own."""
+    out = {}
+    for d2, c2 in B.coefficients.items():
+        for d1, c1 in A.coefficients.items():
+            term = staged_times(staged_shift(c1.terms, d2), c2.terms)
+            crossed = tuple(crossed_levels(d1, d2))
+            if crossed:
+                term = staged_times(term, {(0, crossed): 1.0})
+            d = d1 + d2
+            out[d] = merged([*out[d].items(), *term.items()]) if d in out else term
+    return {d: terms for d, terms in out.items() if terms}
+
+
+def term_bits(terms_by_offset):
+    """Offsets and monomials in order, each scalar by its type and float.hex of both parts."""
+    return [
+        (d, [(m, type(c).__name__, float(c.real).hex(), float(c.imag).hex()) for m, c in terms.items()])
+        for d, terms in terms_by_offset.items()
+    ]
+
+
+def assert_staged(A, B, C):
+    expected = term_bits(staged_product(A, B))
+    assert term_bits({d: c.terms for d, c in C.coefficients.items()}) == expected
+
+
+def recorded_compositions(monkeypatch, K, exprs):
+    """Every normal-form product formed while normal_order evaluates exprs."""
+    products = []
+    matmul = NormalForm.__matmul__
+
+    def recording(A, B):
+        C = matmul(A, B)
+        products.append((A, B, C))
+        return C
+
+    monkeypatch.setattr(NormalForm, "__matmul__", recording)
+    for expr in exprs:
+        normal_order(expr, K)
+    monkeypatch.undo()
+    return products
+
+
+def staged_nf_equal(lhs, rhs, tol=1e-10):
+    """nf_equal as it was first written, the oracle for the one-grid form: each
+    coefficient forms its own powers of N and fancy-indexes its own atoms."""
+    pairs = [
+        (lhs.coefficient(d), rhs.coefficient(d), np.arange(max(0, -d), GRID_MAX + 1))
+        for d in sorted(set(lhs.support()) | set(rhs.support()))
+    ]
+    spans = []
+    for cl, cr, ns in pairs:
+        for c in (cl, cr):
+            shifts = {k for _, ks in c.terms for k in ks}
+            if shifts:
+                spans.append((int(ns.min()) + min(shifts), int(ns.max()) + max(shifts)))
+    lo = min((first for first, _ in spans), default=0)
+    table = level_table(lhs.K, lo, max((last for _, last in spans), default=-1))
+
+    def on_levels(c, n):
+        atoms = {k: table[n + k - lo] for _, ks in c.terms for k in ks}
+        exact = n.astype(object)
+        powers = {j: (exact**j).astype(float) for j, _ in c.terms}
+        total = np.zeros(n.shape, dtype=complex)
+        for (j, ks), scalar in c.terms.items():
+            value = powers[j]
+            for k in ks:
+                value = value * atoms[k]
+            total = total + scalar * value
+        return total
+
+    deviations = [np.zeros(0)]
+    for cl, cr, ns in pairs:
+        vl, vr = on_levels(cl, ns), on_levels(cr, ns)
+        deviations.append(np.abs(vl - vr) / np.maximum(np.maximum(1.0, np.abs(vl)), np.abs(vr)))
+    worst = float(np.max(np.concatenate(deviations), initial=0.0))
+    return IdentityReport.judge("normal-form equality", GRID_MAX + 1, worst, tol)
+
+
+def report_bits(report):
+    return (report.name, report.window, report.max_abs_residual.hex(), report.tol, report.passed)
 
 
 def tree_depth(node):
@@ -331,6 +481,70 @@ class TestComposition:
         assert len({one, other, one}) == 2
 
 
+class TestFusedContraction:
+    """NormalForm @ NormalForm against the staged contraction, bit for bit."""
+
+    @pytest.mark.parametrize("K", representative_cases() + custom_cases(), ids=str)
+    def test_products_equal_the_staged_contraction(self, monkeypatch, K):
+        exprs = [side for identity in symbolic_mix_identities() for side in parse_identity(identity)]
+        exprs += list(random_words(seed=29, count=60, max_len=6))
+        products = recorded_compositions(monkeypatch, K, exprs)
+        assert len(products) > 100
+        for A, B, C in products:
+            assert_staged(A, B, C)
+
+    @staticmethod
+    def single(K, d, terms):
+        return NormalForm(K, {d: CoefficientFunction(K, terms)})
+
+    def test_a_crossed_contraction_multiplies_by_one_as_a_complex(self):
+        # (-0.0 - 1i)(1 - 0.0i) = -0.0 - 1i; the crossed atom's factor 1.0 then
+        # turns the real part to +0.0, as a full complex product does
+        K = make_case(CaseId.ARIK_COON, q=0.7)
+        A = self.single(K, 1, [((0, ()), complex(-0.0, -1.0))])
+        B = self.single(K, -1, [((0, ()), complex(1.0, -0.0))])
+        C = A @ B
+        assert_staged(A, B, C)
+        (value,) = C.coefficient(0).terms.values()
+        assert value.imag == -1.0 and value.real == 0.0 and not math.copysign(1.0, value.real) < 0
+
+    @pytest.mark.parametrize("d2", [-2, -1, 0, 1, 2])
+    def test_an_infinite_coefficient_composes_as_staged(self, d2):
+        K = make_case(CaseId.NONLINEAR, alpha=1.0, beta=2.0)
+        inf = math.inf
+        A = NormalForm(
+            K,
+            {
+                1: CoefficientFunction(K, [((2, (0,)), complex(inf, -1.0)), ((0, ()), 2.0 + 0j)]),
+                -1: CoefficientFunction(K, [((1, (1,)), complex(0.5, inf))]),
+            },
+        )
+        B = self.single(K, d2, [((1, ()), 1.0 + 0j), ((0, (-1,)), complex(-0.0, 3.0))])
+        for left, right in ((A, B), (B, A), (A, A)):
+            assert_staged(left, right, left @ right)
+
+
+class TestOneGridEquality:
+    """nf_equal against the per-coefficient evaluation, bit for bit."""
+
+    @pytest.mark.parametrize("K", representative_cases() + custom_cases(), ids=str)
+    def test_reports_equal_the_per_coefficient_evaluation(self, K):
+        sides = [tuple(normal_order(side, K) for side in parse_identity(text)) for text in symbolic_mix_identities()]
+        words = [normal_order(word, K) for word in random_words(seed=29, count=60, max_len=6)]
+        sides += list(zip(words[::2], words[1::2]))
+        for lhs, rhs in sides:
+            assert report_bits(nf_equal(lhs, rhs)) == report_bits(staged_nf_equal(lhs, rhs))
+            assert report_bits(nf_equal(rhs, lhs, 1e-3)) == report_bits(staged_nf_equal(rhs, lhs, 1e-3))
+
+    def test_a_nan_report_equals_the_per_coefficient_evaluation(self):
+        K = make_case(CaseId.CUSTOM, custom_eval=lambda n: 1e200 * n)
+        lhs, rhs = normal_order(parse_expr("N*K(N)*K(N+1) + ad"), K), normal_order(parse_expr("2*K(N)*K(N)"), K)
+        with np.errstate(over="ignore", invalid="ignore"):
+            report, expected = nf_equal(lhs, rhs), staged_nf_equal(lhs, rhs)
+        assert math.isnan(report.max_abs_residual)
+        assert report_bits(report) == report_bits(expected)
+
+
 class TestNormalFormOperators:
     @staticmethod
     def nf(text, K):
@@ -412,19 +626,31 @@ class TestNormalFormEquality:
         assert math.isnan(report.max_abs_residual)
         assert not report.passed
 
-    @pytest.mark.parametrize("identity", [BUILTIN_IDENTITIES["lh_x"], COMPOSITE])
-    def test_each_level_is_evaluated_once_per_call(self, identity):
-        calls = []
+    @pytest.mark.parametrize(
+        "identity", [BUILTIN_IDENTITIES["lh_x"], COMPOSITE, "comm(N^3,x)*K(N+1) == N^3*x*K(N+1) - x*N^3*K(N+1)"]
+    )
+    def test_each_level_is_evaluated_once_per_call(self, monkeypatch, identity):
+        calls, exponents = [], []
 
         def counted(n):
             calls.append(n)
             return n * (n + 1.0)
 
+        powers = symorder._powers
+
+        def counted_powers(n, js):
+            exponents.extend(js)
+            return powers(n, js)
+
         K = make_case(CaseId.CUSTOM, custom_eval=counted)
         lhs, rhs = (normal_order(side, K) for side in parse_identity(identity))
         calls.clear()
+        monkeypatch.setattr(symorder, "_powers", counted_powers)
         assert nf_equal(lhs, rhs).passed
         assert calls and len(calls) == len(set(calls))
+        # each power N^j over the grid, for every j of both sides and no other
+        used = {j for nf in (lhs, rhs) for c in nf.coefficients.values() for j, _ in c.terms}
+        assert sorted(exponents) == sorted(used)
 
 
 class TestCoefficientEvaluation:

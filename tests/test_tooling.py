@@ -1,4 +1,4 @@
-"""The contract between the library and the benchmark's tracer.
+"""The contract between the library, the benchmark's tracer and the byte comparison.
 
 perfbench/tracing.py wraps the library functions it names in TRACED and reads
 the dimension of each dense-kernel call from its arguments.  It is loaded
@@ -6,14 +6,18 @@ here as it is, installed over the five modules, and driven through one call of
 each CLI command and one direct call each of fockrep.uncertainty_product and
 gup.kempf_rescale, which no command makes, so that a rename or a changed
 argument in the library shows up here and not only in a benchmark run.
+It also holds that tests/compare_cli.py makes every call of the symbolic-mix
+workload and every builtin symbolic call, so its byte comparison covers them.
 """
 
 import contextlib
 import importlib.util
 import io
 import pathlib
+import sys
 
-from deformalg import cli, fockrep, gup, spectral, symorder
+from conftest import perfbench_workloads
+from deformalg import BUILTIN_IDENTITIES, cli, fockrep, gup, spectral, symorder
 
 TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 MODULES = {"cli": cli, "fockrep": fockrep, "gup": gup, "spectral": spectral, "symorder": symorder}
@@ -68,3 +72,20 @@ def test_tracer_resolves_every_name_and_counts_the_kernels():
     # the symbolic call evaluates each side once per evaluator and compares once
     calls = {fn: tracer.calls[f"symorder.{fn}"] for fn in ("normal_order", "expr_to_matrix", "nf_equal")}
     assert calls == {"normal_order": 2, "expr_to_matrix": 2, "nf_equal": 1}
+
+
+def test_the_byte_comparison_makes_every_symbolic_mix_call_and_every_builtin_call(monkeypatch):
+    # tests/compare_cli.py reads its call list from the workloads, so a changed workload moves it too
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    import compare_cli
+
+    calls = list(compare_cli.call_list().values())
+    workloads = perfbench_workloads()
+    wanted = [op.argv for seed in (1, 2) for op in workloads.build("symbolic-mix", seed)]
+    wanted += [
+        ["symbolic", "--case", case, *params, "--check", name]
+        for case, params in workloads.CASES.items()
+        for name in BUILTIN_IDENTITIES
+    ]
+    assert len({tuple(argv) for argv in wanted}) == 30
+    assert [argv for argv in wanted if argv not in calls] == []
