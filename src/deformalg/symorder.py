@@ -48,9 +48,12 @@ identities whose two sides compose to the same polynomials compare
 bit-equal.  Equality of normal forms is still decided by evaluation on an
 integer grid, which refutes soundly but certifies equality only up to the
 grid: K is an arbitrary spectral function, so equal values on the grid
-need not mean equal polynomials in K's atoms.  nf_equal evaluates one
-level table and each power N^j once per call, over the whole grid, and reads
-every offset's atoms K(N+k) and powers as slices of them.
+need not mean equal polynomials in K's atoms.
+
+One evaluator gives coefficients their values on levels: nf_equal's grid,
+nf_to_matrix's columns and the levels a coefficient is called on.  Each call
+of it evaluates one level table and each power N^j once, for all the
+coefficients it is given, and reads every atom K(N+k) and power as a slice.
 
 nf_to_matrix realizes a normal form as a truncated fockrep.Band, offset
 for offset.  expr_to_matrix runs the same evaluator with the bands of
@@ -377,7 +380,9 @@ class CoefficientFunction:
     terms maps a monomial (j, ks), standing for N^j * prod(K(N+k) for k in
     ks) with ks sorted, to its scalar.  Like monomials merge, exact zeros
     drop and the monomials are kept sorted, so equal polynomials hold equal
-    terms and evaluate to the same bits.
+    terms and evaluate to the same bits.  A negation or scalar multiple keeps
+    the monomials as they are and drops only the scalars that become exact
+    zeros; only a sum merges again.
     """
 
     __slots__ = ("K", "terms")
@@ -390,37 +395,21 @@ class CoefficientFunction:
         self.terms = {m: c for m, c in sorted(merged.items()) if c != 0}
 
     @classmethod
-    def _of(cls, K: SpectralFunction, merged: dict) -> "CoefficientFunction":
-        """The coefficient of already merged terms with no exact zero, sorted here."""
+    def _of(cls, K: SpectralFunction, terms: dict) -> "CoefficientFunction":
+        """The coefficient of terms already merged and sorted, with no exact zero,
+        kept as they are."""
         c = object.__new__(cls)
         c.K = K
-        c.terms = dict(sorted(merged.items()))
+        c.terms = terms
         return c
 
     def __call__(self, n):
-        """c(n) at an integer level n, or elementwise over an integer array n."""
+        """c(n) at an integer level n, or elementwise over an integer array n: the
+        values on the levels min(n)..max(n), indexed."""
         ns = np.atleast_1d(n)
-        table, lo = _level_table(self.K, [(self, int(ns.min()), int(ns.max()))] if ns.size else [])
-        atoms = {k: table[ns + k - lo] for k in self._shifts()}
-        powers = _powers(ns, {j for j, _ in self.terms})
-        value = self._on_levels(powers.__getitem__, atoms.__getitem__, ns.shape)
+        lo, hi = (int(ns.min()), int(ns.max())) if ns.size else (0, -1)
+        value = _on_levels(self.K, [(self, lo, hi)])[0][ns - lo]
         return complex(value[0]) if np.ndim(n) == 0 else value
-
-    def _on_levels(self, power: Callable, atom: Callable, shape: tuple) -> np.ndarray:
-        """c over an array of levels n, from the float arrays power(j) = n**j and
-        atom(k) = K(n+k) over them: each monomial is its power times its atoms in
-        ks order, and the monomials are added in order to zeros of that shape."""
-        total = np.zeros(shape, dtype=complex)
-        for (j, ks), c in self.terms.items():
-            value = power(j)
-            for k in ks:
-                value = value * atom(k)
-            total = total + c * value
-        return total
-
-    def _shifts(self) -> set:
-        """The offsets k of the atoms K(N+k) it reads."""
-        return {k for _, ks in self.terms for k in ks}
 
     def _shifted(self, s: int) -> list:
         """The sorted terms of c(N+s), s != 0: K(N+k) -> K(N+k+s) and N^j -> (N+s)^j
@@ -434,25 +423,38 @@ class CoefficientFunction:
                 merged[m] = merged[m] + value if m in merged else value
         return [(m, c) for m, c in sorted(merged.items()) if c != 0]
 
-    def map_scalars(self, fn: Callable[[complex], complex]) -> "CoefficientFunction":
-        """Apply fn to every scalar (negation, division by a scalar)."""
-        return CoefficientFunction(self.K, ((m, fn(c)) for m, c in self.terms.items()))
-
     def __add__(self, other: "CoefficientFunction") -> "CoefficientFunction":
         return CoefficientFunction(self.K, [*self.terms.items(), *other.terms.items()])
 
 
-def _level_table(K: SpectralFunction, evaluations) -> tuple:
-    """K(lo..hi) and lo, spanning every atom K(n+k) of each (coefficient, first, last)
-    triple: its levels first..last read from first + min(shifts) to last + max(shifts)."""
-    spans = []
-    for c, first, last in evaluations:
-        shifts = c._shifts()
-        if shifts:
-            spans.append((first + min(shifts), last + max(shifts)))
-    lo = min((first for first, _ in spans), default=0)
-    hi = max((last for _, last in spans), default=-1)
-    return level_table(K, lo, hi), lo
+def _on_levels(K: SpectralFunction, spans: list) -> list:
+    """The values of each (coefficient, first, last) of K on the levels first..last.
+
+    One level table spans every atom K(n+k) the coefficients read, and each
+    power n**j is formed once over all their levels; every atom and power is
+    read from them as a slice.  Each monomial is its power times its atoms in
+    ks order, and the monomials are added in order to zeros.
+    """
+    reach = []  # the levels of the atoms of each nonempty span
+    for c, first, last in spans:
+        shifts = {k for _, ks in c.terms for k in ks}
+        if shifts and first <= last:
+            reach.append((first + min(shifts), last + max(shifts)))
+    lo = min((first for first, _ in reach), default=0)
+    table = level_table(K, lo, max((last for _, last in reach), default=-1))
+    start = min((first for _, first, _ in spans), default=0)
+    top = max((last for _, _, last in spans), default=-1)
+    powers = _powers(np.arange(start, top + 1), {j for c, _, _ in spans for j, _ in c.terms})
+    values = []
+    for c, first, last in spans:
+        total = np.zeros(last + 1 - first, dtype=complex)
+        for (j, ks), scalar in c.terms.items():
+            value = powers[j][first - start : last + 1 - start]
+            for k in ks:
+                value = value * table[first + k - lo : last + 1 + k - lo]
+            total = total + scalar * value
+        values.append(total)
+    return values
 
 
 def _powers(n: np.ndarray, exponents) -> dict:
@@ -492,7 +494,10 @@ class NormalForm:
             raise ValueError("normal forms of different spectral functions do not combine")
 
     def _map_scalars(self, fn: Callable[[complex], complex]) -> "NormalForm":
-        return NormalForm(self.K, {d: c.map_scalars(fn) for d, c in self.coefficients.items()})
+        """fn applied to every scalar: each coefficient keeps its merged, sorted
+        monomials, less those whose scalar becomes an exact zero."""
+        mapped = {d: {m: v for m, c in cf.terms.items() if (v := fn(c)) != 0} for d, cf in self.coefficients.items()}
+        return NormalForm(self.K, {d: CoefficientFunction._of(self.K, terms) for d, terms in mapped.items()})
 
     def __add__(self, other):
         if not isinstance(other, NormalForm):
@@ -565,7 +570,8 @@ class NormalForm:
                             del total[monomial]
                             continue
                     total[monomial] = value
-        return NormalForm(self.K, {d: CoefficientFunction._of(self.K, total) for d, total in sums.items()})
+        coefficients = {d: CoefficientFunction._of(self.K, dict(sorted(total.items()))) for d, total in sums.items()}
+        return NormalForm(self.K, coefficients)
 
 
 def _crossed_levels(d1: int, d2: int) -> range:
@@ -728,31 +734,17 @@ def nf_equal(
     there, so the coefficients are unconstrained).  The reported deviation
     is normalized per grid point by max(1, |lhs|, |rhs|); a NaN or inf
     deviation anywhere is reported and fails, by IdentityReport.judge's
-    rule.  One level table serves both sides, so no level is evaluated
-    twice, and each power N^j is formed once per call over the whole grid;
-    every offset reads its atoms K(N+k) and powers as slices of them.
+    rule.  Every coefficient of both sides is evaluated in one call of the
+    module's level evaluator, so no level K(n) and no power N^j is formed
+    twice.
     """
     if lhs.K != rhs.K:
         raise ValueError("nf_equal compares normal forms of one spectral function")
     # an offset below -GRID_MAX has no level on the grid
-    pairs = [
-        (lhs.coefficient(d), rhs.coefficient(d), max(0, -d))
-        for d in sorted(lhs.coefficients.keys() | rhs.coefficients.keys())
-        if d >= -GRID_MAX
-    ]
-    table, lo = _level_table(lhs.K, [(c, first, GRID_MAX) for cl, cr, first in pairs for c in (cl, cr)])
-    powers = _powers(np.arange(GRID_MAX + 1), {j for cl, cr, _ in pairs for c in (cl, cr) for j, _ in c.terms})
+    offsets = sorted(d for d in lhs.coefficients.keys() | rhs.coefficients.keys() if d >= -GRID_MAX)
+    values = _on_levels(lhs.K, [(side.coefficient(d), max(0, -d), GRID_MAX) for d in offsets for side in (lhs, rhs)])
     deviations = [np.zeros(0)]
-    for cl, cr, first in pairs:
-
-        def power(j):
-            return powers[j][first:]
-
-        def atom(k):
-            return table[first + k - lo : GRID_MAX + 1 + k - lo]
-
-        shape = (GRID_MAX + 1 - first,)
-        vl, vr = cl._on_levels(power, atom, shape), cr._on_levels(power, atom, shape)
+    for vl, vr in zip(values[::2], values[1::2]):
         deviations.append(np.abs(vl - vr) / np.maximum(np.maximum(1.0, np.abs(vl)), np.abs(vr)))
     # np.max propagates NaN, where max() would drop it and pass the check
     worst = float(np.max(np.concatenate(deviations), initial=0.0))
@@ -764,18 +756,21 @@ def nf_to_matrix(nf: NormalForm, D: int) -> Band:
 
     Offset d of the band holds, in column n, c_d(n) times the entry of ad^d
     (d >= 0) or a^-d (d < 0) there, the product of the ladder roots
-    sqrt(K(1..D-1)) of build_rep(nf.K, D) that the path crosses.
+    sqrt(K(1..D-1)) of build_rep(nf.K, D) that the path crosses.  Every
+    kept offset's coefficient is evaluated on its columns in one call of the
+    module's level evaluator, so each level the coefficients read is
+    evaluated once, beside the representation's K(0..D+1).
     """
     roots = np.sqrt(build_rep(nf.K, D).levels[1:D])  # roots[m] = sqrt(K(m + 1))
+    offsets = [d for d in nf.coefficients if abs(d) < D]
+    spans = [(nf.coefficients[d], max(0, -d), min(D, D - d) - 1) for d in offsets]
     diagonals = {}
-    for d, cfn in nf.coefficients.items():
-        if abs(d) >= D:
-            continue
-        cols = np.arange(max(0, -d), min(D, D - d))
+    for d, (_, first, last), value in zip(offsets, spans, _on_levels(nf.K, spans)):
+        cols = np.arange(first, last + 1)
         weight = np.ones(cols.size)
         for j in range(abs(d)):
             weight *= roots[cols + j if d > 0 else cols - j - 1]
-        diagonals[d] = cfn(cols) * weight
+        diagonals[d] = value * weight
     return Band(D, diagonals)
 
 

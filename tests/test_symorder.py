@@ -205,6 +205,27 @@ def staged_nf_equal(lhs, rhs, tol=1e-10):
     return IdentityReport.judge("normal-form equality", GRID_MAX + 1, worst, tol)
 
 
+def per_offset_nf_to_matrix(nf, D):
+    """nf_to_matrix as it was first written, the oracle for the one-table form: each
+    kept offset calls its coefficient on its own columns."""
+    roots = np.sqrt(build_rep(nf.K, D).levels[1:D])
+    diagonals = {}
+    for d, cfn in nf.coefficients.items():
+        if abs(d) >= D:
+            continue
+        cols = np.arange(max(0, -d), min(D, D - d))
+        weight = np.ones(cols.size)
+        for j in range(abs(d)):
+            weight *= roots[cols + j if d > 0 else cols - j - 1]
+        diagonals[d] = cfn(cols) * weight
+    return Band(D, diagonals)
+
+
+def symbolic_mix_sides():
+    """Both sides of every identity of the symbolic-mix workload."""
+    return [side for identity in symbolic_mix_identities() for side in parse_identity(identity)]
+
+
 def report_bits(report):
     return (report.name, report.window, report.max_abs_residual.hex(), report.tol, report.passed)
 
@@ -486,7 +507,7 @@ class TestFusedContraction:
 
     @pytest.mark.parametrize("K", representative_cases() + custom_cases(), ids=str)
     def test_products_equal_the_staged_contraction(self, monkeypatch, K):
-        exprs = [side for identity in symbolic_mix_identities() for side in parse_identity(identity)]
+        exprs = symbolic_mix_sides()
         exprs += list(random_words(seed=29, count=60, max_len=6))
         products = recorded_compositions(monkeypatch, K, exprs)
         assert len(products) > 100
@@ -543,6 +564,69 @@ class TestOneGridEquality:
             report, expected = nf_equal(lhs, rhs), staged_nf_equal(lhs, rhs)
         assert math.isnan(report.max_abs_residual)
         assert report_bits(report) == report_bits(expected)
+
+
+class TestScalarMaps:
+    """-A, c * A and A / c against the construction that merges and sorts again, bit for bit."""
+
+    MAPS = [
+        ("-A", lambda A: -A, lambda v: -v),
+        ("2.5*A", lambda A: 2.5 * A, lambda v: 2.5 * v),
+        ("A*(0.3-1i)", lambda A: A * (0.3 - 1j), lambda v: (0.3 - 1j) * v),
+        ("A*float64(3)", lambda A: A * np.float64(3.0), lambda v: np.float64(3.0) * v),
+        ("A/3", lambda A: A / 3, lambda v: v / 3),
+        ("A/(2i)", lambda A: A / 2j, lambda v: v / 2j),
+        ("1e-200*A", lambda A: 1e-200 * A, lambda v: 1e-200 * v),
+        ("0*A", lambda A: 0.0 * A, lambda v: 0.0 * v),
+    ]
+
+    @staticmethod
+    def merged_map(A, fn):
+        terms = {d: merged((m, fn(c)) for m, c in cf.terms.items()) for d, cf in A.coefficients.items()}
+        return {d: t for d, t in terms.items() if t}
+
+    def assert_maps_merge(self, A):
+        for name, apply, fn in self.MAPS:
+            B = apply(A)
+            assert term_bits({d: c.terms for d, c in B.coefficients.items()}) == term_bits(self.merged_map(A, fn)), name
+
+    @pytest.mark.parametrize("K", representative_cases() + custom_cases(), ids=str)
+    def test_scalar_maps_equal_the_merging_construction(self, K):
+        exprs = symbolic_mix_sides()
+        for expr in exprs + list(random_words(seed=30, count=40, max_len=6)):
+            self.assert_maps_merge(normal_order(expr, K))
+
+    def test_an_underflow_drops_its_monomial_and_a_nan_stays(self):
+        K = make_case(CaseId.NONLINEAR, alpha=1.0, beta=2.0)
+        A = NormalForm(
+            K,
+            {
+                # 1e-200 * 1e-200 underflows to +0.0 and -0.0: both monomials drop, and offset 1 with them
+                1: CoefficientFunction(K, [((0, ()), 1e-200 + 0j), ((1, (0,)), complex(-1e-200, 0.0))]),
+                # inf * 0 is NaN, which is not an exact zero and stays
+                0: CoefficientFunction(K, [((0, (1,)), complex(math.inf, 1.0)), ((2, ()), 3.0 + 0j)]),
+            },
+        )
+        with np.errstate(invalid="ignore"):  # np.float64(3.0) * (inf + 1i) forms inf * 0
+            self.assert_maps_merge(A)
+        assert (1e-200 * A).support() == (0,)
+        (nan,) = (0.0 * A).coefficient(0).terms.values()
+        assert math.isnan(nan.real) and (0.0 * A).support() == (0,)
+
+    def test_scalar_maps_construct_no_coefficient(self, monkeypatch):
+        K = make_case(CaseId.BORZOV, q=1.5, alpha=0.5, beta=1.0, gamma=2.0)
+        A = normal_order(parse_expr("comm(H^2,x^2)"), K)
+        constructions = []
+        init = CoefficientFunction.__init__
+
+        def counted(self, *args):
+            constructions.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(CoefficientFunction, "__init__", counted)
+        for _, apply, _ in self.MAPS:
+            apply(A)
+        assert constructions == []
 
 
 class TestNormalFormOperators:
@@ -672,6 +756,29 @@ class TestCoefficientEvaluation:
                 assert c(ns).tobytes() == expected.tobytes(), (expr, d)
                 assert np.array([c(int(ns[-1]))]).tobytes() == expected[-1:].tobytes()
 
+    @pytest.mark.parametrize("K", representative_cases() + custom_cases(), ids=str)
+    def test_every_shape_of_levels_is_the_per_level_loop_bit_for_bit(self, K):
+        # a scalar, an empty array, a 2-D array, unsorted levels with repeats, negative levels
+        levels = [
+            np.int64(7),
+            12,
+            np.arange(0),
+            np.array([[4, 0, 9], [2, 2, 11]]),
+            np.array([9, 2, 9, 0, 5, 2, 2]),
+            np.array([-3, 5, -1, -3, 0]),
+        ]
+        for text in self.WORDS:
+            for d, c in normal_order(parse_expr(text), K).coefficients.items():
+                for n in levels:
+                    expected = np.array([per_level(c, m) for m in np.ravel(n).tolist()], dtype=complex)
+                    value = c(n)
+                    if np.ndim(n) == 0:
+                        assert type(value) is complex, (text, d)
+                        value = np.array([value])
+                    else:
+                        assert value.shape == np.shape(n), (text, d, n)
+                    assert value.tobytes() == expected.tobytes(), (text, d, n)
+
 
 class TestRealization:
     def test_diagonal_realization(self):
@@ -706,6 +813,24 @@ class TestRealization:
         nf_to_matrix(nf, 8)
         # build_rep(K, 8) evaluates K(0..9) once; no entry evaluates K again
         assert calls == list(range(10))
+        # the coefficients K(n+3) on offset 2, K(n-2) on -1 and n^2 K(n+2) + K(n) on 0
+        # read K(-1..9) over their columns, each level once in one table
+        nf = normal_order(parse_expr("K(N+1)*ad^2 + K(N-1)*a + N^2*K(N+2) + K(N)"), K)
+        calls.clear()
+        nf_to_matrix(nf, 8)
+        assert calls[:10] == list(range(10))
+        assert calls[10:] == list(range(-1, 10))
+
+    @pytest.mark.parametrize("K", representative_cases() + custom_cases(), ids=str)
+    def test_realizations_equal_the_per_offset_evaluation(self, K):
+        exprs = symbolic_mix_sides()
+        forms = [normal_order(expr, K) for expr in exprs + list(random_words(seed=30, count=40, max_len=6))]
+        for D in (4, 5, 8, 32):
+            for nf in forms:
+                M, expected = nf_to_matrix(nf, D), per_offset_nf_to_matrix(nf, D)
+                assert list(M.diagonals) == list(expected.diagonals)
+                for d, entries in M.diagonals.items():
+                    assert entries.tobytes() == expected.diagonals[d].tobytes(), (D, d)
 
     @pytest.mark.parametrize("K", representative_cases(), ids=str)
     def test_ladder_powers_are_products_of_ladder_roots(self, K):
