@@ -3,6 +3,13 @@
 The commands parse and validate arguments, call the library and format its
 results; the verify suite itself is fockrep.run_verify_checks.
 
+A command line is parsed once.  One whose first word is a command name goes
+straight to that command's own parser; words it leaves over are a usage
+error of the top-level parser, worded as argparse words them.  Only a
+command line that does not start with a command name (-h, no command, an
+unknown word) runs the top-level parser, which then hands any command it
+finds to the same command parser.  Either way the output is the same.
+
 Importing this module, parsing the arguments, table and gup-scan load no
 numpy: they read K through spectral's level readers and the number-state
 reports from gup in Python floats.  verify imports fockrep, and symbolic
@@ -28,6 +35,7 @@ import functools
 import math
 import os
 import sys
+from gettext import gettext
 from typing import Optional
 
 from . import gup
@@ -368,6 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sym.add_argument("--check", default=None)
     p_sym.set_defaults(func=cmd_symbolic)
 
+    parser.commands = subparsers.choices  # command name -> its own parser, which main calls directly
     return parser
 
 
@@ -395,8 +404,14 @@ def main(argv: Optional[list] = None) -> int:
         if argv[i].startswith("-") and _is_value_of(argv[i - 1], argv[i]):
             argv[i - 1 : i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     parser = build_parser()
+    command = parser.commands.get(argv[0]) if argv else None
     try:
-        args = parser.parse_args(argv)
+        if command is None:
+            args = parser.parse_args(argv)
+        else:
+            args, leftover = command.parse_known_args(argv[1:])
+            if leftover:
+                parser.error(gettext("unrecognized arguments: %s") % " ".join(leftover))
     except SystemExit as exc:
         return exc.code if exc.code is not None else 2
     # negated so that NaN is rejected too

@@ -28,7 +28,9 @@ symmetric one through its fourth moment <H^2> = |x(x psi) + p(p psi)|^2,
 so no fourth-order operator is formed; their margins may be negative
 where the derivations involved
 small-deformation approximations, and the suite records those sign
-findings rather than presuming them.
+findings rather than presuming them.  The symmetric (macfarlane-biedenharn)
+form is not a lower bound on most states: case_bound gives the measured
+counts, and ROADMAP item 17 derives a bound that is a theorem.
 
 Numerical domain note: inverting the geometric spectrum at q < 1 reads n
 from 1 - (1-q) h, which saturates geometrically at h -> 1/(1-q).  In
@@ -211,6 +213,12 @@ def case_bound(state: StateVector, quads: QuadratureSet) -> Optional[float]:
     operator expectations, not central ones (no mean subtraction), and
     their sum is <(x^2 + p^2)^2> = |x(x psi) + p(p psi)|^2.  Returns None
     for the cases without a bound.
+
+    These are small-deformation forms, not theorems.  The symmetric one
+    fails on most states: at q = 1.5 it lies above the product on 223 of 229
+    states at D = 32 and on 319 of 325 at D = 128 (the random states of
+    seeds 0-199 made truncation safe, plus the number states below the
+    margin), by up to 5.2e3 and 4.2e20 times the product (ROADMAP item 17).
     """
     return _state_terms(state, quads)[-1]
 

@@ -54,6 +54,7 @@ One evaluator gives coefficients their values on levels: nf_equal's grid,
 nf_to_matrix's columns and the levels a coefficient is called on.  Each call
 of it evaluates one level table and each power N^j once, for all the
 coefficients it is given, and reads every atom K(N+k) and power as a slice.
+nf_equal hands it a coefficient that both sides of an offset share once.
 
 nf_to_matrix realizes a normal form as a truncated fockrep.Band, offset
 for offset.  expr_to_matrix runs the same evaluator with the bands of
@@ -736,15 +737,29 @@ def nf_equal(
     deviation anywhere is reported and fails, by IdentityReport.judge's
     rule.  Every coefficient of both sides is evaluated in one call of the
     module's level evaluator, so no level K(n) and no power N^j is formed
-    twice.
+    twice.  Where the two sides of an offset hold equal terms (the same
+    monomials in the same order, with equal scalars), that coefficient is
+    evaluated once and both sides read its values: evaluating it again would
+    give the same bits, up to the sign of a zero, which no deviation sees.
     """
     if lhs.K != rhs.K:
         raise ValueError("nf_equal compares normal forms of one spectral function")
     # an offset below -GRID_MAX has no level on the grid
     offsets = sorted(d for d in lhs.coefficients.keys() | rhs.coefficients.keys() if d >= -GRID_MAX)
-    values = _on_levels(lhs.K, [(side.coefficient(d), max(0, -d), GRID_MAX) for d in offsets for side in (lhs, rhs)])
+    spans, shared = [], []  # shared: whether each offset's two sides hold equal terms
+    for d in offsets:
+        cl, cr = lhs.coefficient(d), rhs.coefficient(d)
+        # terms are kept sorted, so equal terms are the same monomials in the same order
+        same = cr.terms == cl.terms
+        shared.append(same)
+        spans.append((cl, max(0, -d), GRID_MAX))
+        if not same:
+            spans.append((cr, max(0, -d), GRID_MAX))
+    values = iter(_on_levels(lhs.K, spans))
     deviations = [np.zeros(0)]
-    for vl, vr in zip(values[::2], values[1::2]):
+    for same in shared:
+        vl = next(values)
+        vr = vl if same else next(values)
         deviations.append(np.abs(vl - vr) / np.maximum(np.maximum(1.0, np.abs(vl)), np.abs(vr)))
     # np.max propagates NaN, where max() would drop it and pass the check
     worst = float(np.max(np.concatenate(deviations), initial=0.0))

@@ -40,7 +40,10 @@ negative powers of real and complex scalars whose powers overflow, identities th
 reuse a subterm, sign runs and product and quotient chains
 500 to 3,000 links long, divisor-order errors, K shifts just above the cap
 and far above it, together with negative parameter values written as
-'-1.' and '-1.e0'.
+'-1.' and '-1.e0'.  Command lines that test where the parse goes: leftover words after a
+command, -h and --help before and after one, a command name given twice or
+after an option, an abbreviated option, '--' after --check and a negative
+--seed.
 Standard library only.
 """
 
@@ -90,6 +93,26 @@ USAGE_ERRORS = [
     ["symbolic", "--case", "classical", "--check", "x/0 == x"],
     ["symbolic", "--case", "arik-coon", "--q", "0.7", "--check", "alpha == 1"],
     ["symbolic", "--case", "classical", "--check", "a*ad == ad*a"],
+]
+
+# a command line that starts with a command name goes to that command's parser alone; these
+# check that leftover words, help, a repeated or late command name, an abbreviated option and
+# '--' read as they do through the top-level parser
+PARSE_PATH_CALLS = [
+    ["verify", "--case", "classical", "extra"],
+    ["gup-scan", "--case", "classical", "--dim", "8", "one", "two"],
+    ["-h"],
+    ["--help"],
+    ["-h", "verify"],
+    ["verify", "-h"],
+    ["gup-scan", "--case", "classical", "--help"],
+    ["verify", "verify"],
+    ["--case", "classical", "verify"],
+    ["verify", "--ca", "classical", "--dim", "8"],
+    ["symbolic", "--case", "classical", "--check", "--", "comm_xp"],
+    ["symbolic", "--case", "classical", "--dim", "8", "--check", "comm_xp", "--"],
+    ["verify", "--case", "classical", "--dim", "8", "--", "extra"],
+    ["verify", "--case", "classical", "--dim", "8", "--seed", "-3"],
 ]
 
 SYMBOLIC = ["symbolic", "--case", "classical", "--check"]
@@ -310,7 +333,7 @@ def call_list() -> dict:
     argvs += [sweep + ["--dim", "4", "--margin", margin] for margin in ("1", "3")]
     argvs += [sweep + ["--dim", dim] for dim in ("41", "257", "4096")]
     argvs += USAGE_ERRORS + EDGE_CALLS + Q_SCAN_CALLS + OVERFLOW_CALLS + NAN_RESIDUAL_CALLS + TINY_Q_CALLS
-    argvs += EXTREME_LEVEL_CALLS + ONE_BASE_POWER_CALLS
+    argvs += EXTREME_LEVEL_CALLS + ONE_BASE_POWER_CALLS + PARSE_PATH_CALLS
     return {shlex.join(argv): argv for argv in argvs}
 
 

@@ -125,6 +125,48 @@ class TestExitCodes:
         assert [cp.returncode for cp in together] == [2, 0, 2, 0]
         assert cli.build_parser() is cli.build_parser()
 
+    def test_a_command_line_that_starts_with_a_command_is_parsed_by_that_command_alone(self, monkeypatch):
+        parser = cli.build_parser()
+        top_level = []
+        parse_known_args = parser.parse_known_args
+
+        def spy(*args, **kwargs):
+            top_level.append(args)
+            return parse_known_args(*args, **kwargs)
+
+        monkeypatch.setattr(parser, "parse_known_args", spy)
+        commands = [
+            ("verify", "--case", "classical", "--dim", "8"),
+            ("table", "--case", "classical", "--levels", "3"),
+            ("gup-scan", "--case", "classical", "--dim", "8"),
+            ("symbolic", "--case", "classical", "--check", "comm_xp"),
+            ("verify", "--case", "no-such-case"),
+            ("verify", "--case", "classical", "extra"),
+            ("verify", "-h"),
+        ]
+        assert [run_cli(*args).returncode for args in commands] == [0, 0, 0, 0, 2, 2, 0]
+        assert top_level == []
+        # only a command line that does not start with a command name reads the top-level parser
+        assert [run_cli(*args).returncode for args in [(), ("-h",), ("no-such-command",)]] == [2, 0, 2]
+        assert len(top_level) == 3
+
+    @pytest.mark.parametrize(
+        "args,leftover",
+        [
+            (("verify", "--case", "classical", "extra"), "extra"),
+            (("gup-scan", "--case", "classical", "--dim", "8", "one", "two"), "one two"),
+            (("verify", "--case", "classical", "--dim", "8", "--", "extra"), "-- extra"),
+        ],
+        ids=["verify", "gup-scan", "double-dash"],
+    )
+    def test_leftover_words_are_a_top_level_usage_error(self, args, leftover):
+        cp = run_cli(*args)
+        assert (cp.returncode, cp.stdout) == (2, "")
+        assert cp.stderr == (
+            "usage: deformalg [-h] {verify,table,gup-scan,symbolic} ...\n"
+            f"deformalg: error: unrecognized arguments: {leftover}\n"
+        )
+
     @pytest.mark.parametrize(
         "command,written,other",
         [("table", "csv", "json"), ("gup-scan", "csv", "json"), ("symbolic", "json", "csv")],

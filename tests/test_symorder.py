@@ -205,6 +205,45 @@ def staged_nf_equal(lhs, rhs, tol=1e-10):
     return IdentityReport.judge("normal-form equality", GRID_MAX + 1, worst, tol)
 
 
+def per_span_on_levels(K, spans):
+    """The level evaluator as it was before nf_equal shared coefficients: one level
+    table and one set of powers for all spans, every span evaluated on its own."""
+    reach = []
+    for c, first, last in spans:
+        shifts = {k for _, ks in c.terms for k in ks}
+        if shifts and first <= last:
+            reach.append((first + min(shifts), last + max(shifts)))
+    lo = min((first for first, _ in reach), default=0)
+    table = level_table(K, lo, max((last for _, last in reach), default=-1))
+    start = min((first for _, first, _ in spans), default=0)
+    top = max((last for _, _, last in spans), default=-1)
+    exact = np.arange(start, top + 1).astype(object)
+    powers = {j: (exact**j).astype(float) for j in {j for c, _, _ in spans for j, _ in c.terms}}
+    values = []
+    for c, first, last in spans:
+        total = np.zeros(last + 1 - first, dtype=complex)
+        for (j, ks), scalar in c.terms.items():
+            value = powers[j][first - start : last + 1 - start]
+            for k in ks:
+                value = value * table[first + k - lo : last + 1 + k - lo]
+            total = total + scalar * value
+        values.append(total)
+    return values
+
+
+def per_span_nf_equal(lhs, rhs, tol=1e-10):
+    """nf_equal with both sides of every offset evaluated, the oracle for the form
+    that evaluates once a coefficient both sides share."""
+    offsets = sorted(d for d in lhs.coefficients.keys() | rhs.coefficients.keys() if d >= -GRID_MAX)
+    spans = [(side.coefficient(d), max(0, -d), GRID_MAX) for d in offsets for side in (lhs, rhs)]
+    values = per_span_on_levels(lhs.K, spans)
+    deviations = [np.zeros(0)]
+    for vl, vr in zip(values[::2], values[1::2]):
+        deviations.append(np.abs(vl - vr) / np.maximum(np.maximum(1.0, np.abs(vl)), np.abs(vr)))
+    worst = float(np.max(np.concatenate(deviations), initial=0.0))
+    return IdentityReport.judge("normal-form equality", GRID_MAX + 1, worst, tol)
+
+
 def per_offset_nf_to_matrix(nf, D):
     """nf_to_matrix as it was first written, the oracle for the one-table form: each
     kept offset calls its coefficient on its own columns."""
@@ -564,6 +603,72 @@ class TestOneGridEquality:
             report, expected = nf_equal(lhs, rhs), staged_nf_equal(lhs, rhs)
         assert math.isnan(report.max_abs_residual)
         assert report_bits(report) == report_bits(expected)
+
+
+class TestSharedCoefficients:
+    """nf_equal, which evaluates once a coefficient both sides of an offset share,
+    against the evaluation of every side, bit for bit."""
+
+    @staticmethod
+    def assert_per_span(lhs, rhs):
+        for a, b in ((lhs, rhs), (rhs, lhs)):
+            for tol in (1e-10, 1e-3):
+                assert report_bits(nf_equal(a, b, tol)) == report_bits(per_span_nf_equal(a, b, tol))
+
+    @pytest.mark.parametrize("K", representative_cases() + custom_cases(), ids=str)
+    def test_reports_equal_the_per_span_evaluation(self, K):
+        for text in symbolic_mix_identities():
+            self.assert_per_span(*(normal_order(side, K) for side in parse_identity(text)))
+        # random words, whose two sides mostly differ
+        words = [normal_order(word, K) for word in random_words(seed=31, count=60, max_len=6)]
+        for lhs, rhs in zip(words[::2], words[1::2]):
+            self.assert_per_span(lhs, rhs)
+
+    @pytest.mark.parametrize(
+        "identity",
+        [
+            "N*K(N)*K(N+1) + ad == N*K(N)*K(N+1) + ad",
+            "N*K(N)*K(N+1) + ad == 2*K(N)*K(N)",
+            "K(N)*K(N)*x == x*K(N)*K(N)",
+        ],
+    )
+    def test_overflowing_coefficients_report_as_the_per_span_evaluation(self, identity):
+        # K(N)^2 overflows to inf from n = 1, and inf - inf is NaN
+        K = make_case(CaseId.CUSTOM, custom_eval=lambda n: 1e200 * n)
+        lhs, rhs = (normal_order(side, K) for side in parse_identity(identity))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert math.isnan(nf_equal(lhs, rhs).max_abs_residual)
+            self.assert_per_span(lhs, rhs)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e200], ids=["finite", "overflowing"])
+    def test_scalars_equal_up_to_the_sign_of_a_zero_share_their_values(self, scale):
+        # complex(1, 0.0) == complex(1, -0.0), so the coefficients compare equal and one is evaluated
+        K = make_case(CaseId.CUSTOM, custom_eval=lambda n: scale * n)
+
+        def form(imag):
+            monomials = [((1, (0,)), complex(1.0, imag)), ((0, (0, 1)), complex(-2.5, imag))]
+            return NormalForm(K, {0: CoefficientFunction(K, monomials), -1: CoefficientFunction(K, monomials)})
+
+        lhs, rhs = form(0.0), form(-0.0)
+        assert lhs.coefficient(0).terms == rhs.coefficient(0).terms
+        assert [math.copysign(1.0, c.imag) for c in rhs.coefficient(0).terms.values()] == [-1.0, -1.0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.assert_per_span(lhs, rhs)
+
+    def test_a_coefficient_both_sides_share_is_evaluated_once(self, monkeypatch):
+        spans = []
+        on_levels = symorder._on_levels
+
+        def counted(K, given):
+            spans.extend(given)
+            return on_levels(K, given)
+
+        K = make_case(CaseId.ARIK_COON, q=0.7)
+        lhs, rhs = (normal_order(side, K) for side in parse_identity(COMPOSITE))
+        monkeypatch.setattr(symorder, "_on_levels", counted)
+        assert nf_equal(lhs, rhs).passed
+        # both sides hold the same four coefficients, 40 terms in all; evaluating each side is 8 spans of 80
+        assert (len(spans), sum(len(c.terms) for c, _, _ in spans)) == (4, 40)
 
 
 class TestScalarMaps:
