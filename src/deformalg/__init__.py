@@ -21,8 +21,8 @@ _EXPORTS = {
     "gup": "UncertaintyReport case_bound invert_number number_state_reports square_sum_bound uncertainty_report",
     "spectral": """CaseId DefiningRelation SpectralFunction defining_relation eval_K forward_delta
         hamiltonian_eigenvalue level_table make_case relation_residual""",
-    "symorder": """BUILTIN_IDENTITIES CoefficientFunction Expr ExprSyntaxError NormalForm expr_to_matrix
-        nf_equal nf_to_matrix normal_order parse_expr parse_identity""",
+    "symorder": """BUILTIN_IDENTITIES CoefficientFunction Expr ExprSyntaxError NormalForm check_identity
+        expr_to_matrix nf_equal nf_to_matrix normal_order parse_expr parse_identity""",
 }
 _HOMES = {name: home for home, names in _EXPORTS.items() for name in names.split()}
 

@@ -1,19 +1,21 @@
 """Command-line front end: identity suites, tables, bound scans, symbolic checks.
 
-The commands parse and validate arguments, call the library and format its
-results; the verify suite itself is fockrep.run_verify_checks.
+The commands parse and validate arguments, make one library call each and
+format its results: the verify suite is fockrep.run_verify_checks and the
+symbolic check symorder.check_identity.
 
 A command line is parsed once.  One whose first word is a command name goes
-straight to that command's own parser; words it leaves over are a usage
-error of the top-level parser, worded as argparse words them.  Only a
-command line that does not start with a command name (-h, no command, an
-unknown word) runs the top-level parser, which then hands any command it
-finds to the same command parser.  Either way the output is the same.
+straight to that command's own parser, any other (-h, no command, an
+unknown word) to the top-level parser, which hands a command it finds to
+the same command parser.  Words left over are one usage error of the
+top-level parser, worded as argparse words them.  main then checks --tol,
+DEFORMALG_SEED and --dim and --margin for every command, so each command
+takes the parsed arguments alone.
 
 Importing this module, parsing the arguments, table and gup-scan load no
 numpy: they read K through spectral's level readers and the number-state
 reports from gup in Python floats.  verify imports fockrep, and symbolic
-fockrep and symorder, when they run, so only these two commands load numpy.
+symorder, when they run, so only these two commands load numpy.
 Nor do they load dataclasses or json: spectral's and gup's records are
 NamedTuples, and json is imported by render_json, which only verify and
 symbolic call.
@@ -24,7 +26,7 @@ infinities as json.dumps does), JSON objects keep fixed key order, and
 lines end with LF.  Exit codes: 0 all checks passed, 1 at least one
 check failed, 2 usage or parameter error.
 
-The random-state seed defaults to --seed and is overridden by the
+The random-state seed args.seed is --seed, overridden by the
 DEFORMALG_SEED environment variable when set.
 """
 
@@ -143,20 +145,19 @@ def run_verify_checks(K: SpectralFunction, D: int, margin: int, tol: float, seed
     return fockrep.run_verify_checks(K, D, margin, tol, seed)
 
 
-def cmd_verify(args, seed: int) -> int:
-    _validate_geometry(args)
+def cmd_verify(args) -> int:
     K = _case_from_args(args)
-    checks = run_verify_checks(K, args.dim, args.margin, args.tol, seed)
+    checks = run_verify_checks(K, args.dim, args.margin, args.tol, args.seed)
     all_pass = all(c.passed for c in checks)
     if args.format == "json":
         payload = {
             "case": K.case_id.value,
-            "params": {k: v for k, v in K.params().items()},
+            "params": K.params(),
             "D": args.dim,
             "margin": args.margin,
             "window": args.dim - args.margin,
             "tol": args.tol,
-            "seed": seed,
+            "seed": args.seed,
             "checks": [
                 {
                     "name": c.name,
@@ -182,8 +183,7 @@ def cmd_verify(args, seed: int) -> int:
     return 0 if all_pass else 1
 
 
-def cmd_table(args, seed: int) -> int:
-    _validate_geometry(args)
+def cmd_table(args) -> int:
     K = _case_from_args(args)
     if args.levels < 1:
         raise UsageError(f"--levels must be >= 1, got {args.levels}")
@@ -222,8 +222,7 @@ def _scan_rows(bases: list, levels, reports: list) -> list:
     return rows
 
 
-def cmd_gup_scan(args, seed: int) -> int:
-    _validate_geometry(args)
+def cmd_gup_scan(args) -> int:
     n_cap = args.dim - 1 - args.margin
     if args.q_from is not None or args.q_to is not None:
         if args.q_from is None or args.q_to is None:
@@ -267,43 +266,25 @@ def cmd_gup_scan(args, seed: int) -> int:
     return 0
 
 
-def cmd_symbolic(args, seed: int) -> int:
-    import numpy as np
+def cmd_symbolic(args) -> int:
+    from . import symorder
 
-    from . import fockrep, symorder
-
-    _validate_geometry(args)
     K = _case_from_args(args)
-    text = args.check
-    if text is None:
+    if args.check is None:
         raise UsageError("--check is required (an identity 'LHS == RHS' or a builtin name)")
-    source = text.strip()
-    if source in symorder.BUILTIN_IDENTITIES:
-        identity = symorder.BUILTIN_IDENTITIES[source]
-    elif "==" not in source:
+    source = args.check.strip()
+    identity = symorder.BUILTIN_IDENTITIES.get(source, source)
+    if "==" not in identity:
         raise UsageError(
             f"unknown builtin {source!r}; available: {', '.join(sorted(symorder.BUILTIN_IDENTITIES))}"
         )
-    else:
-        identity = source
     try:
-        lhs, rhs = symorder.parse_identity(identity)
-        # one memo per evaluator, shared by the two sides: a product they share is formed once
-        forms, bands = {}, {}
-        nf_l = symorder.normal_order(lhs, K, memo=forms)
-        nf_r = symorder.normal_order(rhs, K, memo=forms)
-        # as in run_verify_checks, coefficients and band products that overflow read as NaN residuals,
-        # without numpy warnings
-        with np.errstate(over="ignore", invalid="ignore"):
-            nf_report = symorder.nf_equal(nf_l, nf_r, tol=args.tol)
-            mat_l = symorder.expr_to_matrix(lhs, K, args.dim, memo=bands)
-            mat_r = symorder.expr_to_matrix(rhs, K, args.dim, memo=bands)
-            matrix = fockrep.verify_window(mat_l, mat_r, margin=args.margin, tol=args.tol)
+        nf_report, matrix = symorder.check_identity(identity, K, args.dim, args.margin, args.tol)
     except (ValueError, ZeroDivisionError, OverflowError) as exc:  # an ExprSyntaxError is a ValueError
         raise UsageError(str(exc)) from exc
     payload = {
         "case": K.case_id.value,
-        "params": {k: v for k, v in K.params().items()},
+        "params": K.params(),
         "check": source,
         "identity": identity,
         "normal_form": {
@@ -406,12 +387,9 @@ def main(argv: Optional[list] = None) -> int:
     parser = build_parser()
     command = parser.commands.get(argv[0]) if argv else None
     try:
-        if command is None:
-            args = parser.parse_args(argv)
-        else:
-            args, leftover = command.parse_known_args(argv[1:])
-            if leftover:
-                parser.error(gettext("unrecognized arguments: %s") % " ".join(leftover))
+        args, leftover = command.parse_known_args(argv[1:]) if command else parser.parse_known_args(argv)
+        if leftover:
+            parser.error(gettext("unrecognized arguments: %s") % " ".join(leftover))
     except SystemExit as exc:
         return exc.code if exc.code is not None else 2
     # negated so that NaN is rejected too
@@ -421,14 +399,13 @@ def main(argv: Optional[list] = None) -> int:
     env_seed = os.environ.get("DEFORMALG_SEED")
     if env_seed is not None:
         try:
-            seed = int(env_seed)
+            args.seed = int(env_seed)
         except ValueError:
             print(f"error: DEFORMALG_SEED must be an integer, got {env_seed!r}", file=sys.stderr)
             return 2
-    else:
-        seed = args.seed
     try:
-        return args.func(args, seed)
+        _validate_geometry(args)
+        return args.func(args)
     except ValueError as exc:  # UsageError and the library's parameter errors
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -266,6 +266,6 @@ def _bound_form(K: SpectralFunction):
 
     if K.case_id is CaseId.NONLINEAR:
         a, b = K.alpha, K.beta
-        return lambda dx, dp, h4: (b / 4.0) * (1.0 - (a / b**2) * (dx**2 + dp**2))
+        return lambda dx, dp, h4: (b / 4.0) * (1.0 - (a / b / b) * (dx**2 + dp**2))
 
     return None

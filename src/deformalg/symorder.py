@@ -60,7 +60,7 @@ nf_to_matrix realizes a normal form as a truncated fockrep.Band, offset
 for offset.  expr_to_matrix runs the same evaluator with the bands of
 build_rep and quadratures as leaves; band products are numeric sums over
 the entries and never run the contraction rule, so it is the independent
-oracle the symbolic command checks normal forms against.
+oracle check_identity, the symbolic command's check, holds nf_equal to.
 """
 
 from __future__ import annotations
@@ -74,7 +74,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .fockrep import Band, IdentityReport, build_rep, quadratures
+from .fockrep import Band, IdentityReport, build_rep, quadratures, verify_window
 from .spectral import SpectralFunction, level_table
 
 __all__ = [
@@ -88,6 +88,7 @@ __all__ = [
     "nf_equal",
     "nf_to_matrix",
     "expr_to_matrix",
+    "check_identity",
     "BUILTIN_IDENTITIES",
 ]
 
@@ -812,6 +813,23 @@ def expr_to_matrix(expr: Expr, K: SpectralFunction, D: int, *, memo: dict | None
         return Band.diagonal(level_table(K, node.offset, node.offset + D - 1))
 
     return _evaluate(expr, K, lambda c: complex(c) * identity, leaf, memo)
+
+
+def check_identity(identity: str, K: SpectralFunction, D: int, margin: int, tol: float) -> tuple:
+    """The reports of nf_equal and of the matrix oracle on an identity 'LHS == RHS'.
+
+    The matrix oracle is verify_window of both sides' expr_to_matrix at
+    dimension D.  Each evaluator takes one memo for both sides, so a product
+    they share is formed once.  As in run_verify_checks, coefficients and
+    band products that overflow read as NaN deviations, without numpy warnings.
+    """
+    lhs, rhs = parse_identity(identity)
+    forms, bands = {}, {}
+    nf_l, nf_r = normal_order(lhs, K, memo=forms), normal_order(rhs, K, memo=forms)
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = nf_equal(nf_l, nf_r, tol=tol)
+        mat_l, mat_r = expr_to_matrix(lhs, K, D, memo=bands), expr_to_matrix(rhs, K, D, memo=bands)
+        return report, verify_window(mat_l, mat_r, margin=margin, tol=tol)
 
 
 # Built-in identities for the command-line checker.  The general

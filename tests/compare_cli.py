@@ -22,7 +22,8 @@ D = 300, a one-step q-scan,
 macfarlane-biedenharn scans at q = 3.5 whose fourth moments overflow, calls
 in every command whose level tables overflow float64, by an OverflowError or
 by rounding to inf, each a parameter error (exit 2), chung and borzov tables
-whose q^beta or q^alpha - q^gamma overflows at q = 1e300, 1e-300 and 1e-5, verify runs in JSON
+whose q^beta or q^alpha - q^gamma overflows at q = 1e300, 1e-300 and 1e-5, nonlinear gup-scans
+at beta = 1e200 and 1e-200, where beta^2 overflows and underflows, verify runs in JSON
 and CSV whose finite level tables overflow in the band products (NaN
 residual rows, exit 1), a symbolic call whose matrix oracle overflows
 the same way and one whose normal-form coefficients overflow, calls in
@@ -183,6 +184,9 @@ OVERFLOW_CALLS = [
     ["table", *NONLINEAR_INF, "--levels", "4"],
     ["verify", *NONLINEAR_INF],
     ["symbolic", *NONLINEAR_INF, "--check", "comm_xp"],
+    # alpha / beta^2 of the nonlinear case bound: beta^2 overflows, and underflows to 0
+    ["gup-scan", "--case", "nonlinear", "--alpha", "1", "--beta", "1e200", "--dim", "8"],
+    ["gup-scan", "--case", "nonlinear", "--alpha", "1", "--beta", "1e-200", "--dim", "8"],
     # q^beta or q^alpha - q^gamma overflows before any level: K(1), K(2), K(2) and K(1) overflow
     ["table", "--case", "chung", "--q", "1e300", "--alpha", "0.5", "--beta", "2", "--levels", "3"],
     ["table", "--case", "borzov", "--q", "1e300", "--alpha", "0.5", "--beta", "0", "--gamma", "2", "--levels", "3"],

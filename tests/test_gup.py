@@ -458,6 +458,26 @@ class TestCaseBounds:
             report = uncertainty_report(state, quads)
             assert report.margin_case > 0.0
 
+    @pytest.mark.parametrize("beta,bound", [(1e200, 2.5e199), (1e-200, -math.inf)])
+    def test_quadratic_bound_at_extreme_beta_reads_its_limit(self, beta, bound):
+        # beta^2 overflows at beta = 1e200 and underflows to 0 at 1e-200; alpha/beta/beta reads 0 and inf
+        K = make_case(CaseId.NONLINEAR, alpha=1.0, beta=beta)
+        D = 8
+        quads = quadratures(build_rep(K, D))
+        reports = number_state_reports(K, D, range(D - 3))
+        for n, row in enumerate(reports):
+            state = number_state(D, n)
+            assert case_bound(state, quads) == bound
+            assert row.case_bound == bound
+            assert uncertainty_report(state, quads).margin_case == row.margin_case
+            assert row.margin_case == row.product - bound
+        assert all(r.margin_case == math.inf for r in reports) == (bound == -math.inf)
+        out = io.StringIO()
+        argv = ["gup-scan", "--case", "nonlinear", "--alpha", "1", "--beta", repr(beta), "--dim", "8"]
+        with contextlib.redirect_stdout(out):
+            assert cli.main(argv) == 0
+        assert out.getvalue().splitlines()[1].split(",")[10] == cli.fmt_float(bound)
+
     @pytest.mark.parametrize("K", representative_cases(), ids=str)
     def test_report_carries_the_case_bound_where_one_applies(self, K):
         D = 12

@@ -15,6 +15,7 @@ from conftest import (
     custom_cases,
     dense,
     dense_expr,
+    perfbench_workloads,
     random_words,
     representative_cases,
     residual,
@@ -27,6 +28,7 @@ from deformalg import (
     ExprSyntaxError,
     NormalForm,
     build_rep,
+    check_identity,
     cli,
     commutator,
     eval_K,
@@ -38,6 +40,7 @@ from deformalg import (
     parse_expr,
     parse_identity,
     quadratures,
+    verify_window,
 )
 from deformalg import symorder
 from deformalg.fockrep import IdentityReport
@@ -1196,3 +1199,82 @@ class TestSharedEvaluation:
         K = make_case(CaseId.ARIK_COON, q=0.7)
         realized = nf_to_matrix(normal_order(lhs, K), 8)
         assert residual(realized, expr_to_matrix(lhs, K, 8), margin=3) <= 1e-12
+
+
+def parent_symbolic(identity, K, D, margin, tol):
+    """The symbolic check as the command line ran it before check_identity, step by step: its oracle."""
+    lhs, rhs = parse_identity(identity)
+    forms, bands = {}, {}
+    nf_l = normal_order(lhs, K, memo=forms)
+    nf_r = normal_order(rhs, K, memo=forms)
+    with np.errstate(over="ignore", invalid="ignore"):
+        nf_report = nf_equal(nf_l, nf_r, tol=tol)
+        mat_l = expr_to_matrix(lhs, K, D, memo=bands)
+        mat_r = expr_to_matrix(rhs, K, D, memo=bands)
+        matrix = verify_window(mat_l, mat_r, margin=margin, tol=tol)
+    return nf_report, matrix
+
+
+def word_text(word):
+    """A random_words product written in the grammar, each scalar as a bracketed complex sum."""
+
+    def atom(node):
+        if isinstance(node, Sym):
+            return node.name
+        if isinstance(node, KShift):
+            return f"K(N{node.offset:+d})"
+        return f"({node.value.real!r}{node.value.imag:+}i)"
+
+    return "*".join(atom(factor) for factor in word.factors)
+
+
+def workload_cases():
+    """The six cases of the benchmark's workloads, with their parameters."""
+    cases = []
+    for name, params in perfbench_workloads().CASES.items():
+        values = {flag[2:]: float(value) for flag, value in zip(params[::2], params[1::2])}
+        cases.append(make_case(name, **values))
+    return cases
+
+
+class TestCheckIdentity:
+    """check_identity against the command line's former sequence of calls, bit for bit."""
+
+    @staticmethod
+    def assert_as_parent(identity, K, D, margin, tol):
+        got = check_identity(identity, K, D, margin, tol)
+        want = parent_symbolic(identity, K, D, margin, tol)
+        assert [report_bits(r) for r in got] == [report_bits(r) for r in want], identity
+
+    @pytest.mark.parametrize("K", workload_cases(), ids=str)
+    def test_reports_equal_the_former_command_sequence(self, K):
+        for identity in symbolic_mix_identities():
+            for D, margin, tol in ((32, 3, 1e-10), (8, 2, 1e-3)):
+                self.assert_as_parent(identity, K, D, margin, tol)
+        words = [word_text(word) for word in random_words(seed=32, count=40, max_len=6)]
+        for lhs, rhs in zip(words[::2], words[1::2]):
+            self.assert_as_parent(f"{lhs} == {rhs}", K, 32, 3, 1e-10)
+
+    def test_overflowing_sides_report_as_the_former_command_sequence(self):
+        # the matrix oracle's band products overflow to NaN residuals, and so do the coefficients
+        K = make_case(CaseId.MACFARLANE_BIEDENHARN, q=3.0)
+        self.assert_as_parent(BUILTIN_IDENTITIES["lh_x"], K, 600, 3, 1e-10)
+        self.assert_as_parent("(1e200)^2 == 0", classical(), 32, 3, 1e-10)
+
+    @pytest.mark.parametrize(
+        "identity,error",
+        [
+            ("a*ad == ad*", ExprSyntaxError),
+            ("alpha*x == x", ValueError),
+            ("x/0 == x", ZeroDivisionError),
+        ],
+        ids=["syntax", "unbound-parameter", "division-by-zero"],
+    )
+    def test_errors_reach_the_caller_as_the_former_command_sequence_raised_them(self, identity, error):
+        K = make_case(CaseId.ARIK_COON, q=0.7)
+        raised = []
+        for check in (check_identity, parent_symbolic):
+            with pytest.raises(error) as info:
+                check(identity, K, 32, 3, 1e-10)
+            raised.append((type(info.value), str(info.value)))
+        assert raised[0] == raised[1]
