@@ -12,13 +12,14 @@ top-level parser, worded as argparse words them.  main then checks --tol,
 DEFORMALG_SEED and --dim and --margin for every command, so each command
 takes the parsed arguments alone.
 
-Importing this module, parsing the arguments, table and gup-scan load no
-numpy: they read K through spectral's level readers and the number-state
-reports from gup in Python floats.  verify imports fockrep, and symbolic
-symorder, when they run, so only these two commands load numpy.
-Nor do they load dataclasses or json: spectral's and gup's records are
-NamedTuples, and json is imported by render_json, which only verify and
-symbolic call.
+Importing this module and parsing the arguments load spectral alone of the
+package's modules.  A command imports the module it calls when it runs:
+gup-scan gup, verify fockrep and symbolic symorder.  table and gup-scan load
+no numpy: they read K through spectral's level readers and the number-state
+reports from gup in Python floats, so only verify and symbolic load numpy.
+Nor do table and gup-scan load dataclasses or json: spectral's and gup's
+records are NamedTuples, and json is imported by render_json, which only
+verify and symbolic call.
 
 Output is deterministic byte-for-byte: finite floats are rendered in
 scientific notation with 17 significant digits (JSON writes NaN and the
@@ -40,7 +41,6 @@ import sys
 from gettext import gettext
 from typing import Optional
 
-from . import gup
 from .spectral import DEFAULT_DIM, DEFAULT_MARGIN, DEFAULT_TOL, CaseId, SpectralFunction, make_case
 from .spectral import _levels
 
@@ -223,6 +223,8 @@ def _scan_rows(bases: list, levels, reports: list) -> list:
 
 
 def cmd_gup_scan(args) -> int:
+    from . import gup
+
     n_cap = args.dim - 1 - args.margin
     if args.q_from is not None or args.q_to is not None:
         if args.q_from is None or args.q_to is None:
@@ -308,19 +310,6 @@ def cmd_symbolic(args) -> int:
 # argument parsing
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--case", required=True, choices=[c.value for c in _CLI_CASES])
-    sub.add_argument("--q", type=float, default=None)
-    sub.add_argument("--alpha", type=float, default=None)
-    sub.add_argument("--beta", type=float, default=None)
-    sub.add_argument("--gamma", type=float, default=None)
-    sub.add_argument("--dim", type=int, default=DEFAULT_DIM)
-    sub.add_argument("--margin", type=int, default=DEFAULT_MARGIN)
-    sub.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--out", default=None)
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process: parse_args leaves it unchanged."""
@@ -330,19 +319,29 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    p_verify = subparsers.add_parser("verify", help="run the identity suite for one case")
-    _add_common(p_verify)
+    # the options every command takes
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--case", required=True, choices=[c.value for c in _CLI_CASES])
+    common.add_argument("--q", type=float, default=None)
+    common.add_argument("--alpha", type=float, default=None)
+    common.add_argument("--beta", type=float, default=None)
+    common.add_argument("--gamma", type=float, default=None)
+    common.add_argument("--dim", type=int, default=DEFAULT_DIM)
+    common.add_argument("--margin", type=int, default=DEFAULT_MARGIN)
+    common.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    common.add_argument("--seed", type=int, default=0)
+    common.add_argument("--out", default=None)
+
+    p_verify = subparsers.add_parser("verify", help="run the identity suite for one case", parents=[common])
     p_verify.add_argument("--format", choices=["json", "csv"], default="json")
     p_verify.set_defaults(func=cmd_verify)
 
-    p_table = subparsers.add_parser("table", help="emit the spectrum table as CSV")
-    _add_common(p_table)
+    p_table = subparsers.add_parser("table", help="emit the spectrum table as CSV", parents=[common])
     p_table.add_argument("--format", choices=["csv"], default="csv")
     p_table.add_argument("--levels", type=int, default=8)
     p_table.set_defaults(func=cmd_table)
 
-    p_scan = subparsers.add_parser("gup-scan", help="scan uncertainty bounds over levels or q")
-    _add_common(p_scan)
+    p_scan = subparsers.add_parser("gup-scan", help="scan uncertainty bounds over levels or q", parents=[common])
     p_scan.add_argument("--format", choices=["csv"], default="csv")
     p_scan.add_argument("--n-from", type=int, default=None)
     p_scan.add_argument("--n-to", type=int, default=None)
@@ -351,8 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--q-steps", type=int, default=5)
     p_scan.set_defaults(func=cmd_gup_scan)
 
-    p_sym = subparsers.add_parser("symbolic", help="check an operator identity symbolically")
-    _add_common(p_sym)
+    p_sym = subparsers.add_parser("symbolic", help="check an operator identity symbolically", parents=[common])
     p_sym.add_argument("--format", choices=["json"], default="json")
     p_sym.add_argument("--check", default=None)
     p_sym.set_defaults(func=cmd_symbolic)

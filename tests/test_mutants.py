@@ -86,6 +86,18 @@ def scaled_levels(factor):
     return patch
 
 
+def flipped_p_offset(monkeypatch):
+    """p's offset -1 with its sign flipped, +0.5j sqrt(K(n)): p = i(a' + a)/2."""
+    quadratures = fockrep.quadratures
+
+    def mutant(rep):
+        quads = quadratures(rep)
+        p = quads.mat_p
+        return dataclasses.replace(quads, mat_p=Band(p.D, {-1: -p.diagonals[-1], 1: p.diagonals[1]}))
+
+    monkeypatch.setattr(fockrep, "quadratures", mutant)
+
+
 # What will catch each missed cell
 ITEMS = {
     2: "ROADMAP item 2: residuals scaled by the products that formed them",
@@ -106,6 +118,7 @@ KILL_MATRIX = {
     "xp_step_+50%_at_n=0,1": (raised_step, "XX XX X. XX X. XX", 2),
     "levels_n>=2_x(1+1e-11)": (scaled_levels(1 + 1e-11), ".. .. .. .. .. ..", 13),
     "levels_n>=2_x(1+1e-7)": (scaled_levels(1 + 1e-7), "XX XX .. .. .. XX", 13),
+    "p_offset_-1_sign_flipped": (flipped_p_offset, "XX XX XX XX XX XX", None),
 }
 
 
