@@ -6,12 +6,14 @@ Robertson bound
     dx dp >= |<[x, p]>| / 2,
 
 which for a deformed oscillator equals <K(N+1) - K(N)>/4 on diagonal
-states; uncertainty_report(state, quads) evaluates it from the moments of
-the state and the case of quads.rep, and number_state_reports(K, D, levels)
-reads it for number states |n> from the checked level table K(0..D+1) alone,
-with the float operations the moments of |n> would perform.  The state
-readers refuse a Kempf-rescaled QuadratureSet: its moments are not those of
-the levels and the case formulas of its rep.
+states.  uncertainty_report(state, quads) is the one reader of a state: it
+evaluates the bound from the moments of the state and the case of
+quads.rep, and case_bound and square_sum_bound return fields of its
+report.  It refuses a Kempf-rescaled QuadratureSet: its moments are not
+those of the levels and the case formulas of its rep.
+number_state_reports(K, D, levels) reads the same reports for number
+states |n> from the checked level table K(0..D+1) alone, with the float
+operations the moments of |n> would perform.
 Alongside it, reports carry a quadratic diagnostic
 
     (<K(N)>^2 + <K(N+1)>^2) / 4
@@ -39,7 +41,7 @@ beyond that no algorithm can recover n from a rounded h (about n = 14
 for q = 0.3).  The symmetric and quadratic forms do not saturate.
 
 Number-state reports and the inversion run on Python floats; numpy and
-fockrep are imported only by the functions that take a state vector.
+fockrep are imported only by uncertainty_report, the reader of a state vector.
 UncertaintyReport is a NamedTuple, not a dataclass, to keep dataclasses and
 the inspect modules it imports off the start-up path of gup-scan.
 """
@@ -87,30 +89,46 @@ class UncertaintyReport(NamedTuple):
 
 
 def square_sum_bound(state: StateVector, quads: QuadratureSet) -> float:
-    """Quadratic diagnostic (<K(N)>^2 + <K(N+1)>^2)/4.
+    """Quadratic diagnostic (<K(N)>^2 + <K(N+1)>^2)/4: uncertainty_report's square_sum_bound.
 
     Computed from diagonal expectations over the level table, summed in
     level order; returned for comparison only.  It exceeds the true
     product for low-lying states (see module docstring) and must not be
     used as a bound.
     """
-    import numpy as np
-
-    _require_unscaled(quads)
-    D, levels = quads.rep.D, quads.rep.levels
-    if state.dim != D:
-        raise ValueError(f"a dimension-{D} band applies to {D}-row vectors, got {state.amplitudes.shape}")
-    W = np.abs(state.amplitudes) ** 2
-    # accumulate adds level after level, where sum would add pairwise
-    kn = float(np.add.accumulate(W * levels[:D])[-1])
-    knp1 = float(np.add.accumulate(W * levels[1 : D + 1])[-1])
-    return 0.25 * (kn * kn + knp1 * knp1)
+    return uncertainty_report(state, quads).square_sum_bound
 
 
 def uncertainty_report(state: StateVector, quads: QuadratureSet) -> UncertaintyReport:
-    """Assemble the full bound report for one state, with the case bound where one applies."""
-    dx, dp, product, robertson, bound = _state_terms(state, quads)
-    return _report(dx, dp, product, robertson, square_sum_bound(state, quads), bound)
+    """Assemble the full bound report for one state, with the case bound where one applies.
+
+    The one reader of a state: case_bound and square_sum_bound return fields
+    of this report.  The moments are taken once, from the images x psi and
+    p psi, which also form the fourth moment of the symmetric case.  A state
+    of another dimension than the band's is refused by the band product.
+    """
+    import numpy as np
+
+    from .fockrep import _moments
+
+    if quads.rescaled:
+        raise ValueError("the gup readers take unscaled quadratures, not a Kempf-rescaled set")
+    v, rep = state.amplitudes, quads.rep
+    xv, pv = quads.mat_x @ v, quads.mat_p @ v
+    m = _moments(v, xv, pv)
+    dx, dp = float(m.delta_x), float(m.delta_p)
+    form = _bound_form(rep.K)
+    fourth = None
+    if rep.K.case_id is CaseId.MACFARLANE_BIEDENHARN:
+        h = quads.mat_x @ xv + quads.mat_p @ pv
+        fourth = float(np.vdot(h, h).real)
+    bound = None if form is None else form(dx, dp, fourth)
+    W = np.abs(v) ** 2
+    # accumulate adds level after level, where sum would add pairwise
+    kn = float(np.add.accumulate(W * rep.levels[: rep.D])[-1])
+    knp1 = float(np.add.accumulate(W * rep.levels[1 : rep.D + 1])[-1])
+    robertson = 0.5 * abs(complex(m.xp_commutator_mean))
+    return _report(dx, dp, float(m.product), robertson, 0.25 * (kn * kn + knp1 * knp1), bound)
 
 
 def number_state_reports(K: SpectralFunction, D: int, levels) -> list:
@@ -202,7 +220,7 @@ def invert_number(K: SpectralFunction, h: float) -> float:
 
 
 def case_bound(state: StateVector, quads: QuadratureSet) -> Optional[float]:
-    """Evaluate the bound of the case of quads.rep.K on the supplied state.
+    """The bound of the case of quads.rep.K on the supplied state: uncertainty_report's case_bound.
 
     Geometric case:   (1 - (1-q)(dx^2 + dp^2)) / (4(1+q))
     Symmetric case:   sqrt(q)/(2(1+q)) * (1 + q(q - 1/q)^2/(2(q+1)^2) *
@@ -220,36 +238,7 @@ def case_bound(state: StateVector, quads: QuadratureSet) -> Optional[float]:
     seeds 0-199 made truncation safe, plus the number states below the
     margin), by up to 5.2e3 and 4.2e20 times the product (ROADMAP item 17).
     """
-    return _state_terms(state, quads)[-1]
-
-
-def _state_terms(state: StateVector, quads: QuadratureSet) -> tuple:
-    """dx, dp, their product, the Robertson bound and the case bound, as Python numbers.
-
-    The moments are taken once, from the images x psi and p psi, which also
-    form the fourth moment of the symmetric case.
-    """
-    import numpy as np
-
-    from .fockrep import _moments
-
-    _require_unscaled(quads)
-    v = state.amplitudes
-    xv, pv = quads.mat_x @ v, quads.mat_p @ v
-    m = _moments(v, xv, pv)
-    dx, dp = float(m.delta_x), float(m.delta_p)
-    form = _bound_form(quads.rep.K)
-    fourth = None
-    if quads.rep.K.case_id is CaseId.MACFARLANE_BIEDENHARN:
-        h = quads.mat_x @ xv + quads.mat_p @ pv
-        fourth = float(np.vdot(h, h).real)
-    bound = None if form is None else form(dx, dp, fourth)
-    return dx, dp, float(m.product), 0.5 * abs(complex(m.xp_commutator_mean)), bound
-
-
-def _require_unscaled(quads: QuadratureSet) -> None:
-    if quads.rescaled:
-        raise ValueError("the gup readers take unscaled quadratures, not a Kempf-rescaled set")
+    return uncertainty_report(state, quads).case_bound
 
 
 def _bound_form(K: SpectralFunction):

@@ -75,7 +75,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .fockrep import Band, IdentityReport, build_rep, quadratures, verify_window
-from .spectral import SpectralFunction, level_table
+from .spectral import DEFAULT_TOL, SpectralFunction, level_table
 
 __all__ = [
     "ExprSyntaxError",
@@ -413,17 +413,15 @@ class CoefficientFunction:
         value = _on_levels(self.K, [(self, lo, hi)])[0][ns - lo]
         return complex(value[0]) if np.ndim(n) == 0 else value
 
-    def _shifted(self, s: int) -> list:
-        """The sorted terms of c(N+s), s != 0: K(N+k) -> K(N+k+s) and N^j -> (N+s)^j
-        expanded, like monomials added in the order they come, exact zeros dropped."""
-        merged: dict = {}
-        for (j, ks), c in self.terms.items():
-            ks = tuple(k + s for k in ks)
-            for i in range(j + 1):
-                value = c if i == j else c * (math.comb(j, i) * s ** (j - i))
-                m = (i, ks)
-                merged[m] = merged[m] + value if m in merged else value
-        return [(m, c) for m, c in sorted(merged.items()) if c != 0]
+    def _shifted(self, s: int) -> dict:
+        """The terms of c(N+s), s != 0: K(N+k) -> K(N+k+s) and N^j -> (N+s)^j
+        expanded, merged as a CoefficientFunction merges its terms."""
+        expanded = [
+            ((i, tuple([k + s for k in ks])), c if i == j else c * (math.comb(j, i) * s ** (j - i)))
+            for (j, ks), c in self.terms.items()
+            for i in range(j + 1)
+        ]
+        return CoefficientFunction(self.K, expanded).terms
 
     def __add__(self, other: "CoefficientFunction") -> "CoefficientFunction":
         return CoefficientFunction(self.K, [*self.terms.items(), *other.terms.items()])
@@ -555,7 +553,7 @@ class NormalForm:
             for d1, c1 in self.coefficients.items():
                 crossed = tuple(_crossed_levels(d1, d2))
                 product: dict = {}
-                for (j1, ks1), a in c1.terms.items() if d2 == 0 else c1._shifted(d2):
+                for (j1, ks1), a in (c1.terms if d2 == 0 else c1._shifted(d2)).items():
                     for (j2, ks2), b in right:
                         monomial = (j1 + j2, tuple(sorted(ks1 + ks2 + crossed)))
                         value = a * b
@@ -728,7 +726,7 @@ def normal_order(expr: Expr, K: SpectralFunction, *, memo: dict | None = None) -
 def nf_equal(
     lhs: NormalForm,
     rhs: NormalForm,
-    tol: float = 1e-10,
+    tol: float = DEFAULT_TOL,
 ) -> IdentityReport:
     """Decide equality of two normal forms of one K on the integer grid 0..GRID_MAX.
 

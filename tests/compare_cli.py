@@ -38,13 +38,15 @@ of --q-from and --q-to, a q-scan through a non-positive q and each command given
 a --format it does not write), and symbolic
 calls through every node kind and error path of the expression evaluator,
 negative powers of real and complex scalars whose powers overflow, identities that
-reuse a subterm, sign runs and product and quotient chains
-500 to 3,000 links long, divisor-order errors, K shifts just above the cap
-and far above it, together with negative parameter values written as
-'-1.' and '-1.e0'.  Command lines that test where the parse goes: leftover words after a
-command, -h and --help before and after one, a command name given twice or
-after an option, an abbreviated option, '--' after --check and a negative
---seed.
+reuse a subterm, powers of N shifted past a ladder on classical, arik-coon
+q=0.7 and nonlinear alpha=1 beta=2 (comm(N^2,ad) == ad*(2*N+1),
+N^3*a^2 == a^2*(N-2)^3 and the failing N^3*ad^2 == ad^2*N^3), sign runs
+and product and quotient chains 500 to 3,000 links long, divisor-order
+errors, K shifts just above the cap and far above it, together with
+negative parameter values written as '-1.' and '-1.e0'.  Command lines
+that test where the parse goes: leftover words after a command, -h and
+--help before and after one, a command name given twice or after an
+option, an abbreviated option, '--' after --check and a negative --seed.
 Standard library only.
 """
 
@@ -151,6 +153,12 @@ EDGE_CALLS = [
     SYMBOLIC + ["K(N+100000) - K(N-100000) == 200000"],
     ["table", "--case", "chung", "--q", "0.7", "--alpha", "-1.", "--beta", "0.5", "--levels", "1"],
     ["table", "--case", "chung", "--q", "0.7", "--alpha", "-1.e0", "--beta", "0.5", "--levels", "1"],
+]
+# coefficients holding a power of N shifted past a ladder, N^j -> (N+s)^j expanded; the last fails
+EDGE_CALLS += [
+    ["symbolic", "--case", *case, "--check", identity]
+    for case in (["classical"], ["arik-coon", "--q", "0.7"], ["nonlinear", "--alpha", "1", "--beta", "2"])
+    for identity in ("comm(N^2,ad) == ad*(2*N+1)", "N^3*a^2 == a^2*(N-2)^3", "N^3*ad^2 == ad^2*N^3")
 ]
 
 # q-scans without --q, with an invalid --q, and with an --n-to the q-scan cannot use

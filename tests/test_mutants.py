@@ -1,12 +1,17 @@
-"""The mutation kill matrix of verify: which defects the command's own verdict catches.
+"""The mutation kill matrix of verify and symbolic: which defects each command's own verdict catches.
 
-Each mutant monkeypatches one fockrep function with a defect a real change
-could make.  A cell runs run_verify_checks on one of perfbench's six verify
-cases at one dimension, with the mutant in place, and the mutant is caught
-there when some row fails.  A caught cell is a plain test.  A missed cell is
-a strict xfail whose reason names the ROADMAP item that will catch it, so
-that item's change sees XPASS and drops the marker.  An exception is not a
-miss: a cell that raises fails.
+Each mutant monkeypatches one fockrep or symorder name with a defect a real
+change could make.  A verify cell runs run_verify_checks on one of
+perfbench's six verify cases at one dimension, with the mutant in place, and
+the mutant is caught there when some row fails.  A caught cell is a plain
+test.  A missed cell is a strict xfail whose reason names the ROADMAP item
+that will catch it, so that item's change sees XPASS and drops the marker.
+An exception is not a miss: a cell that raises fails.
+
+A symbolic cell runs symorder.check_identity on the three builtins and
+perfbench's four composites, on one of the six cases at D = 32, and pins
+which oracle fails on which identity; the mutant is caught there when any
+identity's report fails.
 """
 
 import dataclasses
@@ -14,10 +19,12 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import perfbench_workloads
+from conftest import perfbench_workloads, symbolic_mix_identities
 from deformalg import Band, make_case
-from deformalg import fockrep
+from deformalg import fockrep, symorder
 from deformalg.fockrep import run_verify_checks
+from deformalg.spectral import level_table
+from deformalg.symorder import check_identity
 
 MARGIN, TOL, SEED = 3, 1e-10, 0
 DIMS = (32, 128)
@@ -142,3 +149,60 @@ def test_verify_passes_every_case_unmutated(case, D):
 def test_verify_catches_the_mutant(monkeypatch, mutant, case, D):
     KILL_MATRIX[mutant][0](monkeypatch)
     assert not all(report.passed for report in run_verify_checks(CASES[case], D, MARGIN, TOL, SEED))
+
+
+def crossed_levels_up_one(monkeypatch):
+    """Every atom K(N+k) a ladder product crosses read one level up, as K(N+k+1)."""
+    crossed = symorder._crossed_levels
+
+    def mutant(d1, d2):
+        levels = crossed(d1, d2)
+        return range(levels.start + 1, levels.stop + 1)
+
+    monkeypatch.setattr(symorder, "_crossed_levels", mutant)
+
+
+def p_lowering_scalar_positive(monkeypatch):
+    """p's offset -1 scalar +0.5j in the normal form, p = i(a' + a)/2 there alone."""
+    monkeypatch.setitem(symorder._SYMBOL_TERMS, "p", {1: ((0, ()), 0.5j), -1: ((0, ()), 0.5j)})
+
+
+def scaled_level_tables(monkeypatch):
+    """Every level table symorder reads times 1 + 1e-7; the representation's levels stay exact."""
+    monkeypatch.setattr(symorder, "level_table", lambda K, lo, hi: level_table(K, lo, hi) * (1 + 1e-7))
+
+
+SYMBOLIC_DIM = 32
+IDENTITIES = symbolic_mix_identities()
+
+# mutant -> (patch, marks).  marks hold seven characters per case, in CASES order, one per
+# identity of IDENTITIES: N where nf_equal fails, M where the matrix oracle fails, B where
+# both do and . where both pass.
+SYMBOLIC_KILL_MATRIX = {
+    "crossed_levels_up_one": (crossed_levels_up_one, "......N NNN...N NNN...N NNN...N NNN...N NNN...N"),
+    "p_offset_-1_scalar_+0.5j": (p_lowering_scalar_positive, " ".join(["NNN...."] * 6)),
+    "level_tables_x(1+1e-7)": (scaled_level_tables, " ".join(["MMM...M"] * 6)),
+}
+
+
+def symbolic_marks(K):
+    """One character per identity: which of check_identity's two reports fail."""
+    marks = ""
+    for identity in IDENTITIES:
+        nf, matrix = (report.passed for report in check_identity(identity, K, SYMBOLIC_DIM, MARGIN, TOL))
+        marks += {(True, True): ".", (False, True): "N", (True, False): "M", (False, False): "B"}[nf, matrix]
+    return marks
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_symbolic_passes_every_case_unmutated(case):
+    assert symbolic_marks(CASES[case]) == "." * len(IDENTITIES)
+
+
+@pytest.mark.parametrize("case", CASES)
+@pytest.mark.parametrize("mutant", SYMBOLIC_KILL_MATRIX)
+def test_symbolic_catches_the_mutant(monkeypatch, mutant, case):
+    patch, marks = SYMBOLIC_KILL_MATRIX[mutant]
+    expected = dict(zip(CASES, marks.split(), strict=True))[case]
+    patch(monkeypatch)
+    assert symbolic_marks(CASES[case]) == expected != "." * len(IDENTITIES)
