@@ -415,7 +415,14 @@ class CoefficientFunction:
 
     def _shifted(self, s: int) -> dict:
         """The terms of c(N+s), s != 0: K(N+k) -> K(N+k+s) and N^j -> (N+s)^j
-        expanded, merged as a CoefficientFunction merges its terms."""
+        expanded, merged as a CoefficientFunction merges its terms.
+
+        A coefficient free of N (the last of its sorted monomials has j = 0)
+        only renames its atoms: a uniform shift keeps its monomials distinct
+        and in sorted order, so there is nothing to merge or sort.
+        """
+        if next(reversed(self.terms), (0,))[0] == 0:
+            return {(0, tuple([k + s for k in ks])): c for (_, ks), c in self.terms.items()}
         expanded = [
             ((i, tuple([k + s for k in ks])), c if i == j else c * (math.comb(j, i) * s ** (j - i)))
             for (j, ks), c in self.terms.items()
@@ -538,6 +545,11 @@ class NormalForm:
         crossed; and the running sum of offset d1+d2.  Only that sum becomes a
         CoefficientFunction, sorted once, with the bits a CoefficientFunction
         built at every step would hold.
+
+        A constant operand (offset 0 holding the monomial (0, ()) alone)
+        crosses no atom and shifts nothing, so past the cap check the rule
+        only scales the other operand: each scalar times the constant, in the
+        order of the operands, exact zeros dropped.
         """
         if not isinstance(other, NormalForm):
             return NotImplemented
@@ -547,6 +559,10 @@ class NormalForm:
             raise ValueError(
                 f"composition would multiply {count} monomial pairs, above the cap {MAX_COMPOSED_MONOMIALS}"
             )
+        if (a := _constant(self)) is not None:
+            return other._map_scalars(lambda v: a * v)
+        if (b := _constant(other)) is not None:
+            return self._map_scalars(lambda v: v * b)
         sums: dict = {}  # offset -> {monomial: scalar}, every scalar nonzero
         for d2, c2 in other.coefficients.items():
             right = c2.terms.items()
@@ -572,6 +588,15 @@ class NormalForm:
                     total[monomial] = value
         coefficients = {d: CoefficientFunction._of(self.K, dict(sorted(total.items()))) for d, total in sums.items()}
         return NormalForm(self.K, coefficients)
+
+
+def _constant(nf: NormalForm):
+    """The scalar c of a normal form that is c times the identity (offset 0 holding
+    the monomial (0, ()) alone), or None."""
+    c = nf.coefficients.get(0)
+    if c is None or len(nf.coefficients) != 1 or len(c.terms) != 1:
+        return None
+    return c.terms.get((0, ()))
 
 
 def _crossed_levels(d1: int, d2: int) -> range:
@@ -695,7 +720,11 @@ def _normal_form(expr: Expr, K: SpectralFunction, memo: dict) -> NormalForm:
 
 def _scalar_value(expr: Expr, K: SpectralFunction, message: str) -> complex:
     """Numeric value of a scalar subexpression, one whose only offset is 0 with
-    a constant coefficient; ValueError(message) for any other expression."""
+    a constant coefficient; ValueError(message) for any other expression.  A
+    numeral is its own value, as its normal form gives it: an exact zero drops
+    from the form and reads +0."""
+    if isinstance(expr, Num):
+        return complex(expr.value) or 0j
     nf = _normal_form(expr, K, {})
     diagonal = nf.coefficient(0).terms
     if set(nf.coefficients) - {0} or set(diagonal) - {(0, ())}:
@@ -792,25 +821,40 @@ def expr_to_matrix(expr: Expr, K: SpectralFunction, D: int, *, memo: dict | None
     """Evaluate an expression directly in the truncated representation.
 
     The leaves are the bands of build_rep and quadratures and the diagonal
-    level_table(K, k, k + D - 1) of K(N+k); band products sum the entries
-    numerically, so the result is independent of the contraction rule and
-    serves as the oracle for normal-ordered realizations.  Calls that pass
-    one memo dict, all for this K and D, build one representation and form
-    each product they share once; a memo first used for another K or D, or
-    by normal_order, is a ValueError.
+    K(k..k+D-1) of K(N+k), sliced from the representation's K(0..D+1) where
+    it reaches, each level outside it from level_table; band products sum the
+    entries numerically, so the result is independent of the contraction rule
+    and serves as the oracle for normal-ordered realizations.  Calls that pass
+    one memo dict, all for this K and D, build one representation and one
+    identity band and form each product they share once; a memo first used
+    for another K or D, or by normal_order, is a ValueError.
     """
     memo = _case_memo(memo, K, D)
     if "quads" not in memo:  # before any band, so a representation error comes first
         memo["quads"] = quadratures(build_rep(K, D))
-    quads = memo["quads"]
-    identity = Band.diagonal(np.ones(D))
+        memo["identity"] = Band.diagonal(np.ones(D))
+    quads, identity = memo["quads"], memo["identity"]
 
     def leaf(node) -> Band:
         if isinstance(node, Sym):  # a, ad, N, x or p
             return getattr(quads if node.name in ("x", "p") else quads.rep, "mat_" + node.name)
-        return Band.diagonal(level_table(K, node.offset, node.offset + D - 1))
+        return Band.diagonal(_leaf_levels(K, quads.rep.levels, node.offset, node.offset + D - 1))
 
     return _evaluate(expr, K, lambda c: complex(c) * identity, leaf, memo)
+
+
+def _leaf_levels(K: SpectralFunction, table: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """K(lo..hi), read from table = K(0..len(table)-1) where it reaches and from
+    level_table elsewhere, the levels below the table first.  The table's levels
+    are finite, so an error still names the first level that is not."""
+    if lo >= 0 and hi < table.size:
+        return table[lo : hi + 1]
+    parts = [table[max(lo, 0) : max(hi + 1, 0)]]
+    if lo < 0:
+        parts.insert(0, level_table(K, lo, min(hi, -1)))
+    if hi >= table.size:
+        parts.append(level_table(K, max(lo, table.size), hi))
+    return np.concatenate(parts)
 
 
 def check_identity(identity: str, K: SpectralFunction, D: int, margin: int, tol: float) -> tuple:

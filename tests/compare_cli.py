@@ -40,7 +40,13 @@ calls through every node kind and error path of the expression evaluator,
 negative powers of real and complex scalars whose powers overflow, identities that
 reuse a subterm, powers of N shifted past a ladder on classical, arik-coon
 q=0.7 and nonlinear alpha=1 beta=2 (comm(N^2,ad) == ad*(2*N+1),
-N^3*a^2 == a^2*(N-2)^3 and the failing N^3*ad^2 == ad^2*N^3), sign runs
+N^3*a^2 == a^2*(N-2)^3 and the failing N^3*ad^2 == ad^2*N^3), on classical,
+arik-coon q=0.7 and borzov numeral quotients that are not powers of two and
+a negative numeral power ((1/3)*x == x/3, (5/3)*ad*a == (5/3)*K(N) and
+3^-2*x == x/9), a complex factor on either side ((1+2i)*x == x*(1+2i)) and
+K(N+k) leaves below, across and above the representation's table
+(K(N-4)*x, K(N+3)*ad and K(N+40)*a, each against the ladders moved to its
+left), sign runs
 and product and quotient chains 500 to 3,000 links long, divisor-order
 errors, K shifts just above the cap and far above it, together with
 negative parameter values written as '-1.' and '-1.e0'.  Command lines
@@ -159,6 +165,23 @@ EDGE_CALLS += [
     ["symbolic", "--case", *case, "--check", identity]
     for case in (["classical"], ["arik-coon", "--q", "0.7"], ["nonlinear", "--alpha", "1", "--beta", "2"])
     for identity in ("comm(N^2,ad) == ad*(2*N+1)", "N^3*a^2 == a^2*(N-2)^3", "N^3*ad^2 == ad^2*N^3")
+]
+
+# numeral quotients that are not powers of two, a negative numeral power, a complex factor on
+# either side, and K(N+k) leaves below, across and above the representation table K(0..D+1)
+EDGE_CALLS += [
+    ["symbolic", "--case", *case, "--check", identity]
+    for case in (["classical"], ["arik-coon", "--q", "0.7"], ["borzov", "--q", "1.5", "--alpha", "0.5", "--beta", "1",
+                                                                "--gamma", "2"])
+    for identity in (
+        "(1/3)*x == x/3",
+        "(5/3)*ad*a == (5/3)*K(N)",
+        "3^-2*x == x/9",
+        "(1+2i)*x == x*(1+2i)",
+        "K(N-4)*x == (ad*K(N-3) + a*K(N-5))/2",
+        "K(N+3)*ad == ad*K(N+4)",
+        "K(N+40)*a == a*K(N+39)",
+    )
 ]
 
 # q-scans without --q, with an invalid --q, and with an --n-to the q-scan cannot use

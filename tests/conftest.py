@@ -6,7 +6,18 @@ from functools import reduce
 
 import numpy as np
 
-from deformalg import BUILTIN_IDENTITIES, Band, CaseId, level_table, make_case
+from deformalg import (
+    BUILTIN_IDENTITIES,
+    Band,
+    CaseId,
+    expr_to_matrix,
+    level_table,
+    make_case,
+    nf_to_matrix,
+    normal_order,
+    parse_identity,
+    verify_window,
+)
 from deformalg.symorder import Add, Comm, Divisor, KShift, Mul, Neg, Num, Param, Pow, Sym
 
 Q_GRID = [0.3, 0.7, 1.0, 1.5, 3.0]
@@ -114,6 +125,20 @@ def perfbench_workloads():
 def symbolic_mix_identities():
     """The identities of the symbolic-mix workload: the builtins by text, then its composites."""
     return [*BUILTIN_IDENTITIES.values(), *perfbench_workloads().COMPOSITES]
+
+
+def realization_reports(K, D=32, margin=9, tol=1e-10):
+    """verify_window of each side's normal form realized by nf_to_matrix against the
+    side evaluated by expr_to_matrix, for both sides of every symbolic-mix identity in
+    order.  No word of these sides moves a level by more than nine (H^3*x^3), so the
+    margin of 9 keeps truncation out of the window.  This check reads the levels
+    of nf_to_matrix's coefficients, which neither of check_identity's oracles
+    compares with anything independent."""
+    sides = [side for identity in symbolic_mix_identities() for side in parse_identity(identity)]
+    return [
+        verify_window(nf_to_matrix(normal_order(side, K), D), expr_to_matrix(side, K, D), margin=margin, tol=tol)
+        for side in sides
+    ]
 
 
 def dense(M):

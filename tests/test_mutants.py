@@ -1,6 +1,6 @@
 """The mutation kill matrix of verify and symbolic: which defects each command's own verdict catches.
 
-Each mutant monkeypatches one fockrep or symorder name with a defect a real
+Each mutant monkeypatches fockrep or symorder names with a defect a real
 change could make.  A verify cell runs run_verify_checks on one of
 perfbench's six verify cases at one dimension, with the mutant in place, and
 the mutant is caught there when some row fails.  A caught cell is a plain
@@ -10,8 +10,10 @@ An exception is not a miss: a cell that raises fails.
 
 A symbolic cell runs symorder.check_identity on the three builtins and
 perfbench's four composites, on one of the six cases at D = 32, and pins
-which oracle fails on which identity; the mutant is caught there when any
-identity's report fails.
+which oracle fails on which identity.  It also pins which sides fail the
+realization check, a check of the tests and not of the symbolic command: each
+side's normal form realized by nf_to_matrix against the side evaluated by
+expr_to_matrix.  The mutant is caught there when any report of either fails.
 """
 
 import dataclasses
@@ -19,7 +21,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import perfbench_workloads, symbolic_mix_identities
+from conftest import perfbench_workloads, realization_reports, symbolic_mix_identities
 from deformalg import Band, make_case
 from deformalg import fockrep, symorder
 from deformalg.fockrep import run_verify_checks
@@ -168,20 +170,50 @@ def p_lowering_scalar_positive(monkeypatch):
 
 
 def scaled_level_tables(monkeypatch):
-    """Every level table symorder reads times 1 + 1e-7; the representation's levels stay exact."""
+    """Every level symorder reads times 1 + 1e-7: its level tables, and the representation's
+    levels where its K(N+k) leaves slice them; the representation's own bands stay exact."""
+    leaf_levels = symorder._leaf_levels
     monkeypatch.setattr(symorder, "level_table", lambda K, lo, hi: level_table(K, lo, hi) * (1 + 1e-7))
+    monkeypatch.setattr(
+        symorder, "_leaf_levels", lambda K, table, lo, hi: leaf_levels(K, table * (1 + 1e-7), lo, hi)
+    )
+
+
+def on_levels_up_one(monkeypatch):
+    """Every span symorder's level evaluator is given read one level up, (c, first + 1, last + 1)."""
+    on_levels = symorder._on_levels
+
+    def mutant(K, spans):
+        return on_levels(K, [(c, first + 1, last + 1) for c, first, last in spans])
+
+    monkeypatch.setattr(symorder, "_on_levels", mutant)
 
 
 SYMBOLIC_DIM = 32
 IDENTITIES = symbolic_mix_identities()
 
-# mutant -> (patch, marks).  marks hold seven characters per case, in CASES order, one per
-# identity of IDENTITIES: N where nf_equal fails, M where the matrix oracle fails, B where
-# both do and . where both pass.
+# mutant -> (patch, marks, realized).  marks hold seven characters per case, in CASES order,
+# one per identity of IDENTITIES: N where nf_equal fails, M where the matrix oracle fails, B
+# where both do and . where both pass.  realized holds fourteen per case, one per side of
+# those identities in order: R where the realization check fails and . where it passes.
+# Both sides of nf_equal read one level evaluator, so check_identity misses the last mutant.
 SYMBOLIC_KILL_MATRIX = {
-    "crossed_levels_up_one": (crossed_levels_up_one, "......N NNN...N NNN...N NNN...N NNN...N NNN...N"),
-    "p_offset_-1_scalar_+0.5j": (p_lowering_scalar_positive, " ".join(["NNN...."] * 6)),
-    "level_tables_x(1+1e-7)": (scaled_level_tables, " ".join(["MMM...M"] * 6)),
+    "crossed_levels_up_one": (
+        crossed_levels_up_one,
+        "......N NNN...N NNN...N NNN...N NNN...N NNN...N",
+        "......RR..RRR. " + " ".join(["R.R.R.RR..RRR."] * 5),
+    ),
+    "p_offset_-1_scalar_+0.5j": (
+        p_lowering_scalar_positive,
+        " ".join(["NNN...."] * 6),
+        "R.RRR.RR..RR.. " + " ".join(["R.RRRRRR..RR.."] * 5),
+    ),
+    "level_tables_x(1+1e-7)": (scaled_level_tables, " ".join(["MMM...M"] * 6), " ".join(["R.R.R.RR..RRR."] * 6)),
+    "on_levels_up_one": (
+        on_levels_up_one,
+        " ".join(["......."] * 6),
+        "......RR..RRRR " + " ".join(["RRRRRRRR..RRRR"] * 5),
+    ),
 }
 
 
@@ -194,15 +226,22 @@ def symbolic_marks(K):
     return marks
 
 
+def realized_marks(K):
+    """One character per side: whether its realization check fails."""
+    return "".join("." if report.passed else "R" for report in realization_reports(K, SYMBOLIC_DIM))
+
+
 @pytest.mark.parametrize("case", CASES)
 def test_symbolic_passes_every_case_unmutated(case):
     assert symbolic_marks(CASES[case]) == "." * len(IDENTITIES)
+    assert realized_marks(CASES[case]) == "." * 2 * len(IDENTITIES)
 
 
 @pytest.mark.parametrize("case", CASES)
 @pytest.mark.parametrize("mutant", SYMBOLIC_KILL_MATRIX)
 def test_symbolic_catches_the_mutant(monkeypatch, mutant, case):
-    patch, marks = SYMBOLIC_KILL_MATRIX[mutant]
-    expected = dict(zip(CASES, marks.split(), strict=True))[case]
+    patch, *marks = SYMBOLIC_KILL_MATRIX[mutant]
+    expected = tuple(dict(zip(CASES, column.split(), strict=True))[case] for column in marks)
     patch(monkeypatch)
-    assert symbolic_marks(CASES[case]) == expected != "." * len(IDENTITIES)
+    got = symbolic_marks(CASES[case]), realized_marks(CASES[case])
+    assert got == expected and got != ("." * len(IDENTITIES), "." * 2 * len(IDENTITIES))

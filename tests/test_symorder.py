@@ -17,6 +17,7 @@ from conftest import (
     dense_expr,
     perfbench_workloads,
     random_words,
+    realization_reports,
     representative_cases,
     residual,
     symbolic_mix_identities,
@@ -42,7 +43,7 @@ from deformalg import (
     quadratures,
     verify_window,
 )
-from deformalg import symorder
+from deformalg import spectral, symorder
 from deformalg.fockrep import IdentityReport
 from deformalg.spectral import level_table
 from deformalg.symorder import (
@@ -1278,3 +1279,128 @@ class TestCheckIdentity:
                 check(identity, K, 32, 3, 1e-10)
             raised.append((type(info.value), str(info.value)))
         assert raised[0] == raised[1]
+
+
+class TestRealizationCheck:
+    """Each side's normal form, realized, against the same side in the truncated representation."""
+
+    @pytest.mark.parametrize("K", workload_cases(), ids=str)
+    def test_each_side_realizes_as_the_matrix_oracle_evaluates(self, K):
+        reports = realization_reports(K)
+        assert len(reports) == 2 * len(symbolic_mix_identities())
+        assert all(report.passed for report in reports), [report.max_abs_residual for report in reports]
+
+
+class TestLevelsRead:
+    def test_the_matrix_oracle_reads_only_levels_its_representation_lacks(self, monkeypatch):
+        tables, oracle = [], []  # every level table, and the tables the matrix oracle reads
+        levels, matrix = spectral._levels, symorder.expr_to_matrix
+
+        def spy(K, ns):
+            tables.append(list(ns))
+            return levels(K, ns)
+
+        def oracle_spy(*args, **kwargs):
+            start = len(tables)
+            band = matrix(*args, **kwargs)
+            oracle.extend(tables[start:])
+            return band
+
+        monkeypatch.setattr(spectral, "_levels", spy)
+        monkeypatch.setattr(symorder, "expr_to_matrix", oracle_spy)
+        check_identity(BUILTIN_IDENTITIES["lh_x"], make_case(CaseId.ARIK_COON, q=0.7), 32, 3, 1e-10)
+        # the representation's K(0..33), then K(-1) for the leaf K(N-1); K(N), K(N+1) and K(N+2) slice the first
+        assert oracle == [list(range(34)), [-1]]
+        # nf_equal reads its own grid table beside them
+        assert sum(map(len, tables)) == 62 and len({n for table in tables for n in table}) == 35
+
+    @pytest.mark.parametrize("k", [-40, -4, -1, 0, 3, 20, 40])
+    @pytest.mark.parametrize("K", workload_cases(), ids=str)
+    def test_a_level_leaf_keeps_the_bits_of_its_own_table(self, K, k):
+        # below, inside, across and above the representation's K(0..D+1)
+        diagonal = expr_to_matrix(KShift(k), K, 16).diagonals[0]
+        assert diagonal.tobytes() == level_table(K, k, k + 15).astype(complex).tobytes()
+
+    @pytest.mark.parametrize(
+        "K, k, D",
+        [
+            (make_case(CaseId.ARIK_COON, q=10.0), 40, 290),  # above: 10^(n-1) overflows from K(310)
+            (make_case(CaseId.ARIK_COON, q=1e-300), -3, 8),  # below: K(n) overflows from n = -2 down
+        ],
+        ids=["above", "below"],
+    )
+    def test_a_level_leaf_names_the_first_level_its_table_would(self, K, k, D):
+        with pytest.raises(ValueError) as table:
+            level_table(K, k, k + D - 1)
+        with pytest.raises(ValueError) as leaf:
+            expr_to_matrix(KShift(k), K, D)
+        assert str(leaf.value) == str(table.value)
+
+
+def value_bits(value):
+    """term_bits of a normal form's coefficients, or of the terms the staged contraction gives by offset."""
+    if isinstance(value, NormalForm):
+        value = {d: c.terms for d, c in value.coefficients.items()}
+    return term_bits(value)
+
+
+class TestShortcuts:
+    """The shortcuts for numerals, N-free shifts and constant operands against the general path."""
+
+    # 1e-300 times 1e-300 underflows to a zero that drops, and 1e300 or inf times a scalar overflows
+    SCALARS = [0.5, -1.5, 2.0, 0.25j, 1.0 + 1.0j, complex(-0.0, 3.0), 1e300, 1e-300, math.inf, 3.0]
+
+    @staticmethod
+    def forms(K):
+        """Normal forms of random words, of the same words times powers of N on either side,
+        and of some of them times 1e-300."""
+        words = list(random_words(seed=35, count=30, max_len=6))
+        exprs = words + [Mul((Pow(Sym("N"), 1 + i % 3), word)) for i, word in enumerate(words[:15])]
+        exprs += [Mul((word, Neg(Pow(Sym("N"), 1 + i % 2)))) for i, word in enumerate(words[15:])]
+        exprs += [Mul((Num(1e-300), word)) for word in words[:5]]
+        return [normal_order(expr, K) for expr in exprs]
+
+    def constants(self, K):
+        exprs = [Num(c) for c in self.SCALARS] + [Neg(Num(c)) for c in self.SCALARS]
+        exprs += [parse_expr(text) for text in ("1/3", "(5/3)^-1", "3^-2", "-(0.1+2i)")]
+        forms = [normal_order(expr, K) for expr in exprs]
+        assert all(symorder._constant(nf) is not None for nf in forms)
+        return forms
+
+    def test_a_numeral_reads_as_its_normal_form(self):
+        K = make_case(CaseId.ARIK_COON, q=0.7)
+        for c in [*self.SCALARS, 0.0, -0.0, 0j, complex(-0.0, -0.0), complex(2.0, -0.0), math.nan]:
+            value = symorder._scalar_value(Num(c), K, "")
+            general = complex(normal_order(Num(c), K).coefficient(0).terms.get((0, ()), 0.0))
+            assert type(value) is complex
+            assert (value.real.hex(), value.imag.hex()) == (general.real.hex(), general.imag.hex()), c
+
+    @pytest.mark.parametrize("K", workload_cases(), ids=str)
+    def test_shifts_equal_the_general_expansion(self, K):
+        kinds = set()
+        for nf in self.forms(K):
+            for c in nf.coefficients.values():
+                kinds.add(max(j for j, _ in c.terms) == 0)
+                for s in (-3, -2, -1, 1, 2, 3):
+                    assert term_bits({s: c._shifted(s)}) == term_bits({s: staged_shift(c.terms, s)})
+        assert kinds == {True, False}  # N-free coefficients and coefficients holding powers of N
+
+    @pytest.mark.parametrize("K", workload_cases(), ids=str)
+    def test_constant_operands_compose_as_the_general_path(self, monkeypatch, K):
+        constants, forms = self.constants(K), self.forms(K)
+        pairs = [(c, nf) for c in constants for nf in forms]
+        pairs += [(nf, c) for c, nf in pairs] + [(c, d) for c in constants for d in constants]
+        products = [A @ B for A, B in pairs]
+        monkeypatch.setattr(symorder, "_constant", lambda nf: None)
+        for (A, B), product in zip(pairs, products, strict=True):
+            assert value_bits(product) == value_bits(A @ B)
+            assert value_bits(product) == value_bits(staged_product(A, B))
+
+    def test_a_constant_times_a_form_past_the_cap_is_refused(self):
+        K = make_case(CaseId.ARIK_COON, q=0.7)
+        count = symorder.MAX_COMPOSED_MONOMIALS + 1
+        big = NormalForm(K, {1: CoefficientFunction(K, [((j, ()), 1.0 + 0j) for j in range(count)])})
+        constant = normal_order(Num(2.0), K)
+        for left, right in ((constant, big), (big, constant)):
+            with pytest.raises(ValueError, match=f"multiply {count} monomial pairs, above the cap"):
+                left @ right
