@@ -52,15 +52,16 @@ need not mean equal polynomials in K's atoms.
 
 One evaluator gives coefficients their values on levels: nf_equal's grid,
 nf_to_matrix's columns and the levels a coefficient is called on.  Each call
-of it evaluates one level table and each power N^j once, for all the
-coefficients it is given, and reads every atom K(N+k) and power as a slice.
+of it reads one slice of a level store and forms each power N^j once, for all
+the coefficients it is given, and reads every atom K(N+k) and power as a slice.
 nf_equal hands it a coefficient that both sides of an offset share once.
 
 nf_to_matrix realizes a normal form as a truncated fockrep.Band, offset
-for offset.  expr_to_matrix runs the same evaluator with the bands of
-build_rep and quadratures as leaves; band products are numeric sums over
+for offset.  expr_to_matrix runs the same evaluator with the bands of a
+FockRep and its quadratures as leaves; band products are numeric sums over
 the entries and never run the contraction rule, so it is the independent
 oracle check_identity, the symbolic command's check, holds nf_equal to.
+A _Levels store, one per check, is the module's only reader of K.
 """
 
 from __future__ import annotations
@@ -74,7 +75,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .fockrep import Band, IdentityReport, build_rep, quadratures, verify_window
+from .fockrep import Band, FockRep, IdentityReport, quadratures, verify_window
 from .spectral import DEFAULT_TOL, SpectralFunction, level_table
 
 __all__ = [
@@ -408,9 +409,9 @@ class CoefficientFunction:
     def __call__(self, n):
         """c(n) at an integer level n, or elementwise over an integer array n: the
         values on the levels min(n)..max(n), indexed."""
-        ns = np.atleast_1d(n)
+        ns = np.atleast_1d(np.asarray(n, dtype=None if np.size(n) else int))  # [] reads as float64
         lo, hi = (int(ns.min()), int(ns.max())) if ns.size else (0, -1)
-        value = _on_levels(self.K, [(self, lo, hi)])[0][ns - lo]
+        value = _on_levels(_Levels(self.K), [(self, lo, hi)])[0][ns - lo]
         return complex(value[0]) if np.ndim(n) == 0 else value
 
     def _shifted(self, s: int) -> dict:
@@ -434,13 +435,36 @@ class CoefficientFunction:
         return CoefficientFunction(self.K, [*self.terms.items(), *other.terms.items()])
 
 
-def _on_levels(K: SpectralFunction, spans: list) -> list:
-    """The values of each (coefficient, first, last) of K on the levels first..last.
+class _Levels:
+    """One call's levels of K, the table K(start..start+len(table)-1).  levels(lo, hi)
+    is K(lo..hi), a slice of it; a read evaluates, through level_table, only the
+    levels the table lacks up to it, those below first, so an error names the first
+    level that is not finite."""
 
-    One level table spans every atom K(n+k) the coefficients read, and each
-    power n**j is formed once over all their levels; every atom and power is
-    read from them as a slice.  Each monomial is its power times its atoms in
-    ks order, and the monomials are added in order to zeros.
+    def __init__(self, K: SpectralFunction):
+        self.K, self.start, self.table = K, 0, np.zeros(0)
+
+    def __call__(self, lo: int, hi: int) -> np.ndarray:
+        if hi < lo:
+            return self.table[:0]
+        start = self.start if self.table.size else lo  # an empty table grows from lo
+        end = start + self.table.size
+        if lo < start or hi >= end:
+            below, above = (
+                level_table(self.K, first, last) if first <= last else self.table[:0]
+                for first, last in ((lo, start - 1), (end, hi))
+            )
+            self.table, self.start = np.concatenate([below, self.table, above]), min(lo, start)
+        return self.table[lo - self.start : hi + 1 - self.start]
+
+
+def _on_levels(levels: _Levels, spans: list) -> list:
+    """The values of each (coefficient, first, last) on the levels first..last.
+
+    One slice of the store spans every atom K(n+k) the coefficients read, and
+    each power n**j is formed once over all their levels; every atom and power
+    is read from them as a slice.  Each monomial is its power times its atoms
+    in ks order, and the monomials are added in order to zeros.
     """
     reach = []  # the levels of the atoms of each nonempty span
     for c, first, last in spans:
@@ -448,7 +472,7 @@ def _on_levels(K: SpectralFunction, spans: list) -> list:
         if shifts and first <= last:
             reach.append((first + min(shifts), last + max(shifts)))
     lo = min((first for first, _ in reach), default=0)
-    table = level_table(K, lo, max((last for _, last in reach), default=-1))
+    table = levels(lo, max((last for _, last in reach), default=-1))
     start = min((first for _, first, _ in spans), default=0)
     top = max((last for _, _, last in spans), default=-1)
     powers = _powers(np.arange(start, top + 1), {j for c, _, _ in spans for j, _ in c.terms})
@@ -738,6 +762,7 @@ def _case_memo(memo: dict | None, K: SpectralFunction, D: int | None) -> dict:
     memo = {} if memo is None else memo
     if memo.setdefault("case", (K, D)) != (K, D):
         raise ValueError("a memo holds the operators of one spectral function and one dimension")
+    memo.setdefault("levels", _Levels(K))  # the one level store of a check's readers
     return memo
 
 
@@ -753,9 +778,7 @@ def normal_order(expr: Expr, K: SpectralFunction, *, memo: dict | None = None) -
 
 
 def nf_equal(
-    lhs: NormalForm,
-    rhs: NormalForm,
-    tol: float = DEFAULT_TOL,
+    lhs: NormalForm, rhs: NormalForm, tol: float = DEFAULT_TOL, *, memo: dict | None = None
 ) -> IdentityReport:
     """Decide equality of two normal forms of one K on the integer grid 0..GRID_MAX.
 
@@ -764,8 +787,9 @@ def nf_equal(
     is normalized per grid point by max(1, |lhs|, |rhs|); a NaN or inf
     deviation anywhere is reported and fails, by IdentityReport.judge's
     rule.  Every coefficient of both sides is evaluated in one call of the
-    module's level evaluator, so no level K(n) and no power N^j is formed
-    twice.  Where the two sides of an offset hold equal terms (the same
+    module's level evaluator, on the level store of memo (a normal_order memo of
+    this K; any store gives the same bits), so no level K(n) and no power N^j is
+    formed twice.  Where the two sides of an offset hold equal terms (the same
     monomials in the same order, with equal scalars), that coefficient is
     evaluated once and both sides read its values: evaluating it again would
     give the same bits, up to the sign of a zero, which no deviation sees.
@@ -783,7 +807,7 @@ def nf_equal(
         spans.append((cl, max(0, -d), GRID_MAX))
         if not same:
             spans.append((cr, max(0, -d), GRID_MAX))
-    values = iter(_on_levels(lhs.K, spans))
+    values = iter(_on_levels(_case_memo(memo, lhs.K, None)["levels"], spans))
     deviations = [np.zeros(0)]
     for same in shared:
         vl = next(values)
@@ -799,16 +823,17 @@ def nf_to_matrix(nf: NormalForm, D: int) -> Band:
 
     Offset d of the band holds, in column n, c_d(n) times the entry of ad^d
     (d >= 0) or a^-d (d < 0) there, the product of the ladder roots
-    sqrt(K(1..D-1)) of build_rep(nf.K, D) that the path crosses.  Every
-    kept offset's coefficient is evaluated on its columns in one call of the
-    module's level evaluator, so each level the coefficients read is
-    evaluated once, beside the representation's K(0..D+1).
+    sqrt(K(1..D-1)) of the representation FockRep(nf.K, D, K(0..D+1)) that
+    the path crosses.  Every kept offset's coefficient is evaluated on its
+    columns in one call of the module's level evaluator, and it and the
+    representation read one level store, so each level is evaluated once.
     """
-    roots = np.sqrt(build_rep(nf.K, D).levels[1:D])  # roots[m] = sqrt(K(m + 1))
+    levels = _Levels(nf.K)
+    roots = np.sqrt(FockRep(nf.K, D, levels(0, D + 1)).levels[1:D])  # roots[m] = sqrt(K(m + 1))
     offsets = [d for d in nf.coefficients if abs(d) < D]
     spans = [(nf.coefficients[d], max(0, -d), min(D, D - d) - 1) for d in offsets]
     diagonals = {}
-    for d, (_, first, last), value in zip(offsets, spans, _on_levels(nf.K, spans)):
+    for d, (_, first, last), value in zip(offsets, spans, _on_levels(levels, spans)):
         cols = np.arange(first, last + 1)
         weight = np.ones(cols.size)
         for j in range(abs(d)):
@@ -820,41 +845,27 @@ def nf_to_matrix(nf: NormalForm, D: int) -> Band:
 def expr_to_matrix(expr: Expr, K: SpectralFunction, D: int, *, memo: dict | None = None) -> Band:
     """Evaluate an expression directly in the truncated representation.
 
-    The leaves are the bands of build_rep and quadratures and the diagonal
-    K(k..k+D-1) of K(N+k), sliced from the representation's K(0..D+1) where
-    it reaches, each level outside it from level_table; band products sum the
-    entries numerically, so the result is independent of the contraction rule
-    and serves as the oracle for normal-ordered realizations.  Calls that pass
-    one memo dict, all for this K and D, build one representation and one
-    identity band and form each product they share once; a memo first used
-    for another K or D, or by normal_order, is a ValueError.
+    The leaves are the bands of FockRep(K, D, K(0..D+1)) and its quadratures
+    and the diagonal K(k..k+D-1) of K(N+k), all read from the memo's level
+    store; band products sum the entries numerically, so the result is
+    independent of the contraction rule and serves as the oracle for
+    normal-ordered realizations.  Calls that pass one memo dict, all for this
+    K and D, build one representation and one identity band and form each
+    product they share once; a memo first used for another K or D, or by
+    normal_order, is a ValueError.
     """
     memo = _case_memo(memo, K, D)
     if "quads" not in memo:  # before any band, so a representation error comes first
-        memo["quads"] = quadratures(build_rep(K, D))
+        memo["quads"] = quadratures(FockRep(K, D, memo["levels"](0, D + 1)))
         memo["identity"] = Band.diagonal(np.ones(D))
     quads, identity = memo["quads"], memo["identity"]
 
     def leaf(node) -> Band:
         if isinstance(node, Sym):  # a, ad, N, x or p
             return getattr(quads if node.name in ("x", "p") else quads.rep, "mat_" + node.name)
-        return Band.diagonal(_leaf_levels(K, quads.rep.levels, node.offset, node.offset + D - 1))
+        return Band.diagonal(memo["levels"](node.offset, node.offset + D - 1))
 
     return _evaluate(expr, K, lambda c: complex(c) * identity, leaf, memo)
-
-
-def _leaf_levels(K: SpectralFunction, table: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """K(lo..hi), read from table = K(0..len(table)-1) where it reaches and from
-    level_table elsewhere, the levels below the table first.  The table's levels
-    are finite, so an error still names the first level that is not."""
-    if lo >= 0 and hi < table.size:
-        return table[lo : hi + 1]
-    parts = [table[max(lo, 0) : max(hi + 1, 0)]]
-    if lo < 0:
-        parts.insert(0, level_table(K, lo, min(hi, -1)))
-    if hi >= table.size:
-        parts.append(level_table(K, max(lo, table.size), hi))
-    return np.concatenate(parts)
 
 
 def check_identity(identity: str, K: SpectralFunction, D: int, margin: int, tol: float) -> tuple:
@@ -862,14 +873,15 @@ def check_identity(identity: str, K: SpectralFunction, D: int, margin: int, tol:
 
     The matrix oracle is verify_window of both sides' expr_to_matrix at
     dimension D.  Each evaluator takes one memo for both sides, so a product
-    they share is formed once.  As in run_verify_checks, coefficients and
-    band products that overflow read as NaN deviations, without numpy warnings.
+    they share is formed once, and both memos hold one level store, read by
+    nf_equal too.  As in run_verify_checks, coefficients and band products
+    that overflow read as NaN deviations, without numpy warnings.
     """
     lhs, rhs = parse_identity(identity)
-    forms, bands = {}, {}
+    forms, bands = {"levels": (levels := _Levels(K))}, {"levels": levels}
     nf_l, nf_r = normal_order(lhs, K, memo=forms), normal_order(rhs, K, memo=forms)
     with np.errstate(over="ignore", invalid="ignore"):
-        report = nf_equal(nf_l, nf_r, tol=tol)
+        report = nf_equal(nf_l, nf_r, tol=tol, memo=forms)
         mat_l, mat_r = expr_to_matrix(lhs, K, D, memo=bands), expr_to_matrix(rhs, K, D, memo=bands)
         return report, verify_window(mat_l, mat_r, margin=margin, tol=tol)
 

@@ -46,7 +46,11 @@ a negative numeral power ((1/3)*x == x/3, (5/3)*ad*a == (5/3)*K(N) and
 3^-2*x == x/9), a complex factor on either side ((1+2i)*x == x*(1+2i)) and
 K(N+k) leaves below, across and above the representation's table
 (K(N-4)*x, K(N+3)*ad and K(N+40)*a, each against the ladders moved to its
-left), sign runs
+left), leaves that grow a check's level store (K(N+60)*a on classical at
+D = 8, far above the representation's table; K(N+30)*a on arik-coon q=10 at
+D = 290, which overflows at K(310) past the levels the grid and the
+representation hold; and K(N+60)*a^30 == 0 on arik-coon q=1e10 at D = 8,
+which names the first level of the store's growth that overflows), sign runs
 and product and quotient chains 500 to 3,000 links long, divisor-order
 errors, K shifts just above the cap and far above it, together with
 negative parameter values written as '-1.' and '-1.e0'.  Command lines
@@ -182,6 +186,14 @@ EDGE_CALLS += [
         "K(N+3)*ad == ad*K(N+4)",
         "K(N+40)*a == a*K(N+39)",
     )
+]
+# K(N+k) leaves that grow the check's one level store: far above the representation's table, past
+# an overflowing level once the grid and the representation have filled it, and a leaf that
+# overflows where no reader has evaluated its level, so the error names the store's first bad level
+EDGE_CALLS += [
+    ["symbolic", "--case", "classical", "--dim", "8", "--check", "K(N+60)*a == a*K(N+59)"],
+    ["symbolic", "--case", "arik-coon", "--q", "10", "--dim", "290", "--check", "K(N+30)*a == a*K(N+29)"],
+    ["symbolic", "--case", "arik-coon", "--q", "1e10", "--dim", "8", "--check", "K(N+60)*a^30 == 0"],
 ]
 
 # q-scans without --q, with an invalid --q, and with an --n-to the q-scan cannot use

@@ -170,13 +170,13 @@ def p_lowering_scalar_positive(monkeypatch):
 
 
 def scaled_level_tables(monkeypatch):
-    """Every level symorder reads times 1 + 1e-7: its level tables, and the representation's
-    levels where its K(N+k) leaves slice them; the representation's own bands stay exact."""
-    leaf_levels = symorder._leaf_levels
-    monkeypatch.setattr(symorder, "level_table", lambda K, lo, hi: level_table(K, lo, hi) * (1 + 1e-7))
-    monkeypatch.setattr(
-        symorder, "_leaf_levels", lambda K, table, lo, hi: leaf_levels(K, table * (1 + 1e-7), lo, hi)
-    )
+    """Every level symorder's readers take from its level store times 1 + 1e-7, while
+    its representations are built from exact levels, so their bands stay exact.
+    Scaling the store alone would be the consistent algebra (1 + 1e-7) K, in which
+    every identity holds."""
+    read = symorder._Levels.__call__
+    monkeypatch.setattr(symorder._Levels, "__call__", lambda self, lo, hi: read(self, lo, hi) * (1 + 1e-7))
+    monkeypatch.setattr(symorder, "FockRep", lambda K, D, levels: fockrep.FockRep(K, D, level_table(K, 0, D + 1)))
 
 
 def on_levels_up_one(monkeypatch):

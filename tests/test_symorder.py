@@ -872,6 +872,7 @@ class TestCoefficientEvaluation:
             np.int64(7),
             12,
             np.arange(0),
+            [],
             np.array([[4, 0, 9], [2, 2, 11]]),
             np.array([9, 2, 9, 0, 5, 2, 2]),
             np.array([-3, 5, -1, -3, 0]),
@@ -920,15 +921,14 @@ class TestRealization:
         nf = normal_order(parse_expr("ad^3 + 2*a^2"), K)
         calls.clear()
         nf_to_matrix(nf, 8)
-        # build_rep(K, 8) evaluates K(0..9) once; no entry evaluates K again
+        # the representation's K(0..9) is evaluated once; no entry evaluates K again
         assert calls == list(range(10))
         # the coefficients K(n+3) on offset 2, K(n-2) on -1 and n^2 K(n+2) + K(n) on 0
-        # read K(-1..9) over their columns, each level once in one table
+        # read K(-1..9) over their columns from the same store: only K(-1) is new
         nf = normal_order(parse_expr("K(N+1)*ad^2 + K(N-1)*a + N^2*K(N+2) + K(N)"), K)
         calls.clear()
         nf_to_matrix(nf, 8)
-        assert calls[:10] == list(range(10))
-        assert calls[10:] == list(range(-1, 10))
+        assert calls == [*range(10), -1]
 
     @pytest.mark.parametrize("K", representative_cases() + custom_cases(), ids=str)
     def test_realizations_equal_the_per_offset_evaluation(self, K):
@@ -1291,6 +1291,20 @@ class TestRealizationCheck:
         assert all(report.passed for report in reports), [report.max_abs_residual for report in reports]
 
 
+def levels_read(monkeypatch, identity, K, D=32):
+    """The level tables spectral._levels evaluates during check_identity, in order."""
+    tables, levels = [], spectral._levels
+
+    def spy(K, ns):
+        tables.append(list(ns))
+        return levels(K, ns)
+
+    monkeypatch.setattr(spectral, "_levels", spy)
+    check_identity(identity, K, D, 3, 1e-10)
+    monkeypatch.undo()
+    return tables
+
+
 class TestLevelsRead:
     def test_the_matrix_oracle_reads_only_levels_its_representation_lacks(self, monkeypatch):
         tables, oracle = [], []  # every level table, and the tables the matrix oracle reads
@@ -1309,10 +1323,43 @@ class TestLevelsRead:
         monkeypatch.setattr(spectral, "_levels", spy)
         monkeypatch.setattr(symorder, "expr_to_matrix", oracle_spy)
         check_identity(BUILTIN_IDENTITIES["lh_x"], make_case(CaseId.ARIK_COON, q=0.7), 32, 3, 1e-10)
-        # the representation's K(0..33), then K(-1) for the leaf K(N-1); K(N), K(N+1) and K(N+2) slice the first
-        assert oracle == [list(range(34)), [-1]]
-        # nf_equal reads its own grid table beside them
-        assert sum(map(len, tables)) == 62 and len({n for table in tables for n in table}) == 35
+        # nf_equal's grid fills K(0..26); the representation adds K(27..33) and the leaf K(N-1) K(-1),
+        # and K(N), K(N+1) and K(N+2) read levels already held
+        assert tables == [list(range(27)), list(range(27, 34)), [-1]]
+        assert oracle == [list(range(27, 34)), [-1]]
+
+    @pytest.mark.parametrize(
+        "identity, count",
+        [
+            (BUILTIN_IDENTITIES["lh_x"], 35),
+            ("ad^3*a^3 == K(N)*K(N-1)*K(N-2)", 36),
+            ("K(N+30)*ad + K(N-30)*a == K(N-30)*a + K(N+30)*ad", 92),
+        ],
+        ids=["lh_x", "ladder-product", "far-shifts"],
+    )
+    def test_a_check_evaluates_each_level_once(self, monkeypatch, identity, count):
+        levels = [n for table in levels_read(monkeypatch, identity, make_case(CaseId.ARIK_COON, q=0.7)) for n in table]
+        assert len(levels) == len(set(levels)) == count
+
+    @pytest.mark.parametrize("K", workload_cases(), ids=str)
+    def test_no_symbolic_mix_check_evaluates_a_level_twice(self, monkeypatch, K):
+        for identity in symbolic_mix_identities():
+            levels = [n for table in levels_read(monkeypatch, identity, K) for n in table]
+            assert levels and len(levels) == len(set(levels)), identity
+
+    @pytest.mark.parametrize("K", workload_cases(), ids=str)
+    def test_nf_equal_reports_the_same_bits_with_and_without_a_memo(self, K):
+        words = [word_text(word) for word in random_words(seed=36, count=20, max_len=6)]
+        identities = symbolic_mix_identities() + [f"{lhs} == {rhs}" for lhs, rhs in zip(words[::2], words[1::2])]
+        for identity in identities:
+            lhs, rhs = parse_identity(identity)
+            forms = {}
+            nf_l, nf_r = normal_order(lhs, K, memo=forms), normal_order(rhs, K, memo=forms)
+            # a store that the matrix oracle filled first, from K(0..33) and the leaves' levels
+            expr_to_matrix(lhs, K, 32, memo={"levels": forms["levels"]})
+            with np.errstate(over="ignore", invalid="ignore"):
+                reports = [nf_equal(nf_l, nf_r, memo=memo) for memo in (None, {}, forms)]
+            assert len({report_bits(report) for report in reports}) == 1, identity
 
     @pytest.mark.parametrize("k", [-40, -4, -1, 0, 3, 20, 40])
     @pytest.mark.parametrize("K", workload_cases(), ids=str)
