@@ -90,7 +90,10 @@ class Band:
 
     A @ B sums A[i, k] B[k, j] over k in increasing order; A @ v does the same
     for a vector of length D or a stack of D-row columns.  A + B, A - B, -A,
-    c * A and A / c act entrywise, with c a scalar.
+    c * A and A / c act entrywise, with c a scalar.  A + B and A - B are the
+    two-term cases of Band._sum, which adds any number of signed bands in one
+    pass, offset by offset in term order, a subtracted band's entries as
+    x + (-m), and forms no intermediate band.
 
     Band(D, diagonals) sorts the offsets, converts every entry array to
     complex and checks its length.  The results of Band's own arithmetic (+,
@@ -152,14 +155,28 @@ class Band:
         if other.D != self.D:
             raise ValueError(f"operators of dimensions {self.D} and {other.D} do not combine")
 
+    @staticmethod
+    def _sum(terms) -> "Band":
+        """The sum of a sequence of (negated, band) terms in one pass: each offset's
+        arrays added in term order, a negated term's as x + (-m), which is not
+        x - m where m holds a NaN.  An offset's first array is kept as it is, and no
+        array is added into in place."""
+        terms = iter(terms)
+        negated, first = next(terms)
+        out = {d: -m for d, m in first.diagonals.items()} if negated else dict(first.diagonals)
+        for negated, band in terms:
+            first._same_dimension(band)
+            for d, m in band.diagonals.items():
+                if negated:
+                    m = -m
+                out[d] = out[d] + m if d in out else m
+        # out lists the first term's offsets, sorted, then any offset it lacks
+        return Band._of(first.D, out if len(out) == len(first.diagonals) else dict(sorted(out.items())))
+
     def __add__(self, other):
         if not isinstance(other, Band):
             return NotImplemented
-        self._same_dimension(other)
-        out = dict(self.diagonals)
-        for d, m in other.diagonals.items():
-            out[d] = out[d] + m if d in out else m
-        return Band._of(self.D, dict(sorted(out.items())))
+        return Band._sum(((False, self), (False, other)))
 
     def __neg__(self) -> "Band":
         return Band._of(self.D, {d: -m for d, m in self.diagonals.items()})
@@ -167,7 +184,7 @@ class Band:
     def __sub__(self, other):
         if not isinstance(other, Band):
             return NotImplemented
-        return self + -other
+        return Band._sum(((False, self), (True, other)))
 
     def __mul__(self, c):
         if not np.isscalar(c):

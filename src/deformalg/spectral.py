@@ -348,16 +348,23 @@ def level_table(K: SpectralFunction, lo: int, hi: int) -> np.ndarray:
     return np.array(_levels(K, range(lo, hi + 1)), dtype=float)
 
 
+def _require_dimension(D: int) -> None:
+    """The dimension rule of a representation: D >= 4, since smaller dimensions
+    leave no verification window.  A reader that reads the levels itself checks it
+    before the first read."""
+    if D < 4:
+        raise ValueError(f"representation dimension must be >= 4, got {D}")
+
+
 def _rep_levels(K: SpectralFunction, D: int, values: Optional[list] = None) -> list:
     """The checked levels K(0..D+1) of K's dimension-D representation.
 
-    The one representation-level rule: D >= 4, since smaller dimensions leave
-    no verification window, and D + 2 levels, finite, and >= 0 below D.  The
+    The one representation-level rule: the dimension rule of
+    _require_dimension, and D + 2 levels, finite, and >= 0 below D.  The
     levels are evaluated through level_table's reader, which has found them
     finite, unless given as values, whose sum is checked instead.
     """
-    if D < 4:
-        raise ValueError(f"representation dimension must be >= 4, got {D}")
+    _require_dimension(D)
     found_finite = values is None
     if found_finite:
         values = _levels(K, range(D + 2))

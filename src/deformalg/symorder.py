@@ -10,10 +10,11 @@ holds an even count of '-'; a + and - chain is one Add, and a * and / chain
 one Mul whose factors after the first are operands or Divisor nodes.  One
 recursive evaluator, with one branch per node kind, gives every node its
 meaning: a numeral or parameter is a multiple of the identity, a symbol or
-K(N+k) a leaf operator, sums and products fold + and @ left to right (a
-product divides at each Divisor), powers repeat @, and comm(A, B) is
-A@B - B@A.  Division and negative powers are defined only by scalar
-subexpressions (offset 0 with a constant coefficient).
+K(N+k) a leaf operator, a sum merges its terms in one pass (a Neg term is
+subtracted), products fold @ left to right (dividing at each Divisor),
+powers repeat @, and comm(A, B) is A@B - B@A.  Division and negative
+powers are defined only by scalar subexpressions (offset 0 with a constant
+coefficient).
 
 A check evaluates equal subexpressions once.  normal_order and
 expr_to_matrix take a keyword memo, one per evaluator, that the two sides of
@@ -32,8 +33,10 @@ The leaves are
     a = {-1: 1}   ad = {+1: 1}   N = {0: N}   K(N+k) = {0: K(N+k)}
     x = (ad + a)/2      p = (i/2)(ad - a)      H = x@x + p@p
 
-Normal forms add offset by offset and compose by contraction: in A @ B,
-where B acts first, each term pair adds
+Normal forms add in one pass over a sum's signed terms, monomial by monomial
+within each offset, with the bits of the left-to-right fold of +
+(NormalForm._sum), and compose by contraction: in A @ B, where B acts
+first, each term pair adds
 
     c1(N+d2) . c2(N) . prod K(N+k)      to offset d1 + d2,
 
@@ -76,7 +79,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .fockrep import Band, FockRep, IdentityReport, quadratures, verify_window
-from .spectral import DEFAULT_TOL, SpectralFunction, level_table
+from .spectral import DEFAULT_TOL, SpectralFunction, _require_dimension, level_table
 
 __all__ = [
     "ExprSyntaxError",
@@ -385,7 +388,7 @@ class CoefficientFunction:
     drop and the monomials are kept sorted, so equal polynomials hold equal
     terms and evaluate to the same bits.  A negation or scalar multiple keeps
     the monomials as they are and drops only the scalars that become exact
-    zeros; only a sum merges again.
+    zeros; only NormalForm's sum and product merge again.
     """
 
     __slots__ = ("K", "terms")
@@ -431,9 +434,6 @@ class CoefficientFunction:
         ]
         return CoefficientFunction(self.K, expanded).terms
 
-    def __add__(self, other: "CoefficientFunction") -> "CoefficientFunction":
-        return CoefficientFunction(self.K, [*self.terms.items(), *other.terms.items()])
-
 
 class _Levels:
     """One call's levels of K, the table K(start..start+len(table)-1).  levels(lo, hi)
@@ -456,6 +456,13 @@ class _Levels:
             )
             self.table, self.start = np.concatenate([below, self.table, above]), min(lo, start)
         return self.table[lo - self.start : hi + 1 - self.start]
+
+    def representation(self, D: int) -> FockRep:
+        """FockRep(K, D, K(0..D+1)) on these levels.  The dimension rule comes before
+        the first level is read, so a dimension below 4 is named as such, not as a
+        level that overflows."""
+        _require_dimension(D)
+        return FockRep(self.K, D, self(0, D + 1))
 
 
 def _on_levels(levels: _Levels, spans: list) -> list:
@@ -503,9 +510,10 @@ class NormalForm:
     """Canonical form: ladder offset d -> coefficient function c_d of the source level.
 
     Offsets whose coefficient cancels exactly are dropped on construction.
-    Normal forms of one K combine as bands do: A + B, A - B and -A merge
-    offset by offset, c * A and A / c scale every scalar, and A @ B (B acts
-    first) composes by the contraction rule of the module docstring.
+    Normal forms of one K combine as bands do: A + B and A - B are the
+    two-term cases of _sum, one pass over signed terms, -A and c * A and A / c
+    map every scalar, and A @ B (B acts first) composes by the contraction
+    rule of the module docstring.
     """
 
     __slots__ = ("K", "coefficients")
@@ -530,20 +538,66 @@ class NormalForm:
         mapped = {d: {m: v for m, c in cf.terms.items() if (v := fn(c)) != 0} for d, cf in self.coefficients.items()}
         return NormalForm(self.K, {d: CoefficientFunction._of(self.K, terms) for d, terms in mapped.items()})
 
+    @staticmethod
+    def _sum(terms) -> "NormalForm":
+        """The sum of a sequence of (negated, form) terms in one pass, with the bits
+        of the left-to-right fold of +, where each + merges as a CoefficientFunction
+        merges and A - B is A + (-B).
+
+        Each monomial's scalars are added in term order, a negated term's as
+        x + (-c), which is not x - c where c holds a NaN.  A monomial whose running
+        value is an exact zero drops at once, so a later term starts from its own
+        scalar (0j + c would turn a -0.0 part of c to +0.0).  An offset whose every
+        monomial has dropped drops before the next term, so a later term adds it
+        after the offsets held then.  An offset that one term alone holds keeps
+        that term's coefficient, or its negation; every other coefficient's
+        monomials are sorted once, at the end.
+        """
+        terms = iter(terms)
+        negated, first = next(terms)
+        K = first.K
+        # offset -> its coefficient while one term alone holds it, then {monomial: scalar}
+        # with no scalar an exact zero
+        sums = dict((-first if negated else first).coefficients)
+        merged = []  # the offsets whose coefficient became a dict
+        for negated, nf in terms:
+            first._same_algebra(nf)
+            for d, cf in nf.coefficients.items():
+                total = sums.get(d)
+                if total is None:
+                    sums[d] = CoefficientFunction._of(K, {m: -c for m, c in cf.terms.items()}) if negated else cf
+                    continue
+                if not isinstance(total, dict):
+                    total = sums[d] = dict(total.terms)
+                    merged.append(d)
+                for monomial, value in cf.terms.items():
+                    if negated:
+                        value = -value
+                    if monomial in total:
+                        value = total[monomial] + value
+                        if value == 0:
+                            del total[monomial]
+                            continue
+                    total[monomial] = value
+                if not total:
+                    del sums[d]
+        for d in merged:
+            if isinstance(total := sums.get(d), dict):
+                sums[d] = CoefficientFunction._of(K, dict(sorted(total.items())))
+        return NormalForm(K, sums)
+
     def __add__(self, other):
         if not isinstance(other, NormalForm):
             return NotImplemented
-        self._same_algebra(other)
-        out = dict(self.coefficients)
-        for d, c in other.coefficients.items():
-            out[d] = out[d] + c if d in out else c
-        return NormalForm(self.K, out)
+        return NormalForm._sum(((False, self), (False, other)))
 
     def __neg__(self) -> "NormalForm":
         return self._map_scalars(operator.neg)
 
     def __sub__(self, other):
-        return self + -other
+        if not isinstance(other, NormalForm):
+            return NotImplemented
+        return NormalForm._sum(((False, self), (True, other)))
 
     def __mul__(self, c):
         if not isinstance(c, Number):
@@ -647,7 +701,10 @@ def _evaluate(expr: Expr, K: SpectralFunction, scalar: Callable, leaf: Callable,
     its two factors, which the entry keeps alive.  So equal subexpressions
     form each product once per memo, and comm(A, B) shares A*B and B*A with
     those products written out.  Sums, negations and scalars seldom repeat and
-    are formed where they appear.  Every value is the same left-to-right fold.
+    are formed where they appear.  An Add merges all its terms in one call of
+    its first term's class's _sum, a Neg term's operand as a subtracted term, so
+    a - b forms no -b and a + b + c no a + b; a Neg outside a sum negates.
+    Every value has the bits of the left-to-right fold.
     """
     def matmul(left, right):
         key = (id(left), id(right))
@@ -677,7 +734,8 @@ def _evaluate(expr: Expr, K: SpectralFunction, scalar: Callable, leaf: Callable,
         if isinstance(node, Neg):
             return -evaluate(node.operand)
         if isinstance(node, Add):
-            return reduce(operator.add, map(evaluate, node.terms))
+            terms = [(True, evaluate(t.operand)) if isinstance(t, Neg) else (False, evaluate(t)) for t in node.terms]
+            return type(terms[0][1])._sum(terms)
         if isinstance(node, Mul):
             divisors = []
             for factor in reversed(node.factors):
@@ -829,7 +887,7 @@ def nf_to_matrix(nf: NormalForm, D: int) -> Band:
     representation read one level store, so each level is evaluated once.
     """
     levels = _Levels(nf.K)
-    roots = np.sqrt(FockRep(nf.K, D, levels(0, D + 1)).levels[1:D])  # roots[m] = sqrt(K(m + 1))
+    roots = np.sqrt(levels.representation(D).levels[1:D])  # roots[m] = sqrt(K(m + 1))
     offsets = [d for d in nf.coefficients if abs(d) < D]
     spans = [(nf.coefficients[d], max(0, -d), min(D, D - d) - 1) for d in offsets]
     diagonals = {}
@@ -856,7 +914,7 @@ def expr_to_matrix(expr: Expr, K: SpectralFunction, D: int, *, memo: dict | None
     """
     memo = _case_memo(memo, K, D)
     if "quads" not in memo:  # before any band, so a representation error comes first
-        memo["quads"] = quadratures(FockRep(K, D, memo["levels"](0, D + 1)))
+        memo["quads"] = quadratures(memo["levels"].representation(D))
         memo["identity"] = Band.diagonal(np.ones(D))
     quads, identity = memo["quads"], memo["identity"]
 

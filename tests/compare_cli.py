@@ -10,6 +10,11 @@ as `python -m deformalg` would end.  Every call whose exit code,
 stdout or stderr differs is printed with a unified diff.  Exits 1 on any
 difference and 0 when every call and demo is byte-identical.
 
+tests/golden/compare_cli.digest holds one line per call and demo of the
+working tree (see digest), which tests/regen_goldens.py writes and
+tests/test_tooling.py checks: a Tier-1 failure names the calls whose output
+moved, and this script shows how.
+
 The call list is read from this tree: the golden commands of
 tests/regen_goldens.py, the three perfbench workloads at seeds 1 and 2,
 20-level tables and CSV verify runs at D = 8 and 32 on the six cases, verify
@@ -46,7 +51,9 @@ a negative numeral power ((1/3)*x == x/3, (5/3)*ad*a == (5/3)*K(N) and
 3^-2*x == x/9), a complex factor on either side ((1+2i)*x == x*(1+2i)) and
 K(N+k) leaves below, across and above the representation's table
 (K(N-4)*x, K(N+3)*ad and K(N+40)*a, each against the ladders moved to its
-left), leaves that grow a check's level store (K(N+60)*a on classical at
+left), signed sums on the same three cases (x - x + p - p + a == a,
+a*ad - ad*a - K(N+1) + K(N) + ad == ad, a - -ad == a + ad and
+-x + x - p*x + p*x + H == x*x + p*p), leaves that grow a check's level store (K(N+60)*a on classical at
 D = 8, far above the representation's table; K(N+30)*a on arik-coon q=10 at
 D = 290, which overflows at K(310) past the levels the grid and the
 representation hold; and K(N+60)*a^30 == 0 on arik-coon q=1e10 at D = 8,
@@ -63,6 +70,7 @@ Standard library only.
 from __future__ import annotations
 
 import difflib
+import hashlib
 import io
 import json
 import os
@@ -74,6 +82,7 @@ import tarfile
 import tempfile
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
+DIGEST = ROOT / "tests" / "golden" / "compare_cli.digest"
 
 USAGE_ERRORS = [
     [],
@@ -185,6 +194,19 @@ EDGE_CALLS += [
         "K(N-4)*x == (ad*K(N-3) + a*K(N-5))/2",
         "K(N+3)*ad == ad*K(N+4)",
         "K(N+40)*a == a*K(N+39)",
+    )
+]
+# signed sums that cancel whole offsets and add them again, a sum whose first term cancels against
+# K(N+1) - K(N), a Neg of a Neg, and a sum whose negated first term cancels
+EDGE_CALLS += [
+    ["symbolic", "--case", *case, "--check", identity]
+    for case in (["classical"], ["arik-coon", "--q", "0.7"], ["borzov", "--q", "1.5", "--alpha", "0.5", "--beta", "1",
+                                                                "--gamma", "2"])
+    for identity in (
+        "x - x + p - p + a == a",
+        "a*ad - ad*a - K(N+1) + K(N) + ad == ad",
+        "a - -ad == a + ad",
+        "-x + x - p*x + p*x + H == x*x + p*p",
     )
 ]
 # K(N+k) leaves that grow the check's one level store: far above the representation's table, past
@@ -399,6 +421,14 @@ def run_tree(tree: pathlib.Path, calls: dict) -> dict:
     if done.returncode != 0:
         sys.exit(f"calls in {tree} failed:\n{done.stderr}")
     return json.loads(done.stdout)
+
+
+def digest(results: dict) -> str:
+    """One line per call and demo, in run order: the first 16 hex digits of the
+    SHA-256 of its [exit code, stdout, stderr] as JSON, then its label."""
+    return "".join(
+        f"{hashlib.sha256(json.dumps(result).encode()).hexdigest()[:16]} {label}\n" for label, result in results.items()
+    )
 
 
 def export(ref: str, target: pathlib.Path) -> None:

@@ -1,4 +1,4 @@
-"""Regenerate the golden CLI outputs and demo transcripts (run manually after intentional changes).
+"""Regenerate the golden CLI outputs, demo transcripts and compare_cli digest (run manually after intentional changes).
 
 Usage:  python tests/regen_goldens.py
 """
@@ -76,6 +76,13 @@ def write_demo_transcripts():
         print(f"wrote {target}")
 
 
+def write_compare_cli_digest():
+    import compare_cli  # tests/compare_cli.py, beside this file
+
+    compare_cli.DIGEST.write_text(compare_cli.digest(compare_cli.run_tree(compare_cli.ROOT, compare_cli.call_list())))
+    print(f"wrote {compare_cli.DIGEST}")
+
+
 def main():
     sys.path.insert(0, str(SRC))  # the demos run in this process
     GOLDEN.mkdir(exist_ok=True)
@@ -85,6 +92,7 @@ def main():
         subprocess.run(cmd, check=True, env=child_env())
         print(f"wrote {target}")
     write_demo_transcripts()
+    write_compare_cli_digest()
 
 
 if __name__ == "__main__":

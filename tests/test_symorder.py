@@ -4,7 +4,9 @@ import contextlib
 import gc
 import io
 import math
+import struct
 from collections import Counter
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from conftest import (
     realization_reports,
     representative_cases,
     residual,
+    splitmix64,
     symbolic_mix_identities,
 )
 from deformalg import (
@@ -1383,6 +1386,26 @@ class TestLevelsRead:
             expr_to_matrix(KShift(k), K, D)
         assert str(leaf.value) == str(table.value)
 
+    @pytest.mark.parametrize("D", [2, 3])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda K, D: expr_to_matrix(parse_expr("x"), K, D),
+            lambda K, D: nf_to_matrix(normal_order(parse_expr("x"), K), D),
+            build_rep,
+        ],
+        ids=["expr_to_matrix", "nf_to_matrix", "build_rep"],
+    )
+    def test_a_dimension_below_four_is_named_before_any_level_is_read(self, monkeypatch, build, D):
+        # K(3) of arik-coon q=1e300 overflows, so a level read before the dimension rule names K(3);
+        # normal_order reads no level
+        K = make_case(CaseId.ARIK_COON, q=1e300)
+        read, levels = [], spectral._levels
+        monkeypatch.setattr(spectral, "_levels", lambda K, ns: read.append(list(ns)) or levels(K, ns))
+        with pytest.raises(ValueError, match=f"^representation dimension must be >= 4, got {D}$"):
+            build(K, D)
+        assert read == []
+
 
 def value_bits(value):
     """term_bits of a normal form's coefficients, or of the terms the staged contraction gives by offset."""
@@ -1451,3 +1474,172 @@ class TestShortcuts:
         for left, right in ((constant, big), (big, constant)):
             with pytest.raises(ValueError, match=f"multiply {count} monomial pairs, above the cap"):
                 left @ right
+
+
+# The sums as the pairwise fold formed them, the oracle for the one-pass sums: an Add
+# node folded + left to right over its terms, a Neg term as the negation of its operand.
+
+
+def fold_nf_add(A, B):
+    """A + B: the offsets of A, then those only B holds, each offset both hold merged
+    by a new CoefficientFunction, and a new NormalForm, which drops an offset that
+    cancelled."""
+    if B.K is not A.K and B.K != A.K:
+        raise ValueError("normal forms of different spectral functions do not combine")
+    out = dict(A.coefficients)
+    for d, c in B.coefficients.items():
+        out[d] = CoefficientFunction(A.K, [*out[d].terms.items(), *c.terms.items()]) if d in out else c
+    return NormalForm(A.K, out)
+
+
+def fold_nf_neg(A):
+    return NormalForm(
+        A.K, {d: CoefficientFunction(A.K, [(m, -v) for m, v in c.terms.items()]) for d, c in A.coefficients.items()}
+    )
+
+
+def fold_band_add(A, B):
+    """A + B: each offset both hold a new array A[d] + B[d], every other array as it is."""
+    if B.D != A.D:
+        raise ValueError(f"operators of dimensions {A.D} and {B.D} do not combine")
+    out = dict(A.diagonals)
+    for d, m in B.diagonals.items():
+        out[d] = out[d] + m if d in out else m
+    return Band(A.D, out)
+
+
+def fold_band_neg(A):
+    return Band(A.D, {d: -m for d, m in A.diagonals.items()})
+
+
+def folded(node, evaluate, add, neg):
+    """An Add node as the fold: each term's value, a Neg term's as neg of its operand's."""
+    return reduce(add, [neg(evaluate(t.operand)) if isinstance(t, Neg) else evaluate(t) for t in node.terms])
+
+
+def signed_bits(nf):
+    """term_bits with both parts of every scalar as packed bytes, which keep the sign of a NaN."""
+    return [
+        (d, [(m, type(c).__name__, struct.pack("<dd", c.real, c.imag).hex()) for m, c in cf.terms.items()])
+        for d, cf in nf.coefficients.items()
+    ]
+
+
+def band_bytes(band):
+    return [(d, m.dtype.str, m.tobytes()) for d, m in band.diagonals.items()]
+
+
+def signed_sums(seed, count):
+    """Add nodes of 2 to 6 random words, each term negated or not; a term repeats an
+    earlier one, with either sign, a quarter of the time, so that terms cancel."""
+    words = list(random_words(seed=seed, count=12, max_len=4))
+    stream = splitmix64(seed)
+    for _ in range(count):
+        terms = []
+        for _ in range(2 + next(stream) % 5):
+            word = words[next(stream) % len(words)]
+            if terms and next(stream) % 4 == 0:
+                word = terms[next(stream) % len(terms)]
+                word = word.operand if isinstance(word, Neg) else word
+            terms.append(Neg(word) if next(stream) % 2 else word)
+        yield Add(tuple(terms))
+
+
+# 1e308^2 overflows: (1e308 + 1e308i)^2 is nan + inf*i, and W's scalars carry a NaN
+OVERFLOWING = "(1e308+1e308i)*(1e308+1e308i)*x"
+SUMS = [
+    "a + ad - a + a",  # offset -1 cancels, and the last a adds it again after offset 1
+    "x - x + p - p + a",  # every offset cancels twice
+    "p - p + p",  # p's -0.5j (real part -0.0) after its offset cancelled
+    "K(N)*p + p - p + p",  # p's monomial cancels, offset -1 stays, and the last p starts from -0.5j
+    "-x + p - x",  # a negated first term
+    "-p - -p + x",
+    "a - -ad",  # a Neg of a Neg
+    "x - -x - -p + -p",
+    "(1+2i)*x - (1+2i)*x + (3-0.5i)*p - 2i*a",
+    "0.25i*K(N+1) - K(N) + (1+1i)*K(N-1) - 0.25i*K(N+1)",
+    f"x - {OVERFLOWING}",
+    f"{OVERFLOWING} - x - {OVERFLOWING}",
+    f"-{OVERFLOWING} + {OVERFLOWING} + p",
+    "1e308*x + 1e308*x - 1e308*x - 1e308*x + x",  # inf, then inf - inf = nan
+    "1e308*K(N+2) + 1e308*K(N+2) - -1e308*K(N+2)",
+]
+
+
+class TestOnePassSums:
+    """Sums in one pass against the pairwise fold, bit for bit: normal forms by their
+    offsets, monomials, types and packed scalars, bands by their bytes."""
+
+    @staticmethod
+    def sums():
+        return [parse_expr(text) for text in SUMS] + list(signed_sums(seed=37, count=60))
+
+    @pytest.mark.parametrize("K", workload_cases(), ids=str)
+    def test_normal_forms_of_sums_equal_the_fold(self, K):
+        for node in self.sums():
+            expected = folded(node, lambda t: normal_order(t, K), fold_nf_add, fold_nf_neg)
+            assert signed_bits(normal_order(node, K)) == signed_bits(expected), node
+
+    @pytest.mark.parametrize("K", workload_cases(), ids=str)
+    def test_bands_of_sums_equal_the_fold(self, K):
+        with np.errstate(over="ignore", invalid="ignore"):
+            for node in self.sums()[::3] + self.sums()[: len(SUMS)]:
+                expected = folded(node, lambda t: expr_to_matrix(t, K, 8), fold_band_add, fold_band_neg)
+                assert band_bytes(expr_to_matrix(node, K, 8)) == band_bytes(expected), node
+
+    @pytest.mark.parametrize("K", workload_cases(), ids=str)
+    def test_plus_and_minus_equal_the_fold(self, K):
+        forms = [normal_order(word, K) for word in random_words(seed=38, count=12, max_len=4)]
+        forms += [normal_order(parse_expr(text), K) for text in ("p", "-p", OVERFLOWING, f"-{OVERFLOWING}")]
+        bands = [expr_to_matrix(word, K, 8) for word in random_words(seed=38, count=12, max_len=4)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            bands += [expr_to_matrix(parse_expr(text), K, 8) for text in ("p", OVERFLOWING)]
+            for A in forms:
+                for B in forms:
+                    assert signed_bits(A + B) == signed_bits(fold_nf_add(A, B))
+                    assert signed_bits(A - B) == signed_bits(fold_nf_add(A, fold_nf_neg(B)))
+            for A in bands:
+                for B in bands:
+                    assert band_bytes(A + B) == band_bytes(fold_band_add(A, B))
+                    assert band_bytes(A - B) == band_bytes(fold_band_add(A, fold_band_neg(B)))
+
+    def test_the_cases_cancel_offsets_and_carry_nans(self):
+        # the sums above reach what they are there for
+        K = make_case(CaseId.ARIK_COON, q=0.7)
+        assert normal_order(parse_expr("a + ad - a + a"), K).support() == (-1, 1)
+        assert list(normal_order(parse_expr("a + ad - a + a"), K).coefficients) == [1, -1]
+        (scalar,) = normal_order(parse_expr("p - p + p"), K).coefficient(-1).terms.values()
+        assert math.copysign(1.0, scalar.real) == -1.0
+        values = normal_order(parse_expr(f"x - {OVERFLOWING}"), K).coefficient(1).terms.values()
+        assert any(math.isnan(c.real) for c in values)
+
+    def test_a_sum_keeps_a_term_array_as_it_is_and_adds_into_none(self):
+        K = make_case(CaseId.ARIK_COON, q=0.7)
+        x, identity = (expr_to_matrix(parse_expr(text), K, 8) for text in ("x", "1"))
+        before = {d: m.copy() for d, m in x.diagonals.items()}
+        total = x + identity + x
+        assert total.diagonals[0] is identity.diagonals[0]
+        assert all(x.diagonals[d].tobytes() == m.tobytes() for d, m in before.items())
+        assert list(total.diagonals) == [-1, 0, 1]
+
+    def test_foreign_operands_are_not_implemented(self):
+        K = classical()
+        nf, band = normal_order(parse_expr("x"), K), expr_to_matrix(parse_expr("x"), K, 8)
+        for value, foreign in ((nf, band), (nf, 1), (band, nf), (band, 1.0)):
+            assert value.__add__(foreign) is NotImplemented and value.__sub__(foreign) is NotImplemented
+            with pytest.raises(TypeError):
+                value + foreign
+            with pytest.raises(TypeError):
+                value - foreign
+
+    def test_operands_of_another_algebra_or_dimension_are_refused_as_by_the_fold(self):
+        x, y = (normal_order(parse_expr("x"), K) for K in (classical(), make_case(CaseId.ARIK_COON, q=0.7)))
+        b8, b16 = (expr_to_matrix(parse_expr("x"), classical(), D) for D in (8, 16))
+        for left, right, add in ((x, y, fold_nf_add), (b8, b16, fold_band_add)):
+            with pytest.raises(ValueError) as expected:
+                add(left, right)
+            three_terms = [(False, left), (True, left), (False, right)]
+            for op in (lambda: left + right, lambda: left - right, lambda: type(left)._sum(three_terms)):
+                with pytest.raises(ValueError) as raised:
+                    op()
+                assert str(raised.value) == str(expected.value)

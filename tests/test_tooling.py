@@ -7,7 +7,9 @@ each CLI command and one direct call each of fockrep.uncertainty_product and
 gup.kempf_rescale, which no command makes, so that a rename or a changed
 argument in the library shows up here and not only in a benchmark run.
 It also holds that tests/compare_cli.py makes every call of the symbolic-mix
-workload and every builtin symbolic call, so its byte comparison covers them.
+workload and every builtin symbolic call, so its byte comparison covers them,
+and that every call of its list prints what tests/golden/compare_cli.digest
+records.
 """
 
 import contextlib
@@ -89,3 +91,17 @@ def test_the_byte_comparison_makes_every_symbolic_mix_call_and_every_builtin_cal
     ]
     assert len({tuple(argv) for argv in wanted}) == 30
     assert [argv for argv in wanted if argv not in calls] == []
+
+
+def test_every_compare_cli_call_prints_its_digest_line(monkeypatch):
+    # the working tree runs compare_cli's call list in one subprocess; a call whose exit code, stdout
+    # or stderr moved is named, and `python tests/compare_cli.py <ref>` shows its diff
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    import compare_cli
+
+    got = compare_cli.digest(compare_cli.run_tree(compare_cli.ROOT, compare_cli.call_list())).splitlines()
+    want = compare_cli.DIGEST.read_text().splitlines()
+    hashes = [dict(line.split(" ", 1)[::-1] for line in lines) for lines in (want, got)]
+    moved = [label for label in dict.fromkeys([*hashes[0], *hashes[1]]) if hashes[0].get(label) != hashes[1].get(label)]
+    assert moved == [], f"{len(moved)} of {len(got)} calls and demos moved from tests/golden/compare_cli.digest"
+    assert got == want  # in the same order
